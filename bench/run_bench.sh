@@ -27,10 +27,10 @@
 # p99 improvement factors into BENCH_topk.json["load"].
 #
 # --shard: shard-per-core saturation A/B. Runs the same closed-loop
-# workload against the single-table server and against --shards=<cores>
-# (scatter-gather workers = cores), and folds both reports plus the
-# sharded/unsharded QPS and p99 factors — with the shard count and
-# partitioner kind recorded — into BENCH_topk.json["shard"].
+# workload against --shards=1 (a single table) and against
+# --shards=<cores> (scatter-gather workers = cores), and folds both
+# reports plus the N-shard/one-shard QPS and p99 factors — with the shard
+# count and partitioner kind recorded — into BENCH_topk.json["shard"].
 #
 # Provenance: every mode that writes BENCH_topk.json refuses to run
 # against a non-Release build directory (numbers from -O0/debug builds
@@ -269,15 +269,15 @@ if [ "$shard" = 1 ]; then
   [ "$shards" -lt 4 ] && shards=4
   # Saturation shape tuned for raw QPS (small k, memo+batching on, big
   # client fleet): the A/B isolates sharding — identical knobs except
-  # --shards. The unsharded run gives the single-table worker pool the
+  # --shards. The one-shard run gives the single-table worker pool the
   # same core budget the sharded run spends on shard workers, so the
   # comparison is cores-for-cores.
   common="--dims=3 --duration=10 --clients=32 --query-fraction=0.95 \
     --k=5 --preload-p=30000 --preload-t=1500 --rebuild-threshold=2048 \
     --batch-max=32 --memo-cache-mb=64 --seed=42"
-  echo "shard A/B baseline (single table, threads=$cores) ..."
+  echo "shard A/B baseline (one shard, threads=$cores) ..."
   # shellcheck disable=SC2086
-  "$cli_bin" serve --load-gen $common --threads="$cores" --shards=0 \
+  "$cli_bin" serve --load-gen $common --threads="$cores" --shards=1 \
     --out="$workdir/single.json"
   echo "shard A/B sharded (shards=$shards, $cores shard workers) ..."
   # Shard workers = cores (the shard-per-core deployment shape): with

@@ -1,9 +1,10 @@
 // Differential fuzz of cross-query amortization: grouped execution
-// (`TopKOverlayBatch`) with the epoch-scoped skyline memo enabled vs the
-// per-query engine (`TopKOverlay`) on the SAME view with the memo
-// stripped. Both run against identical live state, so every ranked
-// answer must agree exactly — ids, costs (bit for bit), upgraded
-// vectors, flags.
+// (`TopKShardedBatch` over a whole group) with the epoch-scoped skyline
+// memo enabled vs a batch of one per query on the SAME view set with the
+// memo and the upgrade cache stripped. Both run against identical live
+// state, so every ranked answer must agree exactly — ids, costs (bit for
+// bit), upgraded vectors, flags. The table has a random shard count, so
+// per-shard memos and the cross-shard gather are in play too.
 //
 // Stress axes the amortization layers add on top of fuzz_serve:
 //   * memo reuse across queries and epochs: tiny byte budgets force
@@ -26,9 +27,9 @@
 
 #include "core/cost_function.h"
 #include "fuzz_common.h"
-#include "serve/live_table.h"
-#include "serve/query.h"
 #include "serve/rebuilder.h"
+#include "serve/shard/shard_query.h"
+#include "serve/shard/sharded_table.h"
 
 namespace skyup {
 namespace fuzz {
@@ -68,17 +69,29 @@ void RunOne(uint64_t seed) {
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(dims, 1e-3);
 
-  LiveTableOptions options;
+  ShardedTableOptions options;
   options.dims = dims;
+  options.shards = 1 + static_cast<size_t>(rng.NextUint64(4));
   options.rtree_fanout = 2 + static_cast<size_t>(rng.NextUint64(7));
-  // 256 B .. 128 KB: the low end holds almost nothing, so eviction and
-  // the store-after-evict path run constantly; the high end keeps entries
-  // alive across whole epochs.
-  options.memo_cache_bytes = static_cast<size_t>(1)
-                             << (8 + rng.NextUint64(10));
-  Result<std::unique_ptr<LiveTable>> table = LiveTable::Create(options);
+  // 256 B .. 128 KB per shard: the low end holds almost nothing, so
+  // eviction and the store-after-evict path run constantly; the high end
+  // keeps entries alive across whole epochs.
+  const size_t memo_per_shard = size_t{1} << (8 + rng.NextUint64(10));
+  options.memo_cache_bytes = options.shards * memo_per_shard;
+  Result<std::unique_ptr<ShardedTable>> table = ShardedTable::Create(options);
   SKYUP_CHECK(table.ok()) << table.status().ToString() << " seed=" << seed;
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
+  const size_t threads = rng.NextUint64(2) == 0 ? 0 : 1;
+  auto run = [&](const ShardedView& views,
+                 const std::vector<BatchQuery>& group) {
+    std::vector<BatchQueryResult> out;
+    TopKShardedBatch(views, cost_fn, group, epsilon, threads, &out);
+    SKYUP_CHECK(out.size() == group.size()) << "seed=" << seed;
+    for (const BatchQueryResult& r : out) {
+      SKYUP_CHECK(r.status.ok()) << r.status.ToString() << " seed=" << seed;
+    }
+    return out;
+  };
 
   RebuildPolicy policy;
   policy.threshold_ops = 1 + static_cast<size_t>(rng.NextUint64(16));
@@ -116,15 +129,16 @@ void RunOne(uint64_t seed) {
       live_t[at] = live_t.back();
       live_t.pop_back();
     } else {
-      // Grouped execution vs the per-query memo-off oracle, same state.
+      // Grouped execution vs the batch-of-one memo-off oracle, same
+      // state.
       const size_t n = 1 + static_cast<size_t>(rng.NextUint64(12));
       std::vector<BatchQuery> queries(n);
       for (BatchQuery& q : queries) {
         q.k = 1 + static_cast<size_t>(rng.NextUint64(6));
       }
-      ReadView view = t.AcquireView();
-      ReadView plain = view;
-      plain.memo.reset();
+      const ShardedView view = t.AcquireViews();
+      ShardedView plain = view;
+      for (ReadView& shard_view : plain.views) shard_view.memo.reset();
       // The memo-off oracle also drops the shared upgrade cache so its
       // answers are recomputed from scratch (and so the grouped engine's
       // cache hits are cross-checked, not mirrored).
@@ -132,30 +146,19 @@ void RunOne(uint64_t seed) {
 
       std::vector<std::vector<UpgradeResult>> oracle(n);
       for (size_t i = 0; i < n; ++i) {
-        Result<std::vector<UpgradeResult>> got =
-            TopKOverlay(plain, cost_fn, queries[i].k, epsilon);
-        SKYUP_CHECK(got.ok())
-            << got.status().ToString() << " seed=" << seed;
-        oracle[i] = std::move(*got);
+        oracle[i] = std::move(run(plain, {queries[i]}).front().results);
       }
 
-      std::vector<BatchQueryResult> batched;
-      TopKOverlayBatch(view, cost_fn, queries, epsilon, &batched);
-      SKYUP_CHECK(batched.size() == n) << "seed=" << seed;
+      const std::vector<BatchQueryResult> batched = run(view, queries);
       for (size_t i = 0; i < n; ++i) {
-        SKYUP_CHECK(batched[i].status.ok())
-            << batched[i].status.ToString() << " seed=" << seed;
         CheckSameMember(oracle[i], batched[i].results, "grouped", seed, step,
                         i);
       }
 
       // Re-run the identical group on the now-warmed memo: the hit path
       // must reproduce the cold answers.
-      std::vector<BatchQueryResult> warmed;
-      TopKOverlayBatch(view, cost_fn, queries, epsilon, &warmed);
+      const std::vector<BatchQueryResult> warmed = run(view, queries);
       for (size_t i = 0; i < n; ++i) {
-        SKYUP_CHECK(warmed[i].status.ok())
-            << warmed[i].status.ToString() << " seed=" << seed;
         CheckSameMember(oracle[i], warmed[i].results, "warmed", seed, step,
                         i);
       }
@@ -168,11 +171,8 @@ void RunOne(uint64_t seed) {
             1 + static_cast<size_t>(rng.NextUint64(n - begin));
         const std::vector<BatchQuery> part(queries.begin() + begin,
                                            queries.begin() + begin + width);
-        std::vector<BatchQueryResult> split;
-        TopKOverlayBatch(view, cost_fn, part, epsilon, &split);
+        const std::vector<BatchQueryResult> split = run(view, part);
         for (size_t i = 0; i < width; ++i) {
-          SKYUP_CHECK(split[i].status.ok())
-              << split[i].status.ToString() << " seed=" << seed;
           CheckSameMember(oracle[begin + i], split[i].results, "split", seed,
                           step, begin + i);
         }
@@ -181,9 +181,9 @@ void RunOne(uint64_t seed) {
     }
     // Inline epoch rolls: every publish must invalidate the memo (the
     // next batch would otherwise consume probes from the old epoch).
-    Result<PublishKind> rebuilt = MaybeRebuildInline(&t, policy);
-    SKYUP_CHECK(rebuilt.ok()) << rebuilt.status().ToString()
-                              << " seed=" << seed;
+    Result<size_t> published = t.MaybePublishInline(policy);
+    SKYUP_CHECK(published.ok()) << published.status().ToString()
+                                << " seed=" << seed;
   }
 }
 

@@ -1,24 +1,28 @@
 // Differential fuzz of the live serving layer: random interleavings of
-// inserts/erases on P and T, inline snapshot rebuilds at a random
-// threshold, and top-k queries through the snapshot+overlay engine
-// (serve/query.h) — checked for exact equality against an independent
-// from-scratch oracle that never sees a snapshot, an index, or an
-// overlay: a plain map of live rows, a linear dominator scan, a skyline
-// reduction, and Algorithm 1 per candidate.
+// inserts/erases on P and T, inline snapshot publishes at a random
+// threshold, and top-k queries through the serve engine (a `Server` over
+// a ShardedTable of random shard count N in 1..8, which is often more
+// shards than live competitors) — checked for exact equality against an
+// independent from-scratch oracle that never sees a snapshot, an index,
+// a shard, or an overlay: a plain map of live rows, a linear dominator
+// scan, a skyline reduction, and Algorithm 1 per candidate.
 //
-// Also stresses the two serving-specific hazards:
-//   * stale views: a view captured mid-stream is re-queried after more
-//     updates and rebuilds land — its results must match the oracle state
-//     at capture time, not the current state;
-//   * post-rebuild agreement: after a forced full rebuild (empty overlay),
-//     the same query must return the same results it returned through the
-//     overlay.
+// Also stresses the serving-specific hazards:
+//   * stale views: a view set captured mid-stream is re-queried after
+//     more updates and publishes land — its results must match the
+//     oracle state at capture time, not the current state;
+//   * post-rebuild agreement: after a forced full compaction (empty
+//     overlay, upgrade cache detached), the same query must return the
+//     same results it returned through the overlay;
+//   * the cross-shard epoch protocol: publish cycles fire on the total
+//     backlog, so after every op the server's epoch and backlog must be
+//     what the oracle's own op count predicts, for any N; rejected
+//     updates (erases of unknown ids) count toward neither.
 
 #include <cstdint>
 #include <iterator>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -27,9 +31,9 @@
 #include "core/single_upgrade.h"
 #include "core/topk_common.h"
 #include "fuzz_common.h"
-#include "serve/live_table.h"
-#include "serve/query.h"
 #include "serve/rebuilder.h"
+#include "serve/server.h"
+#include "serve/shard/shard_query.h"
 #include "skyline/skyline.h"
 
 namespace skyup {
@@ -76,7 +80,7 @@ void CheckSameResults(const std::vector<UpgradeResult>& oracle,
         << where << " rank " << i << ": product " << got[i].product_id
         << " vs oracle " << oracle[i].product_id << ", seed=" << seed
         << " step=" << step;
-    // lint: float-eq-ok (differential oracle: the overlay engine must
+    // lint: float-eq-ok (differential oracle: the serve engine must
     // agree bit-exactly with the from-scratch computation)
     SKYUP_CHECK(got[i].cost == oracle[i].cost)
         << where << " rank " << i << ": cost " << got[i].cost
@@ -91,9 +95,22 @@ void CheckSameResults(const std::vector<UpgradeResult>& oracle,
   }
 }
 
-// A stale view plus the oracle state frozen at capture time.
+// One query, alone, through the serve engine.
+std::vector<UpgradeResult> EngineTopK(const ShardedView& views,
+                                      const ProductCostFunction& cost_fn,
+                                      size_t k, double epsilon, size_t threads,
+                                      uint64_t seed) {
+  std::vector<BatchQueryResult> out;
+  TopKShardedBatch(views, cost_fn, {BatchQuery{k, nullptr}}, epsilon,
+                   threads, &out);
+  SKYUP_CHECK(out.front().status.ok())
+      << out.front().status.ToString() << " seed=" << seed;
+  return std::move(out.front().results);
+}
+
+// A stale view set plus the oracle state frozen at capture time.
 struct StaleCheck {
-  ReadView view;
+  ShardedView views;
   OracleTable live_p;
   OracleTable live_t;
   int captured_at = 0;
@@ -106,21 +123,29 @@ void RunOne(uint64_t seed) {
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(dims, 1e-3);
 
-  LiveTableOptions options;
+  ServerOptions options;
   options.dims = dims;
-  // Tiny fanouts + thresholds exercise deep trees and frequent rebuilds.
+  options.shards = 1 + static_cast<size_t>(rng.NextUint64(8));
+  // Both scatter modes: one worker per shard, and serial scatter.
+  options.shard_query_threads = rng.NextUint64(2) == 0 ? 0 : 1;
+  options.default_epsilon = epsilon;
+  // Tiny fanouts + thresholds exercise deep trees and frequent publishes.
   options.rtree_fanout = 2 + static_cast<size_t>(rng.NextUint64(7));
-  Result<std::unique_ptr<LiveTable>> table = LiveTable::Create(options);
-  SKYUP_CHECK(table.ok()) << table.status().ToString() << " seed=" << seed;
-  LiveTable& t = **table;
-
-  RebuildPolicy policy;
-  policy.threshold_ops = 1 + static_cast<size_t>(rng.NextUint64(16));
+  options.rebuild_threshold_ops = 1 + static_cast<size_t>(rng.NextUint64(16));
   // Random patch-vs-major escalation points: low ones force frequent
   // compactions, high ones let tombstones and tails pile up across many
   // patched epochs — both sides of ChoosePublish get exercised.
-  policy.compact_tombstone_pct = 5 + static_cast<size_t>(rng.NextUint64(96));
-  policy.compact_tail_pct = 10 + static_cast<size_t>(rng.NextUint64(191));
+  options.compact_tombstone_pct = 5 + static_cast<size_t>(rng.NextUint64(96));
+  options.compact_tail_pct = 10 + static_cast<size_t>(rng.NextUint64(191));
+  options.memo_cache_mb = rng.NextUint64(2);
+  options.background_rebuild = false;  // deterministic inline publishes
+  options.query_threads = 1;
+  options.flight_recorder = false;
+  Result<std::unique_ptr<Server>> created = Server::Create(cost_fn, options);
+  SKYUP_CHECK(created.ok()) << created.status().ToString()
+                            << " seed=" << seed;
+  Server& server = **created;
+  const size_t threads = options.shard_query_threads;
 
   // A quarter of the seeds run erase-heavy: patched snapshots accumulate
   // index tombstones and queries carry pending erases, which is what the
@@ -130,13 +155,24 @@ void RunOne(uint64_t seed) {
   const uint64_t t_ins_below = p_ins_below + 15;
   const uint64_t p_del_below = t_ins_below + (erase_heavy ? 25 : 13);
   const uint64_t t_del_below = p_del_below + 10;
-  const uint64_t capture_below = t_del_below + 4;
+  const uint64_t bogus_below = t_del_below + 3;
+  const uint64_t capture_below = bogus_below + 4;
 
   OracleTable live_p;
   OracleTable live_t;
   std::vector<StaleCheck> stale;
+  // The epoch protocol the oracle predicts: every accepted op grows the
+  // backlog, and a publish cycle (epoch + 1) absorbs it at the threshold.
+  uint64_t expect_epoch = server.CurrentEpoch();
+  size_t expect_backlog = 0;
+  auto accepted = [&] {
+    if (++expect_backlog >= options.rebuild_threshold_ops) {
+      ++expect_epoch;
+      expect_backlog = 0;
+    }
+  };
 
-  const int steps = 30 + static_cast<int>(rng.NextUint64(50));
+  const int steps = 30 + static_cast<int>(rng.NextUint64(60));
   for (int step = 0; step < steps; ++step) {
     const uint64_t roll = rng.NextUint64(100);
     if (roll < p_ins_below || (roll < 60 && live_p.empty())) {
@@ -148,88 +184,104 @@ void RunOne(uint64_t seed) {
       } else {
         for (double& c : coords) c = rng.NextDouble(0.0, 4.0);
       }
-      Result<uint64_t> id = t.InsertCompetitor(coords);
+      Result<uint64_t> id = server.InsertCompetitor(coords);
       SKYUP_CHECK(id.ok()) << id.status().ToString() << " seed=" << seed;
+      SKYUP_CHECK(live_p.count(*id) == 0) << "id reused, seed=" << seed;
       live_p.emplace(*id, std::move(coords));
+      accepted();
     } else if (roll < t_ins_below) {
       std::vector<double> coords(dims);
       for (double& c : coords) c = rng.NextDouble(0.0, 4.0);
-      Result<uint64_t> id = t.InsertProduct(coords);
+      Result<uint64_t> id = server.InsertProduct(coords);
       SKYUP_CHECK(id.ok()) << id.status().ToString() << " seed=" << seed;
+      SKYUP_CHECK(live_t.count(*id) == 0) << "id reused, seed=" << seed;
       live_t.emplace(*id, std::move(coords));
+      accepted();
     } else if (roll < p_del_below && !live_p.empty()) {
       auto victim = live_p.begin();
       std::advance(victim,
                    static_cast<long>(rng.NextUint64(live_p.size())));
-      SKYUP_CHECK(t.EraseCompetitor(victim->first).ok()) << "seed=" << seed;
+      SKYUP_CHECK(server.EraseCompetitor(victim->first).ok())
+          << "seed=" << seed;
       live_p.erase(victim);
+      accepted();
     } else if (roll < t_del_below && !live_t.empty()) {
       auto victim = live_t.begin();
       std::advance(victim,
                    static_cast<long>(rng.NextUint64(live_t.size())));
-      SKYUP_CHECK(t.EraseProduct(victim->first).ok()) << "seed=" << seed;
+      SKYUP_CHECK(server.EraseProduct(victim->first).ok())
+          << "seed=" << seed;
       live_t.erase(victim);
+      accepted();
+    } else if (roll < bogus_below) {
+      // An id that never existed: rejected, and the id router must not
+      // leak state for it.
+      const uint64_t bogus = 1000000 + rng.NextUint64(1000);
+      SKYUP_CHECK(server.EraseCompetitor(bogus).code() ==
+                  StatusCode::kNotFound)
+          << "seed=" << seed << " step=" << step;
     } else if (roll < capture_below) {
-      // Capture a view to re-query later, against today's oracle state.
-      stale.push_back(StaleCheck{t.AcquireView(), live_p, live_t, step});
+      // Capture a view set to re-query later, against today's oracle.
+      stale.push_back(
+          StaleCheck{server.table().AcquireViews(), live_p, live_t, step});
     } else {
-      const size_t k = 1 + static_cast<size_t>(rng.NextUint64(6));
-      Result<std::vector<UpgradeResult>> got =
-          TopKOverlay(t.AcquireView(), cost_fn, k, epsilon);
-      SKYUP_CHECK(got.ok()) << got.status().ToString() << " seed=" << seed;
-      CheckSameResults(
-          OracleTopK(live_p, live_t, cost_fn, dims, k, epsilon), *got,
-          "overlay", seed, step);
+      QueryRequest request;
+      request.k = 1 + static_cast<size_t>(rng.NextUint64(6));
+      const QueryResponse got = server.Query(request);
+      SKYUP_CHECK(got.status.ok()) << got.status.ToString()
+                                   << " seed=" << seed;
+      SKYUP_CHECK(got.epoch == expect_epoch)
+          << "query ran at epoch " << got.epoch << ", expected "
+          << expect_epoch << ", seed=" << seed << " step=" << step;
+      CheckSameResults(OracleTopK(live_p, live_t, cost_fn, dims, request.k,
+                                  epsilon),
+                       got.results, "serve", seed, step);
     }
-    // Inline rebuild exactly like the deterministic serving mode; the
-    // policy decides per cycle whether it patches or compacts.
-    Result<PublishKind> rebuilt = MaybeRebuildInline(&t, policy);
-    SKYUP_CHECK(rebuilt.ok()) << rebuilt.status().ToString()
-                              << " seed=" << seed;
+    SKYUP_CHECK(server.CurrentEpoch() == expect_epoch)
+        << "epoch " << server.CurrentEpoch() << ", expected "
+        << expect_epoch << ", seed=" << seed << " step=" << step
+        << " shards=" << options.shards;
+    SKYUP_CHECK(server.DeltaBacklog() == expect_backlog)
+        << "backlog " << server.DeltaBacklog() << ", expected "
+        << expect_backlog << ", seed=" << seed << " step=" << step
+        << " shards=" << options.shards;
   }
 
-  // Stale views answer as of their capture instant, however many rebuilds
-  // have landed since.
+  // Stale views answer as of their capture instant, however many
+  // publishes have landed since.
   for (const StaleCheck& check : stale) {
     const size_t k = 1 + static_cast<size_t>(rng.NextUint64(6));
-    Result<std::vector<UpgradeResult>> got =
-        TopKOverlay(check.view, cost_fn, k, epsilon);
-    SKYUP_CHECK(got.ok()) << got.status().ToString() << " seed=" << seed;
     CheckSameResults(
         OracleTopK(check.live_p, check.live_t, cost_fn, dims, k, epsilon),
-        *got, "stale-view", seed, check.captured_at);
+        EngineTopK(check.views, cost_fn, k, epsilon, threads, seed),
+        "stale-view", seed, check.captured_at);
   }
 
-  // Force a final full rebuild: the clean (no-overlay) query must agree
-  // with both the oracle and the overlay answer for the same state.
+  // Force a final full compaction: the clean (no-overlay) query must
+  // agree with both the oracle and the overlay answer for the same state.
   const size_t k = 1 + static_cast<size_t>(rng.NextUint64(6));
-  Result<std::vector<UpgradeResult>> via_overlay =
-      TopKOverlay(t.AcquireView(), cost_fn, k, epsilon);
-  SKYUP_CHECK(via_overlay.ok())
-      << via_overlay.status().ToString() << " seed=" << seed;
-  std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
-  if (job.has_value()) {
-    Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-        *job->base, job->ops, job->next_epoch, t.index_options());
-    SKYUP_CHECK(merged.ok()) << merged.status().ToString()
-                             << " seed=" << seed;
-    t.CompleteRebuild(*merged);
+  const std::vector<UpgradeResult> via_overlay = EngineTopK(
+      server.table().AcquireViews(), cost_fn, k, epsilon, threads, seed);
+  RebuildPolicy compact;
+  compact.threshold_ops = 1;
+  compact.compact_tombstone_pct = 0;  // every shard publishes a major
+  Result<size_t> published = server.table().MaybePublishInline(compact);
+  SKYUP_CHECK(published.ok()) << published.status().ToString()
+                              << " seed=" << seed;
+  ShardedView clean = server.table().AcquireViews();
+  for (const ReadView& view : clean.views) {
+    SKYUP_CHECK(view.deltas.empty()) << "seed=" << seed;
   }
-  ReadView clean = t.AcquireView();
-  SKYUP_CHECK(clean.deltas.empty()) << "seed=" << seed;
-  // Drop the table's upgrade cache from this view: the clean query then
+  // Detach the upgrade cache from this view set: the clean query then
   // recomputes every candidate from scratch, so the agreement check below
   // is also a cache-on vs cache-off differential (the overlay answer was
   // free to reuse cached results for the same state).
   clean.cache.reset();
-  Result<std::vector<UpgradeResult>> via_snapshot =
-      TopKOverlay(clean, cost_fn, k, epsilon);
-  SKYUP_CHECK(via_snapshot.ok())
-      << via_snapshot.status().ToString() << " seed=" << seed;
-  CheckSameResults(*via_overlay, *via_snapshot, "post-rebuild", seed,
-                   steps);
+  const std::vector<UpgradeResult> via_snapshot =
+      EngineTopK(clean, cost_fn, k, epsilon, threads, seed);
+  CheckSameResults(via_overlay, via_snapshot, "post-rebuild", seed, steps);
   CheckSameResults(OracleTopK(live_p, live_t, cost_fn, dims, k, epsilon),
-                   *via_snapshot, "final-oracle", seed, steps);
+                   via_snapshot, "final-oracle", seed, steps);
 }
 
 }  // namespace

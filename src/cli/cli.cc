@@ -62,7 +62,7 @@ commands:
              closed-loop load generator (in-process or over TCP), or
              listen as a multi-tenant network front door
              --replay=OPS.csv [--out=FILE] [--metrics-out=FILE]
-             [--shards=0] [--epsilon=1e-6] [--fanout=64]
+             [--shards=1] [--epsilon=1e-6] [--fanout=64]
              [--rebuild-threshold=64]
              [--min-publish-backlog=1] [--compact-tombstone-pct=50]
              [--compact-tail-pct=150] [--batch-max=1]
@@ -71,7 +71,7 @@ commands:
              | --load-gen --dims=D [--duration=5] [--clients=8] [--qps=0]
              [--query-fraction=0.9] [--k=10] [--timeout=0]
              [--preload-p=20000] [--preload-t=2000] [--threads=2]
-             [--shards=0] [--shard-threads=0]
+             [--shards=1] [--shard-threads=0]
              [--rebuild-threshold=1024] [--batch-max=16]
              [--batch-wait-us=200] [--memo-cache-mb=16] [--seed=42]
              [--connect=HOST:PORT] [--tenant=bench]
@@ -80,8 +80,9 @@ commands:
              [--rebuild-threshold=1024] [--batch-max=16]
              [--batch-wait-us=200] [--memo-cache-mb=16]
              (--shards=N partitions P/T into N spatial shards behind one
-              cross-shard epoch; results are byte-identical to --shards=0
-              — CI replays both and compares. --listen serves the
+              cross-shard epoch, N >= 1; results are byte-identical
+              for every N — CI replays several against one golden
+              log. --listen serves the
               length-prefixed text wire protocol on 127.0.0.1:PORT
               (PORT=0 picks an ephemeral port, printed on stdout);
               tenants are created over the wire with their own dims,
@@ -584,7 +585,7 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto preload_p = ToInt(flags.GetOr("preload-p", "20000"));
   const auto preload_t = ToInt(flags.GetOr("preload-t", "2000"));
   const auto threads = ToInt(flags.GetOr("threads", "2"));
-  const auto shards = ToInt(flags.GetOr("shards", "0"));
+  const auto shards = ToInt(flags.GetOr("shards", "1"));
   const auto shard_threads = ToInt(flags.GetOr("shard-threads", "0"));
   const auto threshold = ToInt(flags.GetOr("rebuild-threshold", "1024"));
   const auto batch_max = ToInt(flags.GetOr("batch-max", "16"));
@@ -600,7 +601,7 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
       !shard_threads || !threshold || !batch_max || !batch_wait || !memo_mb ||
       !seed || *dims < 1 || *duration <= 0 || *clients < 1 || *qps < 0 ||
       *query_fraction < 0 || *query_fraction > 1 || *k < 1 || *timeout < 0 ||
-      *preload_p < 0 || *preload_t < 0 || *threads < 1 || *shards < 0 ||
+      *preload_p < 0 || *preload_t < 0 || *threads < 1 || *shards < 1 ||
       *shard_threads < 0 || *threshold < 1 || *batch_max < 1 ||
       *batch_wait < 0 || *memo_mb < 0 || *seed < 0) {
     return Usage(err, "serve --load-gen: malformed numeric flag");
@@ -879,7 +880,7 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   const auto epsilon = ToDouble(flags.GetOr("epsilon", "1e-6"));
   const auto fanout = ToInt(flags.GetOr("fanout", "64"));
-  const auto shards = ToInt(flags.GetOr("shards", "0"));
+  const auto shards = ToInt(flags.GetOr("shards", "1"));
   const auto threshold = ToInt(flags.GetOr("rebuild-threshold", "64"));
   const auto min_backlog = ToInt(flags.GetOr("min-publish-backlog", "1"));
   const auto tombstone_pct = ToInt(flags.GetOr("compact-tombstone-pct", "50"));
@@ -891,7 +892,7 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto metrics_path = flags.Get("metrics-out");
   if (!epsilon || !fanout || !shards || !threshold || !min_backlog ||
       !tombstone_pct || !tail_pct || !batch_max || !batch_wait || !memo_mb ||
-      *epsilon <= 0 || *fanout < 2 || *shards < 0 || *threshold < 1 ||
+      *epsilon <= 0 || *fanout < 2 || *shards < 1 || *threshold < 1 ||
       *min_backlog < 1 || *tombstone_pct < 1 || *tail_pct < 1 ||
       *batch_max < 1 || *batch_wait < 0 || *memo_mb < 0) {
     return Usage(err, "serve: malformed numeric flag");

@@ -95,8 +95,9 @@ class TopKCollector {
 };
 
 /// Query-shape validation shared by every top-k entry point — batch,
-/// parallel, and the serving overlay (serve/query.cc) — so all of them
-/// reject bad k/epsilon/cost-function input with identical diagnostics.
+/// parallel, and the serving engine (serve/shard/shard_query.cc) — so all
+/// of them reject bad k/epsilon/cost-function input with identical
+/// diagnostics.
 /// `dims` is the dimensionality of the data the query runs against.
 inline Status ValidateTopKQueryShape(size_t dims,
                                      const ProductCostFunction& cost_fn,

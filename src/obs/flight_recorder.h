@@ -58,7 +58,7 @@ struct QueryFlightRecord {
   uint64_t cache_misses = 0;
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
-  /// Sharded scatter-gather attribution (all zero for unsharded serves):
+  /// Scatter-gather attribution (all zero for grouped executions):
   /// which shard's worker dominated this query's wall time.
   uint32_t shard_count = 0;
   uint32_t slowest_shard = 0;

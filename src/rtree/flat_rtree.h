@@ -17,9 +17,10 @@
 // leaf-to-root path, and re-tightens (condenses) every ancestor MBR whose
 // union shrank, so live-node MBRs stay *exact* unions of their live
 // content. That tightness is what keeps the serving layer's box
-// lower-bound prune sound under deletes (src/serve/query.cc), and
-// `Validate()` proves it. Dead nodes (live_count == 0) keep their stale
-// MBRs and are skipped by traversals. DESIGN.md discusses the trade-off.
+// lower-bound prune sound under deletes
+// (src/serve/shard/shard_query.cc), and `Validate()` proves it. Dead
+// nodes (live_count == 0) keep their stale MBRs and are skipped by
+// traversals. DESIGN.md discusses the trade-off.
 
 #include <cstdint>
 #include <vector>

@@ -19,7 +19,7 @@
 //   - the box lower-bound prune stays sound because live-node MBRs are
 //     re-tightened on every index tombstone and a query's prune is
 //     disabled when a *pending* overlay erase touches a face of the live
-//     bounding box (serve/query.cc has the face argument).
+//     bounding box (serve/shard/shard_query.h has the face argument).
 
 #include <cstdint>
 #include <functional>
@@ -36,7 +36,6 @@
 
 namespace skyup {
 
-class UpgradeCache;
 class SkylineMemo;
 
 enum class DeltaTarget : uint8_t {
@@ -107,12 +106,6 @@ class DeltaLog {
 struct ReadView {
   std::shared_ptr<const Snapshot> snapshot;
   std::vector<DeltaOp> deltas;  ///< frozen ++ active, in append order
-  /// Count of ops the table had accepted when the view was captured — the
-  /// validity clock for `cache` (serve/upgrade_cache.h). The cache is the
-  /// table's shared upgrade-result cache; null disables caching for
-  /// queries through this view.
-  uint64_t version = 0;
-  std::shared_ptr<UpgradeCache> cache;
   /// The table's shared epoch-scoped skyline memo (serve/skyline_memo.h);
   /// null disables dominator-skyline memoization for this view.
   std::shared_ptr<SkylineMemo> memo;

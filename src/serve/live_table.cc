@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "serve/skyline_memo.h"
-#include "serve/upgrade_cache.h"
 #include "util/check.h"
 
 namespace skyup {
@@ -31,9 +30,6 @@ Result<std::unique_ptr<LiveTable>> LiveTable::Create(
     // so the GUARDED_BY invariant on these members holds on every write.
     MutexLock lock(table->mu_);
     table->snapshot_ = std::move(initial).value();
-    if (options.upgrade_cache) {
-      table->cache_ = std::make_shared<UpgradeCache>(options.dims);
-    }
     if (options.memo_cache_bytes > 0) {
       table->memo_ = std::make_shared<SkylineMemo>(options.dims,
                                                    options.memo_cache_bytes);
@@ -56,9 +52,7 @@ Result<uint64_t> LiveTable::Insert(DeltaTarget target,
       is_competitor ? next_competitor_id_ : next_product_id_;
   const uint64_t id = forced_id != 0 ? forced_id : counter++;
   if (forced_id != 0 && counter <= forced_id) counter = forced_id + 1;
-  DeltaOp op{target, DeltaKind::kInsert, id, coords};
-  active_.Append(op);
-  if (cache_ != nullptr) cache_->OnDeltaOp(op);
+  active_.Append(DeltaOp{target, DeltaKind::kInsert, id, coords});
   (is_competitor ? live_competitors_ : live_products_).insert(id);
   return id;
 }
@@ -73,9 +67,7 @@ Status LiveTable::Erase(DeltaTarget target, uint64_t id) {
         std::string(is_competitor ? "competitor" : "product") + " id " +
         std::to_string(id) + " is not live");
   }
-  DeltaOp op{target, DeltaKind::kErase, id, {}};
-  active_.Append(op);
-  if (cache_ != nullptr) cache_->OnDeltaOp(op);
+  active_.Append(DeltaOp{target, DeltaKind::kErase, id, {}});
   return Status::OK();
 }
 
@@ -117,10 +109,6 @@ ReadView LiveTable::AcquireView() const {
   view.deltas.insert(view.deltas.end(),
                      std::make_move_iterator(active.begin()),
                      std::make_move_iterator(active.end()));
-  // Under the same mutex that serialized every OnDeltaOp, so the version
-  // stamp is exactly the op count this view's deltas reflect.
-  view.version = cache_ != nullptr ? cache_->version() : 0;
-  view.cache = cache_;
   view.memo = memo_;
   return view;
 }
@@ -145,16 +133,6 @@ double LiveTable::snapshot_age_seconds() const {
   return std::chrono::duration<double>(SteadyClock::now() -
                                        snapshot_->published_at())
       .count();
-}
-
-size_t LiveTable::live_competitor_count() const {
-  MutexLock lock(mu_);
-  return live_competitors_.size();
-}
-
-size_t LiveTable::live_product_count() const {
-  MutexLock lock(mu_);
-  return live_products_.size();
 }
 
 LiveTable::Diagnostics LiveTable::SampleDiagnostics() const {

@@ -13,7 +13,11 @@
 // the last in-flight view drops. The discipline is machine-checked: every
 // guarded member carries SKYUP_GUARDED_BY(mu_) and `mu_` sits in the
 // kTable band of the global lock order (util/lock_order.h), above the
-// substructure locks (delta log, caches, memo shards) it nests.
+// substructure locks (delta log, memo shards) it nests.
+//
+// A LiveTable is one shard of a `ShardedTable` (serve/shard/
+// sharded_table.h), which allocates the stable ids, routes each op to its
+// shard, drives the publish cycles, and owns the upgrade-result cache.
 
 #include <cstdint>
 #include <memory>
@@ -31,7 +35,6 @@
 
 namespace skyup {
 
-class UpgradeCache;
 class SkylineMemo;
 
 struct LiveTableOptions {
@@ -41,12 +44,6 @@ struct LiveTableOptions {
   /// Byte budget of the epoch-scoped skyline memo cache
   /// (serve/skyline_memo.h) handed to every view; 0 disables memoization.
   size_t memo_cache_bytes = 0;
-  /// When false the table keeps no upgrade-result cache and views carry a
-  /// null `cache` handle. ShardedTable turns this off for its shards: a
-  /// shard-local cache would hold shard-local dominator sets (unsound to
-  /// serve as global results), so the sharded tier feeds one global cache
-  /// from the routed op stream instead (serve/shard/sharded_table.h).
-  bool upgrade_cache = true;
 };
 
 class LiveTable {
@@ -92,8 +89,6 @@ class LiveTable {
   size_t delta_backlog() const;
   /// Seconds since the current snapshot was built.
   double snapshot_age_seconds() const;
-  size_t live_competitor_count() const;
-  size_t live_product_count() const;
   size_t dims() const { return options_.dims; }
 
   /// One consistent health snapshot for the flight recorder's periodic
@@ -165,9 +160,6 @@ class LiveTable {
   uint64_t next_product_id_ SKYUP_GUARDED_BY(mu_) = 1;
   std::unordered_set<uint64_t> live_competitors_ SKYUP_GUARDED_BY(mu_);
   std::unordered_set<uint64_t> live_products_ SKYUP_GUARDED_BY(mu_);
-  /// Shared upgrade-result cache, fed every accepted op under `mu_` and
-  /// handed to every view (serve/upgrade_cache.h has the soundness story).
-  std::shared_ptr<UpgradeCache> cache_ SKYUP_GUARDED_BY(mu_);
   /// Shared epoch-scoped skyline memo; dropped wholesale on every publish
   /// under `mu_`. Null when `memo_cache_bytes == 0`.
   std::shared_ptr<SkylineMemo> memo_ SKYUP_GUARDED_BY(mu_);

@@ -1,12 +1,10 @@
 #include "serve/rebuilder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "obs/log.h"
 #include "util/check.h"
 
 namespace skyup {
@@ -229,138 +227,6 @@ PublishKind ChoosePublish(const Snapshot& base,
     return PublishKind::kMajor;
   }
   return PublishKind::kPatch;
-}
-
-namespace {
-
-// Runs one freeze -> patch-or-merge -> publish cycle if `table` has a
-// backlog and no rebuild is in flight. Returns what was published.
-Result<PublishKind> RebuildOnce(LiveTable* table,
-                                const RebuildPolicy& policy) {
-  std::optional<LiveTable::RebuildJob> job = table->BeginRebuild();
-  if (!job.has_value()) return PublishKind::kNone;
-  const PublishKind kind = ChoosePublish(*job->base, job->ops, policy);
-  Result<std::shared_ptr<const Snapshot>> next =
-      kind == PublishKind::kMajor
-          ? MergeSnapshot(*job->base, job->ops, job->next_epoch,
-                          table->index_options())
-          : PatchSnapshot(*job->base, job->ops, job->next_epoch);
-  if (!next.ok()) {
-    table->AbandonRebuild();
-    return next.status();
-  }
-  table->CompleteRebuild(std::move(next).value());
-  if (LogEnabled(LogLevel::kInfo)) {
-    LogRecord(LogLevel::kInfo, "publish")
-        .U64("epoch", job->next_epoch)
-        .Str("kind", kind == PublishKind::kMajor ? "major" : "patch")
-        .U64("ops", job->ops.size());
-  }
-  return kind;
-}
-
-}  // namespace
-
-Result<PublishKind> MaybeRebuildInline(LiveTable* table,
-                                       const RebuildPolicy& policy) {
-  if (table->delta_backlog() < policy.threshold_ops) {
-    return PublishKind::kNone;
-  }
-  return RebuildOnce(table, policy);
-}
-
-Rebuilder::Rebuilder(LiveTable* table, RebuildPolicy policy)
-    : table_(table), policy_(policy) {
-  SKYUP_CHECK(table_ != nullptr);
-}
-
-Rebuilder::~Rebuilder() { Stop(); }
-
-void Rebuilder::Start() {
-  MutexLock lock(mu_);
-  SKYUP_CHECK(!running_) << "rebuilder already started";
-  running_ = true;
-  stop_ = false;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void Rebuilder::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-  MutexLock lock(mu_);
-  running_ = false;
-}
-
-void Rebuilder::Nudge() { cv_.notify_all(); }
-
-uint64_t Rebuilder::rebuilds_published() const {
-  MutexLock lock(mu_);
-  return published_;
-}
-
-uint64_t Rebuilder::patches_published() const {
-  MutexLock lock(mu_);
-  return patches_;
-}
-
-Status Rebuilder::last_error() const {
-  MutexLock lock(mu_);
-  return last_error_;
-}
-
-bool Rebuilder::ShouldRebuild() const {
-  const size_t backlog = table_->delta_backlog();
-  if (backlog == 0) return false;
-  // Storm hysteresis: publishing too often turns every handful of updates
-  // into a snapshot flip. No trigger fires within the minimum interval of
-  // the previous publish, and the age trigger additionally demands a
-  // minimum backlog worth publishing.
-  if (policy_.min_publish_interval_seconds > 0.0 &&
-      table_->snapshot_age_seconds() <
-          policy_.min_publish_interval_seconds) {
-    return false;
-  }
-  if (backlog >= policy_.threshold_ops) return true;
-  return policy_.max_age_seconds > 0.0 &&
-         backlog >= policy_.min_publish_backlog &&
-         table_->snapshot_age_seconds() >= policy_.max_age_seconds;
-}
-
-void Rebuilder::Loop() {
-  const auto interval = std::chrono::duration_cast<SteadyClock::duration>(
-      std::chrono::duration<double>(
-          std::max(policy_.poll_interval_seconds, 1e-3)));
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      if (stop_) return;
-      cv_.wait_for(mu_, interval);
-      if (stop_) return;
-    }
-    // The rebuild runs unlocked: Stop() must stay responsive, Nudge()
-    // must never block behind a merge, and RebuildOnce takes the table
-    // mutex — a band *below* `mu_`, so holding `mu_` across it would
-    // invert the declared order.
-    PublishKind published = PublishKind::kNone;
-    Status error;
-    if (ShouldRebuild()) {
-      Result<PublishKind> outcome = RebuildOnce(table_, policy_);
-      if (outcome.ok()) {
-        published = *outcome;
-      } else {
-        error = outcome.status();
-      }
-    }
-    MutexLock lock(mu_);
-    if (published == PublishKind::kMajor) ++published_;
-    if (published == PublishKind::kPatch) ++patches_;
-    if (!error.ok()) last_error_ = error;
-  }
 }
 
 }  // namespace skyup

@@ -2,10 +2,11 @@
 #define SKYUP_SERVE_REBUILDER_H_
 
 // Snapshot publication: folding a frozen delta-log prefix into the next
-// epoch, either synchronously (`MaybeRebuildInline`, the deterministic
-// mode replay uses) or on a background thread (`Rebuilder`). Publication
-// is atomic via `LiveTable::CompleteRebuild`; in-flight queries keep
-// their pinned epochs until they drop them.
+// epoch. ShardedTable drives it — one publish cycle freezes, merges and
+// installs every shard, either inline after an update (the deterministic
+// mode replay uses) or on its coordinator thread. Publication is atomic
+// via `LiveTable::CompleteRebuild`; in-flight queries keep their pinned
+// epochs until they drop them.
 //
 // Two publish flavors share the pipeline:
 //   - *patch* (`PatchSnapshot`): O(rows) clone of the base — erases
@@ -17,14 +18,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <thread>
+#include <vector>
 
-#include "serve/live_table.h"
+#include "serve/delta_log.h"
 #include "serve/snapshot.h"
-#include "util/lock_order.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace skyup {
 
@@ -41,7 +39,6 @@ Result<std::shared_ptr<const Snapshot>> MergeSnapshot(
 /// way; the distinction is purely cost/bookkeeping (ServeStats keeps
 /// separate `patches_published` / `rebuilds_published` counters).
 enum class PublishKind : uint8_t {
-  kNone,   ///< nothing published (empty backlog / thresholds not met)
   kPatch,  ///< incremental PatchSnapshot publish
   kMajor,  ///< full MergeSnapshot compaction
 };
@@ -53,11 +50,11 @@ struct RebuildPolicy {
   size_t threshold_ops = 1024;
   /// Also publish a non-empty backlog once the snapshot is older than
   /// this many seconds (<= 0 disables the age trigger — required for
-  /// deterministic replay). Only the background rebuilder applies it.
+  /// deterministic replay). Only the background coordinator applies it.
   double max_age_seconds = 0.0;
-  /// Background rebuilder poll interval between nudges.
+  /// Background coordinator poll interval between nudges.
   double poll_interval_seconds = 0.05;
-  /// Storm hysteresis, background rebuilder only: the age trigger never
+  /// Storm hysteresis, background coordinator only: the age trigger never
   /// fires below this backlog, and no publish (either trigger) happens
   /// within this many seconds of the previous one. The op-count threshold
   /// still wins eventually, so a sustained burst is bounded by
@@ -79,63 +76,10 @@ struct RebuildPolicy {
 
 /// Pure decision function for one publish cycle (exposed for tests and
 /// the fuzzer): whether folding `ops` over `base` should patch or
-/// compact, per `policy`. Never returns kNone.
+/// compact, per `policy`.
 PublishKind ChoosePublish(const Snapshot& base,
                           const std::vector<DeltaOp>& ops,
                           const RebuildPolicy& policy);
-
-/// One synchronous check-and-publish step against the size threshold:
-/// returns what was published (kNone below threshold). The deterministic
-/// serving mode calls this after every accepted update.
-Result<PublishKind> MaybeRebuildInline(LiveTable* table,
-                                       const RebuildPolicy& policy);
-
-/// Background rebuild loop: wakes on `Nudge()` or every poll interval,
-/// rebuilds when the policy triggers, publishes, repeats. Start/Stop are
-/// not thread-safe against each other; everything else is.
-class Rebuilder {
- public:
-  Rebuilder(LiveTable* table, RebuildPolicy policy);
-  ~Rebuilder();
-
-  Rebuilder(const Rebuilder&) = delete;
-  Rebuilder& operator=(const Rebuilder&) = delete;
-
-  void Start();
-  /// Stops the loop; joins the thread. Idempotent.
-  void Stop();
-  /// Wakes the loop early (an update was applied).
-  void Nudge();
-
-  /// Major compactions / incremental patches published so far.
-  uint64_t rebuilds_published() const;
-  uint64_t patches_published() const;
-  /// Last merge failure, OK if none (merge failures leave the frozen ops
-  /// pending and the loop retries on the next trigger).
-  Status last_error() const;
-
- private:
-  void Loop();
-  bool ShouldRebuild() const;
-
-  LiveTable* table_;
-  RebuildPolicy policy_;
-
-  // kRebuilder band: Server::stats() reads the publish counters while
-  // holding its stats lock, and the loop's rebuild work — which takes
-  // LiveTable::mu_ (kTable) — always runs with `mu_` released.
-  mutable Mutex mu_ SKYUP_ACQUIRED_AFTER(lock_order::kRebuilder)
-      SKYUP_ACQUIRED_BEFORE(lock_order::kTable);
-  CondVar cv_;
-  bool running_ SKYUP_GUARDED_BY(mu_) = false;
-  bool stop_ SKYUP_GUARDED_BY(mu_) = false;
-  uint64_t published_ SKYUP_GUARDED_BY(mu_) = 0;
-  uint64_t patches_ SKYUP_GUARDED_BY(mu_) = 0;
-  Status last_error_ SKYUP_GUARDED_BY(mu_);
-  /// Start/Stop are externally serialized (class contract above), so the
-  /// handle itself needs no guard.
-  std::thread thread_;
-};
 
 }  // namespace skyup
 

@@ -225,8 +225,9 @@ Result<ReplayReport> Replay(Server* server, const ReplayWorkload& workload,
   ReplayReport report;
   Timer wall;
   // One result block per query, identical whether the query ran solo or
-  // grouped (TopKOverlayBatch is bit-identical to per-query execution, so
-  // the batch_max setting must not change the log bytes — CI compares).
+  // grouped (TopKShardedBatch gives each member exactly its solo answer,
+  // so the batch_max setting must not change the log bytes — CI compares
+  // every replay against bench/workloads/serve_1k.expected).
   auto emit_query_block = [&](size_t k, const QueryResponse& response) {
     ++report.queries;
     // Deliberately no wall times or epochs here: everything printed is a
@@ -327,11 +328,11 @@ Result<ReplayReport> Replay(Server* server, const ReplayWorkload& workload,
       }
     }
   }
-  // Mode-independent accessors: in sharded mode the epoch is the common
-  // cross-shard epoch and the backlog is the total across shards — both
-  // match the single-table values for the same op stream (synchronized
-  // publish cycles fire on the total backlog), so the `# replay:` summary
-  // agrees across `--shards` values too.
+  // The epoch is the common cross-shard epoch and the backlog is the
+  // total across shards — both are independent of the shard count for
+  // the same op stream (synchronized publish cycles fire on the total
+  // backlog), so the `# replay:` summary agrees across `--shards` values
+  // too.
   report.final_epoch = server->CurrentEpoch();
   report.final_backlog = server->DeltaBacklog();
   report.wall_seconds = wall.ElapsedSeconds();

@@ -96,7 +96,7 @@ void AddServeStatsMetrics(const ServeStats& stats,
        "configured skyline-memo byte budget in MB (0 = memo disabled)",
        stats.memo_cache_mb);
   echo("skyup_serve_shards",
-       "configured shard count (0 = single-table serving)", stats.shards);
+       "configured shard count (1 = a single table)", stats.shards);
 }
 
 }  // namespace skyup

@@ -48,7 +48,7 @@ struct ServeStats {
   uint64_t batch_max_queries = 0;         ///< grouped-execution width cap
   uint64_t batch_wait_us = 0;             ///< max batch-fill wait
   uint64_t memo_cache_mb = 0;             ///< skyline-memo byte budget (MB)
-  uint64_t shards = 0;                    ///< shard count (0 = unsharded)
+  uint64_t shards = 0;                    ///< shard count (>= 1)
 
   /// Field-wise sum. Same tripwire as ExecStats: adding a counter changes
   /// the struct size, which trips the assert until the new field is summed

@@ -8,6 +8,7 @@
 
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "rtree/mbr.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -25,12 +26,10 @@ uint64_t NowUnixMicros() {
 }  // namespace
 
 Server::Server(ProductCostFunction cost_fn, ServerOptions options,
-               std::unique_ptr<LiveTable> table,
-               std::unique_ptr<ShardedTable> sharded)
+               std::unique_ptr<ShardedTable> table)
     : cost_fn_(std::move(cost_fn)),
       options_(options),
       table_(std::move(table)),
-      sharded_(std::move(sharded)),
       recorder_(FlightRecorderOptions{options.flight_query_ring,
                                       options.flight_sample_ring}) {
   recorder_.set_enabled(options_.flight_recorder);
@@ -38,8 +37,13 @@ Server::Server(ProductCostFunction cost_fn, ServerOptions options,
 
 Result<std::unique_ptr<Server>> Server::Create(ProductCostFunction cost_fn,
                                                ServerOptions options) {
-  if (options.dims < 1) {
-    return Status::InvalidArgument("server dims must be >= 1");
+  if (options.dims < 1 || options.dims > kMaxDims) {
+    return Status::InvalidArgument("server dims must be in [1, " +
+                                   std::to_string(kMaxDims) + "]");
+  }
+  if (options.shards < 1 || options.shards > kMaxShards) {
+    return Status::InvalidArgument("server shards must be in [1, " +
+                                   std::to_string(kMaxShards) + "]");
   }
   if (cost_fn.dims() != options.dims) {
     return Status::InvalidArgument(
@@ -62,32 +66,17 @@ Result<std::unique_ptr<Server>> Server::Create(ProductCostFunction cost_fn,
     return Status::InvalidArgument(
         "batch_max must be in [1, " + std::to_string(kMaxServeBatch) + "]");
   }
-  std::unique_ptr<LiveTable> live_table;
-  std::unique_ptr<ShardedTable> sharded_table;
-  if (options.shards == 0) {
-    LiveTableOptions table_options;
-    table_options.dims = options.dims;
-    table_options.rtree_fanout = options.rtree_fanout;
-    table_options.memo_cache_bytes = options.memo_cache_mb * (1u << 20);
-    Result<std::unique_ptr<LiveTable>> table =
-        LiveTable::Create(table_options);
-    if (!table.ok()) return table.status();
-    live_table = std::move(table).value();
-  } else {
-    ShardedTableOptions shard_options;
-    shard_options.dims = options.dims;
-    shard_options.shards = options.shards;
-    shard_options.rtree_fanout = options.rtree_fanout;
-    shard_options.memo_cache_bytes = options.memo_cache_mb * (1u << 20);
-    Result<std::unique_ptr<ShardedTable>> sharded =
-        ShardedTable::Create(shard_options);
-    if (!sharded.ok()) return sharded.status();
-    sharded_table = std::move(sharded).value();
-  }
+  ShardedTableOptions table_options;
+  table_options.dims = options.dims;
+  table_options.shards = options.shards;
+  table_options.rtree_fanout = options.rtree_fanout;
+  table_options.memo_cache_bytes = options.memo_cache_mb * (1u << 20);
+  Result<std::unique_ptr<ShardedTable>> table =
+      ShardedTable::Create(table_options);
+  if (!table.ok()) return table.status();
 
   std::unique_ptr<Server> server(new Server(std::move(cost_fn), options,
-                                            std::move(live_table),
-                                            std::move(sharded_table)));
+                                            std::move(table).value()));
   RebuildPolicy policy;
   policy.threshold_ops = options.rebuild_threshold_ops;
   policy.max_age_seconds = options.rebuild_max_age_seconds;
@@ -112,15 +101,7 @@ Result<std::unique_ptr<Server>> Server::Create(ProductCostFunction cost_fn,
     server->stats_.memo_cache_mb = options.memo_cache_mb;
     server->stats_.shards = options.shards;
   }
-  if (options.background_rebuild) {
-    if (server->sharded_ != nullptr) {
-      server->sharded_->Start(policy);
-    } else {
-      server->rebuilder_ =
-          std::make_unique<Rebuilder>(server->table_.get(), policy);
-      server->rebuilder_->Start();
-    }
-  }
+  if (options.background_rebuild) server->table_->Start(policy);
   server->workers_.reserve(options.query_threads);
   for (size_t i = 0; i < options.query_threads; ++i) {
     server->workers_.emplace_back([raw = server.get()] {
@@ -163,8 +144,7 @@ Server::~Server() {
       pending.promise.set_value(std::move(response));
     }
   }
-  if (rebuilder_ != nullptr) rebuilder_->Stop();
-  if (sharded_ != nullptr) sharded_->Stop();
+  table_->Stop();
 }
 
 void Server::AfterUpdate(const Result<uint64_t>& outcome) {
@@ -182,65 +162,41 @@ void Server::AfterUpdate(const Status& outcome) {
   }
   if (!outcome.ok()) return;
   if (options_.background_rebuild) {
-    if (sharded_ != nullptr) {
-      sharded_->Nudge();
-    } else {
-      rebuilder_->Nudge();
-    }
+    table_->Nudge();
     return;
   }
-  // Deterministic mode: apply the size threshold right here, so rebuild
+  // Deterministic mode: apply the size threshold right here, so publish
   // timing (and the patch-vs-major choice) is a pure function of the op
-  // sequence. In sharded mode the trigger fires on the TOTAL backlog —
-  // the op count a single table would have accumulated — so publish-cycle
-  // boundaries are identical for every shard count (the `--shards` replay
-  // guard depends on this). Cycle counters live in the sharded table;
-  // stats() overlays them.
-  if (sharded_ != nullptr) {
-    // A failed cycle is remembered by the sharded table (last_error());
-    // frozen ops stay pending and the next cycle re-offers them.
-    (void)sharded_->MaybePublishInline(inline_policy_);
-    return;
-  }
-  Result<PublishKind> published =
-      MaybeRebuildInline(table_.get(), inline_policy_);
-  if (published.ok() && *published != PublishKind::kNone) {
-    MutexLock lock(stats_mu_);
-    if (*published == PublishKind::kMajor) {
-      ++stats_.rebuilds_published;
-    } else {
-      ++stats_.patches_published;
-    }
-  }
+  // sequence. The trigger fires on the TOTAL backlog across shards, so
+  // publish-cycle boundaries are identical for every shard count (the
+  // `--shards` replay guard depends on this). Cycle counters live in the
+  // table; stats() overlays them. A failed cycle is remembered by the
+  // table (last_error()); frozen ops stay pending and the next cycle
+  // re-offers them.
+  (void)table_->MaybePublishInline(inline_policy_);
 }
 
 Result<uint64_t> Server::InsertCompetitor(
     const std::vector<double>& coords) {
-  Result<uint64_t> outcome = sharded_ != nullptr
-                                 ? sharded_->InsertCompetitor(coords)
-                                 : table_->InsertCompetitor(coords);
+  Result<uint64_t> outcome = table_->InsertCompetitor(coords);
   AfterUpdate(outcome);
   return outcome;
 }
 
 Result<uint64_t> Server::InsertProduct(const std::vector<double>& coords) {
-  Result<uint64_t> outcome = sharded_ != nullptr
-                                 ? sharded_->InsertProduct(coords)
-                                 : table_->InsertProduct(coords);
+  Result<uint64_t> outcome = table_->InsertProduct(coords);
   AfterUpdate(outcome);
   return outcome;
 }
 
 Status Server::EraseCompetitor(uint64_t id) {
-  Status outcome = sharded_ != nullptr ? sharded_->EraseCompetitor(id)
-                                       : table_->EraseCompetitor(id);
+  Status outcome = table_->EraseCompetitor(id);
   AfterUpdate(outcome);
   return outcome;
 }
 
 Status Server::EraseProduct(uint64_t id) {
-  Status outcome = sharded_ != nullptr ? sharded_->EraseProduct(id)
-                                       : table_->EraseProduct(id);
+  Status outcome = table_->EraseProduct(id);
   AfterUpdate(outcome);
   return outcome;
 }
@@ -258,32 +214,19 @@ QueryResponse Server::Execute(const QueryRequest& request,
   std::optional<QueryTelemetry> telemetry;
   if (record != nullptr && control != nullptr) telemetry.emplace();
   ShardQueryInfo shard_info;
-  Result<std::vector<UpgradeResult>> results =
-      [&]() -> Result<std::vector<UpgradeResult>> {
-    if (sharded_ != nullptr) {
-      ShardedView views = sharded_->AcquireViews();
-      response.epoch = views.epoch;
-      return TopKSharded(views, cost_fn_, request.k,
-                         options_.default_epsilon,
-                         options_.shard_query_threads, control, &query_stats,
-                         telemetry.has_value() ? &*telemetry : nullptr,
-                         &shard_info);
-    }
-    ReadView view = table_->AcquireView();
-    response.epoch = view.epoch();
-    return TopKOverlay(view, cost_fn_, request.k, options_.default_epsilon,
-                       control, &query_stats,
-                       telemetry.has_value() ? &*telemetry : nullptr);
-  }();
+  const ShardedView views = table_->AcquireViews();
+  response.epoch = views.epoch;
+  std::vector<BatchQueryResult> outcome;
+  TopKShardedBatch(views, cost_fn_, {BatchQuery{request.k, control}},
+                   options_.default_epsilon, options_.shard_query_threads,
+                   &outcome, &query_stats,
+                   telemetry.has_value() ? &*telemetry : nullptr, &shard_info);
   {
     MutexLock lock(stats_mu_);
     stats_.MergeFrom(query_stats);
   }
-  if (results.ok()) {
-    response.results = std::move(results).value();
-  } else {
-    response.status = results.status();
-  }
+  response.status = std::move(outcome.front().status);
+  response.results = std::move(outcome.front().results);
   response.wall_seconds = wall.ElapsedSeconds();
   if (record != nullptr) {
     record->epoch = response.epoch;
@@ -313,8 +256,6 @@ std::vector<QueryResponse> Server::ExecuteBatch(
   ServeStats batch_stats;
   batch_stats.batches_executed = 1;
   if (requests.size() >= 2) batch_stats.batched_queries = requests.size();
-  std::vector<BatchQueryResult> outcomes;
-  uint64_t group_epoch = 0;
   std::vector<BatchQuery> batch;
   batch.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -323,20 +264,13 @@ std::vector<QueryResponse> Server::ExecuteBatch(
     q.control = controls[i];
     batch.push_back(q);
   }
-  if (sharded_ != nullptr) {
-    // Sharded grouped execution: one consistent view set AND one candidate
-    // sweep for the whole group (serve/shard/shard_query.h) — each
-    // member's result is bit-identical to its solo execution.
-    ShardedView views = sharded_->AcquireViews();
-    group_epoch = views.epoch;
-    TopKShardedBatch(views, cost_fn_, batch, options_.default_epsilon,
-                     options_.shard_query_threads, &outcomes, &batch_stats);
-  } else {
-    ReadView view = table_->AcquireView();
-    group_epoch = view.epoch();
-    TopKOverlayBatch(view, cost_fn_, batch, options_.default_epsilon,
-                     &outcomes, &batch_stats);
-  }
+  // One consistent view set AND one candidate sweep for the whole group
+  // — each member's result is bit-identical to its solo execution.
+  const ShardedView views = table_->AcquireViews();
+  const uint64_t group_epoch = views.epoch;
+  std::vector<BatchQueryResult> outcomes;
+  TopKShardedBatch(views, cost_fn_, batch, options_.default_epsilon,
+                   options_.shard_query_threads, &outcomes, &batch_stats);
   const double elapsed = wall.ElapsedSeconds();
   {
     MutexLock lock(stats_mu_);
@@ -660,9 +594,7 @@ void Server::RecordRejection(const QueryControl& control,
 void Server::TakeSystemSample(bool heartbeat) {
   SystemSample sample;
   sample.ts_us = NowUnixMicros();
-  const LiveTable::Diagnostics diag = sharded_ != nullptr
-                                          ? sharded_->SampleDiagnostics()
-                                          : table_->SampleDiagnostics();
+  const LiveTable::Diagnostics diag = table_->SampleDiagnostics();
   sample.epoch = diag.epoch;
   sample.snapshot_age_seconds = diag.snapshot_age_seconds;
   sample.delta_backlog = diag.delta_backlog;
@@ -751,35 +683,19 @@ void Server::DiagnosticsLoop() {
 ServeStats Server::stats() const {
   MutexLock lock(stats_mu_);
   ServeStats copy = stats_;
-  if (sharded_ != nullptr) {
-    // The sharded table owns the publish counters in both inline and
-    // background mode (one cycle publishes every shard).
-    copy.rebuilds_published = sharded_->rebuilds_published();
-    copy.patches_published = sharded_->patches_published();
-  } else if (rebuilder_ != nullptr) {
-    copy.rebuilds_published = rebuilder_->rebuilds_published();
-    copy.patches_published = rebuilder_->patches_published();
-  }
+  // The table owns the publish counters in both inline and background
+  // mode (one cycle publishes every shard).
+  copy.rebuilds_published = table_->rebuilds_published();
+  copy.patches_published = table_->patches_published();
   return copy;
-}
-
-uint64_t Server::CurrentEpoch() const {
-  return sharded_ != nullptr ? sharded_->epoch() : table_->epoch();
-}
-
-size_t Server::DeltaBacklog() const {
-  return sharded_ != nullptr ? sharded_->delta_backlog()
-                             : table_->delta_backlog();
 }
 
 void Server::FillMetrics(MetricsRegistry* registry) const {
   SKYUP_CHECK(registry != nullptr);
   AddServeStatsMetrics(stats(), registry);
-  // One consistent health sample serves both modes (the sharded sample
-  // aggregates across shards exactly like the heartbeat's).
-  const LiveTable::Diagnostics diag = sharded_ != nullptr
-                                          ? sharded_->SampleDiagnostics()
-                                          : table_->SampleDiagnostics();
+  // One consistent health sample, aggregated across shards exactly like
+  // the heartbeat's.
+  const LiveTable::Diagnostics diag = table_->SampleDiagnostics();
   registry
       ->AddGauge("skyup_serve_snapshot_epoch",
                  "epoch of the currently published snapshot")

@@ -2,13 +2,15 @@
 #define SKYUP_SERVE_SERVER_H_
 
 // The serving front door: a bounded-queue session executor over one
-// `LiveTable`. Updates apply synchronously (validated, logged, visible);
-// queries either run inline (`Query`, the deterministic path) or through
-// the worker pool (`Submit`) with admission control — a full queue rejects
-// with `kResourceExhausted` instead of building unbounded backlog — and
-// per-query deadlines enforced cooperatively by the overlay engine
-// (core/query_control.h). Snapshot regeneration runs on the background
-// `Rebuilder`, or inline after each update when
+// `ShardedTable` (N = 1 is the single-table case). Updates apply
+// synchronously (validated, logged, visible); queries either run inline
+// (`Query`, the deterministic path) or through the worker pool (`Submit`)
+// with admission control — a full queue rejects with `kResourceExhausted`
+// instead of building unbounded backlog — and per-query deadlines
+// enforced cooperatively by the query engine (core/query_control.h).
+// Every query runs through `TopKShardedBatch` (serve/shard/shard_query.h),
+// solo queries as a group of one. Snapshot regeneration runs on the
+// table's background coordinator, or inline after each update when
 // `ServerOptions::background_rebuild` is false (replay mode).
 
 #include <atomic>
@@ -25,11 +27,10 @@
 #include "core/query_control.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "serve/live_table.h"
-#include "serve/query.h"
 #include "serve/rebuilder.h"
 #include "serve/serve_stats.h"
 #include "serve/shard/shard_query.h"
+#include "serve/shard/sharded_table.h"
 #include "util/lock_order.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -38,16 +39,14 @@
 namespace skyup {
 
 struct ServerOptions {
-  size_t dims = 0;  ///< required, >= 1
-  /// Shard-per-core serving: 0 keeps the single-`LiveTable` path
-  /// byte-for-byte (the historical server); N >= 1 partitions P (and
-  /// co-partitions T) into N spatial shards behind one id space and one
-  /// cross-shard epoch (serve/shard/sharded_table.h), and queries run the
-  /// scatter-gather engine (serve/shard/shard_query.h). Results are
-  /// byte-identical for any value — fuzz/fuzz_shard.cc and the `--shards`
-  /// replay CI guard enforce it.
-  size_t shards = 0;
-  /// Scatter-gather workers per sharded query; 0 = one per shard. Serial
+  size_t dims = 0;  ///< required, in [1, kMaxDims]
+  /// Shard-per-core serving: P (and co-partitioned T) split into N
+  /// spatial shards behind one id space and one cross-shard epoch
+  /// (serve/shard/sharded_table.h); 1 is a single table. Must be in
+  /// [1, kMaxShards]. Results are byte-identical for any value —
+  /// fuzz/fuzz_serve.cc and the `--shards` replay guard enforce it.
+  size_t shards = 1;
+  /// Scatter-gather workers per query; 0 = one per shard. Serial
   /// scatter (1) trades per-query latency for cross-query throughput when
   /// the worker pool already saturates the cores. Results are identical
   /// either way (offer-order independence).
@@ -61,10 +60,10 @@ struct ServerOptions {
   size_t max_pending = 64;
   double default_epsilon = 1e-6;
   size_t rtree_fanout = 64;
-  /// Rebuild triggers and publish policy (serve/rebuilder.h).
+  /// Publish triggers and patch-vs-major policy (serve/rebuilder.h).
   size_t rebuild_threshold_ops = 1024;
   double rebuild_max_age_seconds = 0.0;
-  /// Storm hysteresis (background rebuilder): the age trigger needs at
+  /// Storm hysteresis (background publishes): the age trigger needs at
   /// least this backlog, and publishes are rate-capped to one per
   /// interval. Echoed into ServeStats.
   size_t publish_min_backlog = 1;
@@ -73,14 +72,14 @@ struct ServerOptions {
   /// rebuilder.h explains the defaults.
   size_t compact_tombstone_pct = 50;
   size_t compact_tail_pct = 150;
-  /// True: a background rebuilder thread folds the delta log. False: the
-  /// size threshold is applied inline after each accepted update —
-  /// deterministic, used by `--replay`.
+  /// True: the table's background coordinator thread folds the delta
+  /// log. False: the size threshold is applied inline after each accepted
+  /// update — deterministic, used by `--replay`.
   bool background_rebuild = true;
   /// Grouped execution width: workers drain up to this many queued queries
-  /// and run them as one shared traversal (serve/query.h,
-  /// TopKOverlayBatch). 1 = per-query execution (the batching-off
-  /// baseline); max kMaxServeBatch. Results are bit-identical either way.
+  /// and run them as one shared candidate sweep (TopKShardedBatch). 1 =
+  /// per-query execution (the batching-off baseline); max kMaxServeBatch.
+  /// Results are bit-identical either way.
   size_t batch_max = 1;
   /// With batch_max > 1: a worker that finds fewer than batch_max queued
   /// queries waits up to this long for more before executing what it has.
@@ -187,16 +186,11 @@ class Server {
   /// delta backlog, live row counts), and the query latency histogram.
   void FillMetrics(MetricsRegistry* registry) const;
 
-  /// Mode-independent liveness accessors (replay and the load generator
-  /// use these; `table()` only exists on the unsharded path).
-  uint64_t CurrentEpoch() const;
-  size_t DeltaBacklog() const;
+  /// Liveness accessors (replay and the load generator use these).
+  uint64_t CurrentEpoch() const { return table_->epoch(); }
+  size_t DeltaBacklog() const { return table_->delta_backlog(); }
 
-  bool sharded() const { return sharded_ != nullptr; }
-  /// Unsharded mode only (shards == 0); the historical accessor.
-  LiveTable& table() { return *table_; }
-  /// Sharded mode only (shards >= 1).
-  ShardedTable& sharded_table() { return *sharded_; }
+  ShardedTable& table() { return *table_; }
   const ServerOptions& options() const { return options_; }
 
   /// Test seam: while held, workers do not dequeue — admission and
@@ -205,10 +199,8 @@ class Server {
   void ReleaseWorkersForTest();
 
  private:
-  /// Exactly one of `table` / `sharded` is set, per `options.shards`.
   Server(ProductCostFunction cost_fn, ServerOptions options,
-         std::unique_ptr<LiveTable> table,
-         std::unique_ptr<ShardedTable> sharded);
+         std::unique_ptr<ShardedTable> table);
 
   struct PendingQuery {
     QueryRequest request;
@@ -259,14 +251,13 @@ class Server {
 
   ProductCostFunction cost_fn_;
   ServerOptions options_;
-  std::unique_ptr<LiveTable> table_;      ///< shards == 0
-  std::unique_ptr<ShardedTable> sharded_;  ///< shards >= 1
-  std::unique_ptr<Rebuilder> rebuilder_;
+  std::unique_ptr<ShardedTable> table_;
   RebuildPolicy inline_policy_;
 
   // kServerStats band: acquired under `queue_mu_` (Submit's rejection
-  // accounting) and above the rebuilder lock (stats() reads the publish
-  // counters) and the metrics registry (FillMetrics exports under it).
+  // accounting) and above the publish coordinator lock (stats() reads the
+  // publish counters) and the metrics registry (FillMetrics exports
+  // under it).
   mutable Mutex stats_mu_ SKYUP_ACQUIRED_AFTER(lock_order::kServerStats)
       SKYUP_ACQUIRED_BEFORE(lock_order::kRebuilder);
   ServeStats stats_ SKYUP_GUARDED_BY(stats_mu_);

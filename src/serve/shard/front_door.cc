@@ -242,7 +242,9 @@ std::string FrontDoor::HandleRequest(const std::string& request,
           "usage: create <tenant> dims=<D> [shards=<N>] [quota=<Q>]"));
     }
     Result<uint64_t> dims = OptionU64(tokens, 2, "dims", 0);
-    Result<uint64_t> shards = OptionU64(tokens, 2, "shards", 0);
+    // An omitted shards= means one shard; an explicit 0 is refused at
+    // tenant creation like any other out-of-range count.
+    Result<uint64_t> shards = OptionU64(tokens, 2, "shards", 1);
     Result<uint64_t> quota = OptionU64(tokens, 2, "quota", 0);
     if (!dims.ok()) return ErrResponse(dims.status());
     if (!shards.ok()) return ErrResponse(shards.status());

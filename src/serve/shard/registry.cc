@@ -1,6 +1,9 @@
 #include "serve/shard/registry.h"
 
+#include <string>
 #include <utility>
+
+#include "rtree/mbr.h"
 
 namespace skyup {
 
@@ -29,8 +32,11 @@ Result<std::shared_ptr<Server>> TenantRegistry::Create(const std::string& name,
     return Status::InvalidArgument(
         "tenant names are 1-64 chars of [A-Za-z0-9._-]");
   }
-  if (dims == 0) {
-    return Status::InvalidArgument("tenant dims must be >= 1");
+  // Before anything is sized by dims: the cost function below allocates
+  // per dimension, and the index caps dimensionality at kMaxDims.
+  if (dims < 1 || dims > kMaxDims) {
+    return Status::InvalidArgument("tenant dims must be in [1, " +
+                                   std::to_string(kMaxDims) + "]");
   }
   MutexLock lock(mu_);
   if (tenants_.count(name) != 0) {

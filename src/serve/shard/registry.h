@@ -47,10 +47,12 @@ class TenantRegistry {
   TenantRegistry(const TenantRegistry&) = delete;
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
-  /// Creates tenant `name` with its own server. `shards == 0` keeps the
-  /// tenant on the single-table path; `quota == 0` inherits the base
-  /// `max_pending`. Fails with kFailedPrecondition if the name exists
-  /// and kInvalidArgument on a malformed name or dims.
+  /// Creates tenant `name` with its own server over `shards` shards (in
+  /// [1, kMaxShards]); `quota == 0` inherits the base `max_pending`.
+  /// Fails with kFailedPrecondition if the name exists and
+  /// kInvalidArgument on a malformed name, dims outside [1, kMaxDims], or
+  /// a shard count outside its range — all checked before the tenant's
+  /// server allocates anything.
   Result<std::shared_ptr<Server>> Create(const std::string& name, size_t dims,
                                          size_t shards, size_t quota);
 

@@ -20,8 +20,9 @@ Result<std::unique_ptr<ShardedTable>> ShardedTable::Create(
   if (options.dims < 1) {
     return Status::InvalidArgument("sharded table dims must be >= 1");
   }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("sharded table shards must be >= 1");
+  if (options.shards < 1 || options.shards > kMaxShards) {
+    return Status::InvalidArgument("sharded table shards must be in [1, " +
+                                   std::to_string(kMaxShards) + "]");
   }
   std::unique_ptr<ShardedTable> sharded(new ShardedTable(options));
   sharded->tables_.reserve(options.shards);
@@ -29,9 +30,6 @@ Result<std::unique_ptr<ShardedTable>> ShardedTable::Create(
   shard_options.dims = options.dims;
   shard_options.rtree_fanout = options.rtree_fanout;
   shard_options.memo_cache_bytes = options.memo_cache_bytes / options.shards;
-  // Shard-local caches would hold shard-local dominator sets; the global
-  // cache below replaces them (see the class comment).
-  shard_options.upgrade_cache = false;
   for (size_t s = 0; s < options.shards; ++s) {
     Result<std::unique_ptr<LiveTable>> table =
         LiveTable::Create(shard_options);
@@ -214,10 +212,13 @@ Result<size_t> ShardedTable::PublishCycle(const RebuildPolicy& policy) {
   patches_ += n - cycle_majors;
   ++cycles_;
   if (LogEnabled(LogLevel::kInfo)) {
-    LogRecord(LogLevel::kInfo, "publish_cycle")
+    size_t ops = 0;
+    for (const LiveTable::RebuildJob& job : jobs) ops += job.ops.size();
+    LogRecord(LogLevel::kInfo, "publish")
         .U64("epoch", jobs.front().next_epoch)
         .U64("shards", n)
-        .U64("majors", cycle_majors);
+        .U64("majors", cycle_majors)
+        .U64("ops", ops);
   }
   return n;
 }
@@ -226,7 +227,9 @@ bool ShardedTable::ShouldPublish(const RebuildPolicy& policy) const {
   const size_t backlog = delta_backlog();
   if (backlog == 0) return false;
   // All shards publish together, so shard 0's snapshot age is the cycle
-  // age; hysteresis mirrors Rebuilder::ShouldRebuild.
+  // age. Storm hysteresis: no trigger fires within the minimum interval
+  // of the previous publish, and the age trigger additionally demands a
+  // minimum backlog worth publishing.
   if (policy.min_publish_interval_seconds > 0.0 &&
       tables_.front()->snapshot_age_seconds() <
           policy.min_publish_interval_seconds) {
@@ -268,14 +271,23 @@ void ShardedTable::Loop() {
   for (;;) {
     MutexLock lock(coord_mu_);
     if (stop_) return;
-    coord_cv_.wait_for(coord_mu_, interval);
-    if (stop_) return;
-    // The cycle runs under coord_mu_ (its REQUIRES contract): Stop() waits
-    // out at most one cycle, and Nudge() never blocks (notify only).
+    // Check before waiting. Nudge() notifies without the lock (it must
+    // never block behind a cycle), so a nudge that lands while a cycle
+    // runs — or before the loop starts — finds no waiter; checking here
+    // publishes that backlog now instead of one poll interval later.
+    // The cycle runs under coord_mu_ (its REQUIRES contract): Stop()
+    // waits out at most one cycle.
     if (ShouldPublish(policy_)) {
-      Result<size_t> outcome = PublishCycle(policy_);
-      if (!outcome.ok()) last_error_ = outcome.status();
+      if (PublishCycle(policy_).ok()) continue;
+      // A failed cycle (last_error_ holds why) retries only after a full
+      // interval, nudges or not, so a persistent merge error cannot spin.
+      const SteadyClock::time_point retry_at = SteadyClock::now() + interval;
+      while (!stop_ && SteadyClock::now() < retry_at) {
+        coord_cv_.wait_until(coord_mu_, retry_at);
+      }
+      continue;
     }
+    coord_cv_.wait_for(coord_mu_, interval);
   }
 }
 

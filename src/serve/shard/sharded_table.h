@@ -1,17 +1,18 @@
 #ifndef SKYUP_SERVE_SHARD_SHARDED_TABLE_H_
 #define SKYUP_SERVE_SHARD_SHARDED_TABLE_H_
 
-// Shard-per-core live state: N independent `LiveTable` shards (each with
-// its own delta log, rebuilder input, and skyline memo) behind one id
+// The serve tier's live state: N independent `LiveTable` shards (each
+// with its own delta log, publish input, and skyline memo) behind one id
 // space, one spatial router, one cross-shard epoch, and one *global*
-// upgrade-result cache.
+// upgrade-result cache. Every `Server` holds exactly one; N = 1 is the
+// single-table case.
 //
 // Invariants this file owns:
 //
 //   * Global stable ids. Ids are allocated here, in op order, from one
 //     pair of counters (competitors and products each count from 1) —
-//     exactly the id sequence a single-table server would hand out, which
-//     is what keeps `--shards N` replays byte-identical to `--shards 1`.
+//     independent of the shard count, which is what keeps `--shards N`
+//     replays byte-identical to `--shards 1`.
 //     A routing map remembers each id's shard so erases find their row.
 //
 //   * One epoch across all shards. Publishes are *cycles*: every shard is
@@ -23,19 +24,17 @@
 //     O(rows) identity patch to keep step).
 //
 //   * Deterministic publish instants. The inline trigger fires on the
-//     *total* backlog across shards — the same op count a single table
-//     would have accumulated — so cycle boundaries in `--replay` are a
-//     pure function of the op stream, independent of shard count.
+//     *total* backlog across shards, so cycle boundaries in `--replay`
+//     are a pure function of the op stream, independent of shard count.
 //
 //   * One upgrade cache, global dominators. A shard's own UpgradeCache
 //     would hold outcomes derived from shard-local dominator sets —
-//     unsound to serve as global answers — so per-shard caches are
-//     disabled (LiveTableOptions::upgrade_cache) and this table feeds a
-//     single cache with the routed op stream instead, under `route_mu_`
-//     in id-allocation order, *before* the op reaches its shard. An
-//     entry therefore survives only ops that provably leave its global
-//     dominator skyline unchanged; the per-op proofs are against the
-//     entry's stored value set, so they hold for any subset of the
+//     unsound to serve as global answers — so shards keep none and this
+//     table feeds a single cache with the routed op stream instead, under
+//     `route_mu_` in id-allocation order, *before* the op reaches its
+//     shard. An entry therefore survives only ops that provably leave its
+//     global dominator skyline unchanged; the per-op proofs are against
+//     the entry's stored value set, so they hold for any subset of the
 //     surviving ops a capture may have seen (serve/upgrade_cache.h).
 //     `AcquireViews` stamps the cache clock before touching any shard,
 //     which makes `Store`'s no-op-landed check imply the views were
@@ -60,9 +59,16 @@
 
 namespace skyup {
 
+class UpgradeCache;
+
+/// Upper bound on `ShardedTableOptions::shards`: every shard is a full
+/// LiveTable (and, with one worker per shard, a scatter thread per query),
+/// so a shard count is bounded by hardware, not by the caller.
+inline constexpr size_t kMaxShards = 256;
+
 struct ShardedTableOptions {
   size_t dims = 0;    ///< required, >= 1
-  size_t shards = 1;  ///< required, >= 1
+  size_t shards = 1;  ///< required, in [1, kMaxShards]
   size_t rtree_fanout = 64;
   /// Per-shard memo budget; the total across shards matches what the
   /// caller would have given a single table.
@@ -77,9 +83,10 @@ struct ShardedTableOptions {
 struct ShardedView {
   std::vector<ReadView> views;  ///< views[s] is shard s
   uint64_t epoch = 0;           ///< common epoch of every view
-  /// The table's global upgrade-result cache (per-shard `views[s].cache`
-  /// handles are null) and its validity clock at capture. Same contract
-  /// as ReadView::version/cache, but over the cross-shard op stream.
+  /// The table's global upgrade-result cache and its validity clock at
+  /// capture: the count of ops the table had accepted, over the
+  /// cross-shard op stream (serve/upgrade_cache.h). A null cache disables
+  /// caching for queries through this view set.
   uint64_t version = 0;
   std::shared_ptr<UpgradeCache> cache;
 };
@@ -109,8 +116,10 @@ class ShardedTable {
   /// publishes performed (0 = below threshold).
   Result<size_t> MaybePublishInline(const RebuildPolicy& policy);
 
-  /// Background coordination (the sharded analogue of `Rebuilder`):
-  /// Start/Stop are externally serialized; Nudge wakes the loop early.
+  /// Background coordination: a coordinator thread publishes a cycle
+  /// whenever `ShouldPublish` holds — checked at start-up, after every
+  /// cycle, on every Nudge and every `poll_interval_seconds`. Start/Stop
+  /// are externally serialized; Nudge wakes the loop early.
   void Start(const RebuildPolicy& policy);
   void Stop();
   void Nudge();
@@ -183,7 +192,7 @@ class ShardedTable {
   bool running_ SKYUP_GUARDED_BY(coord_mu_) = false;
   bool stop_ SKYUP_GUARDED_BY(coord_mu_) = false;
   /// Written by Start() before the loop thread exists, read-only after —
-  /// same publication discipline as Rebuilder's policy; no guard.
+  /// the thread's creation publishes it; no guard.
   RebuildPolicy policy_;
   uint64_t majors_ SKYUP_GUARDED_BY(coord_mu_) = 0;
   uint64_t patches_ SKYUP_GUARDED_BY(coord_mu_) = 0;

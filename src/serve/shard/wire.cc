@@ -292,8 +292,8 @@ Status WireClient::Ping() {
 Result<uint64_t> WireClient::CreateTenant(const std::string& tenant,
                                           size_t dims, size_t shards,
                                           size_t quota, bool attach_existing) {
-  std::string request = "create " + tenant + " dims=" + std::to_string(dims);
-  if (shards > 0) request += " shards=" + std::to_string(shards);
+  std::string request = "create " + tenant + " dims=" + std::to_string(dims) +
+                        " shards=" + std::to_string(shards);
   if (quota > 0) request += " quota=" + std::to_string(quota);
   Result<std::string> response = Call(request);
   if (!response.ok()) return response.status();

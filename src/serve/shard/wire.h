@@ -17,6 +17,8 @@
 //
 //   ping
 //   create <tenant> dims=<D> [shards=<N>] [quota=<Q>]
+//                            (D in [1, kMaxDims]; N in [1, kMaxShards],
+//                            default 1)
 //   load <tenant>            (+ one line per row: "p,<v1>,..." / "t,...")
 //   add <tenant> <p|t> <v1> <v2> ...
 //   erase <tenant> <p|t> <id>

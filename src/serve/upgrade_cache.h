@@ -2,7 +2,7 @@
 #define SKYUP_SERVE_UPGRADE_CACHE_H_
 
 // Versioned per-product cache of Algorithm-1 results with dominance-based
-// invalidation, shared by every query view of one live table.
+// invalidation, shared by every query view set of one ShardedTable.
 //
 // A product's upgrade result is a pure function of its coordinates, the
 // cost function, epsilon, and the *value set* of its dominator skyline.
@@ -21,9 +21,9 @@
 //   - product erase drops the entry; product insert starts uncached.
 //
 // Versioning makes reuse sound across stale views: `version()` counts the
-// accepted ops observed (the table calls OnDeltaOp under its mutex, in
-// acceptance order, before the op is visible to any reader), every
-// ReadView stamps the count at capture, and a hit requires
+// accepted ops observed (the table calls OnDeltaOp under its routing
+// mutex, in acceptance order, before the op is visible to any reader),
+// every ShardedView stamps the count at capture, and a hit requires
 // `entry.version <= view.version` — an entry that survived invalidation
 // through the current version has an unchanged skyline at every version
 // since it was stored, including the view's. `Store` drops results whose
@@ -50,10 +50,10 @@ class UpgradeCache {
   UpgradeCache& operator=(const UpgradeCache&) = delete;
 
   /// Observes one accepted op. Must be called in acceptance order, before
-  /// any reader can see the op (the live table calls this under its mutex,
-  /// right after the delta-log append). Erase ops carry no coordinates, so
-  /// the cache keeps its own id -> coords map of live competitors, fed by
-  /// the same op stream.
+  /// any reader can see the op (ShardedTable calls this under its routing
+  /// mutex, before the op reaches its shard). Erase ops carry no
+  /// coordinates, so the cache keeps its own id -> coords map of live
+  /// competitors, fed by the same op stream.
   void OnDeltaOp(const DeltaOp& op);
 
   /// Number of ops observed so far (the view-version clock).

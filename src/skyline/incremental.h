@@ -3,8 +3,9 @@
 
 // Incremental skyline maintenance: patch an existing skyline under point
 // insertion instead of re-reducing the whole candidate set. The serving
-// overlay (src/serve/query.cc) starts from the index probe's skyline of
-// live dominators and folds in pending inserts one at a time; the result
+// engine (src/serve/shard/shard_query.cc) starts from the index probe's
+// skyline of live dominators and folds in pending inserts one at a time
+// (and, across shards, the other shards' skylines); the result
 // is the same *value set* SkylineOfPointers (skyline/sfs.cc) would return
 // over the union — one representative per distinct coordinate vector,
 // mutually non-dominating — which is all downstream consumers depend on.

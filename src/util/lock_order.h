@@ -23,8 +23,10 @@
 //   kServerStats   Server::stats_mu_   (ServeStats + latency histograms;
 //        |                             Submit records rejects while
 //        |                             holding the queue lock)
-//   kRebuilder     Rebuilder::mu_      (Server::stats() reads publish
-//        |                             counters under stats_mu_)
+//   kRebuilder     ShardedTable::coord_mu_ (publish coordinator; a
+//        |                             cycle holds it across freeze, merge
+//        |                             and install; Server::stats() reads
+//        |                             publish counters under stats_mu_)
 //   kShardTable    ShardedTable::epoch_mu_ / route_mu_ — cross-shard
 //        |         epoch fence and id routing; both sit above every
 //        |         per-shard LiveTable lock they coordinate, and are

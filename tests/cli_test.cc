@@ -276,6 +276,18 @@ TEST(CliTest, TopKRejectsMismatchedDims) {
   std::remove(t_path.c_str());
 }
 
+TEST(CliTest, ServeShardsMustBePositive) {
+  // One shard is the default and the single-table case; zero shards is
+  // a malformed flag for every serve mode that takes it.
+  CliResult replay =
+      RunCli({"serve", "--replay=" + TempPath("none.csv"), "--shards=0"});
+  EXPECT_EQ(replay.code, 2);
+  EXPECT_NE(replay.err.find("malformed numeric flag"), std::string::npos);
+  CliResult load = RunCli({"serve", "--load-gen", "--dims=2", "--shards=0"});
+  EXPECT_EQ(load.code, 2);
+  EXPECT_NE(load.err.find("malformed numeric flag"), std::string::npos);
+}
+
 TEST(CliTest, WineWritesTable) {
   const std::string path = TempPath("wine.csv");
   CliResult r = RunCli({"wine", "--out=" + path, "--count=100"});

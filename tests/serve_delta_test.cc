@@ -1,8 +1,8 @@
 // Tests for the delta pipeline (serve/delta_log.h, serve/live_table.h,
 // serve/rebuilder.h): write-ahead hook ordering, overlay folding
 // (insert/erase cancellation, erase bitmaps, SoA mirror), live-table
-// update semantics, and the freeze/merge/publish rebuild protocol
-// including abandonment.
+// update semantics, the freeze/merge/publish rebuild protocol including
+// abandonment, and the inline publish step that drives it.
 
 #include "serve/delta_log.h"
 
@@ -14,6 +14,7 @@
 
 #include "serve/live_table.h"
 #include "serve/rebuilder.h"
+#include "serve/shard/sharded_table.h"
 
 namespace skyup {
 namespace {
@@ -73,16 +74,16 @@ TEST(LiveTableTest, InsertEraseSemantics) {
   EXPECT_EQ(*c1, 1u);
   EXPECT_EQ(*c2, 2u);
   EXPECT_EQ(*p1, 1u);  // per-table id spaces
-  EXPECT_EQ(t.live_competitor_count(), 2u);
-  EXPECT_EQ(t.live_product_count(), 1u);
+  EXPECT_EQ(t.SampleDiagnostics().live_competitors, 2u);
+  EXPECT_EQ(t.SampleDiagnostics().live_products, 1u);
 
   // Arity mismatch is rejected and changes nothing.
   EXPECT_EQ(t.InsertCompetitor({0.1}).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(t.live_competitor_count(), 2u);
+  EXPECT_EQ(t.SampleDiagnostics().live_competitors, 2u);
 
   EXPECT_TRUE(t.EraseCompetitor(1).ok());
-  EXPECT_EQ(t.live_competitor_count(), 1u);
+  EXPECT_EQ(t.SampleDiagnostics().live_competitors, 1u);
   // Double-erase and unknown ids are kNotFound.
   EXPECT_EQ(t.EraseCompetitor(1).code(), StatusCode::kNotFound);
   EXPECT_EQ(t.EraseProduct(42).code(), StatusCode::kNotFound);
@@ -101,47 +102,6 @@ TEST(LiveTableTest, ViewIsConsistentAtCaptureTime) {
   ASSERT_TRUE(t.InsertCompetitor({0.3, 0.3}).ok());
   EXPECT_EQ(view.deltas.size(), 1u);
   EXPECT_EQ(t.AcquireView().deltas.size(), 2u);
-}
-
-// Regression for the trickiest annotated invariant (live_table.cc,
-// AcquireView): the version stamp and the delta vector are captured
-// under the same table mutex that serialized every accepted op, so
-// `version` always equals the op count the view's deltas reflect —
-// including across a rebuild, which empties the deltas but must not
-// rewind the stamp (it is the upgrade cache's monotone validity clock).
-TEST(LiveTableTest, ViewVersionStampMatchesCapturedDeltas) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
-  ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
-
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(t.InsertCompetitor({0.1 * (i + 1), 0.9 - 0.1 * i}).ok());
-  }
-  ReadView before = t.AcquireView();
-  EXPECT_EQ(before.version, 3u);
-  EXPECT_EQ(before.deltas.size(), 3u);
-
-  // Publish a snapshot: the deltas are absorbed, the stamp stays put.
-  std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
-  ASSERT_TRUE(job.has_value());
-  Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, t.index_options());
-  ASSERT_TRUE(merged.ok());
-  t.CompleteRebuild(*merged);
-
-  ReadView after = t.AcquireView();
-  EXPECT_EQ(after.version, 3u);
-  EXPECT_TRUE(after.deltas.empty());
-
-  // The next accepted op (erases count too) moves the stamp and the
-  // captured deltas together.
-  ASSERT_TRUE(t.EraseCompetitor(1).ok());
-  ReadView next = t.AcquireView();
-  EXPECT_EQ(next.version, 4u);
-  EXPECT_EQ(next.deltas.size(), 1u);
-  // Earlier views are unaffected (capture-time consistency).
-  EXPECT_EQ(before.version, 3u);
-  EXPECT_EQ(before.deltas.size(), 3u);
 }
 
 TEST(BuildOverlayTest, InsertThenEraseCancels) {
@@ -222,7 +182,7 @@ TEST(RebuildProtocolTest, FreezeMergePublishAbsorbsBacklog) {
 
   EXPECT_EQ(t.epoch(), 2u);
   EXPECT_EQ(t.delta_backlog(), 1u);  // only the mid-merge insert remains
-  EXPECT_EQ(t.live_competitor_count(), 5u);
+  EXPECT_EQ(t.SampleDiagnostics().live_competitors, 5u);
 }
 
 TEST(RebuildProtocolTest, AbandonReoffersFrozenOps) {
@@ -245,26 +205,32 @@ TEST(RebuildProtocolTest, AbandonReoffersFrozenOps) {
   t.AbandonRebuild();
 }
 
-TEST(RebuildProtocolTest, MaybeRebuildInlineHonorsThreshold) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+// The deterministic serving mode's publish step: nothing below the
+// threshold, then a major compaction or a patch per the policy.
+TEST(RebuildProtocolTest, InlinePublishHonorsThreshold) {
+  ShardedTableOptions options;
+  options.dims = 2;
+  Result<std::unique_ptr<ShardedTable>> table = ShardedTable::Create(options);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
   RebuildPolicy policy;
   policy.threshold_ops = 3;
 
   ASSERT_TRUE(t.InsertCompetitor({0.1, 0.1}).ok());
-  Result<PublishKind> below = MaybeRebuildInline(&t, policy);
+  Result<size_t> below = t.MaybePublishInline(policy);
   ASSERT_TRUE(below.ok());
-  EXPECT_EQ(*below, PublishKind::kNone);
+  EXPECT_EQ(*below, 0u);
   EXPECT_EQ(t.epoch(), 1u);
 
   ASSERT_TRUE(t.InsertCompetitor({0.2, 0.2}).ok());
   ASSERT_TRUE(t.InsertCompetitor({0.3, 0.3}).ok());
   // The base snapshot has no indexed rows yet, so the first publish is
   // always a major compaction.
-  Result<PublishKind> at = MaybeRebuildInline(&t, policy);
+  Result<size_t> at = t.MaybePublishInline(policy);
   ASSERT_TRUE(at.ok());
-  EXPECT_EQ(*at, PublishKind::kMajor);
+  EXPECT_EQ(*at, 1u);
+  EXPECT_EQ(t.rebuilds_published(), 1u);
+  EXPECT_EQ(t.patches_published(), 0u);
   EXPECT_EQ(t.epoch(), 2u);
   EXPECT_EQ(t.delta_backlog(), 0u);
 
@@ -273,13 +239,16 @@ TEST(RebuildProtocolTest, MaybeRebuildInlineHonorsThreshold) {
   ASSERT_TRUE(t.InsertCompetitor({0.4, 0.4}).ok());
   ASSERT_TRUE(t.InsertProduct({0.6, 0.6}).ok());
   ASSERT_TRUE(t.InsertProduct({0.7, 0.7}).ok());
-  Result<PublishKind> patched = MaybeRebuildInline(&t, policy);
+  Result<size_t> patched = t.MaybePublishInline(policy);
   ASSERT_TRUE(patched.ok());
-  EXPECT_EQ(*patched, PublishKind::kPatch);
+  EXPECT_EQ(*patched, 1u);
+  EXPECT_EQ(t.rebuilds_published(), 1u);
+  EXPECT_EQ(t.patches_published(), 1u);
   EXPECT_EQ(t.epoch(), 3u);
   EXPECT_EQ(t.delta_backlog(), 0u);
-  EXPECT_EQ(t.live_competitor_count(), 4u);
-  EXPECT_EQ(t.live_product_count(), 2u);
+  const LiveTable::Diagnostics diag = t.SampleDiagnostics();
+  EXPECT_EQ(diag.live_competitors, 4u);
+  EXPECT_EQ(diag.live_products, 2u);
 }
 
 TEST(LiveTableTest, WriteAheadHookObservesEveryAcceptedUpdate) {

@@ -1,10 +1,10 @@
 // Snapshot-lifetime stress under concurrency (built for the TSan CI leg
 // via the "serve" ctest label): reader threads continuously acquire views
-// and query them while a writer thread churns updates and a rebuilder
-// publishes fresh snapshots. Asserts that every query observes exactly one
-// consistent epoch, that superseded snapshots stay fully usable while
-// held (no use-after-free for TSan/ASan to find), and that epochs only
-// move forward.
+// and query them while a writer thread churns updates and the table's
+// background coordinator publishes fresh snapshots. Asserts that every
+// query observes exactly one consistent epoch, that superseded snapshots
+// stay fully usable while held (no use-after-free for TSan/ASan to find),
+// and that epochs only move forward.
 
 #include <gtest/gtest.h>
 
@@ -14,23 +14,30 @@
 #include <thread>
 #include <vector>
 
-#include "serve/live_table.h"
-#include "serve/query.h"
 #include "serve/rebuilder.h"
 #include "serve/server.h"
+#include "serve/shard/shard_query.h"
+#include "serve/shard/sharded_table.h"
 #include "util/random.h"
 
 namespace skyup {
 namespace {
 
 TEST(SnapshotLifetimeTest, ReadersHoldSnapshotsAcrossRebuildPublishes) {
-  LiveTableOptions table_options;
+  ShardedTableOptions table_options;
   table_options.dims = 3;
-  Result<std::unique_ptr<LiveTable>> table = LiveTable::Create(table_options);
+  Result<std::unique_ptr<ShardedTable>> table =
+      ShardedTable::Create(table_options);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(3, 1e-3);
+  auto top_k = [&](const ShardedView& view, size_t k) {
+    std::vector<BatchQueryResult> out;
+    TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, 1e-6,
+                     /*threads=*/0, &out);
+    return out.front().status;
+  };
 
   // Seed some state so first views have work to do.
   {
@@ -52,8 +59,7 @@ TEST(SnapshotLifetimeTest, ReadersHoldSnapshotsAcrossRebuildPublishes) {
   RebuildPolicy policy;
   policy.threshold_ops = 16;
   policy.poll_interval_seconds = 0.001;
-  Rebuilder rebuilder(&t, policy);
-  rebuilder.Start();
+  t.Start(policy);
 
   constexpr int kReaders = 4;
   constexpr uint64_t kTargetPublishes = 3;
@@ -67,8 +73,8 @@ TEST(SnapshotLifetimeTest, ReadersHoldSnapshotsAcrossRebuildPublishes) {
       Rng rng(1000 + static_cast<uint64_t>(r));
       uint64_t last_epoch = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        ReadView view = t.AcquireView();
-        const uint64_t epoch_before = view.epoch();
+        const ShardedView view = t.AcquireViews();
+        const uint64_t epoch_before = view.epoch;
         // Epochs a single reader observes never move backwards.
         if (epoch_before < last_epoch) {
           ++reader_failures;
@@ -76,15 +82,13 @@ TEST(SnapshotLifetimeTest, ReadersHoldSnapshotsAcrossRebuildPublishes) {
         }
         last_epoch = epoch_before;
         const size_t k = 1 + static_cast<size_t>(rng.NextUint64(5));
-        Result<std::vector<UpgradeResult>> top =
-            TopKOverlay(view, cost_fn, k);
-        if (!top.ok()) {
+        if (!top_k(view, k).ok()) {
           ++reader_failures;
           return;
         }
         // The view pins exactly one epoch for the whole query, no matter
         // how many publishes landed meanwhile.
-        if (view.epoch() != epoch_before) {
+        if (view.views.front().epoch() != epoch_before) {
           ++reader_failures;
           return;
         }
@@ -95,55 +99,54 @@ TEST(SnapshotLifetimeTest, ReadersHoldSnapshotsAcrossRebuildPublishes) {
   // One long-lived holder keeps the *initial* snapshot alive across every
   // publish; its data must stay intact (UAF would trip ASan/TSan and the
   // size check below).
-  ReadView pinned = t.AcquireView();
-  const uint64_t pinned_epoch = pinned.epoch();
-  const size_t pinned_rows = pinned.snapshot->competitors().size();
+  const ShardedView pinned = t.AcquireViews();
+  const uint64_t pinned_epoch = pinned.epoch;
+  const size_t pinned_rows =
+      pinned.views.front().snapshot->competitors().size();
 
-  // Writer churn on this thread until the rebuilder has published at
-  // least kTargetPublishes times. The writer throttles on backlog —
-  // otherwise it outruns the rebuilder, every merge swallows an enormous
-  // log, and overlay queries slow to a crawl before 3 publishes land.
+  // Writer churn on this thread until the coordinator has published at
+  // least kTargetPublishes major compactions. The writer throttles on
+  // backlog — otherwise it outruns the coordinator, every merge swallows
+  // an enormous log, and overlay queries slow to a crawl before 3
+  // compactions land.
   Rng rng(99);
   uint64_t writes = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (rebuilder.rebuilds_published() < kTargetPublishes &&
+  while (t.rebuilds_published() < kTargetPublishes &&
          std::chrono::steady_clock::now() < deadline) {
     ASSERT_TRUE(
         t.InsertCompetitor(
              {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()})
             .ok());
     ++writes;
-    if (writes % 16 == 0) rebuilder.Nudge();
+    if (writes % 16 == 0) t.Nudge();
     while (t.delta_backlog() > 64 &&
-           rebuilder.rebuilds_published() < kTargetPublishes &&
+           t.rebuilds_published() < kTargetPublishes &&
            std::chrono::steady_clock::now() < deadline) {
-      rebuilder.Nudge();
+      t.Nudge();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-  EXPECT_GE(rebuilder.rebuilds_published(), kTargetPublishes);
+  EXPECT_GE(t.rebuilds_published(), kTargetPublishes);
 
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
-  rebuilder.Stop();
+  t.Stop();
 
   EXPECT_EQ(reader_failures.load(), 0);
-  EXPECT_TRUE(rebuilder.last_error().ok())
-      << rebuilder.last_error().ToString();
+  EXPECT_TRUE(t.last_error().ok()) << t.last_error().ToString();
 
   // The pinned view still answers queries against its original epoch.
-  EXPECT_EQ(pinned.epoch(), pinned_epoch);
-  EXPECT_EQ(pinned.snapshot->competitors().size(), pinned_rows);
-  Result<std::vector<UpgradeResult>> pinned_top =
-      TopKOverlay(pinned, cost_fn, 3);
-  ASSERT_TRUE(pinned_top.ok());
+  EXPECT_EQ(pinned.views.front().epoch(), pinned_epoch);
+  EXPECT_EQ(pinned.views.front().snapshot->competitors().size(), pinned_rows);
+  EXPECT_TRUE(top_k(pinned, 3).ok());
   EXPECT_LT(pinned_epoch, t.epoch());
 }
 
 TEST(SnapshotLifetimeTest, ServerSubmitStormAcrossRebuilds) {
   // End-to-end variant through the Server: concurrent Submit() traffic
-  // while updates stream in and the background rebuilder publishes.
+  // while updates stream in and the background coordinator publishes.
   ServerOptions options;
   options.dims = 2;
   options.query_threads = 3;

@@ -1,10 +1,10 @@
-// Tests for the serving-layer top-k engine (serve/query.h): exactness of
-// the snapshot+overlay path against a rebuild-from-scratch oracle
-// (including pending erases served by the mask-aware probe, with no
-// fallback rescan), empty-table behavior, argument validation,
-// cancellation, the sound-prune face gate, and the serve stat counters.
-
-#include "serve/query.h"
+// Tests for the serve tier's top-k engine (serve/shard/shard_query.h)
+// over a captured snapshot + delta overlay: exactness against a
+// rebuild-from-scratch oracle (including pending erases served by the
+// mask-aware probe, with no fallback rescan), empty-table behavior,
+// argument validation, cancellation, the sound-prune face gate, and the
+// serve stat counters. Queries run the way `Server::Query` runs them: a
+// group of one through TopKShardedBatch.
 
 #include <gtest/gtest.h>
 
@@ -12,31 +12,57 @@
 #include <string>
 #include <vector>
 
-#include "serve/live_table.h"
 #include "serve/rebuilder.h"
+#include "serve/shard/shard_query.h"
+#include "serve/shard/sharded_table.h"
 #include "util/random.h"
 
 namespace skyup {
 namespace {
 
-Result<std::unique_ptr<LiveTable>> MakeTable(size_t dims) {
-  LiveTableOptions options;
+Result<std::unique_ptr<ShardedTable>> MakeTable(size_t dims,
+                                                size_t shards = 1) {
+  ShardedTableOptions options;
   options.dims = dims;
-  return LiveTable::Create(options);
+  options.shards = shards;
+  return ShardedTable::Create(options);
 }
 
 ProductCostFunction CostFn(size_t dims) {
   return ProductCostFunction::ReciprocalSum(dims, 1e-3);
 }
 
-// Forces one rebuild so every pending delta lands in the snapshot.
-void RebuildNow(LiveTable* table) {
-  std::optional<LiveTable::RebuildJob> job = table->BeginRebuild();
-  if (!job.has_value()) return;
-  Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, table->index_options());
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  table->CompleteRebuild(*merged);
+// One query, alone, through the serve engine.
+Result<std::vector<UpgradeResult>> TopK(const ShardedView& view,
+                                        const ProductCostFunction& cost_fn,
+                                        size_t k, double epsilon = 1e-6,
+                                        const QueryControl* control = nullptr,
+                                        ServeStats* stats = nullptr) {
+  std::vector<BatchQueryResult> out;
+  TopKShardedBatch(view, cost_fn, {BatchQuery{k, control}}, epsilon,
+                   /*threads=*/0, &out, stats);
+  if (!out.front().status.ok()) return out.front().status;
+  return std::move(out.front().results);
+}
+
+// Forces one full compaction so every pending delta lands in a freshly
+// bulk-loaded snapshot (a 0% tombstone threshold makes every shard's
+// publish a major one).
+void RebuildNow(ShardedTable* table) {
+  RebuildPolicy compact;
+  compact.threshold_ops = 1;
+  compact.compact_tombstone_pct = 0;
+  ASSERT_TRUE(table->MaybePublishInline(compact).ok());
+}
+
+// The oracle's view: everything compacted, no overlay, and no upgrade
+// cache, so every candidate is recomputed from scratch.
+ShardedView CleanView(ShardedTable* table) {
+  RebuildNow(table);
+  ShardedView clean = table->AcquireViews();
+  for (const ReadView& view : clean.views) EXPECT_TRUE(view.deltas.empty());
+  clean.cache.reset();
+  return clean;
 }
 
 void ExpectExactlyEqual(const std::vector<UpgradeResult>& a,
@@ -51,34 +77,34 @@ void ExpectExactlyEqual(const std::vector<UpgradeResult>& a,
 }
 
 TEST(TopKOverlayTest, EmptyLiveProductSetYieldsEmptyResult) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE((*table)->InsertCompetitor({0.1, 0.1}).ok());
   Result<std::vector<UpgradeResult>> top =
-      TopKOverlay((*table)->AcquireView(), CostFn(2), 3);
+      TopK((*table)->AcquireViews(), CostFn(2), 3);
   ASSERT_TRUE(top.ok()) << top.status().ToString();
   EXPECT_TRUE(top->empty());
 }
 
 TEST(TopKOverlayTest, ValidatesArguments) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  ReadView view = (*table)->AcquireView();
-  EXPECT_EQ(TopKOverlay(view, CostFn(2), 0).status().code(),
+  ShardedView view = (*table)->AcquireViews();
+  EXPECT_EQ(TopK(view, CostFn(2), 0).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(TopKOverlay(view, CostFn(2), 1, -1.0).status().code(),
+  EXPECT_EQ(TopK(view, CostFn(2), 1, -1.0).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(TopKOverlay(view, CostFn(3), 1).status().code(),
+  EXPECT_EQ(TopK(view, CostFn(3), 1).status().code(),
             StatusCode::kInvalidArgument);
-  ReadView null_view;
-  EXPECT_EQ(TopKOverlay(null_view, CostFn(2), 1).status().code(),
+  ShardedView null_view;
+  EXPECT_EQ(TopK(null_view, CostFn(2), 1).status().code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(TopKOverlayTest, ResultsCarryStableIds) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
   ASSERT_TRUE(t.InsertCompetitor({0.1, 0.1}).ok());
   Result<uint64_t> p1 = t.InsertProduct({0.9, 0.9});
   Result<uint64_t> p2 = t.InsertProduct({0.8, 0.8});
@@ -86,7 +112,7 @@ TEST(TopKOverlayTest, ResultsCarryStableIds) {
   ASSERT_TRUE(t.EraseProduct(*p1).ok());
 
   Result<std::vector<UpgradeResult>> top =
-      TopKOverlay(t.AcquireView(), CostFn(2), 5);
+      TopK(t.AcquireViews(), CostFn(2), 5);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ(top->size(), 1u);  // only p2 is live
   EXPECT_EQ(static_cast<uint64_t>((*top)[0].product_id), *p2);
@@ -94,14 +120,16 @@ TEST(TopKOverlayTest, ResultsCarryStableIds) {
 
 // The load-bearing property: for random interleavings of inserts/erases
 // with rebuilds at arbitrary points, the overlay path must return exactly
-// what a freshly rebuilt (no overlay) query returns.
+// what a freshly rebuilt (no overlay, no cache) query returns — at one
+// shard and at several.
 TEST(TopKOverlayTest, OverlayMatchesRebuildOracleOnRandomWorkloads) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 1299709);
     const size_t dims = 2 + static_cast<size_t>(rng.NextUint64(3));
-    Result<std::unique_ptr<LiveTable>> table = MakeTable(dims);
+    Result<std::unique_ptr<ShardedTable>> table =
+        MakeTable(dims, /*shards=*/1 + seed % 3);
     ASSERT_TRUE(table.ok());
-    LiveTable& t = **table;
+    ShardedTable& t = **table;
     std::vector<uint64_t> live_p, live_t;
     std::vector<double> coords(dims);
 
@@ -132,17 +160,14 @@ TEST(TopKOverlayTest, OverlayMatchesRebuildOracleOnRandomWorkloads) {
       } else {
         const size_t k = 1 + static_cast<size_t>(rng.NextUint64(8));
         ServeStats stats;
-        Result<std::vector<UpgradeResult>> overlay_top = TopKOverlay(
-            t.AcquireView(), CostFn(dims), k, 1e-6, nullptr, &stats);
+        Result<std::vector<UpgradeResult>> overlay_top = TopK(
+            t.AcquireViews(), CostFn(dims), k, 1e-6, nullptr, &stats);
         ASSERT_TRUE(overlay_top.ok()) << overlay_top.status().ToString();
 
         // Oracle: fold everything into a fresh snapshot, query with an
-        // empty overlay.
-        RebuildNow(&t);
-        ReadView clean = t.AcquireView();
-        ASSERT_TRUE(clean.deltas.empty());
+        // empty overlay and no cache.
         Result<std::vector<UpgradeResult>> oracle_top =
-            TopKOverlay(clean, CostFn(dims), k);
+            TopK(CleanView(&t), CostFn(dims), k);
         ASSERT_TRUE(oracle_top.ok());
         ExpectExactlyEqual(*overlay_top, *oracle_top,
                            "seed=" + std::to_string(seed) +
@@ -153,9 +178,9 @@ TEST(TopKOverlayTest, OverlayMatchesRebuildOracleOnRandomWorkloads) {
 }
 
 TEST(TopKOverlayTest, MaskAwareProbeServesSkylineMemberDeathWithoutRescan) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
   // One dominating competitor, one dominated one; snapshot them.
   Result<uint64_t> strong = t.InsertCompetitor({0.1, 0.1});
   ASSERT_TRUE(strong.ok());
@@ -169,7 +194,7 @@ TEST(TopKOverlayTest, MaskAwareProbeServesSkylineMemberDeathWithoutRescan) {
   ASSERT_TRUE(t.EraseCompetitor(*strong).ok());
   ServeStats stats;
   Result<std::vector<UpgradeResult>> top =
-      TopKOverlay(t.AcquireView(), CostFn(2), 1, 1e-6, nullptr, &stats);
+      TopK(t.AcquireViews(), CostFn(2), 1, 1e-6, nullptr, &stats);
   ASSERT_TRUE(top.ok());
   EXPECT_EQ(stats.erase_fallback_scans, 0u);
   EXPECT_EQ(stats.candidates_evaluated, 1u);
@@ -179,10 +204,8 @@ TEST(TopKOverlayTest, MaskAwareProbeServesSkylineMemberDeathWithoutRescan) {
 
   // And the surviving competitor now drives the upgrade target.
   ASSERT_EQ(top->size(), 1u);
-  Result<std::vector<UpgradeResult>> oracle = [&] {
-    RebuildNow(&t);
-    return TopKOverlay(t.AcquireView(), CostFn(2), 1);
-  }();
+  Result<std::vector<UpgradeResult>> oracle =
+      TopK(CleanView(&t), CostFn(2), 1);
   ASSERT_TRUE(oracle.ok());
   ExpectExactlyEqual(*top, *oracle, "post-erase");
 }
@@ -190,9 +213,9 @@ TEST(TopKOverlayTest, MaskAwareProbeServesSkylineMemberDeathWithoutRescan) {
 TEST(TopKOverlayTest, SoundPrunePreservesExactTopKAcrossPatchedEpochs) {
   // A workload big enough for the prune to actually fire: many dominated
   // products, small k, erases and inserts folded through patch publishes.
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
   Rng rng(20260807);
   std::vector<uint64_t> competitor_ids;
   std::vector<double> coords(2);
@@ -210,7 +233,7 @@ TEST(TopKOverlayTest, SoundPrunePreservesExactTopKAcrossPatchedEpochs) {
 
   RebuildPolicy policy;
   policy.threshold_ops = 2;
-  size_t patches = 0;
+  const uint64_t patches_before = t.patches_published();
   for (int round = 0; round < 12; ++round) {
     const size_t at =
         static_cast<size_t>(rng.NextUint64(competitor_ids.size()));
@@ -221,19 +244,14 @@ TEST(TopKOverlayTest, SoundPrunePreservesExactTopKAcrossPatchedEpochs) {
     Result<uint64_t> id = t.InsertCompetitor(coords);
     ASSERT_TRUE(id.ok());
     competitor_ids.push_back(*id);
-    Result<PublishKind> published = MaybeRebuildInline(&t, policy);
-    ASSERT_TRUE(published.ok());
-    if (*published == PublishKind::kPatch) ++patches;
+    ASSERT_TRUE(t.MaybePublishInline(policy).ok());
 
     ServeStats stats;
-    Result<std::vector<UpgradeResult>> pruned = TopKOverlay(
-        t.AcquireView(), CostFn(2), 2, 1e-6, nullptr, &stats);
+    Result<std::vector<UpgradeResult>> pruned = TopK(
+        t.AcquireViews(), CostFn(2), 2, 1e-6, nullptr, &stats);
     ASSERT_TRUE(pruned.ok());
-    RebuildNow(&t);
-    ReadView clean = t.AcquireView();
-    ASSERT_TRUE(clean.deltas.empty());
     Result<std::vector<UpgradeResult>> oracle =
-        TopKOverlay(clean, CostFn(2), 2);
+        TopK(CleanView(&t), CostFn(2), 2);
     ASSERT_TRUE(oracle.ok());
     ExpectExactlyEqual(*pruned, *oracle,
                        "round=" + std::to_string(round));
@@ -241,35 +259,34 @@ TEST(TopKOverlayTest, SoundPrunePreservesExactTopKAcrossPatchedEpochs) {
   }
   // Every round's 2-op backlog crossed the threshold against a well-fed
   // indexed base, so the publishes above really were patches.
-  EXPECT_GT(patches, 0u);
+  EXPECT_GT(t.patches_published(), patches_before);
 }
 
 TEST(TopKOverlayTest, CancelledControlUnwinds) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
   ASSERT_TRUE(t.InsertCompetitor({0.1, 0.1}).ok());
   ASSERT_TRUE(t.InsertProduct({0.9, 0.9}).ok());
   QueryControl control;
   control.Cancel();
   Result<std::vector<UpgradeResult>> top =
-      TopKOverlay(t.AcquireView(), CostFn(2), 1, 1e-6, &control);
+      TopK(t.AcquireViews(), CostFn(2), 1, 1e-6, &control);
   ASSERT_FALSE(top.ok());
   EXPECT_EQ(top.status().code(), StatusCode::kCancelled);
 }
 
 TEST(TopKOverlayTest, StatsCountDeltaScans) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(t.InsertCompetitor({0.2 + 0.1 * i, 0.8 - 0.1 * i}).ok());
   }
   ASSERT_TRUE(t.InsertProduct({0.9, 0.9}).ok());
   ServeStats stats;
   ASSERT_TRUE(
-      TopKOverlay(t.AcquireView(), CostFn(2), 1, 1e-6, nullptr, &stats)
-          .ok());
+      TopK(t.AcquireViews(), CostFn(2), 1, 1e-6, nullptr, &stats).ok());
   EXPECT_EQ(stats.delta_ops_scanned, 5u);
   EXPECT_EQ(stats.candidates_evaluated, 1u);
   EXPECT_EQ(stats.erase_fallback_scans, 0u);

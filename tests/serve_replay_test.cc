@@ -1,12 +1,15 @@
 // Tests for the serve workload format and replayer (serve/replay.h):
 // parser acceptance/rejection, generator determinism and id-validity, and
 // the core replay property — two runs of the same workload produce
-// byte-identical result logs — plus the CLI `serve` command wiring.
+// byte-identical result logs, and the committed serve_1k workload
+// reproduces its golden log under every serve configuration — plus the
+// CLI `serve` command wiring.
 
 #include "serve/replay.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -114,9 +117,9 @@ TEST(ReplayTest, TwoRunsAreByteIdentical) {
 TEST(ReplayTest, ShardCountNeverChangesTheResultLog) {
   // The core sharding determinism property: replaying one workload
   // against `--shards N` servers produces a result log byte-identical to
-  // the single-table server's, for shard counts including 1 and counts
-  // larger than most of the run's competitor set. CI guards the same
-  // property end to end through the CLI (.github/workflows/ci.yml).
+  // the one-shard server's, for shard counts including ones larger than
+  // most of the run's competitor set. CI guards the same property end to
+  // end through the CLI (.github/workflows/ci.yml).
   std::ostringstream text;
   ASSERT_TRUE(GenerateWorkload(11, 500, 3, text).ok());
   Result<ReplayWorkload> workload = ParseWorkload(text.str());
@@ -125,7 +128,7 @@ TEST(ReplayTest, ShardCountNeverChangesTheResultLog) {
   std::string baseline;
   uint64_t baseline_epoch = 0;
   size_t baseline_backlog = 0;
-  for (const size_t shards : {0u, 1u, 2u, 4u, 7u}) {
+  for (const size_t shards : {1u, 2u, 4u, 7u}) {
     ServerOptions options;
     options.dims = 3;
     options.background_rebuild = false;
@@ -139,7 +142,7 @@ TEST(ReplayTest, ShardCountNeverChangesTheResultLog) {
     Result<ReplayReport> report = Replay(server->get(), *workload, results);
     ASSERT_TRUE(report.ok())
         << "shards=" << shards << ": " << report.status().ToString();
-    if (shards == 0) {
+    if (shards == 1) {
       baseline = results.str();
       baseline_epoch = report->final_epoch;
       baseline_backlog = report->final_backlog;
@@ -207,7 +210,7 @@ TEST(ServeCliTest, ReplayShardsFlagKeepsOutputByteIdentical) {
   ASSERT_EQ(code, 0) << err.str();
 
   std::string baseline;
-  for (const std::string shards : {"0", "3"}) {
+  for (const std::string shards : {"1", "3"}) {
     const std::string out_path = ::testing::TempDir() +
                                  "/skyup_serve_shard_" + shards + ".txt";
     std::ostringstream run_out, run_err;
@@ -218,7 +221,7 @@ TEST(ServeCliTest, ReplayShardsFlagKeepsOutputByteIdentical) {
     std::ifstream f(out_path);
     std::stringstream s;
     s << f.rdbuf();
-    if (shards == "0") {
+    if (shards == "1") {
       baseline = s.str();
       ASSERT_FALSE(baseline.empty());
     } else {
@@ -231,6 +234,52 @@ TEST(ServeCliTest, ReplayAndGenAreMutuallyExclusive) {
   std::ostringstream out, err;
   EXPECT_EQ(cli::Run({"serve"}, out, err), 2);
   EXPECT_EQ(cli::Run({"serve", "--replay=a", "--gen-ops=b"}, out, err), 2);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream f(path);
+  std::stringstream s;
+  s << f.rdbuf();
+  return s.str();
+}
+
+// The golden log guard: bench/workloads/serve_1k.expected was produced by
+// the single-table engine the sharded one replaced, so it is a reference
+// the engine under test did not write. Every serve configuration CI
+// replays — default, grouped execution, several shard counts, the flight
+// recorder on — must reproduce it byte for byte.
+TEST(ServeCliTest, ReplayReproducesTheGoldenLog) {
+  const std::string dir = SKYUP_WORKLOADS_DIR;
+  const std::string golden = ReadFile(dir + "/serve_1k.expected");
+  ASSERT_FALSE(golden.empty());
+  const std::string tmp = ::testing::TempDir();
+  const std::string flight = tmp + "/skyup_serve_golden_flight.jsonl";
+  const std::string slow_log = tmp + "/skyup_serve_golden_slow.jsonl";
+  // --slow-log appends; start from an empty file.
+  std::remove(slow_log.c_str());
+  const std::vector<std::vector<std::string>> configs = {
+      {},
+      {"--batch-max=8", "--memo-cache-mb=16"},
+      {"--shards=1"},
+      {"--shards=2"},
+      {"--shards=4"},
+      {"--shards=7"},
+      {"--flight-out=" + flight, "--slow-log=" + slow_log, "--slow-query-us=1"},
+  };
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const std::string out_path =
+        tmp + "/skyup_serve_golden_" + std::to_string(c) + ".txt";
+    std::vector<std::string> args = {"serve", "--out=" + out_path};
+    args.push_back("--replay=" + dir + "/serve_1k.csv");
+    args.insert(args.end(), configs[c].begin(), configs[c].end());
+    std::ostringstream run_out, run_err;
+    ASSERT_EQ(cli::Run(args, run_out, run_err), 0) << run_err.str();
+    EXPECT_TRUE(ReadFile(out_path) == golden) << "config " << c;
+  }
+  // The slow log of the recorder-on run carries the publish events.
+  const std::string slow = ReadFile(slow_log);
+  EXPECT_NE(slow.find("\"event\":\"publish\""), std::string::npos);
+  EXPECT_NE(slow.find("\"event\":\"slow_query\""), std::string::npos);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "rtree/mbr.h"
 #include "util/timer.h"
 
 namespace skyup {
@@ -123,6 +124,20 @@ TEST(ServerTest, CreateValidatesOptions) {
   bad = SmallOptions();
   bad.max_pending = 0;
   EXPECT_FALSE(MakeServer(bad).ok());
+  // Shard count: 0 is refused (one shard is the single-table case), and
+  // so is a count past the named cap.
+  bad = SmallOptions();
+  EXPECT_EQ(bad.shards, 1u);
+  bad.shards = 0;
+  EXPECT_FALSE(MakeServer(bad).ok());
+  bad.shards = kMaxShards + 1;
+  EXPECT_FALSE(MakeServer(bad).ok());
+  // Dimensionality past the index's cap is refused up front.
+  bad = SmallOptions();
+  bad.dims = kMaxDims + 1;
+  EXPECT_FALSE(Server::Create(ProductCostFunction::ReciprocalSum(2, 1e-3),
+                              bad)
+                   .ok());
 }
 
 TEST(ServerTest, InlineQueryReturnsRankedStableIds) {
@@ -285,7 +300,7 @@ TEST(ServerTest, RejectedUpdatesAreCountedNotApplied) {
   ServeStats stats = (*server)->stats();
   EXPECT_EQ(stats.updates_rejected, 2u);
   EXPECT_EQ(stats.updates_applied, 0u);
-  EXPECT_EQ((*server)->table().live_competitor_count(), 0u);
+  EXPECT_EQ((*server)->table().SampleDiagnostics().live_competitors, 0u);
 }
 
 TEST(ServerTest, FillMetricsExportsCountersAndGauges) {

@@ -1,11 +1,12 @@
-// Tests for scatter-gather top-k (serve/shard/shard_query.h): results
-// must be byte-identical to the single-table engine (`TopKOverlay`) over
-// the same live state, for any shard count, any worker count, and
-// regardless of publish state — the query is a pure function of the
-// live value set, and sharding only partitions the work. Also pins the
-// sharded counter semantics (shard_queries/shard_fanout bump, cache
+// Tests for the serve tier's scatter-gather top-k (serve/shard/
+// shard_query.h): the query is a pure function of the live value set, so
+// results must not depend on publish state, worker count, or whether a
+// query runs alone or inside a group — each checked bit-for-bit. Also
+// pins the counter semantics (shard_queries/shard_fanout bump, cache
 // counters track the GLOBAL upgrade cache — per-shard caches do not
-// exist) and the flight-recorder attribution struct.
+// exist), the flight-recorder attribution struct, and the per-phase laps
+// a solo query reports. Exactness against a from-scratch oracle at random
+// shard counts lives in fuzz/fuzz_serve.cc and tests/serve_query_test.cc.
 
 #include "serve/shard/shard_query.h"
 
@@ -16,8 +17,6 @@
 #include <vector>
 
 #include "core/cost_function.h"
-#include "serve/live_table.h"
-#include "serve/query.h"
 #include "util/random.h"
 
 namespace skyup {
@@ -25,24 +24,15 @@ namespace {
 
 constexpr double kEps = 1e-6;
 
-struct TwinState {
-  std::unique_ptr<ShardedTable> sharded;
-  std::unique_ptr<LiveTable> single;
-};
-
-// Drives the same op stream into an N-shard table and a single table.
-TwinState BuildTwins(size_t shards, uint64_t seed, int steps,
-                     size_t dims = 2) {
+// Drives a random op stream into an N-shard table.
+std::unique_ptr<ShardedTable> BuildTable(size_t shards, uint64_t seed,
+                                         int steps, size_t dims = 2) {
   ShardedTableOptions so;
   so.dims = dims;
   so.shards = shards;
   so.partition_fit_after = 16;
-  auto sharded = ShardedTable::Create(so);
-  EXPECT_TRUE(sharded.ok());
-  LiveTableOptions lo;
-  lo.dims = dims;
-  auto single = LiveTable::Create(lo);
-  EXPECT_TRUE(single.ok());
+  auto table = ShardedTable::Create(so);
+  EXPECT_TRUE(table.ok());
 
   Rng rng(seed);
   std::vector<uint64_t> live_p;
@@ -52,32 +42,45 @@ TwinState BuildTwins(size_t shards, uint64_t seed, int steps,
     std::vector<double> coords(dims);
     for (double& c : coords) c = rng.NextDouble(0, 2);
     if (roll < 4 || live_p.size() < 2) {
-      auto a = (*sharded)->InsertCompetitor(coords);
-      auto b = (*single)->InsertCompetitor(coords);
-      EXPECT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(*a, *b);
-      live_p.push_back(*a);
+      auto id = (*table)->InsertCompetitor(coords);
+      EXPECT_TRUE(id.ok());
+      live_p.push_back(*id);
     } else if (roll < 7) {
-      auto a = (*sharded)->InsertProduct(coords);
-      auto b = (*single)->InsertProduct(coords);
-      EXPECT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(*a, *b);
-      live_t.push_back(*a);
+      auto id = (*table)->InsertProduct(coords);
+      EXPECT_TRUE(id.ok());
+      live_t.push_back(*id);
     } else if (roll < 9 && !live_p.empty()) {
       const size_t at = static_cast<size_t>(rng.NextUint64(live_p.size()));
-      EXPECT_TRUE((*sharded)->EraseCompetitor(live_p[at]).ok());
-      EXPECT_TRUE((*single)->EraseCompetitor(live_p[at]).ok());
+      EXPECT_TRUE((*table)->EraseCompetitor(live_p[at]).ok());
       live_p[at] = live_p.back();
       live_p.pop_back();
     } else if (!live_t.empty()) {
       const size_t at = static_cast<size_t>(rng.NextUint64(live_t.size()));
-      EXPECT_TRUE((*sharded)->EraseProduct(live_t[at]).ok());
-      EXPECT_TRUE((*single)->EraseProduct(live_t[at]).ok());
+      EXPECT_TRUE((*table)->EraseProduct(live_t[at]).ok());
       live_t[at] = live_t.back();
       live_t.pop_back();
     }
   }
-  return {std::move(*sharded), std::move(*single)};
+  return std::move(*table);
+}
+
+// One query, alone — a group of one, the way Server::Query runs it.
+Result<std::vector<UpgradeResult>> Solo(
+    const ShardedView& view, const ProductCostFunction& cost_fn, size_t k,
+    size_t threads = 0, ServeStats* stats = nullptr,
+    QueryTelemetry* telemetry = nullptr, ShardQueryInfo* info = nullptr) {
+  std::vector<BatchQueryResult> out;
+  TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, kEps, threads,
+                   &out, stats, telemetry, info);
+  if (!out.front().status.ok()) return out.front().status;
+  return std::move(out.front().results);
+}
+
+// The same view set with the upgrade cache detached: every candidate is
+// recomputed from the shards.
+ShardedView Uncached(ShardedView view) {
+  view.cache.reset();
+  return view;
 }
 
 void ExpectSameResults(const std::vector<UpgradeResult>& want,
@@ -85,8 +88,8 @@ void ExpectSameResults(const std::vector<UpgradeResult>& want,
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].product_id, want[i].product_id) << "rank " << i;
-    // lint: float-eq-ok (differential: scatter-gather must match the
-    // single-table engine bit-for-bit)
+    // lint: float-eq-ok (differential: the same live value set must give
+    // bit-identical answers)
     EXPECT_EQ(got[i].cost, want[i].cost) << "rank " << i;
     EXPECT_EQ(got[i].upgraded, want[i].upgraded) << "rank " << i;
     EXPECT_EQ(got[i].already_competitive, want[i].already_competitive)
@@ -94,39 +97,22 @@ void ExpectSameResults(const std::vector<UpgradeResult>& want,
   }
 }
 
-TEST(ShardQueryTest, MatchesSingleTableAcrossShardCounts) {
-  const ProductCostFunction cost_fn =
-      ProductCostFunction::ReciprocalSum(2, 1e-3);
-  for (const size_t shards : {1u, 2u, 3u, 5u, 9u}) {
-    TwinState twins = BuildTwins(shards, /*seed=*/shards, /*steps=*/120);
-    const ReadView single_view = twins.single->AcquireView();
-    const ShardedView sharded_view = twins.sharded->AcquireViews();
-    for (const size_t k : {1u, 3u, 8u, 100u}) {
-      auto want = TopKOverlay(single_view, cost_fn, k, kEps);
-      ASSERT_TRUE(want.ok());
-      auto got = TopKSharded(sharded_view, cost_fn, k, kEps);
-      ASSERT_TRUE(got.ok()) << "shards=" << shards;
-      ExpectSameResults(*want, *got);
-    }
-  }
-}
-
 TEST(ShardQueryTest, PublishStateDoesNotChangeResults) {
   // Publishing moves rows from overlay to snapshot; the live value set —
-  // and therefore the query answer — is unchanged. Publish only the
-  // sharded side and compare against the never-published single table.
+  // and therefore the query answer — is unchanged. Query the all-overlay
+  // state, publish, and query again without the cache.
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(3, 1e-3);
-  TwinState twins = BuildTwins(/*shards=*/4, /*seed=*/77, /*steps=*/150,
-                               /*dims=*/3);
+  std::unique_ptr<ShardedTable> table =
+      BuildTable(/*shards=*/4, /*seed=*/77, /*steps=*/150, /*dims=*/3);
+  auto want = Solo(Uncached(table->AcquireViews()), cost_fn, 10);
+  ASSERT_TRUE(want.ok());
   RebuildPolicy policy;
   policy.threshold_ops = 1;
-  auto published = twins.sharded->MaybePublishInline(policy);
+  auto published = table->MaybePublishInline(policy);
   ASSERT_TRUE(published.ok());
   EXPECT_EQ(*published, 4u);
-  auto want = TopKOverlay(twins.single->AcquireView(), cost_fn, 10, kEps);
-  ASSERT_TRUE(want.ok());
-  auto got = TopKSharded(twins.sharded->AcquireViews(), cost_fn, 10, kEps);
+  auto got = Solo(Uncached(table->AcquireViews()), cost_fn, 10);
   ASSERT_TRUE(got.ok());
   ExpectSameResults(*want, *got);
 }
@@ -134,12 +120,13 @@ TEST(ShardQueryTest, PublishStateDoesNotChangeResults) {
 TEST(ShardQueryTest, WorkerCountDoesNotChangeResults) {
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(2, 1e-3);
-  TwinState twins = BuildTwins(/*shards=*/5, /*seed=*/13, /*steps=*/140);
-  const ShardedView view = twins.sharded->AcquireViews();
-  auto serial = TopKSharded(view, cost_fn, 6, kEps, /*threads=*/1);
+  std::unique_ptr<ShardedTable> table =
+      BuildTable(/*shards=*/5, /*seed=*/13, /*steps=*/140);
+  const ShardedView view = Uncached(table->AcquireViews());
+  auto serial = Solo(view, cost_fn, 6, /*threads=*/1);
   ASSERT_TRUE(serial.ok());
   for (const size_t threads : {0u, 2u, 3u, 16u}) {
-    auto got = TopKSharded(view, cost_fn, 6, kEps, threads);
+    auto got = Solo(view, cost_fn, 6, threads);
     ASSERT_TRUE(got.ok()) << "threads=" << threads;
     ExpectSameResults(*serial, *got);
   }
@@ -152,9 +139,8 @@ TEST(ShardQueryTest, EmptyProductSetYieldsEmptyResult) {
   auto sharded = ShardedTable::Create(so);
   ASSERT_TRUE(sharded.ok());
   ASSERT_TRUE((*sharded)->InsertCompetitor({0.5, 0.5}).ok());
-  auto got = TopKSharded((*sharded)->AcquireViews(),
-                         ProductCostFunction::ReciprocalSum(2, 1e-3), 5,
-                         kEps);
+  auto got = Solo((*sharded)->AcquireViews(),
+                  ProductCostFunction::ReciprocalSum(2, 1e-3), 5);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->empty());
 }
@@ -162,8 +148,9 @@ TEST(ShardQueryTest, EmptyProductSetYieldsEmptyResult) {
 TEST(ShardQueryTest, BatchMembersMatchTheirSoloRuns) {
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(2, 1e-3);
-  TwinState twins = BuildTwins(/*shards=*/3, /*seed=*/33, /*steps=*/140);
-  const ShardedView view = twins.sharded->AcquireViews();
+  std::unique_ptr<ShardedTable> table =
+      BuildTable(/*shards=*/3, /*seed=*/33, /*steps=*/140);
+  const ShardedView view = Uncached(table->AcquireViews());
   // Mixed ks (duplicates included) plus one malformed member: the group
   // must resolve each member to exactly its solo outcome, and a bad
   // member fails alone without poisoning the group.
@@ -181,7 +168,7 @@ TEST(ShardQueryTest, BatchMembersMatchTheirSoloRuns) {
     ASSERT_EQ(out.size(), batch.size());
     for (size_t i = 0; i + 1 < out.size(); ++i) {
       ASSERT_TRUE(out[i].status.ok()) << "member " << i;
-      auto solo = TopKSharded(view, cost_fn, batch[i].k, kEps, 1);
+      auto solo = Solo(view, cost_fn, batch[i].k, /*threads=*/1);
       ASSERT_TRUE(solo.ok());
       ExpectSameResults(*solo, out[i].results);
     }
@@ -195,19 +182,17 @@ TEST(ShardQueryTest, BatchMembersMatchTheirSoloRuns) {
 TEST(ShardQueryTest, CountersBumpAndGlobalCacheServesRepeats) {
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(2, 1e-3);
-  TwinState twins = BuildTwins(/*shards=*/3, /*seed=*/21, /*steps=*/100);
-  const ShardedView view = twins.sharded->AcquireViews();
+  std::unique_ptr<ShardedTable> table =
+      BuildTable(/*shards=*/3, /*seed=*/21, /*steps=*/100);
+  const ShardedView view = table->AcquireViews();
   // Per-shard caches do not exist (they would memoize shard-local
   // dominators); the global cache on the sharded view replaces them.
-  for (const ReadView& v : view.views) {
-    EXPECT_EQ(v.cache, nullptr);
-  }
   ASSERT_NE(view.cache, nullptr);
   ServeStats stats;
+  QueryTelemetry telemetry;
   ShardQueryInfo info;
-  auto got = TopKSharded(view, cost_fn, 4, kEps, /*threads=*/0,
-                         /*control=*/nullptr, &stats, /*telemetry=*/nullptr,
-                         &info);
+  auto got = Solo(view, cost_fn, 4, /*threads=*/0, &stats, &telemetry,
+                  &info);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.shard_queries, 1u);
   EXPECT_EQ(stats.shard_fanout, 3u);
@@ -218,13 +203,17 @@ TEST(ShardQueryTest, CountersBumpAndGlobalCacheServesRepeats) {
   EXPECT_EQ(info.shard_count, 3u);
   EXPECT_LT(info.slowest_shard, 3u);
   EXPECT_GE(info.slowest_shard_seconds, 0.0);
+  // A solo query with telemetry laps its phases on every shard worker:
+  // one breakdown row per shard, and the cold probes took time.
+  EXPECT_EQ(telemetry.phases.per_shard.size(), 3u);
+  EXPECT_GT(telemetry.phases.total.probe_seconds, 0.0);
+  EXPECT_GT(telemetry.phases.total.upgrade_seconds, 0.0);
 
   // A repeat of the same query is served wholly from the cache — zero
   // candidate evaluations — and stays byte-identical.
   ServeStats repeat_stats;
-  auto repeat = TopKSharded(twins.sharded->AcquireViews(), cost_fn, 4, kEps,
-                            /*threads=*/0, /*control=*/nullptr,
-                            &repeat_stats);
+  auto repeat = Solo(table->AcquireViews(), cost_fn, 4, /*threads=*/0,
+                     &repeat_stats);
   ASSERT_TRUE(repeat.ok());
   ExpectSameResults(*got, *repeat);
   EXPECT_EQ(repeat_stats.cache_hits, stats.cache_misses);
@@ -233,15 +222,14 @@ TEST(ShardQueryTest, CountersBumpAndGlobalCacheServesRepeats) {
 
   // An update that can change dominator skylines invalidates through the
   // routed op stream: the next query recomputes (some misses) yet still
-  // matches the single-table engine over the updated twin state.
-  ASSERT_TRUE(twins.sharded->InsertCompetitor({0.01, 0.01}).ok());
-  ASSERT_TRUE(twins.single->InsertCompetitor({0.01, 0.01}).ok());
+  // matches an uncached query over the updated state.
+  ASSERT_TRUE(table->InsertCompetitor({0.01, 0.01}).ok());
+  const ShardedView updated = table->AcquireViews();
   ServeStats warm_stats;
-  auto warm = TopKSharded(twins.sharded->AcquireViews(), cost_fn, 4, kEps,
-                          /*threads=*/0, /*control=*/nullptr, &warm_stats);
+  auto warm = Solo(updated, cost_fn, 4, /*threads=*/0, &warm_stats);
   ASSERT_TRUE(warm.ok());
   EXPECT_GT(warm_stats.cache_misses, 0u);
-  auto expect = TopKOverlay(twins.single->AcquireView(), cost_fn, 4, kEps);
+  auto expect = Solo(Uncached(updated), cost_fn, 4);
   ASSERT_TRUE(expect.ok());
   ExpectSameResults(*expect, *warm);
 }

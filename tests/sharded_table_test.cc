@@ -3,7 +3,9 @@
 // maps, the deterministic inline publish trigger on *total* backlog, the
 // cross-shard epoch invariant (every captured view set is all-old or
 // all-new — including under concurrent publish cycles, which is the
-// TSan-facing stress here), and aggregated diagnostics.
+// TSan-facing stress here), the upgrade-cache version stamp on captured
+// views, the background coordinator's start-up publish, and aggregated
+// diagnostics.
 
 #include "serve/shard/sharded_table.h"
 
@@ -37,6 +39,73 @@ TEST(ShardedTableTest, CreateValidatesOptions) {
   bad.dims = 2;
   bad.shards = 0;
   EXPECT_FALSE(ShardedTable::Create(bad).ok());
+  bad.shards = kMaxShards + 1;
+  EXPECT_FALSE(ShardedTable::Create(bad).ok());
+  bad.shards = kMaxShards;
+  EXPECT_TRUE(ShardedTable::Create(bad).ok());
+}
+
+// The view set's version stamp is the upgrade cache's validity clock: the
+// count of ops the table had accepted when the views were captured. A
+// publish empties the deltas but must not rewind the stamp (it is
+// monotone), and the next accepted op — erases count too — moves the
+// stamp and the captured deltas together.
+TEST(ShardedTableTest, ViewVersionStampMatchesCapturedDeltas) {
+  auto table = ShardedTable::Create(SmallOptions(2));
+  ASSERT_TRUE(table.ok());
+  ShardedTable& t = **table;
+  auto total_deltas = [](const ShardedView& views) {
+    size_t n = 0;
+    for (const ReadView& view : views.views) n += view.deltas.size();
+    return n;
+  };
+
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(t.InsertCompetitor({0.1 * (i + 1), 0.9 - 0.1 * i}).ok());
+  }
+  const ShardedView before = t.AcquireViews();
+  EXPECT_EQ(before.version, 3u);
+  EXPECT_EQ(total_deltas(before), 3u);
+  ASSERT_NE(before.cache, nullptr);
+
+  RebuildPolicy policy;
+  policy.threshold_ops = 1;
+  ASSERT_TRUE(t.MaybePublishInline(policy).ok());
+  const ShardedView after = t.AcquireViews();
+  EXPECT_EQ(after.version, 3u);
+  EXPECT_EQ(total_deltas(after), 0u);
+
+  ASSERT_TRUE(t.EraseCompetitor(1).ok());
+  const ShardedView next = t.AcquireViews();
+  EXPECT_EQ(next.version, 4u);
+  EXPECT_EQ(total_deltas(next), 1u);
+  // Earlier views are unaffected (capture-time consistency).
+  EXPECT_EQ(before.version, 3u);
+  EXPECT_EQ(total_deltas(before), 3u);
+}
+
+// A backlog that is already due when the coordinator starts — or that a
+// nudge reported while a cycle was running — publishes right away, not
+// one poll interval later.
+TEST(ShardedTableTest, StartPublishesADueBacklogWithoutWaitingForThePoll) {
+  auto table = ShardedTable::Create(SmallOptions(2));
+  ASSERT_TRUE(table.ok());
+  ShardedTable& t = **table;
+  RebuildPolicy policy;
+  policy.threshold_ops = 4;
+  policy.poll_interval_seconds = 30.0;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(t.InsertCompetitor({0.1 * (i + 1), 0.9 - 0.1 * i}).ok());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  t.Start(policy);
+  while (t.epoch() == 1 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(1)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(t.epoch(), 2u);
+  EXPECT_EQ(t.delta_backlog(), 0u);
+  t.Stop();
 }
 
 TEST(ShardedTableTest, AllocatesGlobalIdsInOpOrder) {

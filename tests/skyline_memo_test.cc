@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -187,11 +189,12 @@ TEST(SkylineMemoTest, LiveTablePublishRollsTheMemo) {
   std::vector<PointId> rows;
   EXPECT_TRUE(view.memo->Lookup(view.epoch(), probe.data(), 0, &rows));
 
-  RebuildPolicy policy;
-  policy.threshold_ops = 1;
-  Result<PublishKind> published = MaybeRebuildInline(&t, policy);
-  ASSERT_TRUE(published.ok());
-  ASSERT_NE(*published, PublishKind::kNone);
+  std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
+  ASSERT_TRUE(job.has_value());
+  Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
+      *job->base, job->ops, job->next_epoch, t.index_options());
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  t.CompleteRebuild(*merged);
   EXPECT_EQ(view.memo->entry_count(), 0u);
   EXPECT_FALSE(view.memo->Lookup(view.epoch(), probe.data(), 0, &rows));
   // The new view shares the same memo object.

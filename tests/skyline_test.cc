@@ -266,7 +266,7 @@ TEST(PatchSkylineInsertTest, EmptySkylineAdmitsAnything) {
 
 // Folding points one at a time must land on the same value set as one-shot
 // SkylineOfPointers over the union — the exactness argument the serving
-// overlay (src/serve/query.cc) rests on.
+// overlay (src/serve/shard/shard_query.cc) rests on.
 TEST(PatchSkylineInsertTest, MatchesOneShotReductionOnRandomStreams) {
   for (size_t dims = 2; dims <= 4; ++dims) {
     for (uint64_t seed = 1; seed <= 8; ++seed) {

@@ -2,8 +2,8 @@
 // the store/lookup contract (version gating, epsilon match, the admit-hint
 // payload elision), the dominance-based invalidation rules for competitor
 // inserts and erases, product-op handling, and an end-to-end differential
-// under live-table churn — every query answered partly from cache must
-// equal the same query recomputed with the cache detached.
+// under table churn — every query answered partly from cache must equal
+// the same query recomputed with the cache detached.
 
 #include "serve/upgrade_cache.h"
 
@@ -12,9 +12,9 @@
 #include <memory>
 #include <vector>
 
-#include "serve/live_table.h"
-#include "serve/query.h"
 #include "serve/rebuilder.h"
+#include "serve/shard/shard_query.h"
+#include "serve/shard/sharded_table.h"
 #include "util/random.h"
 
 namespace skyup {
@@ -150,20 +150,29 @@ TEST(UpgradeCacheTest, ProductOpsDropOnlyTheirOwnEntry) {
   EXPECT_FALSE(Hits(cache, 9));
 }
 
-// End-to-end: random churn through a live table, querying after every few
-// ops. Each query runs twice over the same view — once with the table's
-// cache, once with the cache detached — and the answers must be
-// identical. By the end the cached run must actually have hit.
+// End-to-end: random churn through a two-shard table (the cache sees the
+// cross-shard op stream), querying after every few ops. Each query runs
+// twice over the same view — once with the table's cache, once with the
+// cache detached — and the answers must be identical. By the end the
+// cached run must actually have hit.
 TEST(UpgradeCacheTest, CachedQueriesMatchUncachedUnderChurn) {
   const size_t dims = 3;
-  LiveTableOptions options;
+  ShardedTableOptions options;
   options.dims = dims;
+  options.shards = 2;
   options.rtree_fanout = 4;
-  Result<std::unique_ptr<LiveTable>> table = LiveTable::Create(options);
+  Result<std::unique_ptr<ShardedTable>> table = ShardedTable::Create(options);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(dims, 1e-3);
+  auto top_k = [&](const ShardedView& view, size_t k, ServeStats* stats) {
+    std::vector<BatchQueryResult> out;
+    TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, 1e-6,
+                     /*threads=*/0, &out, stats);
+    EXPECT_TRUE(out.front().status.ok()) << out.front().status.ToString();
+    return std::move(out.front().results);
+  };
   RebuildPolicy policy;
   policy.threshold_ops = 6;
 
@@ -193,30 +202,27 @@ TEST(UpgradeCacheTest, CachedQueriesMatchUncachedUnderChurn) {
       products.erase(products.begin() + static_cast<long>(pick));
     } else {
       const size_t k = 1 + rng.NextUint64(5);
-      ReadView cached_view = t.AcquireView();
-      ReadView plain_view = cached_view;
+      const ShardedView cached_view = t.AcquireViews();
+      ShardedView plain_view = cached_view;
       plain_view.cache.reset();
       ServeStats stats;
-      Result<std::vector<UpgradeResult>> with_cache = TopKOverlay(
-          cached_view, cost_fn, k, 1e-6, /*control=*/nullptr, &stats);
-      Result<std::vector<UpgradeResult>> without_cache =
-          TopKOverlay(plain_view, cost_fn, k, 1e-6);
-      ASSERT_TRUE(with_cache.ok());
-      ASSERT_TRUE(without_cache.ok());
+      const std::vector<UpgradeResult> with_cache =
+          top_k(cached_view, k, &stats);
+      const std::vector<UpgradeResult> without_cache =
+          top_k(plain_view, k, nullptr);
       hits += stats.cache_hits;
-      ASSERT_EQ(with_cache->size(), without_cache->size()) << "step " << step;
-      for (size_t i = 0; i < with_cache->size(); ++i) {
-        EXPECT_EQ((*with_cache)[i].product_id,
-                  (*without_cache)[i].product_id)
+      ASSERT_EQ(with_cache.size(), without_cache.size()) << "step " << step;
+      for (size_t i = 0; i < with_cache.size(); ++i) {
+        EXPECT_EQ(with_cache[i].product_id, without_cache[i].product_id)
             << "step " << step << " rank " << i;
         // lint: float-eq-ok (cache reuse must be bit-exact, not close)
-        EXPECT_EQ((*with_cache)[i].cost, (*without_cache)[i].cost)
+        EXPECT_EQ(with_cache[i].cost, without_cache[i].cost)
             << "step " << step << " rank " << i;
-        EXPECT_EQ((*with_cache)[i].upgraded, (*without_cache)[i].upgraded)
+        EXPECT_EQ(with_cache[i].upgraded, without_cache[i].upgraded)
             << "step " << step << " rank " << i;
       }
     }
-    ASSERT_TRUE(MaybeRebuildInline(&t, policy).ok());
+    ASSERT_TRUE(t.MaybePublishInline(policy).ok());
   }
   EXPECT_GT(hits, 0u);
 }

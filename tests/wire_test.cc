@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "rtree/mbr.h"
 #include "serve/shard/front_door.h"
 #include "serve/shard/registry.h"
 
@@ -131,6 +132,10 @@ TEST(TenantRegistryTest, ValidatesNamesAndRejectsDuplicates) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(registry.Create(std::string(65, 'a'), 2, 1, 0).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Create("wide", kMaxDims + 1, 1, 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(registry.Create("zero", 2, 0, 0).status().code(),
+            StatusCode::kInvalidArgument);
   ASSERT_TRUE(registry.Create("good.name-1_2", 2, 1, 0).ok());
   EXPECT_EQ(registry.Create("good.name-1_2", 2, 1, 0).status().code(),
             StatusCode::kFailedPrecondition);
@@ -226,6 +231,51 @@ TEST(FrontDoorTest, TenantsAreIsolatedAndErrorsCarryCodes) {
   bad = client->Call("topk a notanumber");
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad->substr(0, 4), "-err") << *bad;
+
+  (*door)->Stop();
+}
+
+// `create` is bounded before anything is allocated: dims past the index's
+// cap (or large enough to exhaust memory in the cost function), shard
+// counts of zero or past kMaxShards. Each frame gets an -err reply, and
+// the door keeps serving the tenant created before them.
+TEST(FrontDoorTest, CreateRejectsOutOfRangeDimsAndShards) {
+  auto door = StartDoor();
+  ASSERT_TRUE(door.ok());
+  auto client = WireClient::Dial("127.0.0.1", (*door)->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->CreateTenant("live", 2, 1, 0).ok());
+  ASSERT_TRUE(client->Insert("live", true, {0.1, 0.2}).ok());
+  ASSERT_TRUE(client->Insert("live", false, {0.9, 0.9}).ok());
+
+  const std::vector<std::string> frames = {
+      "create huge dims=4000000000",
+      "create wide dims=" + std::to_string(kMaxDims + 1),
+      "create nodims dims=0",
+      "create many dims=2 shards=3000000",
+      "create capped dims=2 shards=" + std::to_string(kMaxShards + 1),
+      "create none dims=2 shards=0",
+  };
+  for (const std::string& frame : frames) {
+    auto reply = client->Call(frame);
+    ASSERT_TRUE(reply.ok()) << frame;
+    EXPECT_EQ(reply->rfind("-err InvalidArgument", 0), 0u)
+        << frame << " -> " << *reply;
+    ASSERT_TRUE(client->TopK("live", 1, /*timeout_seconds=*/5.0).ok())
+        << "door stopped serving after " << frame;
+  }
+  auto listed = client->Stats("live");
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(StatValue(*listed, "queries_executed"), 6u);
+  EXPECT_EQ((*door)->registry().size(), 1u);
+
+  // The bounds are inclusive, and an omitted shards= means one shard.
+  auto at_cap = client->Call("create edge dims=" + std::to_string(kMaxDims));
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_EQ(at_cap->rfind("+ok", 0), 0u) << *at_cap;
+  auto edge = client->Stats("edge");
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(StatValue(*edge, "shards"), 1u);
 
   (*door)->Stop();
 }

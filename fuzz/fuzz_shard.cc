@@ -1,17 +1,18 @@
-// Differential fuzz of the shard-per-core serving tier: the same
-// interleaved stream of inserts/erases/queries/publishes runs against a
-// sharded server (scatter-gather over N spatial shards behind one
-// cross-shard epoch) and against the single-table server as oracle
-// (shards=0, the historical path fuzz_serve already pins to a
-// from-scratch oracle). Results must agree exactly — sharding is a
-// partition of pure work, so it may never change a byte of output.
+// Differential fuzz of shard-count independence: the same interleaved
+// stream of inserts/erases/queries/publishes runs against a server of N
+// spatial shards (scatter-gather behind one cross-shard epoch) and
+// against a one-shard server as oracle (shards=1, the single-table case,
+// which fuzz_serve pins to a from-scratch oracle). Results must agree
+// exactly — sharding is a partition of pure work, so it may never change
+// a byte of output.
 //
-// Shard counts deliberately include 1 (degenerate partition) and counts
-// larger than the competitor set (empty shards must freeze/publish as
-// identity patches without desynchronizing the cross-shard epoch).
-// Beyond results, the fuzz also pins the epoch protocol: after every
-// op, the sharded server's epoch and total delta backlog must equal the
-// single table's — publish cycles fire on the same op counts.
+// Shard counts deliberately include 1 (the oracle's own partition, run
+// with the other scatter mode) and counts larger than the competitor set
+// (empty shards must freeze/publish as identity patches without
+// desynchronizing the cross-shard epoch). Beyond results, the fuzz also
+// pins the epoch protocol: after every op, the N-shard server's epoch
+// and total delta backlog must equal the one-shard server's — publish
+// cycles fire on the same op counts.
 
 #include <cstdint>
 #include <memory>
@@ -31,7 +32,7 @@ void CheckSameResults(const std::vector<UpgradeResult>& oracle,
                       uint64_t seed, int step) {
   SKYUP_CHECK(got.size() == oracle.size())
       << "sharded(" << shards << ") returned " << got.size()
-      << " results vs single-table " << oracle.size() << ", seed=" << seed
+      << " results vs one-shard " << oracle.size() << ", seed=" << seed
       << " step=" << step;
   for (size_t i = 0; i < oracle.size(); ++i) {
     SKYUP_CHECK(got[i].product_id == oracle[i].product_id)
@@ -39,7 +40,7 @@ void CheckSameResults(const std::vector<UpgradeResult>& oracle,
         << got[i].product_id << " vs " << oracle[i].product_id
         << ", seed=" << seed << " step=" << step;
     // lint: float-eq-ok (differential oracle: scatter-gather must agree
-    // bit-exactly with the single-table engine)
+    // bit-exactly with the one-shard server)
     SKYUP_CHECK(got[i].cost == oracle[i].cost)
         << "shards=" << shards << " rank " << i << ": cost " << got[i].cost
         << " vs " << oracle[i].cost << ", seed=" << seed << " step=" << step;
@@ -55,8 +56,8 @@ void CheckSameResults(const std::vector<UpgradeResult>& oracle,
 void RunOne(uint64_t seed) {
   Rng rng(seed);
   const size_t dims = 2 + static_cast<size_t>(rng.NextUint64(3));
-  // 1 and 9 matter: the degenerate partition, and more shards than the
-  // table will hold rows for most of the run.
+  // 1 and 9 matter: the oracle's partition under the other scatter mode,
+  // and more shards than the table will hold rows for most of the run.
   constexpr size_t kShardChoices[] = {1, 2, 3, 5, 9};
   const size_t shards = kShardChoices[rng.NextUint64(5)];
   const ProductCostFunction cost_fn =
@@ -64,6 +65,8 @@ void RunOne(uint64_t seed) {
 
   ServerOptions base;
   base.dims = dims;
+  base.shards = 1;
+  base.shard_query_threads = 0;
   base.background_rebuild = false;  // deterministic inline publishes
   base.rebuild_threshold_ops = 1 + static_cast<size_t>(rng.NextUint64(16));
   base.compact_tombstone_pct = 5 + static_cast<size_t>(rng.NextUint64(96));
@@ -75,7 +78,9 @@ void RunOne(uint64_t seed) {
   ServerOptions sharded_options = base;
   sharded_options.shards = shards;
   // Exercise both scatter modes: one worker per shard and serial scatter.
-  sharded_options.shard_query_threads = rng.NextUint64(2) == 0 ? 0 : 1;
+  // At one shard only serial scatter differs from the oracle.
+  sharded_options.shard_query_threads =
+      shards == 1 || rng.NextUint64(2) == 1 ? 1 : 0;
 
   Result<std::unique_ptr<Server>> oracle = Server::Create(cost_fn, base);
   SKYUP_CHECK(oracle.ok()) << oracle.status().ToString() << " seed=" << seed;
@@ -151,7 +156,7 @@ void RunOne(uint64_t seed) {
           << ", seed=" << seed << " step=" << step;
     }
     // The cross-shard epoch protocol must stay in lockstep with the
-    // single table: publish cycles fire on the same total op counts.
+    // one-shard server: publish cycles fire on the same total op counts.
     SKYUP_CHECK((*oracle)->CurrentEpoch() == (*sharded)->CurrentEpoch())
         << "epoch diverges: " << (*oracle)->CurrentEpoch() << " vs "
         << (*sharded)->CurrentEpoch() << ", seed=" << seed

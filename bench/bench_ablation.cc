@@ -178,9 +178,10 @@ void AblateProbing(const BenchArgs& args) {
     ProductCostFunction f = ProductCostFunction::ReciprocalSum(2, 1e-3);
     ExecStats basic, improved;
     SKYUP_CHECK(
-        TopKBasicProbing(*w.rp, *w.products, f, 1, 1e-6, &basic).ok());
+        TopKBasicProbing(*w.rp, *w.products, f, 1, 1e-6, 1, &basic).ok());
     SKYUP_CHECK(
-        TopKImprovedProbing(*w.rp, *w.products, f, 1, 1e-6, &improved).ok());
+        TopKImprovedProbing(*w.rp, *w.products, f, 1, 1e-6, 1, &improved)
+            .ok());
     const double ratio = static_cast<double>(basic.dominators_fetched) /
                          static_cast<double>(
                              std::max<size_t>(1, improved.dominators_fetched));

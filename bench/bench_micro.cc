@@ -11,7 +11,6 @@
 
 #include "core/dominance_batch.h"
 #include "core/lower_bounds.h"
-#include "core/parallel_probing.h"
 #include "core/probing.h"
 #include "core/single_upgrade.h"
 #include "data/generator.h"
@@ -230,11 +229,8 @@ Dataset MixedCatalog(size_t n_each, uint64_t seed) {
   return out;
 }
 
-// End-to-end improved probing, sequential vs the sharded parallel engine.
-// The parallel path adds shared-threshold lower-bound pruning; `pruned`
-// counts candidates disqualified before any skyline/Algorithm 1 work and
-// `upgrades` the candidates that paid full price — together they always sum
-// to |T|, so the counters quantify pruning effectiveness directly.
+// End-to-end improved probing on the pointer tree at one thread: one scalar
+// probe per candidate, the paper-figure path.
 void BM_TopKImprovedProbing(benchmark::State& state) {
   Dataset p = MakeData(20000, 3, Distribution::kAntiCorrelated);
   Dataset t = MixedCatalog(1000, 9);
@@ -252,8 +248,8 @@ void BM_TopKImprovedProbing(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKImprovedProbing);
 
-// End-to-end improved probing through the flat snapshot — the tentpole
-// hot path as the planner runs it with default options.
+// End-to-end improved probing through the flat snapshot — tiled probes,
+// the hot path as the planner runs it.
 void BM_TopKImprovedProbingFlat(benchmark::State& state) {
   Dataset p = MakeData(20000, 3, Distribution::kAntiCorrelated);
   Dataset t = MixedCatalog(1000, 9);
@@ -271,7 +267,12 @@ void BM_TopKImprovedProbingFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKImprovedProbingFlat);
 
-void BM_TopKImprovedProbingParallel(benchmark::State& state) {
+// Improved probing on the pointer tree across worker counts. The engine's
+// shared-threshold lower bound disqualifies candidates before any
+// skyline/Algorithm 1 work: `pruned` counts them and `upgrades` the
+// candidates that paid full price — together they always sum to |T|, so
+// the counters quantify pruning effectiveness directly.
+void BM_TopKImprovedProbingThreads(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   Dataset p = MakeData(20000, 3, Distribution::kAntiCorrelated);
   Dataset t = MixedCatalog(1000, 9);
@@ -281,8 +282,8 @@ void BM_TopKImprovedProbingParallel(benchmark::State& state) {
   ExecStats stats;
   for (auto _ : state) {
     stats = ExecStats();
-    Result<std::vector<UpgradeResult>> top = TopKImprovedProbingParallel(
-        tree.value(), t, f, 10, 1e-6, threads, &stats);
+    Result<std::vector<UpgradeResult>> top =
+        TopKImprovedProbing(tree.value(), t, f, 10, 1e-6, threads, &stats);
     SKYUP_CHECK(top.ok());
     benchmark::DoNotOptimize(top->size());
   }
@@ -291,7 +292,7 @@ void BM_TopKImprovedProbingParallel(benchmark::State& state) {
   state.counters["pruned"] = static_cast<double>(stats.candidates_pruned);
   state.counters["upgrades"] = static_cast<double>(stats.upgrade_calls);
 }
-BENCHMARK(BM_TopKImprovedProbingParallel)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_TopKImprovedProbingThreads)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_LbcPair(benchmark::State& state) {
   const BoundMode mode =

@@ -1,14 +1,13 @@
 // Differential fuzz of the full top-k upgrade pipeline: the index-free
-// brute-force oracle vs basic probing vs improved probing (pointer and
-// flat-arena) vs the sharded parallel engine at several thread counts.
-// All of these promise *bit-identical* ranked results — same product ids,
-// same costs (exact double equality), same upgraded vectors — because
-// they share one tie-break order and sound pruning only.
+// brute-force oracle at one thread vs brute force, basic probing and
+// improved probing (pointer tree and tiled flat arena), each at a random
+// thread count. All of these promise *bit-identical* ranked results — same
+// product ids, same costs (exact double equality), same upgraded vectors —
+// because they share one tie-break order and sound pruning only.
 
 #include <vector>
 
 #include "core/cost_function.h"
-#include "core/parallel_probing.h"
 #include "core/probing.h"
 #include "fuzz_common.h"
 #include "rtree/flat_rtree.h"
@@ -43,13 +42,54 @@ void CheckSameResults(const std::vector<UpgradeResult>& oracle,
   }
 }
 
+Shape RandomShape(Rng* rng) {
+  return static_cast<Shape>(
+      rng->NextUint64(static_cast<uint64_t>(Shape::kShapeCount)));
+}
+
+// About one iteration in four draws |T| from [60, 150], concatenating
+// chunks of random shapes, so the flat probe's tiles
+// (kMaxDominanceTile = 64 candidates) fill and wrap; the rest stay small.
+Dataset GenProducts(Rng* rng, size_t dims) {
+  if (rng->NextUint64(4) != 0) {
+    return GenDataset(rng, RandomShape(rng), 24, dims);
+  }
+  const size_t target = 60 + static_cast<size_t>(rng->NextUint64(91));
+  Dataset products(dims);
+  products.Reserve(target);
+  while (products.size() < target) {
+    const Dataset chunk =
+        GenDataset(rng, RandomShape(rng), target - products.size(), dims);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      products.Add(chunk.data(static_cast<PointId>(i)));
+    }
+  }
+  return products;
+}
+
+// Every leg runs at its own random thread count in [1, 4], including
+// counts exceeding the product count (empty-shard hazard), and must keep
+// the engine's accounting identity.
+void CheckLeg(const std::vector<UpgradeResult>& oracle,
+              const Result<std::vector<UpgradeResult>>& got,
+              const ExecStats& stats, size_t products, const char* name,
+              size_t threads, uint64_t seed) {
+  SKYUP_CHECK(got.ok()) << name << ": " << got.status().ToString()
+                        << " threads=" << threads << " seed=" << seed;
+  CheckSameResults(oracle, *got, name, seed);
+  SKYUP_CHECK(stats.products_processed == products &&
+              stats.upgrade_calls + stats.candidates_pruned == products)
+      << name << " processed " << stats.products_processed << " of "
+      << products << " candidates (" << stats.upgrade_calls
+      << " upgraded, " << stats.candidates_pruned
+      << " pruned), threads=" << threads << " seed=" << seed;
+}
+
 void RunOne(uint64_t seed) {
   Rng rng(seed);
   Shape cshape = Shape::kMixed;
   const Dataset competitors = GenAnyDataset(&rng, 60, 4, &cshape);
-  const auto pshape = static_cast<Shape>(
-      rng.NextUint64(static_cast<uint64_t>(Shape::kShapeCount)));
-  const Dataset products = GenDataset(&rng, pshape, 24, competitors.dims());
+  const Dataset products = GenProducts(&rng, competitors.dims());
 
   const size_t k = 1 + static_cast<size_t>(rng.NextUint64(products.size() + 2));
   const double epsilon = 1e-6;
@@ -66,48 +106,39 @@ void RunOne(uint64_t seed) {
   SKYUP_CHECK(tree.ok()) << tree.status().ToString() << " seed=" << seed;
   const FlatRTree flat = FlatRTree::FromTree(*tree);
 
-  const Result<std::vector<UpgradeResult>> basic =
-      TopKBasicProbing(*tree, products, cost_fn, k, epsilon);
-  SKYUP_CHECK(basic.ok()) << basic.status().ToString() << " seed=" << seed;
-  CheckSameResults(*oracle, *basic, "TopKBasicProbing", seed);
-
-  const Result<std::vector<UpgradeResult>> improved =
-      TopKImprovedProbing(*tree, products, cost_fn, k, epsilon);
-  SKYUP_CHECK(improved.ok()) << improved.status().ToString()
-                             << " seed=" << seed;
-  CheckSameResults(*oracle, *improved, "TopKImprovedProbing(ptr)", seed);
-
-  const Result<std::vector<UpgradeResult>> improved_flat =
-      TopKImprovedProbing(flat, products, cost_fn, k, epsilon);
-  SKYUP_CHECK(improved_flat.ok())
-      << improved_flat.status().ToString() << " seed=" << seed;
-  CheckSameResults(*oracle, *improved_flat, "TopKImprovedProbing(flat)",
-                   seed);
-
-  // The sharded engine must agree for every thread count, including
-  // thread counts exceeding the product count (empty-shard hazard).
-  const size_t threads = 1 + static_cast<size_t>(rng.NextUint64(4));
+  const auto draw_threads = [&rng] {
+    return 1 + static_cast<size_t>(rng.NextUint64(4));
+  };
+  size_t threads = draw_threads();
   ExecStats stats;
-  const Result<std::vector<UpgradeResult>> parallel =
-      TopKImprovedProbingParallel(flat, products, cost_fn, k, epsilon,
-                                  threads, &stats);
-  SKYUP_CHECK(parallel.ok()) << parallel.status().ToString()
-                             << " seed=" << seed;
-  CheckSameResults(*oracle, *parallel, "TopKImprovedProbingParallel", seed);
-  SKYUP_CHECK(stats.products_processed == products.size())
-      << "parallel engine processed " << stats.products_processed << " of "
-      << products.size() << " candidates, threads=" << threads
-      << " seed=" << seed;
+  CheckLeg(*oracle,
+           TopKBruteForce(competitors, products, cost_fn, k, epsilon, threads,
+                          &stats),
+           stats, products.size(), "TopKBruteForce", threads, seed);
 
-  const Result<std::vector<UpgradeResult>> brute_parallel =
-      TopKBruteForceParallel(competitors, products, cost_fn, k, epsilon,
-                             threads);
-  SKYUP_CHECK(brute_parallel.ok())
-      << brute_parallel.status().ToString() << " seed=" << seed;
-  CheckSameResults(*oracle, *brute_parallel, "TopKBruteForceParallel", seed);
+  threads = draw_threads();
+  stats = ExecStats();
+  CheckLeg(*oracle,
+           TopKBasicProbing(*tree, products, cost_fn, k, epsilon, threads,
+                            &stats),
+           stats, products.size(), "TopKBasicProbing", threads, seed);
+
+  threads = draw_threads();
+  stats = ExecStats();
+  CheckLeg(*oracle,
+           TopKImprovedProbing(*tree, products, cost_fn, k, epsilon, threads,
+                               &stats),
+           stats, products.size(), "TopKImprovedProbing(ptr)", threads, seed);
+
+  threads = draw_threads();
+  stats = ExecStats();
+  CheckLeg(*oracle,
+           TopKImprovedProbing(flat, products, cost_fn, k, epsilon, threads,
+                               &stats),
+           stats, products.size(), "TopKImprovedProbing(flat)", threads,
+           seed);
 
   static_cast<void>(cshape);  // shapes are for gdb inspection of a replay
-  static_cast<void>(pshape);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "core/dominance.h"
 #include "core/single_upgrade.h"
+#include "core/topk_common.h"
 #include "obs/trace.h"
 #include "skyline/dominating_skyline.h"
 #include "util/logging.h"
@@ -34,8 +35,8 @@ Result<JoinCursor> JoinCursor::Create(const RTree* competitors_tree,
     return Status::InvalidArgument(
         "cost function dimensionality does not match the data");
   }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(options.epsilon)) {
+    return Status::InvalidArgument("epsilon must be finite and positive");
   }
   return JoinCursor(competitors_tree, products_tree, cost_fn, options);
 }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/parallel_probing.h"
 #include "core/single_upgrade.h"
+#include "core/topk_common.h"
 #include "obs/trace.h"
 #include "skyline/dominating_skyline.h"
 #include "util/logging.h"
@@ -54,15 +54,11 @@ Result<UpgradePlanner> UpgradePlanner::Create(Dataset competitors,
         "cost function covers " + std::to_string(cost_fn.dims()) +
         " dimensions, data has " + std::to_string(competitors.dims()));
   }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(options.epsilon)) {
+    return Status::InvalidArgument("epsilon must be finite and positive");
   }
   if (options.rtree_fanout < 2) {
     return Status::InvalidArgument("R-tree fanout must be at least 2");
-  }
-  if (options.probe_tile && (!options.use_flat_index || options.threads != 1)) {
-    return Status::InvalidArgument(
-        "probe_tile requires use_flat_index and threads == 1");
   }
   SKYUP_TRACE_SPAN("planner/create");
 
@@ -102,7 +98,7 @@ Result<UpgradePlanner> UpgradePlanner::Create(Dataset competitors,
     planner.rp_ = std::make_unique<RTree>(std::move(rp).value());
     planner.rt_ = std::make_unique<RTree>(std::move(rt).value());
   }
-  if (options.use_flat_index) {
+  {
     // One BFS pass over the freshly loaded pointer tree; the snapshot
     // shares the planner's competitor dataset, whose address is stable
     // (unique_ptr member).
@@ -116,55 +112,23 @@ Result<UpgradePlanner> UpgradePlanner::Create(Dataset competitors,
 Result<std::vector<UpgradeResult>> UpgradePlanner::TopK(
     size_t k, Algorithm algorithm, ExecStats* stats,
     QueryTelemetry* telemetry, const QueryControl* control) const {
-  const bool parallel = options_.threads != 1;
-  // The sequential and join paths have no shard boundaries to poll at, so
-  // a fired token is honored once, before any work starts; the parallel
-  // engines keep polling mid-flight.
-  if (control != nullptr) {
-    Status st = control->Check();
-    if (!st.ok()) return st;
-  }
   switch (algorithm) {
     case Algorithm::kBruteForce:
-      if (parallel) {
-        return TopKBruteForceParallel(*competitors_, *products_, *cost_fn_,
-                                      k, options_.epsilon, options_.threads,
-                                      stats, telemetry, control);
-      }
       return TopKBruteForce(*competitors_, *products_, *cost_fn_, k,
-                            options_.epsilon, stats, telemetry);
+                            options_.epsilon, options_.threads, stats,
+                            telemetry, control);
     case Algorithm::kBasicProbing:
-      if (parallel) {
-        return TopKBasicProbingParallel(*rp_, *products_, *cost_fn_, k,
-                                        options_.epsilon, options_.threads,
-                                        stats, telemetry, control);
-      }
       return TopKBasicProbing(*rp_, *products_, *cost_fn_, k,
-                              options_.epsilon, stats, telemetry);
+                              options_.epsilon, options_.threads, stats,
+                              telemetry, control);
     case Algorithm::kImprovedProbing:
-      if (fp_ != nullptr) {
-        if (parallel) {
-          return TopKImprovedProbingParallel(*fp_, *products_, *cost_fn_, k,
-                                             options_.epsilon,
-                                             options_.threads, stats,
-                                             telemetry, control);
-        }
-        if (options_.probe_tile) {
-          return TopKImprovedProbingTiled(*fp_, *products_, *cost_fn_, k,
-                                          options_.epsilon, stats, telemetry);
-        }
-        return TopKImprovedProbing(*fp_, *products_, *cost_fn_, k,
-                                   options_.epsilon, stats, telemetry);
-      }
-      if (parallel) {
-        return TopKImprovedProbingParallel(*rp_, *products_, *cost_fn_, k,
-                                           options_.epsilon,
-                                           options_.threads, stats,
-                                           telemetry, control);
-      }
-      return TopKImprovedProbing(*rp_, *products_, *cost_fn_, k,
-                                 options_.epsilon, stats, telemetry);
+      return TopKImprovedProbing(*fp_, *products_, *cost_fn_, k,
+                                 options_.epsilon, options_.threads, stats,
+                                 telemetry, control);
     case Algorithm::kJoin: {
+      // The join has no candidate loop to poll in, so a fired token is
+      // honored once, before any work starts.
+      if (control != nullptr) SKYUP_RETURN_IF_ERROR(control->Check());
       JoinOptions join_options;
       join_options.lower_bound = options_.lower_bound;
       join_options.bound_mode = options_.bound_mode;
@@ -222,20 +186,8 @@ Result<std::vector<UpgradeResult>> UpgradePlanner::TopKWithinSet(
   // A point never strictly dominates itself (or an identical twin), so
   // improved probing against the catalog's own tree yields exactly the
   // "all other members" semantics.
-  if (options.use_flat_index) {
-    const FlatRTree flat = FlatRTree::FromTree(tree.value());
-    if (options.threads != 1) {
-      return TopKImprovedProbingParallel(flat, catalog, cost_fn, k,
-                                         options.epsilon, options.threads);
-    }
-    return TopKImprovedProbing(flat, catalog, cost_fn, k, options.epsilon);
-  }
-  if (options.threads != 1) {
-    return TopKImprovedProbingParallel(tree.value(), catalog, cost_fn, k,
-                                       options.epsilon, options.threads);
-  }
-  return TopKImprovedProbing(tree.value(), catalog, cost_fn, k,
-                             options.epsilon);
+  return TopKImprovedProbing(FlatRTree::FromTree(tree.value()), catalog,
+                             cost_fn, k, options.epsilon, options.threads);
 }
 
 }  // namespace skyup

@@ -55,25 +55,11 @@ struct PlannerOptions {
   /// R-tree fanout used when indexing P and T.
   size_t rtree_fanout = 64;
   /// Worker threads for the probing and brute-force algorithms: 1 (the
-  /// default) runs the sequential implementations, 0 uses one worker per
-  /// hardware thread, any other value exactly that many workers. Results
-  /// are identical across all settings (core/parallel_probing.h); the
-  /// join algorithm is inherently sequential and ignores this.
+  /// default) runs the candidate loop inline on the calling thread, 0 uses
+  /// one worker per hardware thread, any other value exactly that many
+  /// workers. Results are identical across all settings (core/probing.h);
+  /// the join algorithm is inherently sequential and ignores this.
   size_t threads = 1;
-  /// If true (the default), the planner also builds an immutable flat
-  /// arena snapshot of the competitor R-tree (rtree/flat_rtree.h) and
-  /// routes improved probing — sequential and parallel — through the
-  /// batched SoA traversal. Results are bit-identical either way; turn it
-  /// off to force the pointer-tree scalar baseline (ablation, or when the
-  /// snapshot's extra memory matters).
-  bool use_flat_index = true;
-  /// If true, sequential improved probing over the flat snapshot groups
-  /// candidates into tiles of `kMaxDominanceTile` and computes each tile's
-  /// dominator skylines with one shared traversal
-  /// (`TopKImprovedProbingTiled`) — the offline counterpart of the serving
-  /// layer's grouped execution. Same results; requires `use_flat_index`
-  /// and `threads == 1` (the parallel engine shards candidates itself).
-  bool probe_tile = false;
   /// If true, `Create` rejects cost functions that fail a randomized
   /// monotonicity check over the data's bounding box.
   bool validate_monotonicity = false;
@@ -109,9 +95,10 @@ class UpgradePlanner {
   /// `telemetry` non-null the engines additionally collect per-phase wall
   /// times and latency histograms (obs/phase_timings.h) — leave it null on
   /// hot paths that do not need them. With `control` non-null the query is
-  /// cancellable: the parallel engines poll it at shard boundaries; the
-  /// sequential/join paths check it once up front (their per-query latency
-  /// is bounded by construction, so mid-flight polling buys nothing).
+  /// cancellable: the probing and brute-force algorithms poll it mid-query
+  /// at every thread count, so a deadline fires within one tile (at most
+  /// `kMaxDominanceTile` = 64 candidates); the join checks it once up
+  /// front.
   Result<std::vector<UpgradeResult>> TopK(
       size_t k, Algorithm algorithm, ExecStats* stats = nullptr,
       QueryTelemetry* telemetry = nullptr,
@@ -136,8 +123,8 @@ class UpgradePlanner {
   const Dataset& products() const { return *products_; }
   const RTree& competitors_tree() const { return *rp_; }
   const RTree& products_tree() const { return *rt_; }
-  /// Flat snapshot of the competitor tree; null when
-  /// `PlannerOptions::use_flat_index` is false.
+  /// Flat snapshot of the competitor tree (rtree/flat_rtree.h); improved
+  /// probing runs on it. Never null.
   const FlatRTree* competitors_flat() const { return fp_.get(); }
   const ProductCostFunction& cost_function() const { return *cost_fn_; }
   const PlannerOptions& options() const { return options_; }

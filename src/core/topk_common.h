@@ -1,13 +1,15 @@
 #ifndef SKYUP_CORE_TOPK_COMMON_H_
 #define SKYUP_CORE_TOPK_COMMON_H_
 
-// Internal building blocks shared by the sequential (core/probing.cc) and
-// parallel (core/parallel_probing.cc) top-k entry points: the canonical
-// (cost, product id) result order, the bounded top-k collector, and the
-// common argument validation. One definition of each, so result ordering
-// and error diagnostics can never drift between the code paths.
+// Internal building blocks shared by the offline top-k engine
+// (core/probing.cc), the join (core/join.cc) and the serving engine
+// (serve/shard/shard_query.cc): the canonical (cost, product id) result
+// order, the bounded top-k collector, and the common argument validation.
+// One definition of each, so result ordering and error diagnostics can
+// never drift between the code paths.
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <string>
@@ -94,8 +96,15 @@ class TopKCollector {
   std::priority_queue<Item> heap_;
 };
 
-/// Query-shape validation shared by every top-k entry point — batch,
-/// parallel, and the serving engine (serve/shard/shard_query.cc) — so all
+/// The upgrade step ε of Algorithm 1 must be a finite positive number: NaN
+/// breaks every comparison in the upgrade, and infinity moves upgraded
+/// coordinates to -inf.
+inline bool IsValidEpsilon(double epsilon) {
+  return std::isfinite(epsilon) && epsilon > 0.0;
+}
+
+/// Query-shape validation shared by every top-k entry point — offline
+/// and the serving engine (serve/shard/shard_query.cc) — so all
 /// of them reject bad k/epsilon/cost-function input with identical
 /// diagnostics.
 /// `dims` is the dimensionality of the data the query runs against.
@@ -103,8 +112,8 @@ inline Status ValidateTopKQueryShape(size_t dims,
                                      const ProductCostFunction& cost_fn,
                                      size_t k, double epsilon) {
   if (k == 0) return Status::InvalidArgument("k must be at least 1");
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (!IsValidEpsilon(epsilon)) {
+    return Status::InvalidArgument("epsilon must be finite and positive");
   }
   if (cost_fn.dims() != dims) {
     return Status::InvalidArgument(

@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/topk_common.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "rtree/mbr.h"
@@ -56,8 +57,9 @@ Result<std::unique_ptr<Server>> Server::Create(ProductCostFunction cost_fn,
   if (options.max_pending < 1) {
     return Status::InvalidArgument("max_pending must be >= 1");
   }
-  if (options.default_epsilon <= 0.0) {
-    return Status::InvalidArgument("default_epsilon must be positive");
+  if (!IsValidEpsilon(options.default_epsilon)) {
+    return Status::InvalidArgument(
+        "default_epsilon must be finite and positive");
   }
   if (options.rebuild_threshold_ops < 1) {
     return Status::InvalidArgument("rebuild_threshold_ops must be >= 1");

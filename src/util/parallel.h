@@ -9,7 +9,7 @@
 // crosses threads without a capability changing hands — Clang Thread
 // Safety Analysis cannot follow the spawn/join handoff, so a `body` that
 // touches guarded state must acquire the guarding lock *inside* the
-// lambda (as core/parallel_probing.cc does for its stop status). The
+// lambda (as core/probing.cc does for its stop status). The
 // join in ParallelFor is still the happens-before edge that lets callers
 // read the workers' results unlocked afterwards.
 

@@ -146,7 +146,6 @@ TEST(CliTest, TopKStatsFlagPrintsCounters) {
                         "--algorithm=improved", "--stats"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("# stats: kernel="), std::string::npos) << r.out;
-  EXPECT_NE(r.out.find("flat_index=on"), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("heap_pops="), std::string::npos) << r.out;
   EXPECT_NE(r.out.find("block_kernel_calls="), std::string::npos) << r.out;
 
@@ -157,17 +156,6 @@ TEST(CliTest, TopKStatsFlagPrintsCounters) {
   ASSERT_EQ(quiet.code, 0) << quiet.err;
   EXPECT_EQ(quiet.out.find("# stats:"), std::string::npos) << quiet.out;
 
-  // --flat-index=off runs the pointer-tree scalar path: zero kernel calls,
-  // identical result rows.
-  CliResult off = RunCli({"topk", "--competitors=" + p_path,
-                          "--products=" + t_path, "--k=3",
-                          "--algorithm=improved", "--flat-index=off",
-                          "--stats"});
-  ASSERT_EQ(off.code, 0) << off.err;
-  EXPECT_NE(off.out.find("flat_index=off"), std::string::npos) << off.out;
-  EXPECT_NE(off.out.find("block_kernel_calls=0"), std::string::npos)
-      << off.out;
-
   // JSON output must stay pure JSON; counters go to the diagnostic stream.
   CliResult json = RunCli({"topk", "--competitors=" + p_path,
                            "--products=" + t_path, "--k=3",
@@ -176,10 +164,6 @@ TEST(CliTest, TopKStatsFlagPrintsCounters) {
   ASSERT_EQ(json.code, 0) << json.err;
   EXPECT_EQ(json.out.find("# stats:"), std::string::npos) << json.out;
   EXPECT_NE(json.err.find("# stats:"), std::string::npos) << json.err;
-
-  CliResult bad = RunCli({"topk", "--competitors=" + p_path,
-                          "--products=" + t_path, "--flat-index=maybe"});
-  EXPECT_EQ(bad.code, 2);
 
   std::remove(p_path.c_str());
   std::remove(t_path.c_str());
@@ -274,6 +258,41 @@ TEST(CliTest, TopKRejectsMismatchedDims) {
   EXPECT_EQ(r.code, 1);
   std::remove(p_path.c_str());
   std::remove(t_path.c_str());
+}
+
+// NaN or infinite epsilon is a malformed flag: NaN used to abort inside
+// Algorithm 1 and infinity produced negative costs.
+TEST(CliTest, TopKRejectsNonFiniteEpsilon) {
+  const std::string p_path = TempPath("Peps.csv");
+  const std::string t_path = TempPath("Teps.csv");
+  WriteFile(p_path, "0.1,0.5\n0.5,0.1\n0.3,0.3\n");
+  WriteFile(t_path, "0.6,0.6\n2.0,2.0\n");
+  for (const char* epsilon : {"nan", "inf", "-inf", "0"}) {
+    CliResult r = RunCli({"topk", "--competitors=" + p_path,
+                          "--products=" + t_path, "--k=2",
+                          "--algorithm=improved",
+                          std::string("--epsilon=") + epsilon});
+    EXPECT_EQ(r.code, 2) << epsilon << ": " << r.err;
+    EXPECT_NE(r.err.find("malformed numeric flag"), std::string::npos)
+        << epsilon << ": " << r.err;
+  }
+  std::remove(p_path.c_str());
+  std::remove(t_path.c_str());
+}
+
+TEST(CliTest, ServeRejectsNonFiniteEpsilon) {
+  const std::string ops_path = TempPath("ops_eps.csv");
+  CliResult gen = RunCli({"serve", "--gen-ops=" + ops_path, "--ops=50",
+                          "--dims=2", "--seed=3"});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  for (const char* epsilon : {"nan", "inf"}) {
+    CliResult r = RunCli({"serve", "--replay=" + ops_path,
+                          std::string("--epsilon=") + epsilon});
+    EXPECT_EQ(r.code, 2) << epsilon << ": " << r.err;
+    EXPECT_NE(r.err.find("malformed numeric flag"), std::string::npos)
+        << epsilon << ": " << r.err;
+  }
+  std::remove(ops_path.c_str());
 }
 
 TEST(CliTest, ServeShardsMustBePositive) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/dominance.h"
-#include "core/parallel_probing.h"
 #include "core/planner.h"
 #include "core/probing.h"
 #include "data/generator.h"
@@ -577,7 +576,7 @@ TEST(FlatTopKTest, ImprovedProbingBitIdenticalAtEveryThreadCount) {
 
       ExecStats seq_stats;
       Result<std::vector<UpgradeResult>> flat_seq =
-          TopKImprovedProbing(flat, products, cost_fn, k, 1e-6, &seq_stats);
+          TopKImprovedProbing(flat, products, cost_fn, k, 1e-6, 1, &seq_stats);
       ASSERT_TRUE(flat_seq.ok());
       ExpectBitIdentical(flat_seq.value(), expect.value(),
                          "flat-seq dims=" + std::to_string(dims) +
@@ -586,9 +585,8 @@ TEST(FlatTopKTest, ImprovedProbingBitIdenticalAtEveryThreadCount) {
 
       for (size_t threads : {1u, 2u, 7u, 0u}) {
         ExecStats par_stats;
-        Result<std::vector<UpgradeResult>> flat_par =
-            TopKImprovedProbingParallel(flat, products, cost_fn, k, 1e-6,
-                                        threads, &par_stats);
+        Result<std::vector<UpgradeResult>> flat_par = TopKImprovedProbing(
+            flat, products, cost_fn, k, 1e-6, threads, &par_stats);
         ASSERT_TRUE(flat_par.ok());
         ExpectBitIdentical(flat_par.value(), expect.value(),
                            "flat-par dims=" + std::to_string(dims) +
@@ -636,7 +634,7 @@ TEST(FlatTopKTest, ProductAppendAfterBulkLoadKeepsQueriesValid) {
   Result<FlatRTree> flat = FlatRTree::BulkLoad(competitors);
   ASSERT_TRUE(flat.ok());
 
-  Result<std::vector<UpgradeResult>> before = TopKImprovedProbingParallel(
+  Result<std::vector<UpgradeResult>> before = TopKImprovedProbing(
       *flat, products, cost_fn, 5, 1e-6, 2, nullptr);
   ASSERT_TRUE(before.ok());
 
@@ -645,7 +643,7 @@ TEST(FlatTopKTest, ProductAppendAfterBulkLoadKeepsQueriesValid) {
   for (int i = 0; i < 100; ++i) {
     products.Add(products.data(static_cast<PointId>(i % products.size())));
   }
-  Result<std::vector<UpgradeResult>> after = TopKImprovedProbingParallel(
+  Result<std::vector<UpgradeResult>> after = TopKImprovedProbing(
       *flat, products, cost_fn, 5, 1e-6, 2, nullptr);
   ASSERT_TRUE(after.ok());
 
@@ -656,37 +654,6 @@ TEST(FlatTopKTest, ProductAppendAfterBulkLoadKeepsQueriesValid) {
   for (size_t i = 0; i < before->size(); ++i) {
     EXPECT_EQ((*after)[i].cost, (*before)[i].cost) << "rank " << i;
   }
-}
-
-TEST(FlatTopKTest, PlannerFlatToggleChangesPathNotResults) {
-  const Dataset competitors =
-      MakeData(400, 3, Distribution::kAntiCorrelated, 3);
-  const Dataset products = MakeData(50, 3, Distribution::kIndependent, 4);
-  const ProductCostFunction cost_fn =
-      ProductCostFunction::ReciprocalSum(3, 1e-3);
-
-  PlannerOptions flat_options;
-  ASSERT_TRUE(flat_options.use_flat_index);  // documented default
-  PlannerOptions pointer_options;
-  pointer_options.use_flat_index = false;
-
-  Result<UpgradePlanner> flat_planner =
-      UpgradePlanner::Create(competitors, products, cost_fn, flat_options);
-  Result<UpgradePlanner> pointer_planner =
-      UpgradePlanner::Create(competitors, products, cost_fn, pointer_options);
-  ASSERT_TRUE(flat_planner.ok() && pointer_planner.ok());
-  EXPECT_NE(flat_planner.value().competitors_flat(), nullptr);
-  EXPECT_EQ(pointer_planner.value().competitors_flat(), nullptr);
-
-  ExecStats flat_stats, pointer_stats;
-  Result<std::vector<UpgradeResult>> a = flat_planner.value().TopK(
-      8, Algorithm::kImprovedProbing, &flat_stats);
-  Result<std::vector<UpgradeResult>> b = pointer_planner.value().TopK(
-      8, Algorithm::kImprovedProbing, &pointer_stats);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ExpectBitIdentical(a.value(), b.value(), "planner toggle");
-  EXPECT_GT(flat_stats.block_kernel_calls, 0u);
-  EXPECT_EQ(pointer_stats.block_kernel_calls, 0u);
 }
 
 }  // namespace

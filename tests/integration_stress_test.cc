@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/dominance.h"
-#include "core/parallel_probing.h"
 #include "core/planner.h"
 #include "data/cost_fitting.h"
 #include "data/generator.h"
@@ -116,9 +115,8 @@ TEST(IntegrationStressTest, AllSurfacesAgreeOnRandomWorkloads) {
 
     // Parallel probing matches sequential id-for-id.
     Result<std::vector<UpgradeResult>> parallel =
-        TopKImprovedProbingParallel(planner->competitors_tree(),
-                                    planner->products(),
-                                    planner->cost_function(), k, 1e-6, 3);
+        TopKImprovedProbing(planner->competitors_tree(), planner->products(),
+                            planner->cost_function(), k, 1e-6, 3);
     ASSERT_TRUE(parallel.ok());
     Result<std::vector<UpgradeResult>> sequential =
         planner->TopK(k, Algorithm::kImprovedProbing);

@@ -1,8 +1,8 @@
-// Tests for the sharded parallel query engine (util/parallel.h +
-// core/parallel_probing.cc): the ParallelFor primitive, the shared CAS-min
-// threshold, field-complete ExecStats merging, validation parity with the
-// sequential entry points, and exact-result determinism on tie-heavy data
-// across thread counts.
+// Tests for the sharded top-k candidate loop (util/parallel.h +
+// core/probing.cc): the ParallelFor primitive, the shared CAS-min
+// threshold, field-complete ExecStats merging, validation parity between
+// one and several threads, cancellation at every thread count, and
+// exact-result determinism on tie-heavy data across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -10,14 +10,16 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/parallel_probing.h"
 #include "core/planner.h"
 #include "core/probing.h"
 #include "core/topk_common.h"
 #include "data/generator.h"
+#include "rtree/flat_rtree.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
@@ -242,9 +244,8 @@ TEST(ParallelEngineTest, TieHeavyImprovedProbingIsDeterministic) {
 
     for (size_t threads : ThreadSweep()) {
       ExecStats stats;
-      Result<std::vector<UpgradeResult>> parallel =
-          TopKImprovedProbingParallel(tree.value(), products, fx.cost_fn, 20,
-                                      1e-6, threads, &stats);
+      Result<std::vector<UpgradeResult>> parallel = TopKImprovedProbing(
+          tree.value(), products, fx.cost_fn, 20, 1e-6, threads, &stats);
       ASSERT_TRUE(parallel.ok());
       ExpectBitIdentical(*sequential, *parallel,
                          "improved threads=" + std::to_string(threads));
@@ -267,7 +268,7 @@ TEST(ParallelEngineTest, BasicProbingParallelMatchesSequential) {
   ASSERT_TRUE(sequential.ok());
   for (size_t threads : ThreadSweep()) {
     ExecStats stats;
-    Result<std::vector<UpgradeResult>> parallel = TopKBasicProbingParallel(
+    Result<std::vector<UpgradeResult>> parallel = TopKBasicProbing(
         tree.value(), fx.products, fx.cost_fn, 12, 1e-6, threads, &stats);
     ASSERT_TRUE(parallel.ok());
     ExpectBitIdentical(*sequential, *parallel,
@@ -284,7 +285,7 @@ TEST(ParallelEngineTest, BruteForceParallelMatchesSequential) {
   ASSERT_TRUE(sequential.ok());
   for (size_t threads : ThreadSweep()) {
     ExecStats stats;
-    Result<std::vector<UpgradeResult>> parallel = TopKBruteForceParallel(
+    Result<std::vector<UpgradeResult>> parallel = TopKBruteForce(
         fx.competitors, fx.products, fx.cost_fn, 9, 1e-6, threads, &stats);
     ASSERT_TRUE(parallel.ok());
     ExpectBitIdentical(*sequential, *parallel,
@@ -330,7 +331,7 @@ TEST(ParallelEngineTest, PruningFiresOnMixedCatalog) {
   ASSERT_TRUE(sequential.ok());
   for (size_t threads : ThreadSweep()) {
     ExecStats stats;
-    Result<std::vector<UpgradeResult>> parallel = TopKImprovedProbingParallel(
+    Result<std::vector<UpgradeResult>> parallel = TopKImprovedProbing(
         tree.value(), products, cost_fn, 5, 1e-6, threads, &stats);
     ASSERT_TRUE(parallel.ok());
     ExpectBitIdentical(*sequential, *parallel,
@@ -343,8 +344,8 @@ TEST(ParallelEngineTest, PruningFiresOnMixedCatalog) {
   }
 }
 
-// Sequential and parallel entry points must reject bad input with the
-// exact same diagnostics (shared ValidateTopKArgs).
+// One and several worker threads must reject bad input with the exact
+// same diagnostics (shared ValidateTopKArgs).
 TEST(ParallelEngineTest, ValidationMatchesSequentialDiagnostics) {
   Fixture fx = Make(100, 10, 2, Distribution::kIndependent, 21);
   Result<RTree> tree = RTree::BulkLoad(fx.competitors);
@@ -358,18 +359,30 @@ TEST(ParallelEngineTest, ValidationMatchesSequentialDiagnostics) {
     Result<std::vector<UpgradeResult>> sequential;
     Result<std::vector<UpgradeResult>> parallel;
   };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   Case cases[] = {
       {"k=0", TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 0),
-       TopKImprovedProbingParallel(tree.value(), fx.products, fx.cost_fn, 0)},
+       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 0, 1e-6,
+                           4)},
       {"epsilon<0",
        TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 1, -1.0),
-       TopKImprovedProbingParallel(tree.value(), fx.products, fx.cost_fn, 1,
-                                   -1.0)},
+       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 1, -1.0,
+                           4)},
+      {"epsilon=nan",
+       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 1, nan),
+       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 1, nan,
+                           4)},
+      {"epsilon=inf",
+       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 1, inf),
+       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 1, inf,
+                           4)},
       {"empty T", TopKImprovedProbing(tree.value(), empty, fx.cost_fn, 1),
-       TopKImprovedProbingParallel(tree.value(), empty, fx.cost_fn, 1)},
+       TopKImprovedProbing(tree.value(), empty, fx.cost_fn, 1, 1e-6, 4)},
       {"dims mismatch",
        TopKImprovedProbing(tree.value(), wrong_dims, fx.cost_fn, 1),
-       TopKImprovedProbingParallel(tree.value(), wrong_dims, fx.cost_fn, 1)},
+       TopKImprovedProbing(tree.value(), wrong_dims, fx.cost_fn, 1, 1e-6,
+                           4)},
   };
   for (Case& c : cases) {
     EXPECT_FALSE(c.sequential.ok()) << c.name;
@@ -381,30 +394,53 @@ TEST(ParallelEngineTest, ValidationMatchesSequentialDiagnostics) {
   }
 }
 
+// Runs every probing entry point (brute force, basic, improved on both
+// indexes) at `threads` under `control` and returns their statuses.
+std::vector<std::pair<std::string, Status>> RunAllProbing(
+    const Fixture& fx, size_t threads, const QueryControl* control) {
+  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  EXPECT_TRUE(tree.ok());
+  const FlatRTree flat = FlatRTree::FromTree(tree.value());
+  return {
+      {"brute", TopKBruteForce(fx.competitors, fx.products, fx.cost_fn, 5,
+                               1e-6, threads, nullptr, nullptr, control)
+                    .status()},
+      {"basic", TopKBasicProbing(tree.value(), fx.products, fx.cost_fn, 5,
+                                 1e-6, threads, nullptr, nullptr, control)
+                    .status()},
+      {"improved", TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn,
+                                       5, 1e-6, threads, nullptr, nullptr,
+                                       control)
+                       .status()},
+      {"improved-flat",
+       TopKImprovedProbing(flat, fx.products, fx.cost_fn, 5, 1e-6, threads,
+                           nullptr, nullptr, control)
+           .status()},
+  };
+}
+
 TEST(QueryControlTest, PreCancelledQueryUnwindsWithCancelled) {
   Fixture fx = Make(400, 80, 3, Distribution::kAntiCorrelated, 91);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
-  ASSERT_TRUE(tree.ok());
   QueryControl control;
   control.Cancel();
-  Result<std::vector<UpgradeResult>> top = TopKImprovedProbingParallel(
-      tree.value(), fx.products, fx.cost_fn, 5, 1e-6, 4, nullptr, nullptr,
-      &control);
-  ASSERT_FALSE(top.ok());
-  EXPECT_EQ(top.status().code(), StatusCode::kCancelled);
+  for (size_t threads : {1u, 4u}) {
+    for (const auto& [name, status] : RunAllProbing(fx, threads, &control)) {
+      EXPECT_EQ(status.code(), StatusCode::kCancelled)
+          << name << " threads=" << threads;
+    }
+  }
 }
 
 TEST(QueryControlTest, ExpiredDeadlineUnwindsWithDeadlineExceeded) {
   Fixture fx = Make(400, 80, 3, Distribution::kAntiCorrelated, 92);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
-  ASSERT_TRUE(tree.ok());
   QueryControl control;
   control.SetDeadline(SteadyClock::now() - std::chrono::milliseconds(1));
-  Result<std::vector<UpgradeResult>> top = TopKImprovedProbingParallel(
-      tree.value(), fx.products, fx.cost_fn, 5, 1e-6, 4, nullptr, nullptr,
-      &control);
-  ASSERT_FALSE(top.ok());
-  EXPECT_EQ(top.status().code(), StatusCode::kDeadlineExceeded);
+  for (size_t threads : {1u, 4u}) {
+    for (const auto& [name, status] : RunAllProbing(fx, threads, &control)) {
+      EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+          << name << " threads=" << threads;
+    }
+  }
 }
 
 TEST(QueryControlTest, CancellationWinsWhenBothFired) {
@@ -423,9 +459,9 @@ TEST(QueryControlTest, UnfiredControlLeavesResultsBitIdentical) {
   QueryControl control;
   control.SetDeadline(SteadyClock::now() + std::chrono::hours(1));
   for (size_t threads : ThreadSweep()) {
-    Result<std::vector<UpgradeResult>> plain = TopKImprovedProbingParallel(
+    Result<std::vector<UpgradeResult>> plain = TopKImprovedProbing(
         tree.value(), fx.products, fx.cost_fn, 7, 1e-6, threads);
-    Result<std::vector<UpgradeResult>> tracked = TopKImprovedProbingParallel(
+    Result<std::vector<UpgradeResult>> tracked = TopKImprovedProbing(
         tree.value(), fx.products, fx.cost_fn, 7, 1e-6, threads, nullptr,
         nullptr, &control);
     ASSERT_TRUE(plain.ok() && tracked.ok());
@@ -444,7 +480,7 @@ TEST(QueryControlTest, StatsStayConsistentOnEarlyUnwind) {
   QueryControl control;
   control.Cancel();
   ExecStats stats;
-  Result<std::vector<UpgradeResult>> top = TopKImprovedProbingParallel(
+  Result<std::vector<UpgradeResult>> top = TopKImprovedProbing(
       tree.value(), fx.products, fx.cost_fn, 5, 1e-6, 4, &stats, nullptr,
       &control);
   ASSERT_FALSE(top.ok());
@@ -459,11 +495,38 @@ TEST(QueryControlTest, PlannerChecksControlUpFront) {
   ASSERT_TRUE(planner.ok());
   QueryControl control;
   control.Cancel();
-  // Sequential algorithms check once before running.
+  // The join checks once before running.
   Result<std::vector<UpgradeResult>> top = planner->TopK(
       3, Algorithm::kJoin, nullptr, nullptr, &control);
   ASSERT_FALSE(top.ok());
   EXPECT_EQ(top.status().code(), StatusCode::kCancelled);
+}
+
+// Probing polls mid-query at one thread too: a 1 ms budget on a query
+// that takes far longer fires after the first tile instead of running to
+// completion.
+TEST(QueryControlTest, PlannerDeadlineFiresMidQueryAtOneThread) {
+  Result<Dataset> p =
+      GenerateCompetitors(20000, 3, Distribution::kAntiCorrelated, 96);
+  Result<Dataset> t =
+      GenerateProducts(200, 3, Distribution::kAntiCorrelated, 97);
+  ASSERT_TRUE(p.ok() && t.ok());
+  PlannerOptions options;
+  ASSERT_EQ(options.threads, 1u);
+  Result<UpgradePlanner> planner = UpgradePlanner::Create(
+      std::move(p).value(), std::move(t).value(),
+      ProductCostFunction::ReciprocalSum(3, 1e-3), options);
+  ASSERT_TRUE(planner.ok());
+  QueryControl control;
+  control.SetTimeout(1e-3);
+  ExecStats stats;
+  Result<std::vector<UpgradeResult>> top = planner->TopK(
+      10, Algorithm::kImprovedProbing, &stats, nullptr, &control);
+  ASSERT_FALSE(top.ok());
+  EXPECT_EQ(top.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(stats.products_processed, 200u);
+  EXPECT_EQ(stats.upgrade_calls + stats.candidates_pruned,
+            stats.products_processed);
 }
 
 }  // namespace

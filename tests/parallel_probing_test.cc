@@ -1,10 +1,13 @@
-#include "core/parallel_probing.h"
+// Multi-threaded improved probing on the pointer tree: the one candidate
+// loop (core/probing.cc) must return the single-thread answer at every
+// worker count.
+
+#include "core/probing.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/probing.h"
 #include "data/generator.h"
 
 namespace skyup {
@@ -38,8 +41,8 @@ TEST(ParallelProbingTest, MatchesSequentialExactly) {
 
     for (size_t threads : {1, 2, 4, 7}) {
       Result<std::vector<UpgradeResult>> parallel =
-          TopKImprovedProbingParallel(tree.value(), fx.products, fx.cost_fn,
-                                      15, 1e-6, threads);
+          TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 15,
+                              1e-6, threads);
       ASSERT_TRUE(parallel.ok());
       ASSERT_EQ(parallel->size(), sequential->size()) << threads;
       for (size_t i = 0; i < sequential->size(); ++i) {
@@ -56,7 +59,7 @@ TEST(ParallelProbingTest, MoreThreadsThanProducts) {
   Fixture fx = Make(200, 3, 2, Distribution::kIndependent, 7);
   Result<RTree> tree = RTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
-  Result<std::vector<UpgradeResult>> r = TopKImprovedProbingParallel(
+  Result<std::vector<UpgradeResult>> r = TopKImprovedProbing(
       tree.value(), fx.products, fx.cost_fn, 3, 1e-6, /*threads=*/64);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 3u);
@@ -67,7 +70,7 @@ TEST(ParallelProbingTest, DefaultThreadCount) {
   Result<RTree> tree = RTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   ExecStats stats;
-  Result<std::vector<UpgradeResult>> r = TopKImprovedProbingParallel(
+  Result<std::vector<UpgradeResult>> r = TopKImprovedProbing(
       tree.value(), fx.products, fx.cost_fn, 5, 1e-6, /*threads=*/0, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 5u);
@@ -86,7 +89,7 @@ TEST(ParallelProbingTest, ShardTruncationKeepsGlobalOptimum) {
   ASSERT_TRUE(tree.ok());
   Result<std::vector<UpgradeResult>> sequential =
       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 8);
-  Result<std::vector<UpgradeResult>> parallel = TopKImprovedProbingParallel(
+  Result<std::vector<UpgradeResult>> parallel = TopKImprovedProbing(
       tree.value(), fx.products, fx.cost_fn, 8, 1e-6, 3);
   ASSERT_TRUE(sequential.ok() && parallel.ok());
   ASSERT_EQ(parallel->size(), 8u);
@@ -100,15 +103,13 @@ TEST(ParallelProbingTest, RejectsInvalidArguments) {
   Fixture fx = Make(100, 10, 2, Distribution::kIndependent, 10);
   Result<RTree> tree = RTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
-  EXPECT_FALSE(TopKImprovedProbingParallel(tree.value(), fx.products,
-                                           fx.cost_fn, 0)
-                   .ok());
-  EXPECT_FALSE(TopKImprovedProbingParallel(tree.value(), fx.products,
-                                           fx.cost_fn, 1, -1.0)
+  EXPECT_FALSE(
+      TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 0).ok());
+  EXPECT_FALSE(TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 1,
+                                   -1.0)
                    .ok());
   Dataset empty(2);
-  EXPECT_FALSE(
-      TopKImprovedProbingParallel(tree.value(), empty, fx.cost_fn, 1).ok());
+  EXPECT_FALSE(TopKImprovedProbing(tree.value(), empty, fx.cost_fn, 1).ok());
 }
 
 }  // namespace

@@ -40,8 +40,8 @@ TEST(ProbingTest, UndominatedProductCostsZeroAndRanksFirst) {
 
   for (auto algo : {&TopKBasicProbing, &TopKImprovedProbing}) {
     Result<std::vector<UpgradeResult>> top =
-        (*algo)(rp.value(), fx.products, fx.cost_fn, 3, 1e-6, nullptr,
-                nullptr);
+        (*algo)(rp.value(), fx.products, fx.cost_fn, 3, 1e-6, 1, nullptr,
+                nullptr, nullptr);
     ASSERT_TRUE(top.ok()) << top.status().ToString();
     ASSERT_EQ(top->size(), 3u);
     EXPECT_EQ((*top)[0].product_id, 1);
@@ -164,9 +164,9 @@ TEST(ProbingTest, StatsShowImprovedFetchesFewerDominators) {
 
   ExecStats basic_stats, improved_stats;
   ASSERT_TRUE(
-      TopKBasicProbing(rp.value(), *t, f, 5, 1e-6, &basic_stats).ok());
+      TopKBasicProbing(rp.value(), *t, f, 5, 1e-6, 1, &basic_stats).ok());
   ASSERT_TRUE(
-      TopKImprovedProbing(rp.value(), *t, f, 5, 1e-6, &improved_stats).ok());
+      TopKImprovedProbing(rp.value(), *t, f, 5, 1e-6, 1, &improved_stats).ok());
   // Products in (1,2]^2 are dominated by nearly all 3000 competitors; the
   // improved probe only materializes the dominator *skyline*.
   EXPECT_GT(basic_stats.dominators_fetched,

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -138,6 +139,13 @@ TEST(ServerTest, CreateValidatesOptions) {
   EXPECT_FALSE(Server::Create(ProductCostFunction::ReciprocalSum(2, 1e-3),
                               bad)
                    .ok());
+  // The default epsilon must be finite and positive.
+  for (double epsilon : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    bad = SmallOptions();
+    bad.default_epsilon = epsilon;
+    EXPECT_FALSE(MakeServer(bad).ok()) << epsilon;
+  }
 }
 
 TEST(ServerTest, InlineQueryReturnsRankedStableIds) {

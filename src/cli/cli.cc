@@ -496,18 +496,10 @@ int CmdTopK(const Flags& flags, std::ostream& out, std::ostream& err) {
       // Comment lines keep text/csv output parseable; JSON cannot carry
       // comments, so there the counters go to the diagnostic stream.
       std::ostream& s = (*format == ReportFormat::kJson) ? err : out;
-      s << "# stats: kernel=" << BatchKernelName() << "\n"
-        << "# stats: products_processed=" << stats.products_processed
-        << " candidates_pruned=" << stats.candidates_pruned
-        << " upgrade_calls=" << stats.upgrade_calls << "\n"
-        << "# stats: heap_pops=" << stats.heap_pops
-        << " nodes_visited=" << stats.nodes_visited
-        << " points_scanned=" << stats.points_scanned
-        << " block_kernel_calls=" << stats.block_kernel_calls << "\n"
-        << "# stats: dominators_fetched=" << stats.dominators_fetched
-        << " skyline_points_total=" << stats.skyline_points_total
-        << " lbc_evaluations=" << stats.lbc_evaluations
-        << " threshold_updates=" << stats.threshold_updates << "\n";
+      s << "# stats: kernel=" << BatchKernelName() << "\n";
+      for (const auto& field : kExecStatsFields) {
+        s << "# stats: " << field.name << '=' << stats.*field.member << "\n";
+      }
     }
     if (profile) WriteProfile(telemetry, wall_seconds, err);
     if (metrics_path.has_value()) {
@@ -606,10 +598,7 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   // Counters for the report footer/JSON; filled from the in-process
   // server's stats, or from the remote tenant's `stats` over the wire.
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-  uint64_t batches_executed = 0;
-  uint64_t batched_queries = 0;
+  ServeStats stats;
   Result<LoadGenReport> report = Status::Internal("load-gen never ran");
 
   ServerOptions options;
@@ -658,11 +647,11 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
       for (const auto& [key, value] : *remote) {
         const auto parsed = ToInt(value);
         if (!parsed) continue;
-        const uint64_t v = static_cast<uint64_t>(*parsed);
-        if (key == "memo_hits") memo_hits = v;
-        if (key == "memo_misses") memo_misses = v;
-        if (key == "batches_executed") batches_executed = v;
-        if (key == "batched_queries") batched_queries = v;
+        for (const auto& field : kServeStatsFields) {
+          if (key == field.name) {
+            stats.*field.member = static_cast<uint64_t>(*parsed);
+          }
+        }
       }
     }
   } else {
@@ -680,14 +669,10 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
     SignalDumpScope dump_scope(server.get());
     report = RunLoadGen(server.get(), load);
     if (!report.ok()) return Fail(err, report.status());
-    const ServeStats stats = server->stats();
-    memo_hits = stats.memo_hits;
-    memo_misses = stats.memo_misses;
-    batches_executed = stats.batches_executed;
-    batched_queries = stats.batched_queries;
+    stats = server->stats();
   }
 
-  const uint64_t probes = memo_hits + memo_misses;
+  const uint64_t probes = stats.memo_hits + stats.memo_misses;
   err.precision(4);
   err << "# load-gen: " << report->queries_ok << " queries ok ("
       << report->queries_rejected << " rejected, "
@@ -699,9 +684,9 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
       << report->achieved_qps / static_cast<double>(*threads)
       << " qps/core), p50=" << report->latency_p50_seconds * 1e3
       << " ms p99=" << report->latency_p99_seconds * 1e3 << " ms\n"
-      << "# load-gen: memo hits=" << memo_hits << "/" << probes
-      << " batches=" << batches_executed
-      << " batched_queries=" << batched_queries << "\n";
+      << "# load-gen: memo hits=" << stats.memo_hits << "/" << probes
+      << " batches=" << stats.batches_executed
+      << " batched_queries=" << stats.batched_queries << "\n";
 
   std::ostringstream json;
   json.precision(12);
@@ -741,10 +726,10 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
        << ",\n"
        << "  \"latency_max_seconds\": " << report->latency_max_seconds
        << ",\n"
-       << "  \"memo_hits\": " << memo_hits << ",\n"
-       << "  \"memo_misses\": " << memo_misses << ",\n"
-       << "  \"batches_executed\": " << batches_executed << ",\n"
-       << "  \"batched_queries\": " << batched_queries << "\n"
+       << "  \"memo_hits\": " << stats.memo_hits << ",\n"
+       << "  \"memo_misses\": " << stats.memo_misses << ",\n"
+       << "  \"batches_executed\": " << stats.batches_executed << ",\n"
+       << "  \"batched_queries\": " << stats.batched_queries << "\n"
        << "}\n";
   if (out_path.has_value()) {
     std::ofstream file(*out_path);

@@ -93,46 +93,10 @@ void WriteReport(const std::vector<UpgradeResult>& results,
 }
 
 void AddExecStatsMetrics(const ExecStats& stats, MetricsRegistry* registry) {
-  // Tripwire (the ExecStats::MergeFrom pattern): a new ExecStats field
-  // changes the struct size and breaks this assert until the field gets a
-  // registered counter below.
-  static_assert(sizeof(ExecStats) == 14 * sizeof(size_t),
-                "ExecStats gained/lost a field: register it here");
-  auto add = [registry](const char* name, const char* help, size_t value) {
-    registry->AddCounter(name, help)->Increment(value);
-  };
-  add("skyup_products_processed_total", "candidates examined (incl. pruned)",
-      stats.products_processed);
-  add("skyup_dominators_fetched_total", "points retrieved as dominators",
-      stats.dominators_fetched);
-  add("skyup_skyline_points_total", "sum of dominator-skyline sizes",
-      stats.skyline_points_total);
-  add("skyup_upgrade_calls_total", "invocations of Algorithm 1",
-      stats.upgrade_calls);
-  add("skyup_heap_pops_total", "join/BBS priority-queue pops",
-      stats.heap_pops);
-  add("skyup_t_expansions_total", "join: T-side node expansions",
-      stats.t_expansions);
-  add("skyup_p_refinements_total", "join: P-side join-list refinements",
-      stats.p_refinements);
-  add("skyup_lbc_evaluations_total", "pairwise LBC computations",
-      stats.lbc_evaluations);
-  add("skyup_jl_entries_pruned_total",
-      "join-list entries dropped by mutual dominance",
-      stats.jl_entries_pruned);
-  add("skyup_candidates_pruned_total",
-      "candidates skipped by the sound lower-bound prune",
-      stats.candidates_pruned);
-  add("skyup_threshold_updates_total",
-      "successful lowerings of the shared parallel cost threshold",
-      stats.threshold_updates);
-  add("skyup_nodes_visited_total", "index nodes expanded by probe traversals",
-      stats.nodes_visited);
-  add("skyup_points_scanned_total", "leaf points examined by probe traversals",
-      stats.points_scanned);
-  add("skyup_block_kernel_calls_total",
-      "batched SIMD/SoA dominance-kernel invocations",
-      stats.block_kernel_calls);
+  for (const auto& field : kExecStatsFields) {
+    registry->AddCounter(field.metric, field.help)
+        ->Increment(stats.*field.member);
+  }
 }
 
 void AddTelemetryMetrics(const QueryTelemetry& telemetry,
@@ -141,18 +105,9 @@ void AddTelemetryMetrics(const QueryTelemetry& telemetry,
   auto gauge = [registry](const char* name, const char* help, double value) {
     registry->AddGauge(name, help)->Set(value);
   };
-  gauge("skyup_phase_probe_seconds", "index traversal / dominator fetch",
-        total.probe_seconds);
-  gauge("skyup_phase_skyline_seconds", "dominator-skyline reduction",
-        total.skyline_seconds);
-  gauge("skyup_phase_upgrade_seconds", "Algorithm 1 invocations",
-        total.upgrade_seconds);
-  gauge("skyup_phase_prune_seconds", "sound lower-bound evaluations",
-        total.prune_seconds);
-  gauge("skyup_phase_merge_seconds", "shard collect/merge/sort",
-        total.merge_seconds);
-  gauge("skyup_phase_other_seconds", "residual attributed to no phase",
-        total.other_seconds);
+  for (const auto& phase : kPhaseTimingsFields) {
+    gauge(phase.metric, phase.help, total.*phase.member);
+  }
   gauge("skyup_phase_total_seconds", "sum of all attributed phase time",
         total.TotalSeconds());
   gauge("skyup_query_shards", "worker shards the query actually used",
@@ -174,26 +129,14 @@ void WriteProfile(const QueryTelemetry& telemetry, double wall_seconds,
   const auto share = [attributed](double seconds) {
     return attributed > 0.0 ? 100.0 * seconds / attributed : 0.0;
   };
-  const struct {
-    const char* name;
-    double PhaseTimings::* field;
-  } kPhases[] = {
-      {"probe", &PhaseTimings::probe_seconds},
-      {"skyline", &PhaseTimings::skyline_seconds},
-      {"upgrade", &PhaseTimings::upgrade_seconds},
-      {"prune", &PhaseTimings::prune_seconds},
-      {"merge", &PhaseTimings::merge_seconds},
-      {"other", &PhaseTimings::other_seconds},
-  };
-
   out << "phase profile (" << telemetry.phases.per_shard.size()
       << " shard" << (telemetry.phases.per_shard.size() == 1 ? "" : "s")
       << ")\n";
   char line[160];
-  for (const auto& phase : kPhases) {
+  for (const auto& phase : kPhaseTimingsFields) {
     std::snprintf(line, sizeof(line), "  %-8s %12.6f s  %5.1f%%\n",
-                  phase.name, total.*(phase.field),
-                  share(total.*(phase.field)));
+                  phase.name, total.*phase.member,
+                  share(total.*phase.member));
     out << line;
   }
   std::snprintf(line, sizeof(line), "  %-8s %12.6f s\n", "total", attributed);
@@ -206,15 +149,22 @@ void WriteProfile(const QueryTelemetry& telemetry, double wall_seconds,
   }
 
   if (telemetry.phases.per_shard.size() > 1) {
-    out << "per-shard seconds (probe/skyline/upgrade/prune/merge/other)\n";
+    out << "per-shard seconds (";
+    for (const auto& phase : kPhaseTimingsFields) {
+      out << (&phase == kPhaseTimingsFields ? "" : "/") << phase.name;
+    }
+    out << ")\n";
     for (size_t i = 0; i < telemetry.phases.per_shard.size(); ++i) {
       const PhaseTimings& shard = telemetry.phases.per_shard[i];
-      std::snprintf(line, sizeof(line),
-                    "  shard %-3zu %.6f/%.6f/%.6f/%.6f/%.6f/%.6f\n", i,
-                    shard.probe_seconds, shard.skyline_seconds,
-                    shard.upgrade_seconds, shard.prune_seconds,
-                    shard.merge_seconds, shard.other_seconds);
+      std::snprintf(line, sizeof(line), "  shard %-3zu ", i);
       out << line;
+      for (const auto& phase : kPhaseTimingsFields) {
+        std::snprintf(line, sizeof(line), "%s%.6f",
+                      &phase == kPhaseTimingsFields ? "" : "/",
+                      shard.*phase.member);
+        out << line;
+      }
+      out << '\n';
     }
   }
 

@@ -35,11 +35,11 @@ const char* ReportFormatName(ReportFormat format);
 void WriteReport(const std::vector<UpgradeResult>& results,
                  ReportFormat format, std::ostream& out);
 
-/// Registers every `ExecStats` work counter on `registry` as a
-/// `skyup_<field>_total` counter (idempotent names: re-registering
-/// returns the same metric, so repeated queries accumulate). Covers all
-/// 14 fields — a compile-time tripwire in the implementation breaks when
-/// `ExecStats` changes shape without this function following.
+/// Registers every `ExecStats` work counter on `registry` as a counter,
+/// under the metric name and help text of its `SKYUP_EXEC_STATS_FIELDS`
+/// entry (idempotent names: re-registering returns the same metric, so
+/// repeated queries accumulate). Walks `kExecStatsFields`, so a counter
+/// added to the list is exported with no edit here.
 void AddExecStatsMetrics(const ExecStats& stats, MetricsRegistry* registry);
 
 /// Registers one query's phase breakdown (per-phase seconds and shard

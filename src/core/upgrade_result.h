@@ -6,6 +6,7 @@
 
 #include "core/point.h"
 #include "util/check.h"
+#include "util/field_table.h"
 
 namespace skyup {
 
@@ -21,66 +22,76 @@ struct UpgradeResult {
   bool already_competitive = false;
 };
 
+// X(field, metric, help): every ExecStats counter, declared once. The
+// list generates the struct's fields, `kExecStatsFields`, and through
+// them MergeFrom, the metrics export (core/report.h) and `topk --stats`.
+// clang-format off
+#define SKYUP_EXEC_STATS_FIELDS(X)                                      \
+  X(products_processed, "skyup_products_processed_total",               \
+    "candidates examined (incl. pruned)")                               \
+  X(dominators_fetched, "skyup_dominators_fetched_total",               \
+    "points retrieved as dominators")                                   \
+  X(skyline_points_total, "skyup_skyline_points_total",                 \
+    "sum of dominator-skyline sizes")                                   \
+  X(upgrade_calls, "skyup_upgrade_calls_total",                         \
+    "invocations of Algorithm 1")                                       \
+  X(heap_pops, "skyup_heap_pops_total", "join/BBS priority-queue pops") \
+  X(t_expansions, "skyup_t_expansions_total",                           \
+    "join: T-side node expansions")                                     \
+  X(p_refinements, "skyup_p_refinements_total",                         \
+    "join: P-side join-list refinements")                               \
+  X(lbc_evaluations, "skyup_lbc_evaluations_total",                     \
+    "pairwise LBC computations")                                        \
+  /* Alg. 4 lines 25-30 */                                              \
+  X(jl_entries_pruned, "skyup_jl_entries_pruned_total",                 \
+    "join-list entries dropped by mutual dominance")                    \
+  /* no skyline or upgrade work is spent on a pruned candidate */       \
+  X(candidates_pruned, "skyup_candidates_pruned_total",                 \
+    "candidates skipped by the sound lower-bound prune")                \
+  /* CAS wins on the shared AtomicCostThreshold */                      \
+  X(threshold_updates, "skyup_threshold_updates_total",                 \
+    "successful lowerings of the shared parallel cost threshold")       \
+  /* nodes_visited and points_scanned roll up ProbeStats */             \
+  X(nodes_visited, "skyup_nodes_visited_total",                         \
+    "index nodes expanded by probe traversals")                         \
+  X(points_scanned, "skyup_points_scanned_total",                       \
+    "leaf points examined by probe traversals")                         \
+  /* core/dominance_batch.h */                                          \
+  X(block_kernel_calls, "skyup_block_kernel_calls_total",               \
+    "batched SIMD/SoA dominance-kernel invocations")
+// clang-format on
+
 /// Work counters shared by all top-k algorithms; used by tests, the
 /// ablation benches, and for explaining performance differences.
 struct ExecStats {
-  size_t products_processed = 0;   ///< candidates examined (incl. pruned)
-  size_t dominators_fetched = 0;   ///< points retrieved as dominators
-  size_t skyline_points_total = 0; ///< sum of dominator-skyline sizes
-  size_t upgrade_calls = 0;        ///< invocations of Algorithm 1
-  size_t heap_pops = 0;            ///< join/BBS priority-queue pops
-  size_t t_expansions = 0;         ///< join: T-side node expansions
-  size_t p_refinements = 0;        ///< join: P-side join-list refinements
-  size_t lbc_evaluations = 0;      ///< pairwise LBC computations
-  size_t jl_entries_pruned = 0;    ///< join-list entries dropped by mutual
-                                   ///< dominance (Alg. 4 lines 25-30)
-  size_t candidates_pruned = 0;    ///< candidates skipped because a sound
-                                   ///< lower bound exceeded the top-k
-                                   ///< threshold (no skyline/upgrade work)
-  size_t threshold_updates = 0;    ///< successful lowerings of the shared
-                                   ///< parallel cost threshold (CAS wins)
-  size_t nodes_visited = 0;        ///< index nodes expanded by probe
-                                   ///< traversals (ProbeStats roll-up)
-  size_t points_scanned = 0;       ///< leaf points examined by probe
-                                   ///< traversals (ProbeStats roll-up)
-  size_t block_kernel_calls = 0;   ///< batched SIMD/SoA dominance-kernel
-                                   ///< invocations (core/dominance_batch.h)
+#define SKYUP_EXEC_STATS_MEMBER(field, metric, help) size_t field = 0;
+  SKYUP_EXEC_STATS_FIELDS(SKYUP_EXEC_STATS_MEMBER)
+#undef SKYUP_EXEC_STATS_MEMBER
 
   /// Field-wise sum, used wherever per-shard or per-phase counters are
-  /// aggregated into one view. Every field participates.
-  ExecStats& MergeFrom(const ExecStats& other) {
-    // Tripwire: adding a field to ExecStats changes its size, which trips
-    // this assert until the new field is summed below (and the merge test
-    // in tests/parallel_engine_test.cc is taught about it).
-    static_assert(sizeof(ExecStats) == 14 * sizeof(size_t),
-                  "ExecStats gained/lost a field: update MergeFrom");
+  /// aggregated into one view.
+  ExecStats& MergeFrom(const ExecStats& other);
+  ExecStats& operator+=(const ExecStats& other) { return MergeFrom(other); }
+};
+
+inline constexpr FieldSpec<ExecStats, size_t> kExecStatsFields[] = {
+#define SKYUP_EXEC_STATS_ROW(field, metric, help) \
+  {#field, metric, help, &ExecStats::field},
+    SKYUP_EXEC_STATS_FIELDS(SKYUP_EXEC_STATS_ROW)
+#undef SKYUP_EXEC_STATS_ROW
+};
+
+inline ExecStats& ExecStats::MergeFrom(const ExecStats& other) {
+  for (const auto& field : kExecStatsFields) {
     // Counters only ever grow; a merged value below its old one means the
     // unsigned add wrapped (billions of billions of operations — in
     // practice a corrupted shard).
-    auto add = [](size_t* into, size_t delta) {
-      const size_t before = *into;
-      *into += delta;
-      SKYUP_DCHECK(*into >= before) << "ExecStats counter overflow";
-    };
-    add(&products_processed, other.products_processed);
-    add(&dominators_fetched, other.dominators_fetched);
-    add(&skyline_points_total, other.skyline_points_total);
-    add(&upgrade_calls, other.upgrade_calls);
-    add(&heap_pops, other.heap_pops);
-    add(&t_expansions, other.t_expansions);
-    add(&p_refinements, other.p_refinements);
-    add(&lbc_evaluations, other.lbc_evaluations);
-    add(&jl_entries_pruned, other.jl_entries_pruned);
-    add(&candidates_pruned, other.candidates_pruned);
-    add(&threshold_updates, other.threshold_updates);
-    add(&nodes_visited, other.nodes_visited);
-    add(&points_scanned, other.points_scanned);
-    add(&block_kernel_calls, other.block_kernel_calls);
-    return *this;
+    const size_t before = this->*field.member;
+    this->*field.member += other.*field.member;
+    SKYUP_DCHECK(this->*field.member >= before) << "ExecStats counter overflow";
   }
-
-  ExecStats& operator+=(const ExecStats& other) { return MergeFrom(other); }
-};
+  return *this;
+}
 
 }  // namespace skyup
 

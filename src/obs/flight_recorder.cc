@@ -116,26 +116,19 @@ std::string QueryRecordJson(const QueryFlightRecord& record) {
   AppendField(&line, "results", static_cast<uint64_t>(record.results));
   AppendField(&line, "queue_s", record.queue_seconds);
   AppendField(&line, "wall_s", record.wall_seconds);
-  line += ",\"phases\":{\"probe_s\":";
-  AppendNum(&line, record.phases.probe_seconds);
-  line += ",\"skyline_s\":";
-  AppendNum(&line, record.phases.skyline_seconds);
-  line += ",\"upgrade_s\":";
-  AppendNum(&line, record.phases.upgrade_seconds);
-  line += ",\"prune_s\":";
-  AppendNum(&line, record.phases.prune_seconds);
-  line += ",\"merge_s\":";
-  AppendNum(&line, record.phases.merge_seconds);
-  line += ",\"other_s\":";
-  AppendNum(&line, record.phases.other_seconds);
+  line += ",\"phases\":{";
+  for (const auto& phase : kPhaseTimingsFields) {
+    if (&phase != kPhaseTimingsFields) line += ',';
+    line += '"';
+    line += phase.name;
+    line += "_s\":";
+    AppendNum(&line, record.phases.*phase.member);
+  }
   line += '}';
-  AppendField(&line, "candidates_evaluated", record.candidates_evaluated);
-  AppendField(&line, "candidates_pruned", record.candidates_pruned);
-  AppendField(&line, "delta_ops_scanned", record.delta_ops_scanned);
-  AppendField(&line, "cache_hits", record.cache_hits);
-  AppendField(&line, "cache_misses", record.cache_misses);
-  AppendField(&line, "memo_hits", record.memo_hits);
-  AppendField(&line, "memo_misses", record.memo_misses);
+#define SKYUP_FLIGHT_RECORD_JSON(field) \
+  AppendField(&line, #field, record.field);
+  SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_FLIGHT_RECORD_JSON)
+#undef SKYUP_FLIGHT_RECORD_JSON
   AppendField(&line, "shard_count", static_cast<uint64_t>(record.shard_count));
   AppendField(&line, "slowest_shard",
               static_cast<uint64_t>(record.slowest_shard));

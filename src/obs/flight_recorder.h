@@ -38,6 +38,22 @@
 
 namespace skyup {
 
+// X(field): the per-query work counters a flight record keeps, in JSON
+// key order. Each is the `ServeStats` counter of the same name, measured
+// over one query; obs/ may not include serve/, so the list lives here and
+// `Server::Execute` copies it by name (a name that is not a `ServeStats`
+// field fails to compile there).
+// clang-format off
+#define SKYUP_FLIGHT_RECORD_COUNTERS(X) \
+  X(candidates_evaluated)               \
+  X(candidates_pruned)                  \
+  X(delta_ops_scanned)                  \
+  X(cache_hits)                         \
+  X(cache_misses)                       \
+  X(memo_hits)                          \
+  X(memo_misses)
+// clang-format on
+
 /// One completed query, as remembered by the ring.
 struct QueryFlightRecord {
   uint64_t query_id = 0;   ///< admission-assigned id (0 = unattributed)
@@ -51,13 +67,9 @@ struct QueryFlightRecord {
   double queue_seconds = 0;  ///< admission → execution start
   double wall_seconds = 0;   ///< admission → completion
   PhaseTimings phases;       ///< engine phase breakdown (rolled up)
-  uint64_t candidates_evaluated = 0;
-  uint64_t candidates_pruned = 0;
-  uint64_t delta_ops_scanned = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
+#define SKYUP_FLIGHT_RECORD_MEMBER(field) uint64_t field = 0;
+  SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_FLIGHT_RECORD_MEMBER)
+#undef SKYUP_FLIGHT_RECORD_MEMBER
   /// Scatter-gather attribution (all zero for grouped executions):
   /// which shard's worker dominated this query's wall time.
   uint32_t shard_count = 0;

@@ -19,50 +19,73 @@
 
 #include "obs/metrics.h"
 #include "util/check.h"
+#include "util/field_table.h"
 #include "util/timer.h"
 
 namespace skyup {
+
+// X(field, name, metric, help): every engine phase, declared once. `name`
+// labels the phase in `--profile` and, with an `_s` suffix, in flight
+// records. The list generates PhaseTimings' fields and
+// `kPhaseTimingsFields`, and through them MergeFrom, TotalSeconds, the
+// phase gauges and profile rows (core/report.h) and the flight-record
+// `phases` object (obs/flight_recorder.h).
+// clang-format off
+#define SKYUP_PHASE_TIMINGS_FIELDS(X)                          \
+  X(probe_seconds, "probe", "skyup_phase_probe_seconds",       \
+    "index traversal / dominator fetch")                       \
+  X(skyline_seconds, "skyline", "skyup_phase_skyline_seconds", \
+    "dominator-skyline reduction")                             \
+  X(upgrade_seconds, "upgrade", "skyup_phase_upgrade_seconds", \
+    "Algorithm 1 invocations")                                 \
+  X(prune_seconds, "prune", "skyup_phase_prune_seconds",       \
+    "sound lower-bound evaluations")                           \
+  X(merge_seconds, "merge", "skyup_phase_merge_seconds",       \
+    "shard collect/merge/sort")                                \
+  X(other_seconds, "other", "skyup_phase_other_seconds",       \
+    "residual attributed to no phase")
+// clang-format on
 
 /// Wall seconds spent per engine phase. Laps are contiguous (each lap
 /// closes at the next one's start), so the field sum approximates the
 /// instrumented region's wall time; `other_seconds` absorbs work that
 /// belongs to no named phase, keeping that identity honest.
 struct PhaseTimings {
-  double probe_seconds = 0;    ///< index traversal / dominator fetch
-  double skyline_seconds = 0;  ///< dominator-skyline reduction
-  double upgrade_seconds = 0;  ///< Algorithm 1 invocations
-  double prune_seconds = 0;    ///< sound lower-bound evaluations
-  double merge_seconds = 0;    ///< shard collect/merge/sort
-  double other_seconds = 0;    ///< residual attributed to no phase
+#define SKYUP_PHASE_TIMINGS_MEMBER(field, name, metric, help) \
+  double field = 0;
+  SKYUP_PHASE_TIMINGS_FIELDS(SKYUP_PHASE_TIMINGS_MEMBER)
+#undef SKYUP_PHASE_TIMINGS_MEMBER
 
   /// Field-wise sum, used wherever per-shard timings roll up into one
-  /// view. Every field participates.
-  PhaseTimings& MergeFrom(const PhaseTimings& other) {
-    // Tripwire (the ExecStats pattern): adding a field changes the struct
-    // size, which trips this assert until the new field is summed below —
-    // and tools/lint.py cross-checks fields, adds, and this multiplier.
-    static_assert(sizeof(PhaseTimings) == 6 * sizeof(double),
-                  "PhaseTimings gained/lost a field: update MergeFrom");
-    auto add = [](double* into, double delta) { *into += delta; };
-    add(&probe_seconds, other.probe_seconds);
-    add(&skyline_seconds, other.skyline_seconds);
-    add(&upgrade_seconds, other.upgrade_seconds);
-    add(&prune_seconds, other.prune_seconds);
-    add(&merge_seconds, other.merge_seconds);
-    add(&other_seconds, other.other_seconds);
-    return *this;
-  }
-
+  /// view.
+  PhaseTimings& MergeFrom(const PhaseTimings& other);
   PhaseTimings& operator+=(const PhaseTimings& other) {
     return MergeFrom(other);
   }
 
   /// Sum of every phase — the wall time the instrumentation attributed.
-  double TotalSeconds() const {
-    return probe_seconds + skyline_seconds + upgrade_seconds +
-           prune_seconds + merge_seconds + other_seconds;
-  }
+  double TotalSeconds() const;
 };
+
+inline constexpr FieldSpec<PhaseTimings, double> kPhaseTimingsFields[] = {
+#define SKYUP_PHASE_TIMINGS_ROW(field, name, metric, help) \
+  {name, metric, help, &PhaseTimings::field},
+    SKYUP_PHASE_TIMINGS_FIELDS(SKYUP_PHASE_TIMINGS_ROW)
+#undef SKYUP_PHASE_TIMINGS_ROW
+};
+
+inline PhaseTimings& PhaseTimings::MergeFrom(const PhaseTimings& other) {
+  for (const auto& phase : kPhaseTimingsFields) {
+    this->*phase.member += other.*phase.member;
+  }
+  return *this;
+}
+
+inline double PhaseTimings::TotalSeconds() const {
+  double total = 0;
+  for (const auto& phase : kPhaseTimingsFields) total += this->*phase.member;
+  return total;
+}
 
 /// Phase timings of one query: the per-shard raw values (index = shard,
 /// size = worker count actually used; sequential engines report one

@@ -4,93 +4,86 @@
 // Serving-layer work counters — the `ExecStats` of src/serve/: how many
 // queries ran/were rejected/timed out, how many updates were applied, how
 // much delta-overlay work queries paid, and how often rebuilds published.
-// Aggregated with the same merge-tripwire convention as `ExecStats` and
-// `PhaseTimings` (tools/lint.py cross-checks fields vs MergeFrom lines vs
-// the static_assert multiplier).
 
 #include <cstdint>
 
 #include "obs/metrics.h"
+#include "util/field_table.h"
 
 namespace skyup {
 
+// X(field, metric, help): every ServeStats counter, declared once. The
+// list generates the struct's fields and `kServeStatsFields`, and through
+// them MergeFrom, the metrics export, the wire `stats` response
+// (serve/shard/front_door.cc) and the load generator's reading of it.
+// clang-format off
+#define SKYUP_SERVE_STATS_FIELDS(X)                                      \
+  X(queries_executed, "skyup_serve_queries_executed_total",              \
+    "serve queries that ran to completion")                              \
+  X(queries_rejected, "skyup_serve_queries_rejected_total",              \
+    "serve queries rejected by admission control")                       \
+  X(queries_timed_out, "skyup_serve_queries_timed_out_total",            \
+    "serve queries whose deadline fired")                                \
+  X(updates_applied, "skyup_serve_updates_applied_total",                \
+    "inserts/erases accepted into the delta log")                        \
+  X(updates_rejected, "skyup_serve_updates_rejected_total",              \
+    "invalid updates rejected (unknown id, bad arity)")                  \
+  X(rebuilds_published, "skyup_serve_rebuilds_published_total",          \
+    "major compactions published by the rebuilder")                      \
+  X(patches_published, "skyup_serve_patches_published_total",            \
+    "incremental snapshot patches published by the rebuilder")           \
+  X(delta_ops_scanned, "skyup_serve_delta_ops_scanned_total",            \
+    "delta ops folded into per-query overlays")                          \
+  X(erase_fallback_scans, "skyup_serve_erase_fallback_scans_total",      \
+    "index probes invalidated by a competitor erase (linear rescan)")    \
+  X(candidates_evaluated, "skyup_serve_candidates_evaluated_total",      \
+    "Algorithm-1 evaluations across serve queries")                      \
+  X(candidates_pruned, "skyup_serve_candidates_pruned_total",            \
+    "candidates skipped by the sound box lower bound")                   \
+  X(prune_disabled_queries, "skyup_serve_prune_disabled_queries_total",  \
+    "queries whose prune was disabled by a face-touching pending erase") \
+  X(cache_hits, "skyup_serve_cache_hits_total",                          \
+    "candidates answered from the upgrade-result cache")                 \
+  X(cache_misses, "skyup_serve_cache_misses_total",                      \
+    "candidates recomputed and stored in the upgrade-result cache")      \
+  X(memo_hits, "skyup_serve_memo_hits_total",                            \
+    "index probes answered from the epoch-scoped skyline memo")          \
+  X(memo_misses, "skyup_serve_memo_misses_total",                        \
+    "index probes run and stored in the skyline memo")                   \
+  X(batches_executed, "skyup_serve_batches_executed_total",              \
+    "grouped executions drained from the queue (singletons included)")   \
+  X(batched_queries, "skyup_serve_batched_queries_total",                \
+    "queries executed inside a group of two or more")                    \
+  X(shard_queries, "skyup_serve_shard_queries_total",                    \
+    "queries served by the sharded scatter-gather engine")               \
+  X(shard_fanout, "skyup_serve_shard_fanout_total",                      \
+    "per-shard probes issued by sharded queries (fanout x shard_queries)")
+// clang-format on
+
 struct ServeStats {
-  uint64_t queries_executed = 0;    ///< queries that ran to completion
-  uint64_t queries_rejected = 0;    ///< admission-control rejections
-  uint64_t queries_timed_out = 0;   ///< deadline fired (queued or running)
-  uint64_t updates_applied = 0;     ///< inserts/erases accepted into the log
-  uint64_t updates_rejected = 0;    ///< invalid updates (bad id, bad arity)
-  uint64_t rebuilds_published = 0;  ///< major compactions (full STR rebuild)
-  uint64_t patches_published = 0;   ///< incremental patch publishes
-  uint64_t delta_ops_scanned = 0;   ///< delta ops folded into query overlays
-  uint64_t erase_fallback_scans = 0;  ///< probes invalidated by a P-erase
-  uint64_t candidates_evaluated = 0;  ///< Algorithm-1 calls across queries
-  uint64_t candidates_pruned = 0;     ///< skipped via the sound box bound
-  uint64_t prune_disabled_queries = 0;  ///< pending erase touched a box face
-  uint64_t cache_hits = 0;    ///< candidates served from the upgrade cache
-  uint64_t cache_misses = 0;  ///< candidates recomputed (and re-cached)
-  uint64_t memo_hits = 0;     ///< index probes served from the skyline memo
-  uint64_t memo_misses = 0;   ///< index probes run (and memoized)
-  uint64_t batches_executed = 0;  ///< grouped executions (incl. singletons)
-  uint64_t batched_queries = 0;   ///< queries that ran inside a group of >=2
-  uint64_t shard_queries = 0;     ///< queries served by scatter-gather
-  uint64_t shard_fanout = 0;      ///< shard probes issued by sharded queries
+#define SKYUP_SERVE_STATS_MEMBER(field, metric, help) uint64_t field = 0;
+  SKYUP_SERVE_STATS_FIELDS(SKYUP_SERVE_STATS_MEMBER)
+#undef SKYUP_SERVE_STATS_MEMBER
 
-  /// Config echoes, not counters: the server stamps its effective policy
-  /// here once at creation so a stats dump documents the knobs it ran
-  /// under. Query-local stats leave them zero, so the MergeFrom sum is a
-  /// no-op for them.
-  uint64_t rebuild_threshold_ops = 0;     ///< publish at this backlog
-  uint64_t publish_min_backlog = 0;       ///< age trigger needs this many ops
-  uint64_t publish_min_interval_ms = 0;   ///< publish rate cap (hysteresis)
-  uint64_t compact_tombstone_pct = 0;     ///< major when tombstones reach %
-  uint64_t compact_tail_pct = 0;          ///< major when tail reaches %
-  uint64_t batch_max_queries = 0;         ///< grouped-execution width cap
-  uint64_t batch_wait_us = 0;             ///< max batch-fill wait
-  uint64_t memo_cache_mb = 0;             ///< skyline-memo byte budget (MB)
-  uint64_t shards = 0;                    ///< shard count (>= 1)
-
-  /// Field-wise sum. Same tripwire as ExecStats: adding a counter changes
-  /// the struct size, which trips the assert until the new field is summed
-  /// below — and tools/lint.py cross-checks all three.
-  ServeStats& MergeFrom(const ServeStats& other) {
-    static_assert(sizeof(ServeStats) == 29 * sizeof(uint64_t),
-                  "ServeStats gained/lost a counter: update MergeFrom");
-    auto add = [](uint64_t* into, uint64_t delta) { *into += delta; };
-    add(&queries_executed, other.queries_executed);
-    add(&queries_rejected, other.queries_rejected);
-    add(&queries_timed_out, other.queries_timed_out);
-    add(&updates_applied, other.updates_applied);
-    add(&updates_rejected, other.updates_rejected);
-    add(&rebuilds_published, other.rebuilds_published);
-    add(&patches_published, other.patches_published);
-    add(&delta_ops_scanned, other.delta_ops_scanned);
-    add(&erase_fallback_scans, other.erase_fallback_scans);
-    add(&candidates_evaluated, other.candidates_evaluated);
-    add(&candidates_pruned, other.candidates_pruned);
-    add(&prune_disabled_queries, other.prune_disabled_queries);
-    add(&cache_hits, other.cache_hits);
-    add(&cache_misses, other.cache_misses);
-    add(&memo_hits, other.memo_hits);
-    add(&memo_misses, other.memo_misses);
-    add(&batches_executed, other.batches_executed);
-    add(&batched_queries, other.batched_queries);
-    add(&shard_queries, other.shard_queries);
-    add(&shard_fanout, other.shard_fanout);
-    add(&rebuild_threshold_ops, other.rebuild_threshold_ops);
-    add(&publish_min_backlog, other.publish_min_backlog);
-    add(&publish_min_interval_ms, other.publish_min_interval_ms);
-    add(&compact_tombstone_pct, other.compact_tombstone_pct);
-    add(&compact_tail_pct, other.compact_tail_pct);
-    add(&batch_max_queries, other.batch_max_queries);
-    add(&batch_wait_us, other.batch_wait_us);
-    add(&memo_cache_mb, other.memo_cache_mb);
-    add(&shards, other.shards);
-    return *this;
-  }
+  /// Field-wise sum.
+  ServeStats& MergeFrom(const ServeStats& other);
 };
 
-/// Registers every ServeStats counter as `skyup_serve_<field>_total`.
+inline constexpr FieldSpec<ServeStats, uint64_t> kServeStatsFields[] = {
+#define SKYUP_SERVE_STATS_ROW(field, metric, help) \
+  {#field, metric, help, &ServeStats::field},
+    SKYUP_SERVE_STATS_FIELDS(SKYUP_SERVE_STATS_ROW)
+#undef SKYUP_SERVE_STATS_ROW
+};
+
+inline ServeStats& ServeStats::MergeFrom(const ServeStats& other) {
+  for (const auto& field : kServeStatsFields) {
+    this->*field.member += other.*field.member;
+  }
+  return *this;
+}
+
+/// Registers every ServeStats counter under its list entry's metric name.
 void AddServeStatsMetrics(const ServeStats& stats, MetricsRegistry* registry);
 
 }  // namespace skyup

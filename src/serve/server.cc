@@ -87,22 +87,6 @@ Result<std::unique_ptr<Server>> Server::Create(ProductCostFunction cost_fn,
   policy.compact_tombstone_pct = options.compact_tombstone_pct;
   policy.compact_tail_pct = options.compact_tail_pct;
   server->inline_policy_ = policy;
-  {
-    // Config echoes: a stats dump documents the policy it ran under. No
-    // worker exists yet, so the lock is uncontended — taken only to keep
-    // the GUARDED_BY invariant on stats_ unconditional.
-    MutexLock lock(server->stats_mu_);
-    server->stats_.rebuild_threshold_ops = options.rebuild_threshold_ops;
-    server->stats_.publish_min_backlog = options.publish_min_backlog;
-    server->stats_.publish_min_interval_ms = static_cast<uint64_t>(
-        options.publish_min_interval_seconds * 1000.0);
-    server->stats_.compact_tombstone_pct = options.compact_tombstone_pct;
-    server->stats_.compact_tail_pct = options.compact_tail_pct;
-    server->stats_.batch_max_queries = options.batch_max;
-    server->stats_.batch_wait_us = options.batch_wait_us;
-    server->stats_.memo_cache_mb = options.memo_cache_mb;
-    server->stats_.shards = options.shards;
-  }
   if (options.background_rebuild) server->table_->Start(policy);
   server->workers_.reserve(options.query_threads);
   for (size_t i = 0; i < options.query_threads; ++i) {
@@ -234,13 +218,9 @@ QueryResponse Server::Execute(const QueryRequest& request,
     record->epoch = response.epoch;
     record->k = static_cast<uint32_t>(request.k);
     if (telemetry.has_value()) record->phases = telemetry->phases.total;
-    record->candidates_evaluated = query_stats.candidates_evaluated;
-    record->candidates_pruned = query_stats.candidates_pruned;
-    record->delta_ops_scanned = query_stats.delta_ops_scanned;
-    record->cache_hits = query_stats.cache_hits;
-    record->cache_misses = query_stats.cache_misses;
-    record->memo_hits = query_stats.memo_hits;
-    record->memo_misses = query_stats.memo_misses;
+#define SKYUP_FLIGHT_RECORD_COPY(field) record->field = query_stats.field;
+    SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_FLIGHT_RECORD_COPY)
+#undef SKYUP_FLIGHT_RECORD_COPY
     record->shard_count = shard_info.shard_count;
     record->slowest_shard = shard_info.slowest_shard;
     record->slowest_shard_seconds = shard_info.slowest_shard_seconds;
@@ -695,6 +675,44 @@ ServeStats Server::stats() const {
 void Server::FillMetrics(MetricsRegistry* registry) const {
   SKYUP_CHECK(registry != nullptr);
   AddServeStatsMetrics(stats(), registry);
+  // Config echoes, not counters: the metrics document the policy the
+  // server ran under.
+  const struct {
+    const char* name;
+    const char* help;
+    uint64_t value;
+  } echoes[] = {
+      {"skyup_serve_rebuild_threshold_ops",
+       "configured backlog size that forces a publish",
+       options_.rebuild_threshold_ops},
+      {"skyup_serve_publish_min_backlog",
+       "configured minimum backlog for the age-triggered publish",
+       options_.publish_min_backlog},
+      {"skyup_serve_publish_min_interval_ms",
+       "configured minimum milliseconds between publishes",
+       static_cast<uint64_t>(options_.publish_min_interval_seconds * 1000.0)},
+      {"skyup_serve_compact_tombstone_pct",
+       "configured tombstone % that escalates a patch to a compaction",
+       options_.compact_tombstone_pct},
+      {"skyup_serve_compact_tail_pct",
+       "configured unindexed-tail % that escalates a patch to a compaction",
+       options_.compact_tail_pct},
+      {"skyup_serve_batch_max_queries",
+       "configured grouped-execution width cap (1 = per-query execution)",
+       options_.batch_max},
+      {"skyup_serve_batch_wait_us",
+       "configured max microseconds a worker waits to fill a batch",
+       options_.batch_wait_us},
+      {"skyup_serve_memo_cache_mb",
+       "configured skyline-memo byte budget in MB (0 = memo disabled)",
+       options_.memo_cache_mb},
+      {"skyup_serve_shards", "configured shard count (1 = a single table)",
+       options_.shards},
+  };
+  for (const auto& echo : echoes) {
+    registry->AddGauge(echo.name, echo.help)
+        ->Set(static_cast<double>(echo.value));
+  }
   // One consistent health sample, aggregated across shards exactly like
   // the heartbeat's.
   const LiveTable::Diagnostics diag = table_->SampleDiagnostics();

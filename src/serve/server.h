@@ -65,7 +65,7 @@ struct ServerOptions {
   double rebuild_max_age_seconds = 0.0;
   /// Storm hysteresis (background publishes): the age trigger needs at
   /// least this backlog, and publishes are rate-capped to one per
-  /// interval. Echoed into ServeStats.
+  /// interval. Echoed as gauges by Server::FillMetrics.
   size_t publish_min_backlog = 1;
   double publish_min_interval_seconds = 0.0;
   /// Patch-vs-major escalation thresholds (percent of indexed slots);

@@ -391,19 +391,9 @@ std::string FrontDoor::HandleRequest(const std::string& request,
     line("epoch", server.CurrentEpoch());
     line("delta_backlog", server.DeltaBacklog());
     line("rebuild_threshold_ops", server.options().rebuild_threshold_ops);
-    line("queries_executed", stats.queries_executed);
-    line("queries_rejected", stats.queries_rejected);
-    line("queries_timed_out", stats.queries_timed_out);
-    line("updates_applied", stats.updates_applied);
-    line("updates_rejected", stats.updates_rejected);
-    line("rebuilds_published", stats.rebuilds_published);
-    line("patches_published", stats.patches_published);
-    line("memo_hits", stats.memo_hits);
-    line("memo_misses", stats.memo_misses);
-    line("batches_executed", stats.batches_executed);
-    line("batched_queries", stats.batched_queries);
-    line("shard_queries", stats.shard_queries);
-    line("shard_fanout", stats.shard_fanout);
+    for (const auto& field : kServeStatsFields) {
+      line(field.name, stats.*field.member);
+    }
     return out;
   }
 

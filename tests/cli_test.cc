@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/upgrade_result.h"
 #include "obs/trace.h"
 
 #include <cstdio>
@@ -164,6 +165,18 @@ TEST(CliTest, TopKStatsFlagPrintsCounters) {
   ASSERT_EQ(json.code, 0) << json.err;
   EXPECT_EQ(json.out.find("# stats:"), std::string::npos) << json.out;
   EXPECT_NE(json.err.find("# stats:"), std::string::npos) << json.err;
+
+  // Every ExecStats counter prints, the join's own counters included.
+  CliResult join = RunCli({"topk", "--competitors=" + p_path,
+                           "--products=" + t_path, "--k=3",
+                           "--algorithm=join", "--stats"});
+  ASSERT_EQ(join.code, 0) << join.err;
+  for (const auto& field : kExecStatsFields) {
+    EXPECT_NE(join.out.find(std::string(" ") + field.name + "="),
+              std::string::npos)
+        << field.name << "\n"
+        << join.out;
+  }
 
   std::remove(p_path.c_str());
   std::remove(t_path.c_str());

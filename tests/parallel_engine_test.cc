@@ -130,56 +130,24 @@ TEST(AtomicCostThresholdTest, ConcurrentRelaxKeepsMinimum) {
   EXPECT_EQ(tau.Get(), 1.0);
 }
 
-// Every ExecStats field must survive MergeFrom; the static_assert inside
-// MergeFrom already pins the field count, this pins the arithmetic.
+// Every ExecStats field must survive MergeFrom. Walks the field table,
+// so a counter added to SKYUP_EXEC_STATS_FIELDS is covered with no edit
+// here: distinct values per field catch a dropped or double-merged one.
 TEST(ExecStatsTest, MergeFromSumsEveryField) {
   ExecStats a;
-  a.products_processed = 1;
-  a.dominators_fetched = 2;
-  a.skyline_points_total = 3;
-  a.upgrade_calls = 4;
-  a.heap_pops = 5;
-  a.t_expansions = 6;
-  a.p_refinements = 7;
-  a.lbc_evaluations = 8;
-  a.jl_entries_pruned = 9;
-  a.candidates_pruned = 10;
-  a.threshold_updates = 11;
-  a.nodes_visited = 12;
-  a.points_scanned = 13;
-  a.block_kernel_calls = 14;
-
   ExecStats b;
-  b.products_processed = 100;
-  b.dominators_fetched = 200;
-  b.skyline_points_total = 300;
-  b.upgrade_calls = 400;
-  b.heap_pops = 500;
-  b.t_expansions = 600;
-  b.p_refinements = 700;
-  b.lbc_evaluations = 800;
-  b.jl_entries_pruned = 900;
-  b.candidates_pruned = 1000;
-  b.threshold_updates = 1100;
-  b.nodes_visited = 1200;
-  b.points_scanned = 1300;
-  b.block_kernel_calls = 1400;
-
+  size_t i = 0;
+  for (const auto& field : kExecStatsFields) {
+    ++i;
+    a.*field.member = i;
+    b.*field.member = 1000 * i;
+  }
   a += b;
-  EXPECT_EQ(a.products_processed, 101u);
-  EXPECT_EQ(a.dominators_fetched, 202u);
-  EXPECT_EQ(a.skyline_points_total, 303u);
-  EXPECT_EQ(a.upgrade_calls, 404u);
-  EXPECT_EQ(a.heap_pops, 505u);
-  EXPECT_EQ(a.t_expansions, 606u);
-  EXPECT_EQ(a.p_refinements, 707u);
-  EXPECT_EQ(a.lbc_evaluations, 808u);
-  EXPECT_EQ(a.jl_entries_pruned, 909u);
-  EXPECT_EQ(a.candidates_pruned, 1010u);
-  EXPECT_EQ(a.threshold_updates, 1111u);
-  EXPECT_EQ(a.nodes_visited, 1212u);
-  EXPECT_EQ(a.points_scanned, 1313u);
-  EXPECT_EQ(a.block_kernel_calls, 1414u);
+  i = 0;
+  for (const auto& field : kExecStatsFields) {
+    ++i;
+    EXPECT_EQ(a.*field.member, 1001 * i) << field.name;
+  }
 }
 
 struct Fixture {

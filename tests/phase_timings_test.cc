@@ -8,36 +8,27 @@
 namespace skyup {
 namespace {
 
-// The MergeFrom tripwire: set every field to a distinct value and check
-// the merge sums each one. A field added to PhaseTimings without a line
-// in MergeFrom trips the static_assert there; a field added *with* the
-// assert bumped but without the add would fail here.
+// Every PhaseTimings field must survive MergeFrom and count in the total.
+// Walks the field table, so a phase added to SKYUP_PHASE_TIMINGS_FIELDS
+// is covered with no edit here.
 TEST(PhaseTimingsTest, MergeFromCoversEveryField) {
-  static_assert(sizeof(PhaseTimings) == 6 * sizeof(double),
-                "PhaseTimings changed shape: extend this test");
   PhaseTimings a;
-  a.probe_seconds = 1.0;
-  a.skyline_seconds = 2.0;
-  a.upgrade_seconds = 3.0;
-  a.prune_seconds = 4.0;
-  a.merge_seconds = 5.0;
-  a.other_seconds = 6.0;
   PhaseTimings b;
-  b.probe_seconds = 10.0;
-  b.skyline_seconds = 20.0;
-  b.upgrade_seconds = 30.0;
-  b.prune_seconds = 40.0;
-  b.merge_seconds = 50.0;
-  b.other_seconds = 60.0;
-
+  double i = 0;
+  double expected_total = 0;
+  for (const auto& phase : kPhaseTimingsFields) {
+    ++i;
+    a.*phase.member = i;
+    b.*phase.member = 10 * i;
+    expected_total += 11 * i;
+  }
   a.MergeFrom(b);
-  EXPECT_DOUBLE_EQ(a.probe_seconds, 11.0);
-  EXPECT_DOUBLE_EQ(a.skyline_seconds, 22.0);
-  EXPECT_DOUBLE_EQ(a.upgrade_seconds, 33.0);
-  EXPECT_DOUBLE_EQ(a.prune_seconds, 44.0);
-  EXPECT_DOUBLE_EQ(a.merge_seconds, 55.0);
-  EXPECT_DOUBLE_EQ(a.other_seconds, 66.0);
-  EXPECT_DOUBLE_EQ(a.TotalSeconds(), 231.0);
+  i = 0;
+  for (const auto& phase : kPhaseTimingsFields) {
+    ++i;
+    EXPECT_DOUBLE_EQ(a.*phase.member, 11 * i) << phase.name;
+  }
+  EXPECT_DOUBLE_EQ(a.TotalSeconds(), expected_total);
 }
 
 TEST(PhaseTimingsTest, TotalIsTheFieldSum) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -80,9 +81,8 @@ TEST(ReportMetricsTest, ExecStatsRegisterAsCounters) {
   stats.block_kernel_calls = 3;
   MetricsRegistry registry;
   AddExecStatsMetrics(stats, &registry);
-  // One counter per ExecStats field; the static_assert in the adapter
-  // keeps this count honest when fields are added.
-  EXPECT_EQ(registry.size(), 14u);
+  // One counter per SKYUP_EXEC_STATS_FIELDS entry.
+  EXPECT_EQ(registry.size(), std::size(kExecStatsFields));
 
   std::ostringstream out;
   registry.WritePrometheus(out);

@@ -44,71 +44,23 @@ void Seed(Server* server) {
 }
 
 TEST(ServeStatsTest, MergeFromSumsEveryFieldDistinctly) {
-  // Distinct primes per field: any dropped or double-merged field changes
-  // the expected sum, so a new field wired into the struct but not into
-  // MergeFrom cannot pass (the static_assert + tools/lint.py tripwire
-  // guard the field count itself).
+  // Distinct values per field: any dropped or double-merged field changes
+  // its expected sum. Walks the field table, so a counter added to
+  // SKYUP_SERVE_STATS_FIELDS is covered with no edit here.
   ServeStats a;
-  a.queries_executed = 2;
-  a.queries_rejected = 3;
-  a.queries_timed_out = 5;
-  a.updates_applied = 7;
-  a.updates_rejected = 11;
-  a.rebuilds_published = 13;
-  a.patches_published = 17;
-  a.delta_ops_scanned = 19;
-  a.erase_fallback_scans = 23;
-  a.candidates_evaluated = 29;
-  a.candidates_pruned = 31;
-  a.prune_disabled_queries = 37;
-  a.cache_hits = 149;
-  a.cache_misses = 151;
-  a.rebuild_threshold_ops = 41;
-  a.publish_min_backlog = 43;
-  a.publish_min_interval_ms = 47;
-  a.compact_tombstone_pct = 53;
-  a.compact_tail_pct = 59;
   ServeStats b;
-  b.queries_executed = 61;
-  b.queries_rejected = 67;
-  b.queries_timed_out = 71;
-  b.updates_applied = 73;
-  b.updates_rejected = 79;
-  b.rebuilds_published = 83;
-  b.patches_published = 89;
-  b.delta_ops_scanned = 97;
-  b.erase_fallback_scans = 101;
-  b.candidates_evaluated = 103;
-  b.candidates_pruned = 107;
-  b.prune_disabled_queries = 109;
-  b.cache_hits = 157;
-  b.cache_misses = 163;
-  b.rebuild_threshold_ops = 113;
-  b.publish_min_backlog = 127;
-  b.publish_min_interval_ms = 131;
-  b.compact_tombstone_pct = 137;
-  b.compact_tail_pct = 139;
-
+  uint64_t i = 0;
+  for (const auto& field : kServeStatsFields) {
+    ++i;
+    a.*field.member = i;
+    b.*field.member = 1000 * i;
+  }
   a.MergeFrom(b);
-  EXPECT_EQ(a.queries_executed, 63u);
-  EXPECT_EQ(a.queries_rejected, 70u);
-  EXPECT_EQ(a.queries_timed_out, 76u);
-  EXPECT_EQ(a.updates_applied, 80u);
-  EXPECT_EQ(a.updates_rejected, 90u);
-  EXPECT_EQ(a.rebuilds_published, 96u);
-  EXPECT_EQ(a.patches_published, 106u);
-  EXPECT_EQ(a.delta_ops_scanned, 116u);
-  EXPECT_EQ(a.erase_fallback_scans, 124u);
-  EXPECT_EQ(a.candidates_evaluated, 132u);
-  EXPECT_EQ(a.candidates_pruned, 138u);
-  EXPECT_EQ(a.prune_disabled_queries, 146u);
-  EXPECT_EQ(a.cache_hits, 306u);
-  EXPECT_EQ(a.cache_misses, 314u);
-  EXPECT_EQ(a.rebuild_threshold_ops, 154u);
-  EXPECT_EQ(a.publish_min_backlog, 170u);
-  EXPECT_EQ(a.publish_min_interval_ms, 178u);
-  EXPECT_EQ(a.compact_tombstone_pct, 190u);
-  EXPECT_EQ(a.compact_tail_pct, 198u);
+  i = 0;
+  for (const auto& field : kServeStatsFields) {
+    ++i;
+    EXPECT_EQ(a.*field.member, 1001 * i) << field.name;
+  }
 }
 
 TEST(ServerTest, CreateValidatesOptions) {
@@ -292,12 +244,21 @@ TEST(ServerTest, StatsEchoThePublishPolicy) {
   options.compact_tail_pct = 40;
   Result<std::unique_ptr<Server>> server = MakeServer(options);
   ASSERT_TRUE(server.ok());
-  ServeStats stats = (*server)->stats();
-  EXPECT_EQ(stats.rebuild_threshold_ops, 16u);
-  EXPECT_EQ(stats.publish_min_backlog, 3u);
-  EXPECT_EQ(stats.publish_min_interval_ms, 250u);
-  EXPECT_EQ(stats.compact_tombstone_pct, 20u);
-  EXPECT_EQ(stats.compact_tail_pct, 40u);
+  MetricsRegistry registry;
+  (*server)->FillMetrics(&registry);
+  std::ostringstream prom;
+  registry.WritePrometheus(prom);
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("\nskyup_serve_rebuild_threshold_ops 16\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nskyup_serve_publish_min_backlog 3\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nskyup_serve_publish_min_interval_ms 250\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nskyup_serve_compact_tombstone_pct 20\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nskyup_serve_compact_tail_pct 40\n"),
+            std::string::npos);
 }
 
 TEST(ServerTest, RejectedUpdatesAreCountedNotApplied) {
@@ -334,6 +295,11 @@ TEST(ServerTest, FillMetricsExportsCountersAndGauges) {
   EXPECT_NE(text.find("skyup_serve_live_products 2"), std::string::npos);
   EXPECT_NE(text.find("skyup_serve_query_latency_seconds_count 1"),
             std::string::npos);
+  for (const auto& field : kServeStatsFields) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + field.metric + " counter"),
+              std::string::npos)
+        << field.metric;
+  }
 }
 
 TEST(ServerTest, BackgroundModeServesQueriesUnderChurn) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "rtree/mbr.h"
+#include "serve/serve_stats.h"
 #include "serve/shard/front_door.h"
 #include "serve/shard/registry.h"
 
@@ -185,6 +186,13 @@ TEST(FrontDoorTest, CommandTableEndToEnd) {
   EXPECT_EQ(StatValue(*stats, "updates_applied"), 5u);
   EXPECT_EQ(StatValue(*stats, "shard_queries"), 1u);
   EXPECT_EQ(StatValue(*stats, "shard_fanout"), 3u);
+  // Every ServeStats counter is on the wire, and no key appears twice.
+  for (const auto& field : kServeStatsFields) StatValue(*stats, field.name);
+  for (size_t i = 0; i < stats->size(); ++i) {
+    for (size_t j = i + 1; j < stats->size(); ++j) {
+      EXPECT_NE((*stats)[i].first, (*stats)[j].first);
+    }
+  }
 
   (*door)->Stop();
 }

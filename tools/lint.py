@@ -19,16 +19,6 @@ gymnastics on purpose) and fails with file:line diagnostics on:
                  versions); order-independent reductions may annotate the
                  loop line with `// lint: unordered-iter-ok (<why>)`.
 
-  execstats      The ExecStats tripwire: the number of counter fields in
-                 the struct, the number of `add(&field, ...)` merge lines
-                 in MergeFrom, and the `N * sizeof(size_t)` multiplier in
-                 its static_assert must all agree, so a new counter cannot
-                 ship unmerged.
-
-  phasetimings   The same tripwire for obs/phase_timings.h: PhaseTimings
-                 double fields vs MergeFrom add() lines vs the
-                 `N * sizeof(double)` static_assert multiplier.
-
   raw-mutex      std::mutex / lock_guard / unique_lock / shared_mutex /
                  condition_variable outside src/util/mutex.h. All
                  synchronization goes through the capability-annotated
@@ -130,17 +120,6 @@ TRACE_SPAN_RE = re.compile(
 TRACE_SPAN_OK = "lint: trace-span-literal-ok"
 # The macros' own definitions forward a `name` parameter.
 TRACE_MACRO_FILE = "src/obs/trace.h"
-
-MERGE_ADD_RE = re.compile(r"^\s*add\(&(\w+),", re.M)
-
-# (rule, header, struct name, field type) — each struct carries the same
-# tripwire: fields, MergeFrom add() lines, and the static_assert
-# multiplier `N * sizeof(<type>)` must agree.
-MERGE_TRIPWIRES = (
-    ("execstats", "src/core/upgrade_result.h", "ExecStats", "size_t"),
-    ("phasetimings", "src/obs/phase_timings.h", "PhaseTimings", "double"),
-    ("servestats", "src/serve/serve_stats.h", "ServeStats", "uint64_t"),
-)
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -277,54 +256,6 @@ def lint_file(path: pathlib.Path, rel: str, findings: list[str]) -> None:
             )
 
 
-def lint_merge_tripwire(
-    root: pathlib.Path,
-    findings: list[str],
-    rule: str,
-    header: str,
-    struct_name: str,
-    field_type: str,
-) -> None:
-    path = root / header
-    if not path.exists():
-        findings.append(f"{header}: [{rule}] file not found")
-        return
-    text = path.read_text()
-    struct = re.search(
-        rf"struct {struct_name} \{{(.*?)^\}};", text, re.S | re.M
-    )
-    if not struct:
-        findings.append(f"{header}: [{rule}] struct not found")
-        return
-    body = struct.group(1)
-    fields = re.findall(
-        rf"^\s*{field_type}\s+(\w+)\s*=\s*0(?:\.0)?;", body, re.M
-    )
-    merged = MERGE_ADD_RE.findall(body)
-    asserted = re.search(
-        rf"sizeof\({struct_name}\)\s*==\s*(\d+)\s*\*"
-        rf"\s*sizeof\({field_type}\)",
-        body,
-    )
-    if not asserted:
-        findings.append(f"{header}: [{rule}] sizeof static_assert missing")
-        return
-    n_assert = int(asserted.group(1))
-    if not (len(fields) == len(merged) == n_assert):
-        findings.append(
-            f"{header}: [{rule}] {len(fields)} {field_type} fields,"
-            f" {len(merged)} MergeFrom add() lines, static_assert says"
-            f" {n_assert} — all three must match"
-        )
-    if fields != merged:
-        missing = set(fields) ^ set(merged)
-        if missing:
-            findings.append(
-                f"{header}: [{rule}] fields vs MergeFrom"
-                f" mismatch: {sorted(missing)}"
-            )
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -340,10 +271,6 @@ def main() -> int:
         for path in sorted((root / subdir).rglob("*")):
             if path.suffix in (".h", ".cc"):
                 lint_file(path, path.relative_to(root).as_posix(), findings)
-    for rule, header, struct_name, field_type in MERGE_TRIPWIRES:
-        lint_merge_tripwire(
-            root, findings, rule, header, struct_name, field_type
-        )
 
     for f in findings:
         print(f)

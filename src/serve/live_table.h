@@ -1,28 +1,35 @@
 #ifndef SKYUP_SERVE_LIVE_TABLE_H_
 #define SKYUP_SERVE_LIVE_TABLE_H_
 
-// The mutable heart of the serving layer: current snapshot + delta logs +
-// stable-id allocation, with the freeze/merge/publish protocol the
-// rebuilder drives.
+// The mutable heart of the serving layer: the current epoch's delta log
+// (which carries its base snapshot), with the freeze/merge/publish
+// protocol the rebuilder drives.
 //
-// Concurrency model: one mutex guards all mutable state (snapshot pointer,
-// frozen/active logs, id counters, live-id sets). Updates and view capture
-// are short critical sections; queries run entirely outside the lock
-// against their captured `ReadView`; the rebuild merge runs outside the
-// lock against frozen data. Old snapshots are reclaimed by shared_ptr when
-// the last in-flight view drops. The discipline is machine-checked: every
-// guarded member carries SKYUP_GUARDED_BY(mu_) and `mu_` sits in the
-// kTable band of the global lock order (util/lock_order.h), above the
-// substructure locks (delta log, memo shards) it nests.
+// Concurrency model: one mutex guards all mutable state (the epoch's log,
+// the freeze point, the append hook). Updates append under it; a view is
+// captured under it as pointers and counts (the snapshot, the log's chunk
+// list, the prefix counts, the memo), so capture copies no op. Queries
+// then read the snapshot and the log prefix in place, entirely outside
+// the lock: the log never rewrites anything below a count, and every row
+// below the captured counts was written before the capture released the
+// mutex — point-in-time visibility is nothing more than the counts taken
+// under the lock (serve/delta_log.h). The rebuild merge runs outside the
+// lock against a frozen prefix of the same log. Old snapshots and old
+// logs are reclaimed by shared_ptr when the last in-flight view drops.
+// The discipline is machine-checked: every guarded member carries
+// SKYUP_GUARDED_BY(mu_) and `mu_` sits in the kTable band of the global
+// lock order (util/lock_order.h), above the substructure locks (memo
+// shards) it nests.
 //
 // A LiveTable is one shard of a `ShardedTable` (serve/shard/
-// sharded_table.h), which allocates the stable ids, routes each op to its
+// sharded_table.h), the only id authority: it allocates the stable ids,
+// validates erases against its routing maps, routes each op to its
 // shard, drives the publish cycles, and owns the upgrade-result cache.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "rtree/rtree.h"
@@ -48,6 +55,12 @@ struct LiveTableOptions {
 
 class LiveTable {
  public:
+  /// Write-ahead hook: observes every accepted op before any view can
+  /// include it (a durability seam — tests assert on it, a real
+  /// deployment would fsync a WAL record in it). Runs under the table
+  /// mutex, so it must not call back into the table.
+  using AppendHook = std::function<void(const DeltaOp&)>;
+
   /// Starts empty at epoch 1 (an empty snapshot is published immediately,
   /// so `AcquireView` never returns a null snapshot).
   static Result<std::unique_ptr<LiveTable>> Create(LiveTableOptions options);
@@ -55,37 +68,34 @@ class LiveTable {
   LiveTable(const LiveTable&) = delete;
   LiveTable& operator=(const LiveTable&) = delete;
 
-  /// Accepted updates return the new row's stable id; erases of unknown or
-  /// already-erased ids return `kNotFound`, arity mismatches
-  /// `kInvalidArgument`. Every accepted update is in the delta log (and
-  /// visible to subsequently captured views) before the call returns.
-  Result<uint64_t> InsertCompetitor(const std::vector<double>& coords);
-  Result<uint64_t> InsertProduct(const std::vector<double>& coords);
-  Status EraseCompetitor(uint64_t id);
-  Status EraseProduct(uint64_t id);
-
-  /// Insert with a caller-chosen stable id — the sharded table allocates
-  /// ids globally (in op order, across shards) and routes each row to one
-  /// shard, so per-shard counters cannot be the id authority. The id must
-  /// be unique within this table (the caller's routing map guarantees it);
-  /// the local counter advances past it so the auto-allocating inserts
-  /// above stay collision-free if mixed.
+  /// Inserts under a caller-chosen stable id and returns it. The sharded
+  /// table allocates ids globally, in op order; here an id must exceed
+  /// every id of its table this shard has seen (`kInvalidArgument`
+  /// otherwise, as for id 0 and an arity mismatch). Every accepted update
+  /// is in the delta log (and visible to subsequently captured views)
+  /// before the call returns.
   Result<uint64_t> InsertCompetitorWithId(uint64_t id,
                                           const std::vector<double>& coords);
   Result<uint64_t> InsertProductWithId(uint64_t id,
                                        const std::vector<double>& coords);
+  /// Erases a live row. An id that names no row of the snapshot or the
+  /// log returns `kNotFound`; liveness itself is the caller's contract
+  /// (the sharded table's routing maps drop an id at its erase), so an id
+  /// must not be erased twice.
+  Status EraseCompetitor(uint64_t id);
+  Status EraseProduct(uint64_t id);
 
   /// Captures a consistent point-in-time view: the current snapshot plus
-  /// every delta accepted so far. The view (and the epoch it pins) stays
-  /// valid until dropped, across any number of later publishes.
+  /// every delta accepted so far, as pointers and counts. The view (and
+  /// the epoch it pins) stays valid until dropped, across any number of
+  /// later appends and publishes.
   ReadView AcquireView() const;
 
-  /// Write-ahead hook on the *active* log (serve/delta_log.h). Install
-  /// before concurrent use.
-  void SetAppendHook(DeltaLog::AppendHook hook);
+  /// Installs the write-ahead hook (null to clear).
+  void SetAppendHook(AppendHook hook);
 
   uint64_t epoch() const;
-  /// Delta ops not yet absorbed by a published snapshot (frozen + active).
+  /// Delta ops not yet absorbed by a published snapshot.
   size_t delta_backlog() const;
   /// Seconds since the current snapshot was built.
   double snapshot_age_seconds() const;
@@ -93,9 +103,10 @@ class LiveTable {
 
   /// One consistent health snapshot for the flight recorder's periodic
   /// system samples — everything the individual accessors above report,
-  /// plus the snapshot index's tombstone fraction and the skyline memo's
-  /// footprint, all read under ONE lock acquisition so the fields
-  /// describe the same instant.
+  /// plus the snapshot index's tombstone fraction, the skyline memo's
+  /// footprint and the live row counts (snapshot plus digested view),
+  /// all taken under ONE lock acquisition so the fields describe the
+  /// same instant.
   struct Diagnostics {
     uint64_t epoch = 0;
     double snapshot_age_seconds = 0;
@@ -110,36 +121,36 @@ class LiveTable {
   /// One rebuild cycle's input, captured by `BeginRebuild`.
   struct RebuildJob {
     std::shared_ptr<const Snapshot> base;
-    std::vector<DeltaOp> ops;  ///< everything frozen for this rebuild
+    DeltaPrefix ops;  ///< the frozen prefix of the epoch's log
     uint64_t next_epoch = 0;
   };
 
-  /// Freezes the active log into the frozen log and hands back a merge
-  /// job, or nullopt when a rebuild is already in flight or there is
-  /// nothing to absorb. While the job is outstanding, new updates keep
-  /// accumulating in the (reset) active log and remain query-visible via
-  /// `AcquireView`. `allow_empty` offers a job even with no pending ops —
-  /// the sharded table bumps every shard's epoch in lock-step, including
-  /// shards that saw no traffic this cycle.
+  /// Records a freeze point at the log's current end and hands back a
+  /// merge job over the prefix before it, or nullopt when a rebuild is
+  /// already in flight or there is nothing to absorb. While the job is
+  /// outstanding, new updates keep appending to the same log past the
+  /// freeze and remain query-visible via `AcquireView`. `allow_empty`
+  /// offers a job even with no pending ops — the sharded table bumps
+  /// every shard's epoch in lock-step, including shards that saw no
+  /// traffic this cycle.
   std::optional<RebuildJob> BeginRebuild(bool allow_empty = false);
 
-  /// Publishes the merged snapshot and drops the frozen ops it absorbed.
-  /// `snapshot` must be the merge of the outstanding job.
+  /// Publishes the merged snapshot and starts its epoch's log, carrying
+  /// over the ops appended past the freeze (erases re-resolved against
+  /// `snapshot`). `snapshot` must be the merge of the outstanding job.
   void CompleteRebuild(std::shared_ptr<const Snapshot> snapshot);
 
-  /// Abandons the outstanding job (merge failed); the frozen ops stay
-  /// pending and the next `BeginRebuild` re-offers them.
+  /// Abandons the outstanding job (merge failed); its ops stay pending
+  /// and the next `BeginRebuild` re-offers them.
   void AbandonRebuild();
 
   const RTreeOptions& index_options() const { return index_options_; }
 
  private:
-  explicit LiveTable(LiveTableOptions options);
+  LiveTable(LiveTableOptions options, std::shared_ptr<const Snapshot> initial);
 
-  /// `forced_id` 0 = allocate from the local counter.
-  Result<uint64_t> Insert(DeltaTarget target,
-                          const std::vector<double>& coords,
-                          uint64_t forced_id);
+  Result<uint64_t> Insert(DeltaTarget target, uint64_t id,
+                          const std::vector<double>& coords);
   Status Erase(DeltaTarget target, uint64_t id);
 
   LiveTableOptions options_;
@@ -147,19 +158,11 @@ class LiveTable {
 
   mutable Mutex mu_ SKYUP_ACQUIRED_AFTER(lock_order::kTable)
       SKYUP_ACQUIRED_BEFORE(lock_order::kTableSub);
-  std::shared_ptr<const Snapshot> snapshot_ SKYUP_GUARDED_BY(mu_);
-  /// Ops offered to the in-flight rebuild.
-  std::vector<DeltaOp> frozen_ SKYUP_GUARDED_BY(mu_);
-  /// The active log has its own internal lock, but every access (append,
-  /// freeze, view copy, hook install) happens under `mu_` — that external
-  /// serialization is what DeltaLog::Append's write-ahead contract relies
-  /// on, so the member is guarded too.
-  DeltaLog active_ SKYUP_GUARDED_BY(mu_);
-  bool rebuild_in_flight_ SKYUP_GUARDED_BY(mu_) = false;
-  uint64_t next_competitor_id_ SKYUP_GUARDED_BY(mu_) = 1;
-  uint64_t next_product_id_ SKYUP_GUARDED_BY(mu_) = 1;
-  std::unordered_set<uint64_t> live_competitors_ SKYUP_GUARDED_BY(mu_);
-  std::unordered_set<uint64_t> live_products_ SKYUP_GUARDED_BY(mu_);
+  /// The current epoch's log; its base is the current snapshot.
+  DeltaLog log_ SKYUP_GUARDED_BY(mu_);
+  /// The prefix offered to the in-flight rebuild; set iff one is.
+  std::optional<DeltaPrefix> frozen_ SKYUP_GUARDED_BY(mu_);
+  AppendHook hook_ SKYUP_GUARDED_BY(mu_);
   /// Shared epoch-scoped skyline memo; dropped wholesale on every publish
   /// under `mu_`. Null when `memo_cache_bytes == 0`.
   std::shared_ptr<SkylineMemo> memo_ SKYUP_GUARDED_BY(mu_);

@@ -2,7 +2,9 @@
 #define SKYUP_SERVE_REBUILDER_H_
 
 // Snapshot publication: folding a frozen delta-log prefix into the next
-// epoch. ShardedTable drives it — one publish cycle freezes, merges and
+// epoch. The prefix is already resolved (serve/delta_log.h): erases name
+// the rows they kill, so a publish digests it with the same `DeltaMasks`
+// a query uses and never maps an id. ShardedTable drives it — one publish cycle freezes, merges and
 // installs every shard, either inline after an update (the deterministic
 // mode replay uses) or on its coordinator thread. Publication is atomic
 // via `LiveTable::CompleteRebuild`; in-flight queries keep their pinned
@@ -18,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "serve/delta_log.h"
 #include "serve/snapshot.h"
@@ -26,14 +27,16 @@
 
 namespace skyup {
 
-/// Pure merge: applies `ops` (append order) over `base` and bulk-loads the
-/// result as epoch `next_epoch`. Rows of the result are ordered ascending
-/// by stable id, so merge output is a deterministic function of
-/// (base, ops) — the replay-determinism and differential-fuzz anchor.
-/// Skips base rows the base snapshot itself already tombstoned.
+/// Pure merge: folds the resolved log prefix `ops` (of `base`'s epoch)
+/// over `base` and bulk-loads the result as epoch `next_epoch`. Rows of
+/// the result are ordered ascending by stable id — the base's live rows,
+/// then the prefix's live inserts, whose ids are all larger — so merge
+/// output is a deterministic function of (base, ops): the
+/// replay-determinism and differential-fuzz anchor. Skips base rows the
+/// base snapshot itself already tombstoned.
 Result<std::shared_ptr<const Snapshot>> MergeSnapshot(
-    const Snapshot& base, const std::vector<DeltaOp>& ops,
-    uint64_t next_epoch, RTreeOptions index_options);
+    const Snapshot& base, const DeltaPrefix& ops, uint64_t next_epoch,
+    RTreeOptions index_options);
 
 /// What one publish cycle produced. Queries behave identically either
 /// way; the distinction is purely cost/bookkeeping (ServeStats keeps
@@ -77,8 +80,7 @@ struct RebuildPolicy {
 /// Pure decision function for one publish cycle (exposed for tests and
 /// the fuzzer): whether folding `ops` over `base` should patch or
 /// compact, per `policy`.
-PublishKind ChoosePublish(const Snapshot& base,
-                          const std::vector<DeltaOp>& ops,
+PublishKind ChoosePublish(const Snapshot& base, const DeltaPrefix& ops,
                           const RebuildPolicy& policy);
 
 }  // namespace skyup

@@ -543,17 +543,16 @@ void Server::FinishFlight(QueryFlightRecord* record,
           .U64("k", record->k)
           .U64("results", record->results)
           .F64("queue_s", record->queue_seconds)
-          .F64("wall_s", record->wall_seconds)
-          .F64("probe_s", record->phases.probe_seconds)
-          .F64("skyline_s", record->phases.skyline_seconds)
-          .F64("upgrade_s", record->phases.upgrade_seconds)
-          .F64("prune_s", record->phases.prune_seconds)
-          .F64("merge_s", record->phases.merge_seconds)
-          .F64("other_s", record->phases.other_seconds)
-          .U64("candidates_evaluated", record->candidates_evaluated)
-          .U64("candidates_pruned", record->candidates_pruned)
-          .U64("cache_hits", record->cache_hits)
-          .U64("memo_hits", record->memo_hits);
+          .F64("wall_s", record->wall_seconds);
+      // One `<phase>_s` key per phase, then one key per flight counter,
+      // both straight from the field lists.
+      for (const auto& phase : kPhaseTimingsFields) {
+        log.F64((std::string(phase.name) + "_s").c_str(),
+                record->phases.*phase.member);
+      }
+#define SKYUP_SLOW_QUERY_COUNTER(field) log.U64(#field, record->field);
+      SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_SLOW_QUERY_COUNTER)
+#undef SKYUP_SLOW_QUERY_COUNTER
       if (record->shard_count > 0) {
         // Sharded serve: name the shard that dominated the wall time.
         log.U64("shard_count", record->shard_count)

@@ -25,30 +25,15 @@ namespace skyup {
 
 namespace {
 
-// Read-only per-shard context shared by every worker: overlays are built
-// once on the issuing thread, then only read concurrently.
+// Read-only per-shard context shared by every worker: the view's log
+// prefix is digested into erase masks once on the issuing thread, then
+// only read concurrently. Inserted rows are read in place from the log.
 struct ShardContext {
-  explicit ShardContext(const ReadView& view) : overlay(BuildOverlay(view)) {}
-  DeltaOverlay overlay;
-  const uint8_t* erase_mask = nullptr;
+  DeltaMasks masks;
+  const uint8_t* erase_mask = nullptr;  ///< null when no snapshot row died
   SoaView tail_view;
-  SoaView inserted_view;
   size_t indexed = 0;
-  uint64_t erased_indexed = 0;  ///< the shard memo's erased-prefix clock
 };
-
-// The skyline memo's erased-row clock. Within an epoch a shard's delta
-// log is append-only, so the erased *indexed* rows a view observes are a
-// prefix of the epoch's erase sequence — fully described by their count.
-// Erases of tail rows are excluded: the indexed probe never reads them,
-// so views differing only in tail erases share memo entries soundly.
-uint64_t ErasedIndexedCount(const DeltaOverlay& overlay, size_t indexed) {
-  uint64_t n = 0;
-  for (PointId row : overlay.erased_competitor_rows) {
-    if (static_cast<size_t>(row) < indexed) ++n;
-  }
-  return n;
-}
 
 // Shared query-time state over one captured view set: the per-shard
 // contexts plus the global live box and its prune soundness gate. Built
@@ -74,24 +59,20 @@ ShardGather BuildShardGather(const ShardedView& sharded, size_t dims,
                              ServeStats* shared_stats) {
   const size_t num_shards = sharded.views.size();
   ShardGather g(dims);
-  g.ctx.reserve(num_shards);
-  for (const ReadView& view : sharded.views) {
-    g.ctx.emplace_back(view);
-    ShardContext& c = g.ctx.back();
+  g.ctx.resize(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    const ReadView& view = sharded.views[s];
     const Snapshot& base = *view.snapshot;
-    c.erase_mask = c.overlay.competitors_erased > 0
-                       ? c.overlay.competitor_erased.data()
+    const DeltaPrefix& log = view.deltas;
+    ShardContext& c = g.ctx[s];
+    c.masks.Build(base, log);
+    c.erase_mask = c.masks.snapshot_erased(DeltaTarget::kCompetitor) > 0
+                       ? c.masks.snapshot_mask(DeltaTarget::kCompetitor)
                        : nullptr;
     c.tail_view = base.tail_view();
-    c.inserted_view = c.overlay.competitor_block.view();
     c.indexed = base.indexed_competitors();
-    c.erased_indexed = ErasedIndexedCount(c.overlay, c.indexed);
-    shared_stats->delta_ops_scanned += view.deltas.size();
-  }
+    shared_stats->delta_ops_scanned += log.size();
 
-  for (size_t s = 0; s < num_shards; ++s) {
-    const Snapshot& base = *sharded.views[s].snapshot;
-    const ShardContext& c = g.ctx[s];
     const Mbr root = base.index().root_mbr();
     if (!root.IsEmpty()) g.live_box.Expand(root);
     for (size_t j = 0; j < base.tail_competitors(); ++j) {
@@ -99,20 +80,25 @@ ShardGather BuildShardGather(const ShardedView& sharded, size_t dims,
       if (c.erase_mask != nullptr && c.erase_mask[row] != 0) continue;
       g.live_box.Expand(base.competitors().data(static_cast<PointId>(row)));
     }
-    for (size_t j = 0; j < c.overlay.inserted_competitors.size(); ++j) {
-      g.live_box.Expand(
-          c.overlay.inserted_competitors.data(static_cast<PointId>(j)));
+    const uint8_t* dead = c.masks.inserted_mask(DeltaTarget::kCompetitor);
+    for (size_t i = 0; i < log.competitors; ++i) {
+      if (dead[i] == 0) g.live_box.Expand(log.row(DeltaTarget::kCompetitor, i));
     }
   }
   g.have_box = !g.live_box.IsEmpty();
   if (g.have_box) {
     for (size_t s = 0; s < num_shards && g.prune_ok; ++s) {
       const Snapshot& base = *sharded.views[s].snapshot;
+      const DeltaPrefix& log = sharded.views[s].deltas;
       const ShardContext& c = g.ctx[s];
       if (c.erase_mask == nullptr) continue;
-      for (PointId r : c.overlay.erased_competitor_rows) {
-        if (static_cast<size_t>(r) >= c.indexed) continue;
-        const double* q = base.competitors().data(r);
+      for (size_t i = 0; i < log.erases && g.prune_ok; ++i) {
+        const DeltaErase& erase = log.erase(i);
+        if (erase.target != DeltaTarget::kCompetitor || erase.inserted ||
+            static_cast<size_t>(erase.row) >= c.indexed) {
+          continue;
+        }
+        const double* q = base.competitors().data(erase.row);
         for (size_t d = 0; d < dims && g.prune_ok; ++d) {
           // lint: float-eq-ok (exact face-touch test: box faces are
           // copies of competitor coordinates, equality is the precise
@@ -121,7 +107,6 @@ ShardGather BuildShardGather(const ShardedView& sharded, size_t dims,
             g.prune_ok = false;
           }
         }
-        if (!g.prune_ok) break;
       }
     }
     if (!g.prune_ok) ++shared_stats->prune_disabled_queries;
@@ -244,6 +229,7 @@ void TopKShardedBatch(const ShardedView& sharded,
           ShardTelemetry* const tel = worker_telemetry[s].get();
           const Snapshot& own = *sharded.views[s].snapshot;
           const ShardContext& own_ctx = ctx[s];
+          const DeltaPrefix& own_log = sharded.views[s].deltas;
 
           size_t since_poll = 0;
           auto poll = [&]() {
@@ -346,10 +332,11 @@ void TopKShardedBatch(const ShardedView& sharded,
             dominators.clear();
             for (size_t v = 0; v < num_shards; ++v) {
               const Snapshot& base = *sharded.views[v].snapshot;
+              const DeltaPrefix& log = sharded.views[v].deltas;
               const ShardContext& c = ctx[v];
               SkylineMemo* const memo = sharded.views[v].memo.get();
               if (memo != nullptr &&
-                  memo->Lookup(sharded.epoch, t, c.erased_indexed,
+                  memo->Lookup(sharded.epoch, t, log.erased_indexed,
                                &sky_rows)) {
                 ++w.stats.memo_hits;
               } else {
@@ -357,7 +344,8 @@ void TopKShardedBatch(const ShardedView& sharded,
                 DominatingSkylineInto(base.index(), t, c.erase_mask,
                                       &sky_rows);
                 if (memo != nullptr) {
-                  memo->Store(sharded.epoch, t, c.erased_indexed, sky_rows);
+                  memo->Store(sharded.epoch, t, log.erased_indexed,
+                              sky_rows);
                 }
               }
               if (dominators.empty()) {
@@ -385,15 +373,18 @@ void TopKShardedBatch(const ShardedView& sharded,
                       dims);
                 }
               }
-              if (!c.inserted_view.empty()) {
+              const uint8_t* const dead =
+                  c.masks.inserted_mask(DeltaTarget::kCompetitor);
+              for (size_t chunk = 0; chunk < log.competitor_chunks();
+                   ++chunk) {
                 scan_hits.clear();
-                FilterDominated(c.inserted_view, t, &scan_hits,
+                FilterDominated(log.competitor_lanes(chunk), t, &scan_hits,
                                 /*strict=*/true);
                 for (uint32_t j : scan_hits) {
+                  const size_t row = chunk * kDeltaChunkRows + j;
+                  if (dead[row] != 0) continue;
                   PatchSkylineInsert(
-                      &dominators,
-                      c.overlay.inserted_competitors.data(
-                          static_cast<PointId>(j)),
+                      &dominators, log.row(DeltaTarget::kCompetitor, row),
                       dims);
                 }
               }
@@ -416,25 +407,29 @@ void TopKShardedBatch(const ShardedView& sharded,
           };
 
           const Dataset& own_products = own.products();
+          const uint8_t* const erased_products =
+              own_ctx.masks.snapshot_mask(DeltaTarget::kProduct);
           for (size_t i = 0;
                i < own_products.size() &&
                // lint: relaxed-ok (advisory early-out; the join publishes)
                live.load(std::memory_order_relaxed) != 0;
                ++i) {
             poll();
-            if (own_ctx.overlay.product_erased[i] != 0) continue;
+            if (erased_products[i] != 0) continue;
             evaluate(own.product_id(static_cast<PointId>(i)),
                      own_products.data(static_cast<PointId>(i)));
           }
+          const uint8_t* const dead_products =
+              own_ctx.masks.inserted_mask(DeltaTarget::kProduct);
           for (size_t j = 0;
-               j < own_ctx.overlay.inserted_products.size() &&
+               j < own_log.products &&
                // lint: relaxed-ok (advisory early-out; the join publishes)
                live.load(std::memory_order_relaxed) != 0;
                ++j) {
+            if (dead_products[j] != 0) continue;
             poll();
-            evaluate(own_ctx.overlay.inserted_product_ids[j],
-                     own_ctx.overlay.inserted_products.data(
-                         static_cast<PointId>(j)));
+            evaluate(own_log.id(DeltaTarget::kProduct, j),
+                     own_log.row(DeltaTarget::kProduct, j));
           }
           // Residual loop/collector time since the last lap — charged on
           // both exits, so a cancelled worker still reports its phases.

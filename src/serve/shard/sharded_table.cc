@@ -39,7 +39,7 @@ Result<std::unique_ptr<ShardedTable>> ShardedTable::Create(
   {
     // Not shared yet; the lock only keeps the GUARDED_BY invariant
     // unconditional (same construction pattern as LiveTable::Create).
-    MutexLock lock(sharded->route_mu_);
+    WriterLock lock(sharded->route_mu_);
     ShardPartitionerOptions part;
     part.dims = options.dims;
     part.shards = options.shards;
@@ -57,21 +57,17 @@ Result<uint64_t> ShardedTable::InsertCompetitor(
         "insert has " + std::to_string(coords.size()) + " coords, table is " +
         std::to_string(options_.dims) + "-dimensional");
   }
-  uint64_t id;
-  uint32_t shard;
-  {
-    MutexLock lock(route_mu_);
-    id = next_competitor_id_++;
-    shard = partitioner_->RouteCompetitor(coords);
-    competitor_shard_.emplace(id, shard);
-    // Feed the global cache in id-allocation order, before the op can
-    // reach its shard (so no reader sees an op the cache hasn't vetted
-    // entries against). A shard apply cannot fail past this point — arity
-    // was checked above and the forced id is fresh — so the cache never
-    // observes a phantom op.
-    cache_->OnDeltaOp(
-        DeltaOp{DeltaTarget::kCompetitor, DeltaKind::kInsert, id, coords});
-  }
+  WriterLock lock(route_mu_);
+  const uint64_t id = next_competitor_id_++;
+  const uint32_t shard = partitioner_->RouteCompetitor(coords);
+  competitor_shard_.emplace(id, shard);
+  // Feed the global cache in id-allocation order, before the op reaches
+  // its shard (so no reader sees an op the cache hasn't vetted entries
+  // against). A shard apply cannot fail past this point — arity was
+  // checked above and the id is fresh and the largest yet — so the cache
+  // never observes a phantom op.
+  cache_->OnDeltaOp(
+      DeltaOp{DeltaTarget::kCompetitor, DeltaKind::kInsert, id, coords});
   return tables_[shard]->InsertCompetitorWithId(id, coords);
 }
 
@@ -82,67 +78,53 @@ Result<uint64_t> ShardedTable::InsertProduct(
         "insert has " + std::to_string(coords.size()) + " coords, table is " +
         std::to_string(options_.dims) + "-dimensional");
   }
-  uint64_t id;
-  uint32_t shard;
-  {
-    MutexLock lock(route_mu_);
-    id = next_product_id_++;
-    shard = partitioner_->RouteProduct(coords);
-    product_shard_.emplace(id, shard);
-    cache_->OnDeltaOp(
-        DeltaOp{DeltaTarget::kProduct, DeltaKind::kInsert, id, coords});
-  }
+  WriterLock lock(route_mu_);
+  const uint64_t id = next_product_id_++;
+  const uint32_t shard = partitioner_->RouteProduct(coords);
+  product_shard_.emplace(id, shard);
+  cache_->OnDeltaOp(
+      DeltaOp{DeltaTarget::kProduct, DeltaKind::kInsert, id, coords});
   return tables_[shard]->InsertProductWithId(id, coords);
 }
 
 Status ShardedTable::EraseCompetitor(uint64_t id) {
-  uint32_t shard;
-  {
-    MutexLock lock(route_mu_);
-    auto it = competitor_shard_.find(id);
-    if (it == competitor_shard_.end()) {
-      return Status::NotFound("competitor id " + std::to_string(id) +
-                              " is not live");
-    }
-    shard = it->second;
-    competitor_shard_.erase(it);
-    cache_->OnDeltaOp(
-        DeltaOp{DeltaTarget::kCompetitor, DeltaKind::kErase, id, {}});
+  WriterLock lock(route_mu_);
+  auto it = competitor_shard_.find(id);
+  if (it == competitor_shard_.end()) {
+    return Status::NotFound("competitor id " + std::to_string(id) +
+                            " is not live");
   }
+  const uint32_t shard = it->second;
+  competitor_shard_.erase(it);
+  cache_->OnDeltaOp(
+      DeltaOp{DeltaTarget::kCompetitor, DeltaKind::kErase, id, {}});
   return tables_[shard]->EraseCompetitor(id);
 }
 
 Status ShardedTable::EraseProduct(uint64_t id) {
-  uint32_t shard;
-  {
-    MutexLock lock(route_mu_);
-    auto it = product_shard_.find(id);
-    if (it == product_shard_.end()) {
-      return Status::NotFound("product id " + std::to_string(id) +
-                              " is not live");
-    }
-    shard = it->second;
-    product_shard_.erase(it);
-    cache_->OnDeltaOp(
-        DeltaOp{DeltaTarget::kProduct, DeltaKind::kErase, id, {}});
+  WriterLock lock(route_mu_);
+  auto it = product_shard_.find(id);
+  if (it == product_shard_.end()) {
+    return Status::NotFound("product id " + std::to_string(id) +
+                            " is not live");
   }
+  const uint32_t shard = it->second;
+  product_shard_.erase(it);
+  cache_->OnDeltaOp(
+      DeltaOp{DeltaTarget::kProduct, DeltaKind::kErase, id, {}});
   return tables_[shard]->EraseProduct(id);
 }
 
 ShardedView ShardedTable::AcquireViews() const {
-  // The reader side of the epoch fence: a publish cycle installs every
-  // shard under the writer side, so the views captured here are all-old
-  // or all-new — one epoch, never a mix.
+  // The reader side of the table fence. Every op runs (cache feed and
+  // shard apply) and every publish installs under the writer side, so
+  // the capture below is one cut of the op stream: exactly the first
+  // `version` ops, every shard at one epoch.
   ShardedView sharded;
-  // Cache clock FIRST, before any shard is captured: Store() publishes an
-  // entry only when no op landed after this stamp, and an op can reach a
-  // shard only after it bumped the clock — so a successful store implies
-  // the views below were captured at exactly `version` (the class comment
-  // has the full soundness argument, including mid-capture ops).
-  sharded.version = cache_->version();
   sharded.cache = cache_;
-  ReaderLock lock(epoch_mu_);
   sharded.views.reserve(tables_.size());
+  ReaderLock lock(route_mu_);
+  sharded.version = cache_->version();
   for (const std::unique_ptr<LiveTable>& table : tables_) {
     sharded.views.push_back(table->AcquireView());
   }
@@ -203,7 +185,7 @@ Result<size_t> ShardedTable::PublishCycle(const RebuildPolicy& policy) {
   }
 
   {
-    WriterLock fence(epoch_mu_);
+    WriterLock fence(route_mu_);
     for (size_t s = 0; s < n; ++s) {
       tables_[s]->CompleteRebuild(std::move(next[s]));
     }
@@ -292,7 +274,7 @@ void ShardedTable::Loop() {
 }
 
 uint64_t ShardedTable::epoch() const {
-  ReaderLock lock(epoch_mu_);
+  ReaderLock lock(route_mu_);
   return tables_.front()->epoch();
 }
 

@@ -12,16 +12,21 @@
 //   * Global stable ids. Ids are allocated here, in op order, from one
 //     pair of counters (competitors and products each count from 1) —
 //     independent of the shard count, which is what keeps `--shards N`
-//     replays byte-identical to `--shards 1`.
-//     A routing map remembers each id's shard so erases find their row.
+//     replays byte-identical to `--shards 1`. This table is the only id
+//     authority: a routing map remembers each live id's shard, so erases
+//     find their row and an erase of a dead id never reaches a shard.
 //
-//   * One epoch across all shards. Publishes are *cycles*: every shard is
-//     frozen (two-phase: freeze all, merge all outside the locks, then
-//     install all), and the install happens under the writer side of
-//     `epoch_mu_` while `AcquireViews` captures all shard views under the
-//     reader side — so every query sees either all-old or all-new, never
-//     a mix, and per-shard epochs never diverge (idle shards publish an
-//     O(rows) identity patch to keep step).
+//   * One fence, one cut. Every op holds the writer side of `route_mu_`
+//     from id allocation through the cache feed to the shard apply, and
+//     every publish installs all shards under it; `AcquireViews` stamps
+//     the cache clock and captures every shard view under the reader
+//     side. A view set is therefore one cut of the op stream — exactly
+//     the first `version` ops, every shard at one epoch — and a query
+//     sees all-old or all-new, never a mix. Capture copies pointers and
+//     counts only (serve/delta_log.h), so the shared section is short.
+//     Publishes are *cycles*: every shard is frozen, merged outside the
+//     locks, then installed together, so per-shard epochs never diverge
+//     (idle shards publish an O(rows) identity patch to keep step).
 //
 //   * Deterministic publish instants. The inline trigger fires on the
 //     *total* backlog across shards, so cycle boundaries in `--replay`
@@ -33,12 +38,10 @@
 //     table feeds a single cache with the routed op stream instead, under
 //     `route_mu_` in id-allocation order, *before* the op reaches its
 //     shard. An entry therefore survives only ops that provably leave its
-//     global dominator skyline unchanged; the per-op proofs are against
-//     the entry's stored value set, so they hold for any subset of the
-//     surviving ops a capture may have seen (serve/upgrade_cache.h).
-//     `AcquireViews` stamps the cache clock before touching any shard,
-//     which makes `Store`'s no-op-landed check imply the views were
-//     captured at exactly the stamped version.
+//     global dominator skyline unchanged (serve/upgrade_cache.h). Because
+//     the clock is stamped inside the same cut as the views, a view at
+//     `version` contains exactly the ops the clock counted, and `Store`'s
+//     no-op-landed check makes an entry's version exact.
 //
 // The scatter-gather query engine over the captured views lives in
 // serve/shard/shard_query.h.
@@ -100,15 +103,16 @@ class ShardedTable {
   ShardedTable(const ShardedTable&) = delete;
   ShardedTable& operator=(const ShardedTable&) = delete;
 
-  /// Update API, same contract as LiveTable: global stable ids in op
-  /// order, `kNotFound` for dead ids, `kInvalidArgument` for arity.
+  /// Update API: global stable ids in op order, `kNotFound` for dead
+  /// ids, `kInvalidArgument` for arity.
   Result<uint64_t> InsertCompetitor(const std::vector<double>& coords);
   Result<uint64_t> InsertProduct(const std::vector<double>& coords);
   Status EraseCompetitor(uint64_t id);
   Status EraseProduct(uint64_t id);
 
   /// Captures one consistent view of every shard: all at the same epoch
-  /// (publish installs are excluded for the duration of the capture).
+  /// and holding exactly the first `version` accepted ops (ops and
+  /// publish installs are excluded for the duration of the capture).
   ShardedView AcquireViews() const;
 
   /// Deterministic-mode publish check: one cycle when the total backlog
@@ -161,10 +165,11 @@ class ShardedTable {
   /// it is held).
   std::shared_ptr<UpgradeCache> cache_;
 
-  /// Id allocation + spatial routing. kShardTable band: held while the
-  /// target shard's kTable lock is taken inside the insert, never
-  /// together with `epoch_mu_`.
-  mutable Mutex route_mu_ SKYUP_ACQUIRED_AFTER(lock_order::kShardTable)
+  /// The table fence (see the class comment): writer side for id
+  /// allocation, routing, the cache feed and the shard apply of one op,
+  /// and for a publish install; reader side for view capture. kShardTable
+  /// band: held while shard kTable locks are taken.
+  mutable SharedMutex route_mu_ SKYUP_ACQUIRED_AFTER(lock_order::kShardTable)
       SKYUP_ACQUIRED_BEFORE(lock_order::kTable);
   std::unique_ptr<ShardPartitioner> partitioner_ SKYUP_GUARDED_BY(route_mu_);
   uint64_t next_competitor_id_ SKYUP_GUARDED_BY(route_mu_) = 1;
@@ -174,18 +179,9 @@ class ShardedTable {
   std::unordered_map<uint64_t, uint32_t> product_shard_
       SKYUP_GUARDED_BY(route_mu_);
 
-  /// The cross-shard epoch fence: readers capture all views under the
-  /// shared side, a publish cycle installs all shards under the exclusive
-  /// side. Same band as `route_mu_` (mutually non-nesting).
-  // A fence, not a data guard: the shard state it orders lives behind
-  // each LiveTable's own mutex.
-  // lint: guarded-by-ok (excludes publish installs during AcquireViews)
-  mutable SharedMutex epoch_mu_ SKYUP_ACQUIRED_AFTER(lock_order::kShardTable)
-      SKYUP_ACQUIRED_BEFORE(lock_order::kTable);
-
   /// Publish-cycle serialization + coordinator handshake + counters. Sits
   /// above the kShardTable band: a cycle holds it across freeze, merge,
-  /// and install (which takes `epoch_mu_` and every shard's table lock).
+  /// and install (which takes `route_mu_` and every shard's table lock).
   mutable Mutex coord_mu_ SKYUP_ACQUIRED_AFTER(lock_order::kRebuilder)
       SKYUP_ACQUIRED_BEFORE(lock_order::kShardTable);
   CondVar coord_cv_;

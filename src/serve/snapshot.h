@@ -42,13 +42,12 @@
 
 namespace skyup {
 
-struct DeltaOp;
+struct DeltaPrefix;
 class Snapshot;
 
 /// Declared here (defined in serve/rebuilder.cc) so it can be a friend.
 Result<std::shared_ptr<const Snapshot>> PatchSnapshot(
-    const Snapshot& base, const std::vector<DeltaOp>& ops,
-    uint64_t next_epoch);
+    const Snapshot& base, const DeltaPrefix& ops, uint64_t next_epoch);
 
 /// One immutable epoch of serving state. Rows of both datasets are ordered
 /// ascending by stable id, so any scan in row order is deterministic and
@@ -126,8 +125,7 @@ class Snapshot {
   // The patch path needs the private constructor plus write access to the
   // index clone and tail block while assembling the next epoch.
   friend Result<std::shared_ptr<const Snapshot>> PatchSnapshot(
-      const Snapshot& base, const std::vector<DeltaOp>& ops,
-      uint64_t next_epoch);
+      const Snapshot& base, const DeltaPrefix& ops, uint64_t next_epoch);
 
   Snapshot(uint64_t epoch, std::unique_ptr<Dataset> competitors,
            std::vector<uint64_t> competitor_ids,

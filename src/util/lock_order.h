@@ -27,15 +27,16 @@
 //        |                             cycle holds it across freeze, merge
 //        |                             and install; Server::stats() reads
 //        |                             publish counters under stats_mu_)
-//   kShardTable    ShardedTable::epoch_mu_ / route_mu_ — cross-shard
-//        |         epoch fence and id routing; both sit above every
-//        |         per-shard LiveTable lock they coordinate, and are
-//        |         mutually non-nesting
-//   kTable         LiveTable::mu_      (delta apply / view acquisition)
-//        |
-//   kTableSub      DeltaLog, UpgradeCache, SkylineMemo shards,
-//        |         SnapshotStore — table substructures locked while
-//        |         LiveTable::mu_ is held; mutually non-nesting
+//   kShardTable    ShardedTable::route_mu_ — the table fence: id
+//        |         routing and each op's shard apply on the writer side,
+//        |         view capture on the reader side; sits above every
+//        |         per-shard LiveTable lock it coordinates
+//   kTable         LiveTable::mu_      (delta apply / view acquisition;
+//        |                             also serializes the lock-free
+//        |                             DeltaLog it owns)
+//   kTableSub      UpgradeCache, SkylineMemo shards, SnapshotStore —
+//        |         table substructures locked while LiveTable::mu_ is
+//        |         held; mutually non-nesting
 //   kObsRegistry   trace registry, MetricsRegistry — any layer may
 //        |         export metrics/spans while holding serving locks
 //   kObsFlight     FlightRecorder::mu_ — query records are appended

@@ -1,14 +1,19 @@
 // Tests for the delta pipeline (serve/delta_log.h, serve/live_table.h,
-// serve/rebuilder.h): write-ahead hook ordering, overlay folding
-// (insert/erase cancellation, erase bitmaps, SoA mirror), live-table
-// update semantics, the freeze/merge/publish rebuild protocol including
-// abandonment, and the inline publish step that drives it.
+// serve/rebuilder.h): resolution of ops at append, captured prefixes that
+// later appends never disturb, the per-reader erase masks (insert/erase
+// cancellation, snapshot erase masks), live-table update semantics and
+// write-ahead hook ordering, the freeze/merge/publish rebuild protocol
+// including carry-over and abandonment, and the inline publish step that
+// drives it.
 
 #include "serve/delta_log.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,41 +30,78 @@ Result<std::unique_ptr<LiveTable>> MakeTable(size_t dims) {
   return LiveTable::Create(options);
 }
 
-TEST(DeltaLogTest, AppendHookRunsBeforeVisibility) {
-  DeltaLog log;
-  std::vector<size_t> sizes_at_hook;
-  log.SetAppendHook([&](const DeltaOp& op) {
-    // Write-ahead contract: at hook time the op is NOT yet readable.
-    sizes_at_hook.push_back(log.size());
-    EXPECT_EQ(op.kind, DeltaKind::kInsert);
-  });
-  for (int i = 0; i < 3; ++i) {
-    DeltaOp op;
-    op.target = DeltaTarget::kCompetitor;
-    op.kind = DeltaKind::kInsert;
-    op.id = static_cast<uint64_t>(i + 1);
-    op.coords = {0.1, 0.2};
-    log.Append(std::move(op));
-  }
-  EXPECT_EQ(sizes_at_hook, (std::vector<size_t>{0, 1, 2}));
-  EXPECT_EQ(log.size(), 3u);
+std::shared_ptr<const Snapshot> EmptySnapshot(size_t dims) {
+  Result<std::shared_ptr<const Snapshot>> snapshot =
+      Snapshot::Create(1, Dataset(dims), {}, Dataset(dims), {});
+  EXPECT_TRUE(snapshot.ok());
+  return *snapshot;
 }
 
-TEST(DeltaLogTest, CopyPrefixClampsAndPreservesOrder) {
-  DeltaLog log;
-  for (uint64_t id = 1; id <= 4; ++id) {
-    DeltaOp op;
-    op.kind = DeltaKind::kErase;
-    op.id = id;
-    log.Append(std::move(op));
+// Folds the table's frozen prefix into its next epoch by a full merge.
+void Publish(LiveTable* t) {
+  std::optional<LiveTable::RebuildJob> job = t->BeginRebuild();
+  ASSERT_TRUE(job.has_value());
+  Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
+      *job->base, job->ops, job->next_epoch, t->index_options());
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  t->CompleteRebuild(*merged);
+}
+
+TEST(DeltaLogTest, CapturedPrefixIgnoresLaterAppends) {
+  DeltaLog log(EmptySnapshot(2));
+  // Cross a chunk boundary so later appends replace the chunk list.
+  const size_t first = kDeltaChunkRows + 3;
+  for (size_t i = 0; i < first; ++i) {
+    const double coords[2] = {0.001 * static_cast<double>(i), 0.5};
+    log.AppendInsert(DeltaTarget::kCompetitor, i + 1, coords);
   }
-  std::vector<DeltaOp> prefix = log.CopyPrefix(2);
-  ASSERT_EQ(prefix.size(), 2u);
-  EXPECT_EQ(prefix[0].id, 1u);
-  EXPECT_EQ(prefix[1].id, 2u);
-  EXPECT_EQ(log.CopyPrefix(99).size(), 4u);
-  log.Clear();
-  EXPECT_TRUE(log.empty());
+  const DeltaPrefix captured = log.prefix();
+  for (size_t i = first; i < 3 * kDeltaChunkRows; ++i) {
+    const double coords[2] = {0.001 * static_cast<double>(i), 0.25};
+    log.AppendInsert(DeltaTarget::kCompetitor, i + 1, coords);
+  }
+  std::optional<DeltaErase> erase = log.Resolve(DeltaTarget::kCompetitor, 2);
+  ASSERT_TRUE(erase.has_value());
+  log.AppendErase(*erase);
+
+  // The capture keeps its counts and its chunk list; the rows below its
+  // counts read back exactly as appended, in id order.
+  EXPECT_EQ(captured.size(), first);
+  EXPECT_EQ(captured.competitors, first);
+  EXPECT_EQ(captured.erases, 0u);
+  EXPECT_EQ(captured.competitor_chunks(), 2u);
+  EXPECT_EQ(captured.competitor_lanes(1).count, 3u);
+  for (size_t i = 0; i < first; ++i) {
+    EXPECT_EQ(captured.id(DeltaTarget::kCompetitor, i), i + 1);
+    EXPECT_EQ(captured.row(DeltaTarget::kCompetitor, i)[1], 0.5);
+    EXPECT_EQ(captured.competitor_lanes(i / kDeltaChunkRows)
+                  .dim(0)[i % kDeltaChunkRows],
+              0.001 * static_cast<double>(i));
+  }
+  EXPECT_EQ(log.size(), 3 * kDeltaChunkRows + 1);
+  EXPECT_EQ(log.prefix().competitor_chunks(), 3u);
+  EXPECT_EQ(log.prefix().erases, 1u);
+}
+
+TEST(DeltaLogTest, ResolvesIdsOnceAtAppend) {
+  DeltaLog log(EmptySnapshot(1));
+  for (uint64_t id = 10; id < 10 + 2 * kDeltaChunkRows; id += 2) {
+    const double coords[1] = {static_cast<double>(id)};
+    log.AppendInsert(DeltaTarget::kProduct, id, coords);
+  }
+  // Inserted ids are found by binary search across chunks; ids between
+  // them, below them, or of the other table resolve to nothing.
+  std::optional<DeltaErase> hit = log.Resolve(DeltaTarget::kProduct, 300);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_TRUE(hit->inserted);
+  EXPECT_EQ(hit->row, 145);
+  EXPECT_EQ(hit->target, DeltaTarget::kProduct);
+  EXPECT_FALSE(log.Resolve(DeltaTarget::kProduct, 301).has_value());
+  EXPECT_FALSE(log.Resolve(DeltaTarget::kProduct, 5).has_value());
+  EXPECT_FALSE(log.Resolve(DeltaTarget::kCompetitor, 300).has_value());
+  EXPECT_FALSE(log.AcceptsId(DeltaTarget::kProduct, 500));
+  EXPECT_TRUE(log.AcceptsId(DeltaTarget::kProduct, 523));
+  EXPECT_TRUE(log.AcceptsId(DeltaTarget::kCompetitor, 1));
 }
 
 TEST(LiveTableTest, InsertEraseSemantics) {
@@ -67,9 +109,9 @@ TEST(LiveTableTest, InsertEraseSemantics) {
   ASSERT_TRUE(table.ok());
   LiveTable& t = **table;
 
-  Result<uint64_t> c1 = t.InsertCompetitor({0.1, 0.9});
-  Result<uint64_t> c2 = t.InsertCompetitor({0.9, 0.1});
-  Result<uint64_t> p1 = t.InsertProduct({0.5, 0.5});
+  Result<uint64_t> c1 = t.InsertCompetitorWithId(1, {0.1, 0.9});
+  Result<uint64_t> c2 = t.InsertCompetitorWithId(2, {0.9, 0.1});
+  Result<uint64_t> p1 = t.InsertProductWithId(1, {0.5, 0.5});
   ASSERT_TRUE(c1.ok() && c2.ok() && p1.ok());
   EXPECT_EQ(*c1, 1u);
   EXPECT_EQ(*c2, 2u);
@@ -77,88 +119,143 @@ TEST(LiveTableTest, InsertEraseSemantics) {
   EXPECT_EQ(t.SampleDiagnostics().live_competitors, 2u);
   EXPECT_EQ(t.SampleDiagnostics().live_products, 1u);
 
-  // Arity mismatch is rejected and changes nothing.
-  EXPECT_EQ(t.InsertCompetitor({0.1}).status().code(),
+  // Arity mismatches, id 0 and ids that do not ascend are rejected and
+  // change nothing.
+  EXPECT_EQ(t.InsertCompetitorWithId(3, {0.1}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.InsertCompetitorWithId(0, {0.1, 0.1}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.InsertCompetitorWithId(2, {0.1, 0.1}).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(t.SampleDiagnostics().live_competitors, 2u);
+  EXPECT_EQ(t.delta_backlog(), 3u);
 
   EXPECT_TRUE(t.EraseCompetitor(1).ok());
   EXPECT_EQ(t.SampleDiagnostics().live_competitors, 1u);
-  // Double-erase and unknown ids are kNotFound.
-  EXPECT_EQ(t.EraseCompetitor(1).code(), StatusCode::kNotFound);
+  // Ids no row carries are kNotFound.
   EXPECT_EQ(t.EraseProduct(42).code(), StatusCode::kNotFound);
+  EXPECT_EQ(t.EraseCompetitor(7).code(), StatusCode::kNotFound);
+  EXPECT_EQ(t.delta_backlog(), 4u);
+
+  // After a publish the ids resolve against the snapshot instead, and a
+  // new id must still exceed the snapshot's.
+  Publish(&t);
+  EXPECT_EQ(t.InsertCompetitorWithId(2, {0.3, 0.3}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(t.EraseCompetitor(2).ok());
+  EXPECT_EQ(t.EraseCompetitor(1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(t.SampleDiagnostics().live_competitors, 0u);
+  EXPECT_EQ(t.SampleDiagnostics().live_products, 1u);
 }
 
 TEST(LiveTableTest, ViewIsConsistentAtCaptureTime) {
   Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
   LiveTable& t = **table;
-  ASSERT_TRUE(t.InsertCompetitor({0.2, 0.2}).ok());
+  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.2, 0.2}).ok());
 
   ReadView view = t.AcquireView();
   EXPECT_EQ(view.deltas.size(), 1u);
 
   // Later updates do not leak into the captured view.
-  ASSERT_TRUE(t.InsertCompetitor({0.3, 0.3}).ok());
+  ASSERT_TRUE(t.InsertCompetitorWithId(2, {0.3, 0.3}).ok());
+  ASSERT_TRUE(t.EraseCompetitor(1).ok());
   EXPECT_EQ(view.deltas.size(), 1u);
-  EXPECT_EQ(t.AcquireView().deltas.size(), 2u);
+  EXPECT_EQ(view.deltas.competitors, 1u);
+  EXPECT_EQ(view.deltas.erases, 0u);
+  EXPECT_EQ(t.AcquireView().deltas.size(), 3u);
+  DeltaMasks masks;
+  masks.Build(*view.snapshot, view.deltas);
+  EXPECT_EQ(masks.Live(DeltaTarget::kCompetitor, *view.snapshot, view.deltas),
+            1u);
 }
 
-TEST(BuildOverlayTest, InsertThenEraseCancels) {
+TEST(LiveTableTest, AppendHookRunsBeforeVisibility) {
   Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
   LiveTable& t = **table;
-  Result<uint64_t> a = t.InsertCompetitor({0.1, 0.1});
-  Result<uint64_t> b = t.InsertCompetitor({0.2, 0.2});
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(t.EraseCompetitor(*a).ok());
-
-  DeltaOverlay overlay = BuildOverlay(t.AcquireView());
-  ASSERT_EQ(overlay.inserted_competitors.size(), 1u);
-  EXPECT_EQ(overlay.inserted_competitor_ids[0], *b);
-  EXPECT_EQ(overlay.inserted_competitors.data(0)[0], 0.2);
-  // The erased insert never reached the snapshot, so no bitmap entry.
-  EXPECT_EQ(overlay.competitors_erased, 0u);
-  // SoA mirror tracks the alive inserts.
-  EXPECT_EQ(overlay.competitor_block.size(), 1u);
+  std::atomic<bool> captured{false};
+  size_t ops_seen = 0;
+  std::thread reader;
+  t.SetAppendHook([&](const DeltaOp& op) {
+    EXPECT_EQ(op.kind, DeltaKind::kInsert);
+    // Write-ahead contract: while the hook runs no view can be captured,
+    // and the first one captured after it already holds the op.
+    reader = std::thread([&] {
+      ops_seen = t.AcquireView().deltas.size();
+      captured.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(captured.load());
+  });
+  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.2}).ok());
+  reader.join();
+  EXPECT_TRUE(captured.load());
+  EXPECT_EQ(ops_seen, 1u);
 }
 
-TEST(BuildOverlayTest, EraseOfBaseRowSetsBitmap) {
+TEST(DeltaMasksTest, InsertThenEraseCancels) {
   Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
   LiveTable& t = **table;
-  Result<uint64_t> a = t.InsertCompetitor({0.1, 0.1});
-  Result<uint64_t> b = t.InsertCompetitor({0.2, 0.2});
-  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.1}).ok());
+  ASSERT_TRUE(t.InsertCompetitorWithId(2, {0.2, 0.2}).ok());
+  ASSERT_TRUE(t.EraseCompetitor(1).ok());
+
+  const ReadView view = t.AcquireView();
+  DeltaMasks masks;
+  masks.Build(*view.snapshot, view.deltas);
+  ASSERT_EQ(view.deltas.competitors, 2u);
+  EXPECT_NE(masks.inserted_mask(DeltaTarget::kCompetitor)[0], 0);
+  EXPECT_EQ(masks.inserted_mask(DeltaTarget::kCompetitor)[1], 0);
+  EXPECT_EQ(view.deltas.id(DeltaTarget::kCompetitor, 1), 2u);
+  EXPECT_EQ(view.deltas.row(DeltaTarget::kCompetitor, 1)[0], 0.2);
+  // The erased insert never reached the snapshot, so no snapshot mask
+  // entry and no erased-indexed tick.
+  EXPECT_EQ(masks.snapshot_erased(DeltaTarget::kCompetitor), 0u);
+  EXPECT_EQ(masks.inserted_erased(DeltaTarget::kCompetitor), 1u);
+  EXPECT_EQ(view.deltas.erased_indexed, 0u);
+  EXPECT_EQ(masks.Live(DeltaTarget::kCompetitor, *view.snapshot, view.deltas),
+            1u);
+}
+
+TEST(DeltaMasksTest, EraseOfBaseRowSetsMask) {
+  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  ASSERT_TRUE(table.ok());
+  LiveTable& t = **table;
+  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.1}).ok());
+  ASSERT_TRUE(t.InsertCompetitorWithId(2, {0.2, 0.2}).ok());
 
   // Absorb both inserts into a snapshot, then erase one of them.
-  std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
-  ASSERT_TRUE(job.has_value());
-  Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, t.index_options());
-  ASSERT_TRUE(merged.ok());
-  t.CompleteRebuild(*merged);
+  Publish(&t);
   EXPECT_EQ(t.epoch(), 2u);
   EXPECT_EQ(t.delta_backlog(), 0u);
 
-  ASSERT_TRUE(t.EraseCompetitor(*a).ok());
-  DeltaOverlay overlay = BuildOverlay(t.AcquireView());
-  ASSERT_EQ(overlay.competitor_erased.size(), 2u);
-  EXPECT_EQ(overlay.competitors_erased, 1u);
-  EXPECT_NE(overlay.competitor_erased[0], 0);  // row 0 is id *a (id-sorted)
-  EXPECT_EQ(overlay.competitor_erased[1], 0);
-  EXPECT_EQ(overlay.live_competitors(*t.AcquireView().snapshot), 1u);
+  ASSERT_TRUE(t.EraseCompetitor(1).ok());
+  const ReadView view = t.AcquireView();
+  DeltaMasks masks;
+  masks.Build(*view.snapshot, view.deltas);
+  EXPECT_EQ(masks.snapshot_erased(DeltaTarget::kCompetitor), 1u);
+  // Row 0 is id 1 (rows are id-sorted).
+  EXPECT_NE(masks.snapshot_mask(DeltaTarget::kCompetitor)[0], 0);
+  EXPECT_EQ(masks.snapshot_mask(DeltaTarget::kCompetitor)[1], 0);
+  // Both rows are indexed, so the erase ticks the memo's clock.
+  EXPECT_EQ(view.deltas.erased_indexed, 1u);
+  EXPECT_EQ(masks.Live(DeltaTarget::kCompetitor, *view.snapshot, view.deltas),
+            1u);
 }
 
 TEST(RebuildProtocolTest, FreezeMergePublishAbsorbsBacklog) {
   Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
   LiveTable& t = **table;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        t.InsertCompetitor({0.1 * (i + 1), 0.9 - 0.1 * i}).ok());
+  for (uint64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(t.InsertCompetitorWithId(
+                     i + 1, {0.1 * static_cast<double>(i + 1),
+                             0.9 - 0.1 * static_cast<double>(i)})
+                    .ok());
   }
-  ASSERT_TRUE(t.InsertProduct({0.5, 0.5}).ok());
+  ASSERT_TRUE(t.InsertProductWithId(1, {0.5, 0.5}).ok());
   ASSERT_TRUE(t.EraseCompetitor(2).ok());
   EXPECT_EQ(t.delta_backlog(), 7u);
 
@@ -169,27 +266,50 @@ TEST(RebuildProtocolTest, FreezeMergePublishAbsorbsBacklog) {
   // A second BeginRebuild while one is in flight is refused.
   EXPECT_FALSE(t.BeginRebuild().has_value());
 
-  // Updates during the merge stay visible and pending.
-  ASSERT_TRUE(t.InsertCompetitor({0.7, 0.7}).ok());
-  EXPECT_EQ(t.delta_backlog(), 8u);
+  // Updates during the merge stay visible and pending — an insert, an
+  // erase of a frozen insert, and an erase of an insert made mid-merge.
+  ASSERT_TRUE(t.InsertCompetitorWithId(6, {0.7, 0.7}).ok());
+  ASSERT_TRUE(t.InsertCompetitorWithId(7, {0.8, 0.05}).ok());
+  ASSERT_TRUE(t.EraseCompetitor(3).ok());
+  ASSERT_TRUE(t.EraseCompetitor(7).ok());
+  EXPECT_EQ(t.delta_backlog(), 11u);
+  EXPECT_EQ(job->ops.size(), 7u);
 
   Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
       *job->base, job->ops, job->next_epoch, t.index_options());
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ((*merged)->competitors().size(), 4u);  // 5 inserted - 1 erased
+  EXPECT_EQ((*merged)->competitor_ids(), (std::vector<uint64_t>{1, 3, 4, 5}));
   EXPECT_EQ((*merged)->products().size(), 1u);
   t.CompleteRebuild(*merged);
 
+  // Only the four mid-merge ops remain, carried into the new epoch's log:
+  // the erase of id 3 now names its snapshot row, the erase of id 7 the
+  // carried insert.
   EXPECT_EQ(t.epoch(), 2u);
-  EXPECT_EQ(t.delta_backlog(), 1u);  // only the mid-merge insert remains
-  EXPECT_EQ(t.SampleDiagnostics().live_competitors, 5u);
+  EXPECT_EQ(t.delta_backlog(), 4u);
+  const ReadView view = t.AcquireView();
+  EXPECT_EQ(view.deltas.competitors, 2u);
+  ASSERT_EQ(view.deltas.erases, 2u);
+  EXPECT_FALSE(view.deltas.erase(0).inserted);
+  EXPECT_EQ(view.deltas.erase(0).row, 1);  // id 3 is snapshot row 1
+  EXPECT_TRUE(view.deltas.erase(1).inserted);
+  EXPECT_EQ(view.deltas.erase(1).row, 1);  // id 7 is carried row 1
+  EXPECT_EQ(view.deltas.erased_indexed, 1u);
+  EXPECT_EQ(t.SampleDiagnostics().live_competitors, 4u);  // 1, 4, 5, 6
+
+  // The next publish folds the carried ops like any others.
+  Publish(&t);
+  EXPECT_EQ(t.delta_backlog(), 0u);
+  EXPECT_EQ(t.AcquireView().snapshot->competitor_ids(),
+            (std::vector<uint64_t>{1, 4, 5, 6}));
 }
 
 TEST(RebuildProtocolTest, AbandonReoffersFrozenOps) {
   Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
   LiveTable& t = **table;
-  ASSERT_TRUE(t.InsertCompetitor({0.4, 0.4}).ok());
+  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.4, 0.4}).ok());
 
   std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
   ASSERT_TRUE(job.has_value());
@@ -197,11 +317,14 @@ TEST(RebuildProtocolTest, AbandonReoffersFrozenOps) {
   EXPECT_EQ(t.epoch(), 1u);
   EXPECT_EQ(t.delta_backlog(), 1u);
 
-  // The next rebuild sees the same op again.
+  // The next rebuild sees the same op again, plus what landed since.
+  ASSERT_TRUE(t.InsertProductWithId(1, {0.9, 0.9}).ok());
   std::optional<LiveTable::RebuildJob> retry = t.BeginRebuild();
   ASSERT_TRUE(retry.has_value());
-  ASSERT_EQ(retry->ops.size(), 1u);
-  EXPECT_EQ(retry->ops[0].id, job->ops[0].id);
+  ASSERT_EQ(retry->ops.size(), 2u);
+  ASSERT_EQ(retry->ops.competitors, 1u);
+  EXPECT_EQ(retry->ops.id(DeltaTarget::kCompetitor, 0),
+            job->ops.id(DeltaTarget::kCompetitor, 0));
   t.AbandonRebuild();
 }
 
@@ -258,15 +381,18 @@ TEST(LiveTableTest, WriteAheadHookObservesEveryAcceptedUpdate) {
   std::vector<DeltaOp> wal;
   t.SetAppendHook([&](const DeltaOp& op) { wal.push_back(op); });
 
-  ASSERT_TRUE(t.InsertCompetitor({0.1, 0.2}).ok());
-  ASSERT_TRUE(t.InsertProduct({0.3, 0.4}).ok());
-  EXPECT_EQ(t.InsertProduct({0.3}).status().code(),
+  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.2}).ok());
+  ASSERT_TRUE(t.InsertProductWithId(1, {0.3, 0.4}).ok());
+  EXPECT_EQ(t.InsertProductWithId(2, {0.3}).status().code(),
             StatusCode::kInvalidArgument);  // rejected: not logged
+  EXPECT_EQ(t.EraseProduct(9).code(),
+            StatusCode::kNotFound);  // rejected: not logged
   ASSERT_TRUE(t.EraseCompetitor(1).ok());
 
   ASSERT_EQ(wal.size(), 3u);
   EXPECT_EQ(wal[0].target, DeltaTarget::kCompetitor);
   EXPECT_EQ(wal[0].kind, DeltaKind::kInsert);
+  EXPECT_EQ(wal[0].coords, (std::vector<double>{0.1, 0.2}));
   EXPECT_EQ(wal[1].target, DeltaTarget::kProduct);
   EXPECT_EQ(wal[2].kind, DeltaKind::kErase);
   EXPECT_EQ(wal[2].id, 1u);

@@ -146,7 +146,30 @@ TEST_F(FlightTest, DeadlineKilledQueryIsInSlowLogAndDump) {
   EXPECT_NE(log_text.find("\"query_id\":1"), std::string::npos);
   EXPECT_NE(log_text.find("\"status\":\"DeadlineExceeded\""),
             std::string::npos);
-  EXPECT_NE(log_text.find("\"probe_s\":"), std::string::npos);
+  // Every phase and every flight counter has its key, generated from
+  // the field lists; the hand-written keys of earlier logs all remain.
+  auto has_key = [&log_text](const char* name, const char* suffix) {
+    std::string needle = "\"";
+    needle += name;
+    needle += suffix;
+    needle += "\":";
+    return log_text.find(needle) != std::string::npos;
+  };
+  for (const auto& phase : kPhaseTimingsFields) {
+    EXPECT_TRUE(has_key(phase.name, "_s")) << phase.name;
+  }
+  for (const char* counter : {
+#define SKYUP_TEST_COUNTER_NAME(field) #field,
+           SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_TEST_COUNTER_NAME)
+#undef SKYUP_TEST_COUNTER_NAME
+       }) {
+    EXPECT_TRUE(has_key(counter, "")) << counter;
+  }
+  for (const char* key : {"probe_s", "skyline_s", "upgrade_s", "prune_s",
+                          "merge_s", "other_s", "candidates_evaluated",
+                          "candidates_pruned", "cache_hits", "memo_hits"}) {
+    EXPECT_TRUE(has_key(key, "")) << key;
+  }
 
   // And so does the post-hoc diagnostics dump.
   std::ostringstream dump;

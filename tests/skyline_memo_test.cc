@@ -179,8 +179,8 @@ TEST(SkylineMemoTest, LiveTablePublishRollsTheMemo) {
   Result<std::unique_ptr<LiveTable>> table = LiveTable::Create(options);
   ASSERT_TRUE(table.ok());
   LiveTable& t = **table;
-  ASSERT_TRUE(t.InsertCompetitor({0.1, 0.2}).ok());
-  ASSERT_TRUE(t.InsertProduct({0.9, 0.9}).ok());
+  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.2}).ok());
+  ASSERT_TRUE(t.InsertProductWithId(1, {0.9, 0.9}).ok());
 
   ReadView view = t.AcquireView();
   ASSERT_NE(view.memo, nullptr);

@@ -45,8 +45,8 @@ gymnastics on purpose) and fails with file:line diagnostics on:
   tsa-escape     SKYUP_NO_THREAD_SAFETY_ANALYSIS without an adjacent
                  `// tsa: <why>` comment. The escape hatch silences the
                  analysis for a whole function; the comment is the
-                 reviewable justification (currently one site:
-                 DeltaLog::Append's write-ahead hook contract).
+                 reviewable justification (currently no site uses
+                 the escape).
 
   trace-span     SKYUP_TRACE_SPAN / _SPAN_Q / _SPAN_VERBOSE whose name
                  argument is not a string literal on the same line. The

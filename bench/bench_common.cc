@@ -106,13 +106,11 @@ Workload BuildFrom(Dataset competitors, Dataset products, size_t fanout) {
   Workload w;
   w.competitors = std::make_unique<Dataset>(std::move(competitors));
   w.products = std::make_unique<Dataset>(std::move(products));
-  RTree::Options options;
-  options.max_entries = fanout;
-  Result<RTree> rp = RTree::BulkLoad(*w.competitors, options);
-  Result<RTree> rt = RTree::BulkLoad(*w.products, options);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*w.competitors, fanout);
+  Result<FlatRTree> rt = FlatRTree::BulkLoad(*w.products, fanout);
   SKYUP_CHECK(rp.ok() && rt.ok());
-  w.rp = std::make_unique<RTree>(std::move(rp).value());
-  w.rt = std::make_unique<RTree>(std::move(rt).value());
+  w.rp = std::make_unique<FlatRTree>(std::move(rp).value());
+  w.rt = std::make_unique<FlatRTree>(std::move(rt).value());
   return w;
 }
 

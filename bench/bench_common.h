@@ -65,8 +65,8 @@ class Table {
 struct Workload {
   std::unique_ptr<Dataset> competitors;
   std::unique_ptr<Dataset> products;
-  std::unique_ptr<RTree> rp;
-  std::unique_ptr<RTree> rt;
+  std::unique_ptr<FlatRTree> rp;
+  std::unique_ptr<FlatRTree> rt;
 };
 
 /// Builds the paper's synthetic layout: P in [0,1)^dims, T in (1,2]^dims.

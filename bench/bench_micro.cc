@@ -33,31 +33,18 @@ void BM_RTreeBulkLoad(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Dataset ds = MakeData(n, 3, Distribution::kIndependent);
   for (auto _ : state) {
-    Result<RTree> tree = RTree::BulkLoad(ds);
+    Result<FlatRTree> tree = FlatRTree::BulkLoad(ds);
     SKYUP_CHECK(tree.ok());
-    benchmark::DoNotOptimize(tree->root());
+    benchmark::DoNotOptimize(tree->node_count());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_RTreeBulkLoad)->Arg(10000)->Arg(100000);
 
-void BM_RTreeInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Dataset ds = MakeData(n, 3, Distribution::kIndependent);
-  for (auto _ : state) {
-    RTree tree(&ds);
-    for (size_t i = 0; i < n; ++i) tree.Insert(static_cast<PointId>(i));
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_RTreeInsert)->Arg(10000);
-
 void BM_RTreeRangeQuery(benchmark::State& state) {
   Dataset ds = MakeData(100000, 3, Distribution::kIndependent);
-  Result<RTree> tree = RTree::BulkLoad(ds);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(ds);
   SKYUP_CHECK(tree.ok());
   Rng rng(3);
   std::vector<PointId> out;
@@ -99,22 +86,8 @@ BENCHMARK(BM_Skyline<SkylineAlgorithm::kDnc>)
     ->Args({20000, 0})
     ->Args({20000, 1});
 
-void BM_DominatingSkylineProbe(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Dataset ds = MakeData(n, 3, Distribution::kAntiCorrelated);
-  Result<RTree> tree = RTree::BulkLoad(ds);
-  SKYUP_CHECK(tree.ok());
-  const std::vector<double> t = {1.5, 1.5, 1.5};
-  for (auto _ : state) {
-    std::vector<PointId> sky = DominatingSkyline(tree.value(), t.data());
-    benchmark::DoNotOptimize(sky.size());
-  }
-}
-BENCHMARK(BM_DominatingSkylineProbe)->Arg(100000);
-
-// The same probe through the flat arena snapshot + batched kernels; the
-// pointer/scalar bench above is the seed baseline this is measured against
-// (bench/run_bench.sh records the pair in BENCH_topk.json).
+// The constrained-skyline probe (Algorithm 3) on the flat arena with the
+// batched kernels.
 void BM_DominatingSkylineProbeFlat(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Dataset ds = MakeData(n, 3, Distribution::kAntiCorrelated);
@@ -229,27 +202,8 @@ Dataset MixedCatalog(size_t n_each, uint64_t seed) {
   return out;
 }
 
-// End-to-end improved probing on the pointer tree at one thread: one scalar
-// probe per candidate, the paper-figure path.
-void BM_TopKImprovedProbing(benchmark::State& state) {
-  Dataset p = MakeData(20000, 3, Distribution::kAntiCorrelated);
-  Dataset t = MixedCatalog(1000, 9);
-  Result<RTree> tree = RTree::BulkLoad(p);
-  SKYUP_CHECK(tree.ok());
-  ProductCostFunction f = ProductCostFunction::ReciprocalSum(3, 1e-3);
-  for (auto _ : state) {
-    Result<std::vector<UpgradeResult>> top =
-        TopKImprovedProbing(tree.value(), t, f, 10);
-    SKYUP_CHECK(top.ok());
-    benchmark::DoNotOptimize(top->size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(t.size()));
-}
-BENCHMARK(BM_TopKImprovedProbing);
-
-// End-to-end improved probing through the flat snapshot — tiled probes,
-// the hot path as the planner runs it.
+// End-to-end improved probing at one thread — tiled probes, the hot path
+// as the planner runs it.
 void BM_TopKImprovedProbingFlat(benchmark::State& state) {
   Dataset p = MakeData(20000, 3, Distribution::kAntiCorrelated);
   Dataset t = MixedCatalog(1000, 9);
@@ -267,16 +221,16 @@ void BM_TopKImprovedProbingFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKImprovedProbingFlat);
 
-// Improved probing on the pointer tree across worker counts. The engine's
-// shared-threshold lower bound disqualifies candidates before any
-// skyline/Algorithm 1 work: `pruned` counts them and `upgrades` the
-// candidates that paid full price — together they always sum to |T|, so
-// the counters quantify pruning effectiveness directly.
+// Improved probing across worker counts. The engine's shared-threshold
+// lower bound disqualifies candidates before any skyline/Algorithm 1 work:
+// `pruned` counts them and `upgrades` the candidates that paid full price
+// — together they always sum to |T|, so the counters quantify pruning
+// effectiveness directly.
 void BM_TopKImprovedProbingThreads(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   Dataset p = MakeData(20000, 3, Distribution::kAntiCorrelated);
   Dataset t = MixedCatalog(1000, 9);
-  Result<RTree> tree = RTree::BulkLoad(p);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(p);
   SKYUP_CHECK(tree.ok());
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(3, 1e-3);
   ExecStats stats;

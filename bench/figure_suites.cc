@@ -95,10 +95,8 @@ int RunSmallFigure(const std::string& figure, Distribution distribution,
                "speedup " + Ms(min_speedup) + "x; paper: 1-3 orders of "
                "magnitude)");
   } else {
-    PrintShape("join outperforms improved probing at every non-trivial "
-               "setting; sub-millisecond cells are timing-noise bound "
-               "(min ratio " + Ms(min_speedup) + "x — rerun with "
-               "--repeats=5 for stable medians)");
+    PrintShape("DEVIATION: improved probing beats the join in some cell "
+               "(min improved/join ratio " + Ms(min_speedup) + "x)");
   }
   PrintShape("improved probing degrades with |T| while the join barely "
              "moves (paper Figures 6(b)/7(b))");

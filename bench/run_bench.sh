@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Runs the micro-benchmark suite and records the result as JSON at the
 # repository root (BENCH_topk.json). The file captures the probe hot path
-# both ways — pointer/scalar baseline (BM_DominatingSkylineProbe,
-# BM_TopKImprovedProbing) and flat/batched (BM_*Flat) — so the speedup of
-# the arena + SIMD path is reproducible from one artifact.
+# (BM_DominatingSkylineProbeFlat, BM_TopKImprovedProbingFlat) and the
+# batched dominance kernels it runs on, so the arena + SIMD path is
+# reproducible from one artifact.
 #
 # Usage: bench/run_bench.sh [--smoke|--serve|--load|--shard] [build-dir]
 #        [output-file]
@@ -342,7 +342,7 @@ if [ "$smoke" = 1 ]; then
 fi
 
 "$bench_bin" \
-  --benchmark_filter='BM_DominatingSkylineProbe|BM_TopKImprovedProbing$|BM_TopKImprovedProbingFlat|BM_FilterDominatedKernel|BM_DominatesAnyKernel' \
+  --benchmark_filter='BM_DominatingSkylineProbeFlat|BM_TopKImprovedProbingFlat|BM_FilterDominatedKernel|BM_DominatesAnyKernel' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json \

@@ -5,6 +5,11 @@
 // coordinate set*; on top of that the harness re-proves the skyline
 // definition itself: members are mutually incomparable, and every input
 // point is dominated-or-equalled by some member.
+//
+// A second phase tombstones a random subset of the R-tree index
+// (`FlatRTree::Erase`), validating the index after every erase, then
+// checks BBS against BNL over the surviving rows and every
+// `DominatingSkyline` probe against a brute-force oracle.
 
 #include <algorithm>
 #include <set>
@@ -12,7 +17,8 @@
 
 #include "core/dominance.h"
 #include "fuzz_common.h"
-#include "rtree/rtree.h"
+#include "rtree/flat_rtree.h"
+#include "skyline/dominating_skyline.h"
 #include "skyline/skyline.h"
 
 namespace skyup {
@@ -29,6 +35,19 @@ std::set<std::vector<double>> CoordSet(const Dataset& data,
   return out;
 }
 
+// Rows as a sorted coordinate multiset.
+std::vector<std::vector<double>> Values(const Dataset& data,
+                                        const std::vector<PointId>& rows) {
+  std::vector<std::vector<double>> out;
+  out.reserve(rows.size());
+  for (PointId id : rows) {
+    const double* p = data.data(id);
+    out.emplace_back(p, p + data.dims());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 void RunOne(uint64_t seed) {
   Rng rng(seed);
   Shape shape = Shape::kMixed;
@@ -38,11 +57,12 @@ void RunOne(uint64_t seed) {
   const std::vector<PointId> bnl = SkylineBnl(data);
   const std::vector<PointId> sfs = SkylineSfs(data);
   const std::vector<PointId> dnc = SkylineDnc(data);
-  RTreeOptions options;
-  options.max_entries = 2 + static_cast<size_t>(rng.NextUint64(15));
-  Result<RTree> tree = RTree::BulkLoad(data, options);
-  SKYUP_CHECK(tree.ok()) << tree.status().ToString() << " seed=" << seed;
-  const std::vector<PointId> bbs = SkylineBbs(*tree);
+  const size_t fanout = 2 + static_cast<size_t>(rng.NextUint64(15));
+  Result<FlatRTree> built = FlatRTree::BulkLoad(data, fanout);
+  SKYUP_CHECK(built.ok()) << built.status().ToString() << " seed=" << seed;
+  FlatRTree tree = std::move(built).value();
+  SKYUP_CHECK_OK(tree.Validate());
+  const std::vector<PointId> bbs = SkylineBbs(tree);
 
   const std::set<std::vector<double>> oracle = CoordSet(data, bnl);
   for (const auto* other : {&sfs, &dnc, &bbs}) {
@@ -80,6 +100,79 @@ void RunOne(uint64_t seed) {
     SKYUP_CHECK(covered)
         << "input point " << i << " escapes the skyline, shape="
         << ShapeName(shape) << " seed=" << seed;
+  }
+
+  // ---- Erase phase ----
+  std::vector<uint8_t> alive(data.size(), 1);
+  size_t live = data.size();
+  const size_t attempts = static_cast<size_t>(rng.NextUint64(data.size() + 1));
+  for (size_t e = 0; e < attempts; ++e) {
+    const PointId row = static_cast<PointId>(rng.NextUint64(data.size()));
+    if (!alive[static_cast<size_t>(row)]) {
+      SKYUP_CHECK(!tree.Erase(row))
+          << "double erase accepted for row " << row << ", seed=" << seed;
+      continue;
+    }
+    SKYUP_CHECK(tree.Erase(row)) << "erase rejected for live row " << row
+                                 << ", seed=" << seed;
+    alive[static_cast<size_t>(row)] = 0;
+    --live;
+    SKYUP_CHECK_OK(tree.Validate());
+    SKYUP_CHECK(tree.live_size() == live)
+        << "live tally " << tree.live_size() << " != " << live
+        << ", seed=" << seed;
+  }
+  // Out-of-range erases are rejected without side effects.
+  SKYUP_CHECK(!tree.Erase(static_cast<PointId>(data.size())));
+  SKYUP_CHECK(!tree.Erase(static_cast<PointId>(-1)));
+  SKYUP_CHECK(tree.live_size() == live);
+  SKYUP_CHECK(tree.tombstones() == data.size() - live);
+
+  // BBS over the survivors equals BNL over the surviving rows, compared
+  // as coordinate multisets.
+  std::vector<PointId> survivors;
+  for (size_t r = 0; r < data.size(); ++r) {
+    if (alive[r]) survivors.push_back(static_cast<PointId>(r));
+  }
+  const std::vector<PointId> bbs_after = SkylineBbs(tree);
+  const std::vector<PointId> bnl_after = SkylineBnl(data, &survivors);
+  SKYUP_CHECK(Values(data, bbs_after) == Values(data, bnl_after))
+      << "post-erase BBS skyline disagrees with BNL (" << bbs_after.size()
+      << " vs " << bnl_after.size() << " ids), shape=" << ShapeName(shape)
+      << " seed=" << seed << " rows: " << RowsToString(data);
+  if (live == 0) SKYUP_CHECK(tree.root_mbr().IsEmpty());
+
+  // Post-erase probes, with a brute-force oracle: every returned point is
+  // a live strict dominator of q not dominated by another live dominator,
+  // and together they cover every live dominator.
+  const size_t probes = 1 + static_cast<size_t>(rng.NextUint64(5));
+  for (size_t i = 0; i < probes; ++i) {
+    const std::vector<double> q = GenQueryPoint(&rng, data);
+    const std::vector<PointId> dom = DominatingSkyline(tree, q.data());
+    for (PointId id : dom) {
+      SKYUP_CHECK(alive[static_cast<size_t>(id)] &&
+                  Dominates(data.data(id), q.data(), dims))
+          << "probe returned dead/non-dominating row " << id << " for q="
+          << PointToString(q) << ", seed=" << seed;
+    }
+    for (size_t r = 0; r < data.size(); ++r) {
+      if (!alive[r]) continue;
+      const double* row = data.data(static_cast<PointId>(r));
+      if (!Dominates(row, q.data(), dims)) continue;
+      bool covered = false;
+      for (PointId id : dom) {
+        if (DominatesOrEqual(data.data(id), row, dims)) {
+          covered = true;
+          break;
+        }
+        SKYUP_CHECK(!Dominates(row, data.data(id), dims))
+            << "probe kept row " << id << " dominated by live row " << r
+            << " for q=" << PointToString(q) << ", seed=" << seed;
+      }
+      SKYUP_CHECK(covered) << "live dominator row " << r
+                           << " not covered by probe result for q="
+                           << PointToString(q) << ", seed=" << seed;
+    }
   }
 }
 

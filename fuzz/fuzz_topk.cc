@@ -1,7 +1,6 @@
 // Differential fuzz of the full top-k upgrade pipeline: the index-free
 // brute-force oracle at one thread vs brute force, basic probing and
-// improved probing (pointer tree and tiled flat arena), each at a random
-// thread count. All of these promise *bit-identical* ranked results — same
+// (tiled) improved probing, each at a random thread count. All of these promise *bit-identical* ranked results — same
 // product ids, same costs (exact double equality), same upgraded vectors —
 // because they share one tie-break order and sound pruning only.
 
@@ -11,7 +10,6 @@
 #include "core/probing.h"
 #include "fuzz_common.h"
 #include "rtree/flat_rtree.h"
-#include "rtree/rtree.h"
 
 namespace skyup {
 namespace fuzz {
@@ -100,11 +98,9 @@ void RunOne(uint64_t seed) {
       TopKBruteForce(competitors, products, cost_fn, k, epsilon);
   SKYUP_CHECK(oracle.ok()) << oracle.status().ToString() << " seed=" << seed;
 
-  RTreeOptions options;
-  options.max_entries = 2 + static_cast<size_t>(rng.NextUint64(15));
-  const Result<RTree> tree = RTree::BulkLoad(competitors, options);
+  const Result<FlatRTree> tree = FlatRTree::BulkLoad(
+      competitors, 2 + static_cast<size_t>(rng.NextUint64(15)));
   SKYUP_CHECK(tree.ok()) << tree.status().ToString() << " seed=" << seed;
-  const FlatRTree flat = FlatRTree::FromTree(*tree);
 
   const auto draw_threads = [&rng] {
     return 1 + static_cast<size_t>(rng.NextUint64(4));
@@ -128,15 +124,7 @@ void RunOne(uint64_t seed) {
   CheckLeg(*oracle,
            TopKImprovedProbing(*tree, products, cost_fn, k, epsilon, threads,
                                &stats),
-           stats, products.size(), "TopKImprovedProbing(ptr)", threads, seed);
-
-  threads = draw_threads();
-  stats = ExecStats();
-  CheckLeg(*oracle,
-           TopKImprovedProbing(flat, products, cost_fn, k, epsilon, threads,
-                               &stats),
-           stats, products.size(), "TopKImprovedProbing(flat)", threads,
-           seed);
+           stats, products.size(), "TopKImprovedProbing", threads, seed);
 
   static_cast<void>(cshape);  // shapes are for gdb inspection of a replay
 }

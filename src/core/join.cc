@@ -12,22 +12,37 @@
 
 namespace skyup {
 
-Result<JoinCursor> JoinCursor::Create(const RTree* competitors_tree,
-                                      const RTree* products_tree,
+template <typename Fn>
+void JoinCursor::ForEachEntry(const FlatRTree& tree, uint32_t node, Fn fn) {
+  if (tree.is_leaf(node)) {
+    for (uint32_t j = tree.point_begin(node); j < tree.point_end(node); ++j) {
+      if (tree.slot_alive(j)) {
+        fn(EntryRef{EntryRef::kNoNode, tree.point_ids()[j]});
+      }
+    }
+  } else {
+    for (uint32_t c = tree.child_begin(node); c < tree.child_end(node); ++c) {
+      if (tree.node_live_count(c) != 0) fn(EntryRef{c, kInvalidPointId});
+    }
+  }
+}
+
+Result<JoinCursor> JoinCursor::Create(const FlatRTree* competitors_tree,
+                                      const FlatRTree* products_tree,
                                       const ProductCostFunction* cost_fn,
                                       JoinOptions options) {
   if (competitors_tree == nullptr || products_tree == nullptr ||
       cost_fn == nullptr) {
     return Status::InvalidArgument("join cursor requires non-null inputs");
   }
-  if (competitors_tree->empty()) {
+  if (competitors_tree->live_size() == 0) {
     return Status::InvalidArgument("competitor tree is empty");
   }
-  if (products_tree->empty()) {
+  if (products_tree->live_size() == 0) {
     return Status::InvalidArgument("product tree is empty");
   }
-  const size_t dims = products_tree->dataset().dims();
-  if (competitors_tree->dataset().dims() != dims) {
+  const size_t dims = products_tree->dims();
+  if (competitors_tree->dims() != dims) {
     return Status::InvalidArgument(
         "competitor and product dimensionality differ");
   }
@@ -41,21 +56,21 @@ Result<JoinCursor> JoinCursor::Create(const RTree* competitors_tree,
   return JoinCursor(competitors_tree, products_tree, cost_fn, options);
 }
 
-JoinCursor::JoinCursor(const RTree* competitors_tree,
-                       const RTree* products_tree,
+JoinCursor::JoinCursor(const FlatRTree* competitors_tree,
+                       const FlatRTree* products_tree,
                        const ProductCostFunction* cost_fn, JoinOptions options)
     : rp_(competitors_tree),
       rt_(products_tree),
       cost_fn_(cost_fn),
       options_(options),
-      dims_(products_tree->dataset().dims()) {
+      dims_(products_tree->dims()) {
   // Seed: join R_T's root with the singleton {R_P's root} (Alg. 4 line 2),
   // filtered by the ADR overlap test so a fully advantaged T-tree starts
   // with an empty join list.
   HeapItem seed;
   seed.seq = seq_++;
-  seed.et = EntryRef{rt_->root(), kInvalidPointId};
-  const EntryRef proot{rp_->root(), kInvalidPointId};
+  seed.et = EntryRef{FlatRTree::kRoot, kInvalidPointId};
+  const EntryRef proot{FlatRTree::kRoot, kInvalidPointId};
   if (DominatesOrEqual(PMin(proot), TMax(seed.et), dims_)) {
     seed.jl.push_back(proot);
   }
@@ -64,16 +79,16 @@ JoinCursor::JoinCursor(const RTree* competitors_tree,
 }
 
 const double* JoinCursor::PMin(const EntryRef& e) const {
-  return e.is_node() ? e.node->mbr.min_data() : rp_->dataset().data(e.point);
+  return e.is_node() ? rp_->min_corner(e.node) : rp_->dataset().data(e.point);
 }
 const double* JoinCursor::PMax(const EntryRef& e) const {
-  return e.is_node() ? e.node->mbr.max_data() : rp_->dataset().data(e.point);
+  return e.is_node() ? rp_->max_corner(e.node) : rp_->dataset().data(e.point);
 }
 const double* JoinCursor::TMin(const EntryRef& e) const {
-  return e.is_node() ? e.node->mbr.min_data() : rt_->dataset().data(e.point);
+  return e.is_node() ? rt_->min_corner(e.node) : rt_->dataset().data(e.point);
 }
 const double* JoinCursor::TMax(const EntryRef& e) const {
-  return e.is_node() ? e.node->mbr.max_data() : rt_->dataset().data(e.point);
+  return e.is_node() ? rt_->max_corner(e.node) : rt_->dataset().data(e.point);
 }
 
 double JoinCursor::JoinListBound(const double* et_min,
@@ -163,7 +178,7 @@ void JoinCursor::ComputeExact(HeapItem item) {
   // The skyline of t's dominators below the join list (Alg. 4 line 9),
   // via a best-first, skyline-pruned traversal seeded from every join-list
   // entry — the same machinery as getDominatingSky (Algorithm 3).
-  std::vector<const RTreeNode*> roots;
+  std::vector<uint32_t> roots;
   std::vector<PointId> point_entries;
   for (const EntryRef& e : item.jl) {
     if (e.is_node()) {
@@ -173,8 +188,8 @@ void JoinCursor::ComputeExact(HeapItem item) {
     }
   }
   ProbeStats probe;
-  const std::vector<PointId> sky_ids = DominatingSkylineFrom(
-      rp_->dataset(), roots, point_entries, t, &probe);
+  const std::vector<PointId> sky_ids =
+      DominatingSkylineFrom(*rp_, roots, point_entries, t, &probe);
   stats_.heap_pops += probe.heap_pops;
   stats_.dominators_fetched += sky_ids.size();
   stats_.skyline_points_total += sky_ids.size();
@@ -204,8 +219,8 @@ void JoinCursor::ExpandT(HeapItem item) {
   ShardTelemetry* tel = telemetry_.get();
   LapOther(tel);
   ++stats_.t_expansions;
-  const RTreeNode* node = item.et.node;
-  SKYUP_DCHECK(node != nullptr);
+  const uint32_t node = item.et.node;
+  SKYUP_DCHECK(item.et.is_node());
 
   auto push_child = [&](EntryRef child) {
     HeapItem next;
@@ -221,15 +236,7 @@ void JoinCursor::ExpandT(HeapItem item) {
     Push(std::move(next));
   };
 
-  if (node->is_leaf()) {
-    for (PointId id : node->points) {
-      push_child(EntryRef{nullptr, id});
-    }
-  } else {
-    for (const auto& child : node->children) {
-      push_child(EntryRef{child.get(), kInvalidPointId});
-    }
-  }
+  ForEachEntry(*rt_, node, push_child);
   // The per-child JoinListBound evaluations are the join's pruning work.
   LapPrune(tel);
 }
@@ -273,7 +280,7 @@ void JoinCursor::RefineJl(HeapItem item, size_t pick) {
   LapOther(tel);
   ++stats_.p_refinements;
   SKYUP_DCHECK(pick < item.jl.size() && item.jl[pick].is_node());
-  const RTreeNode* chosen = item.jl[pick].node;
+  const uint32_t chosen = item.jl[pick].node;
   item.jl.erase(item.jl.begin() + static_cast<ptrdiff_t>(pick));
 
   const double* et_max = TMax(item.et);
@@ -307,13 +314,7 @@ void JoinCursor::RefineJl(HeapItem item, size_t pick) {
     item.jl.push_back(child);
   };
 
-  if (chosen->is_leaf()) {
-    for (PointId id : chosen->points) handle_child(EntryRef{nullptr, id});
-  } else {
-    for (const auto& child : chosen->children) {
-      handle_child(EntryRef{child.get(), kInvalidPointId});
-    }
-  }
+  ForEachEntry(*rp_, chosen, handle_child);
 
   item.cost = JoinListBound(TMin(item.et), item.jl, nullptr);
   item.seq = seq_++;
@@ -322,8 +323,8 @@ void JoinCursor::RefineJl(HeapItem item, size_t pick) {
   LapPrune(tel);
 }
 
-Result<std::vector<UpgradeResult>> TopKJoin(const RTree& competitors_tree,
-                                            const RTree& products_tree,
+Result<std::vector<UpgradeResult>> TopKJoin(const FlatRTree& competitors_tree,
+                                            const FlatRTree& products_tree,
                                             const ProductCostFunction& cost_fn,
                                             size_t k, JoinOptions options,
                                             ExecStats* stats,

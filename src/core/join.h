@@ -10,7 +10,7 @@
 #include "core/lower_bounds.h"
 #include "core/upgrade_result.h"
 #include "obs/phase_timings.h"
-#include "rtree/rtree.h"
+#include "rtree/flat_rtree.h"
 #include "util/status.h"
 
 namespace skyup {
@@ -50,9 +50,9 @@ struct JoinOptions {
 class JoinCursor {
  public:
   /// Validates dimensionalities and seeds the traversal. Both trees must
-  /// be non-empty and share the cost function's dimensionality.
-  static Result<JoinCursor> Create(const RTree* competitors_tree,
-                                   const RTree* products_tree,
+  /// hold live points and share the cost function's dimensionality.
+  static Result<JoinCursor> Create(const FlatRTree* competitors_tree,
+                                   const FlatRTree* products_tree,
                                    const ProductCostFunction* cost_fn,
                                    JoinOptions options = {});
 
@@ -76,12 +76,14 @@ class JoinCursor {
   void FlushTelemetry(QueryTelemetry* out) const;
 
  private:
-  /// A T-side or P-side R-tree entry: a node, or a data point (leaf entry).
+  /// A T-side or P-side R-tree entry: a flat node index, or a data point
+  /// (leaf entry) by its dataset row.
   struct EntryRef {
-    const RTreeNode* node = nullptr;
+    static constexpr uint32_t kNoNode = UINT32_MAX;
+    uint32_t node = kNoNode;
     PointId point = kInvalidPointId;
 
-    bool is_node() const { return node != nullptr; }
+    bool is_node() const { return node != kNoNode; }
   };
 
   /// One heap element: a T-side entry with its join list and priority.
@@ -105,8 +107,14 @@ class JoinCursor {
     }
   };
 
-  JoinCursor(const RTree* competitors_tree, const RTree* products_tree,
+  JoinCursor(const FlatRTree* competitors_tree,
+             const FlatRTree* products_tree,
              const ProductCostFunction* cost_fn, JoinOptions options);
+
+  /// Calls `fn(EntryRef)` for each live entry of `node` in arena order:
+  /// the points of a leaf's slot range, or the nodes of a child range.
+  template <typename Fn>
+  static void ForEachEntry(const FlatRTree& tree, uint32_t node, Fn fn);
 
   const double* PMin(const EntryRef& e) const;
   const double* PMax(const EntryRef& e) const;
@@ -136,8 +144,8 @@ class JoinCursor {
 
   void Push(HeapItem item) { heap_.push(std::move(item)); }
 
-  const RTree* rp_;
-  const RTree* rt_;
+  const FlatRTree* rp_;
+  const FlatRTree* rt_;
   const ProductCostFunction* cost_fn_;
   JoinOptions options_;
   size_t dims_;
@@ -153,8 +161,8 @@ class JoinCursor {
 
 /// One-shot wrapper: runs the cursor until `k` results (or exhaustion of
 /// T) and returns them sorted by (cost, product id).
-Result<std::vector<UpgradeResult>> TopKJoin(const RTree& competitors_tree,
-                                            const RTree& products_tree,
+Result<std::vector<UpgradeResult>> TopKJoin(const FlatRTree& competitors_tree,
+                                            const FlatRTree& products_tree,
                                             const ProductCostFunction& cost_fn,
                                             size_t k, JoinOptions options = {},
                                             ExecStats* stats = nullptr,

@@ -87,24 +87,16 @@ Result<UpgradePlanner> UpgradePlanner::Create(Dataset competitors,
       std::make_unique<Dataset>(std::move(products)),
       std::make_unique<ProductCostFunction>(std::move(cost_fn)), options);
 
-  RTree::Options tree_options;
-  tree_options.max_entries = options.rtree_fanout;
   {
     SKYUP_TRACE_SPAN("planner/bulk-load");
-    Result<RTree> rp = RTree::BulkLoad(*planner.competitors_, tree_options);
+    Result<FlatRTree> rp =
+        FlatRTree::BulkLoad(*planner.competitors_, options.rtree_fanout);
     if (!rp.ok()) return rp.status();
-    Result<RTree> rt = RTree::BulkLoad(*planner.products_, tree_options);
+    Result<FlatRTree> rt =
+        FlatRTree::BulkLoad(*planner.products_, options.rtree_fanout);
     if (!rt.ok()) return rt.status();
-    planner.rp_ = std::make_unique<RTree>(std::move(rp).value());
-    planner.rt_ = std::make_unique<RTree>(std::move(rt).value());
-  }
-  {
-    // One BFS pass over the freshly loaded pointer tree; the snapshot
-    // shares the planner's competitor dataset, whose address is stable
-    // (unique_ptr member).
-    SKYUP_TRACE_SPAN("planner/flat-snapshot");
-    planner.fp_ =
-        std::make_unique<FlatRTree>(FlatRTree::FromTree(*planner.rp_));
+    planner.rp_ = std::make_unique<FlatRTree>(std::move(rp).value());
+    planner.rt_ = std::make_unique<FlatRTree>(std::move(rt).value());
   }
   return planner;
 }
@@ -122,7 +114,7 @@ Result<std::vector<UpgradeResult>> UpgradePlanner::TopK(
                               options_.epsilon, options_.threads, stats,
                               telemetry, control);
     case Algorithm::kImprovedProbing:
-      return TopKImprovedProbing(*fp_, *products_, *cost_fn_, k,
+      return TopKImprovedProbing(*rp_, *products_, *cost_fn_, k,
                                  options_.epsilon, options_.threads, stats,
                                  telemetry, control);
     case Algorithm::kJoin: {
@@ -179,15 +171,13 @@ Result<std::vector<UpgradeResult>> UpgradePlanner::TopKWithinSet(
     return Status::InvalidArgument(
         "cost function dimensionality does not match the catalog");
   }
-  RTree::Options tree_options;
-  tree_options.max_entries = options.rtree_fanout;
-  Result<RTree> tree = RTree::BulkLoad(catalog, tree_options);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(catalog, options.rtree_fanout);
   if (!tree.ok()) return tree.status();
   // A point never strictly dominates itself (or an identical twin), so
   // improved probing against the catalog's own tree yields exactly the
   // "all other members" semantics.
-  return TopKImprovedProbing(FlatRTree::FromTree(tree.value()), catalog,
-                             cost_fn, k, options.epsilon, options.threads);
+  return TopKImprovedProbing(tree.value(), catalog, cost_fn, k,
+                             options.epsilon, options.threads);
 }
 
 }  // namespace skyup

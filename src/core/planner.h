@@ -13,7 +13,6 @@
 #include "core/upgrade_result.h"
 #include "obs/phase_timings.h"
 #include "rtree/flat_rtree.h"
-#include "rtree/rtree.h"
 #include "util/status.h"
 
 namespace skyup {
@@ -121,11 +120,9 @@ class UpgradePlanner {
 
   const Dataset& competitors() const { return *competitors_; }
   const Dataset& products() const { return *products_; }
-  const RTree& competitors_tree() const { return *rp_; }
-  const RTree& products_tree() const { return *rt_; }
-  /// Flat snapshot of the competitor tree (rtree/flat_rtree.h); improved
-  /// probing runs on it. Never null.
-  const FlatRTree* competitors_flat() const { return fp_.get(); }
+  /// The R-tree over `P` (rtree/flat_rtree.h) every algorithm but brute
+  /// force probes. Never null.
+  const FlatRTree* competitors_flat() const { return rp_.get(); }
   const ProductCostFunction& cost_function() const { return *cost_fn_; }
   const PlannerOptions& options() const { return options_; }
 
@@ -135,15 +132,15 @@ class UpgradePlanner {
                  std::unique_ptr<ProductCostFunction> cost_fn,
                  PlannerOptions options);
 
-  // unique_ptr members keep dataset addresses stable across planner moves
-  // (the R-trees hold raw pointers into them).
+  // unique_ptr members keep dataset and index addresses stable across
+  // planner moves (the R-trees hold raw pointers to the datasets, a join
+  // cursor to the R-trees).
   std::unique_ptr<Dataset> competitors_;
   std::unique_ptr<Dataset> products_;
   std::unique_ptr<ProductCostFunction> cost_fn_;
   PlannerOptions options_;
-  std::unique_ptr<RTree> rp_;
-  std::unique_ptr<RTree> rt_;
-  std::unique_ptr<FlatRTree> fp_;
+  std::unique_ptr<FlatRTree> rp_;
+  std::unique_ptr<FlatRTree> rt_;
 };
 
 }  // namespace skyup

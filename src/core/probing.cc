@@ -240,13 +240,6 @@ Result<std::vector<UpgradeResult>> RunTopK(
   return merged;
 }
 
-// Bounding box of an R-tree's competitors: the root MBR, or an empty box
-// (no pruning) for an empty tree.
-Mbr RootBox(const RTree& tree) {
-  const RTreeNode* root = tree.root();
-  return root != nullptr ? root->mbr : Mbr(tree.dataset().dims());
-}
-
 }  // namespace
 
 Result<std::vector<UpgradeResult>> TopKBruteForce(
@@ -288,18 +281,18 @@ Result<std::vector<UpgradeResult>> TopKBruteForce(
 }
 
 Result<std::vector<UpgradeResult>> TopKBasicProbing(
-    const RTree& competitors_tree, const Dataset& products,
+    const FlatRTree& competitors_index, const Dataset& products,
     const ProductCostFunction& cost_fn, size_t k, double epsilon,
     size_t threads, ExecStats* stats, QueryTelemetry* telemetry,
     const QueryControl* control) {
-  SKYUP_RETURN_IF_ERROR(ValidateTopKArgs(competitors_tree.dataset().dims(),
+  SKYUP_RETURN_IF_ERROR(ValidateTopKArgs(competitors_index.dataset().dims(),
                                          products, cost_fn, k, epsilon));
   // Once per query, not per probe: index structure and cost-function
   // monotonicity are what every per-probe prune relies on.
-  SKYUP_PARANOID_OK(competitors_tree.Validate());
+  SKYUP_PARANOID_OK(competitors_index.Validate());
   SKYUP_PARANOID_OK(SpotCheckCostMonotonicity(cost_fn, products));
   SKYUP_TRACE_SPAN("topk/basic-probing");
-  const Dataset& competitors = competitors_tree.dataset();
+  const Dataset& competitors = competitors_index.dataset();
   const size_t dims = products.dims();
   // Lower corner of the anti-dominant region ADR(t) = (-inf, t].
   const std::vector<double> adr_lo(dims,
@@ -311,8 +304,8 @@ Result<std::vector<UpgradeResult>> TopKBasicProbing(
     const double* t = tile[0];
     std::vector<PointId>& dominator_ids = buffers->ids[0];
     dominator_ids.clear();
-    competitors_tree.RangeQuery(Mbr::FromCorners(adr_lo.data(), t, dims),
-                                &dominator_ids);
+    competitors_index.RangeQuery(Mbr::FromCorners(adr_lo.data(), t, dims),
+                                 &dominator_ids);
 
     std::vector<const double*>& dominators = buffers->skylines[0];
     dominators.clear();
@@ -330,34 +323,7 @@ Result<std::vector<UpgradeResult>> TopKBasicProbing(
     LapSkyline(tel);
   };
   return RunTopK(products, cost_fn, k, epsilon, threads,
-                 RootBox(competitors_tree), /*tile_capacity=*/1, gather,
-                 stats, telemetry, control);
-}
-
-Result<std::vector<UpgradeResult>> TopKImprovedProbing(
-    const RTree& competitors_tree, const Dataset& products,
-    const ProductCostFunction& cost_fn, size_t k, double epsilon,
-    size_t threads, ExecStats* stats, QueryTelemetry* telemetry,
-    const QueryControl* control) {
-  SKYUP_RETURN_IF_ERROR(ValidateTopKArgs(competitors_tree.dataset().dims(),
-                                         products, cost_fn, k, epsilon));
-  SKYUP_PARANOID_OK(competitors_tree.Validate());
-  SKYUP_PARANOID_OK(SpotCheckCostMonotonicity(cost_fn, products));
-  SKYUP_TRACE_SPAN("topk/improved-probing");
-  const Dataset& competitors = competitors_tree.dataset();
-  auto gather = [&](const double* const* tile, size_t count,
-                    GatherBuffers* buffers, ExecStats* st,
-                    ShardTelemetry* tel) {
-    SKYUP_DCHECK(count == 1);
-    ProbeStats probe;
-    const std::vector<PointId> sky_ids =
-        DominatingSkyline(competitors_tree, tile[0], &probe);
-    AddProbeStats(probe, st);
-    IdsToRows(competitors, sky_ids, &buffers->skylines[0], st);
-    LapProbe(tel);
-  };
-  return RunTopK(products, cost_fn, k, epsilon, threads,
-                 RootBox(competitors_tree), /*tile_capacity=*/1, gather,
+                 competitors_index.root_mbr(), /*tile_capacity=*/1, gather,
                  stats, telemetry, control);
 }
 
@@ -370,7 +336,7 @@ Result<std::vector<UpgradeResult>> TopKImprovedProbing(
                                          products, cost_fn, k, epsilon));
   SKYUP_PARANOID_OK(competitors_index.Validate());
   SKYUP_PARANOID_OK(SpotCheckCostMonotonicity(cost_fn, products));
-  SKYUP_TRACE_SPAN("topk/improved-probing-flat");
+  SKYUP_TRACE_SPAN("topk/improved-probing");
   const Dataset& competitors = competitors_index.dataset();
   auto gather = [&](const double* const* tile, size_t count,
                     GatherBuffers* buffers, ExecStats* st,

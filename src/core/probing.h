@@ -18,11 +18,11 @@
 // docs/algorithms.md has the full soundness argument.
 //
 // The algorithms differ only in how they gather a candidate's dominator
-// skyline. Brute force, basic probing and improved probing on the pointer
-// tree gather one candidate at a time; improved probing on the flat index
-// gathers up to `kMaxDominanceTile` surviving candidates with one shared
-// tile traversal (`DominatingSkylineTileInto`), whose probe counters
-// (`heap_pops`, `nodes_visited`, ...) count the shared work once per tile.
+// skyline. Brute force and basic probing gather one candidate at a time;
+// improved probing gathers up to `kMaxDominanceTile` surviving candidates
+// with one shared tile traversal (`DominatingSkylineTileInto`), whose probe
+// counters (`heap_pops`, `nodes_visited`, ...) count the shared work once
+// per tile.
 //
 // Every entry point optionally reports `ExecStats` (aggregated over all
 // workers; `upgrade_calls + candidates_pruned == products_processed`
@@ -35,7 +35,7 @@
 // `kCancelled`/`kDeadlineExceeded`. A query that completes returns results
 // identical to `control == nullptr`.
 //
-// All four require `k >= 1`, a finite positive `epsilon`, a non-empty
+// All three require `k >= 1`, a finite positive `epsilon`, a non-empty
 // `products` set and matching dimensionality; fewer than k results come
 // back only if |products| < k. Results are sorted by (cost, product id).
 
@@ -47,7 +47,6 @@
 #include "core/upgrade_result.h"
 #include "obs/phase_timings.h"
 #include "rtree/flat_rtree.h"
-#include "rtree/rtree.h"
 #include "util/status.h"
 
 namespace skyup {
@@ -64,11 +63,11 @@ Result<std::vector<UpgradeResult>> TopKBruteForce(
     const QueryControl* control = nullptr);
 
 /// Basic probing (Algorithm 2, generalized to top-k): for every candidate
-/// in `products`, fetch *all* of its dominators from `competitors_tree`
-/// with an ADR range query, reduce them to their skyline, and apply
-/// Algorithm 1.
+/// in `products`, fetch *all* of its dominators from `competitors_index`
+/// with an ADR range query (`FlatRTree::RangeQuery`), reduce them to their
+/// skyline, and apply Algorithm 1.
 Result<std::vector<UpgradeResult>> TopKBasicProbing(
-    const RTree& competitors_tree, const Dataset& products,
+    const FlatRTree& competitors_index, const Dataset& products,
     const ProductCostFunction& cost_fn, size_t k, double epsilon = 1e-6,
     size_t threads = 1, ExecStats* stats = nullptr,
     QueryTelemetry* telemetry = nullptr,
@@ -76,23 +75,13 @@ Result<std::vector<UpgradeResult>> TopKBasicProbing(
 
 /// Improved probing: Algorithm 2 with lines 3-4 replaced by
 /// `getDominatingSky` (Algorithm 3), which computes the dominator skyline
-/// directly on the R-tree instead of materializing all dominators. One
-/// scalar probe per candidate — the paper-figure baseline and the
-/// reference the flat overload is fuzzed against.
-Result<std::vector<UpgradeResult>> TopKImprovedProbing(
-    const RTree& competitors_tree, const Dataset& products,
-    const ProductCostFunction& cost_fn, size_t k, double epsilon = 1e-6,
-    size_t threads = 1, ExecStats* stats = nullptr,
-    QueryTelemetry* telemetry = nullptr,
-    const QueryControl* control = nullptr);
-
-/// Improved probing over the flat arena snapshot (rtree/flat_rtree.h):
-/// candidates are probed in tiles by one shared best-first traversal with
+/// directly on the R-tree instead of materializing all dominators.
+/// Candidates are probed in tiles by one shared best-first traversal with
 /// the batched SoA dominance kernels (`ExecStats::block_kernel_calls`
 /// counts the kernel invocations). Each member's dominator skyline equals
-/// the pointer probe's as a value set, which Algorithm 1 maps to the same
-/// upgrade, so results are bit-identical to the pointer-tree overload.
-/// This is the planner's improved-probing path.
+/// its own `DominatingSkyline` as a value set, which Algorithm 1 maps to
+/// the same upgrade, so results are bit-identical to the brute-force
+/// oracle's.
 Result<std::vector<UpgradeResult>> TopKImprovedProbing(
     const FlatRTree& competitors_index, const Dataset& products,
     const ProductCostFunction& cost_fn, size_t k, double epsilon = 1e-6,

@@ -41,15 +41,13 @@ std::vector<size_t> EqualChunkOffsets(size_t n, size_t k) {
   return offsets;
 }
 
-}  // namespace
-
 /// Builds a packed R-tree with the Sort-Tile-Recursive algorithm of
 /// Leutenegger, Edgington, and Lopez: sort by one dimension, cut into
 /// slabs, recurse on the remaining dimensions, and pack pages bottom-up.
 class StrBulkLoader {
  public:
-  StrBulkLoader(const Dataset* dataset, const RTree::Options& options)
-      : dataset_(dataset), options_(options), dims_(dataset->dims()) {}
+  StrBulkLoader(const Dataset* dataset, size_t fanout)
+      : dataset_(dataset), fanout_(fanout), dims_(dataset->dims()) {}
 
   std::unique_ptr<RTreeNode> Build() {
     std::vector<PointId> ids(dataset_->size());
@@ -74,7 +72,7 @@ class StrBulkLoader {
   void TilePoints(IdIter begin, IdIter end, size_t dim,
                   std::vector<std::unique_ptr<RTreeNode>>* leaves) {
     const size_t n = static_cast<size_t>(end - begin);
-    if (n <= options_.max_entries) {
+    if (n <= fanout_) {
       auto leaf = std::make_unique<RTreeNode>();
       leaf->level = 0;
       leaf->mbr = Mbr(dims_);
@@ -95,7 +93,7 @@ class StrBulkLoader {
 
     if (dims_left == 1) {
       // Last dimension: cut directly into near-equal pages.
-      const size_t pages = StrSlabCount(n, options_.max_entries, 1);
+      const size_t pages = StrSlabCount(n, fanout_, 1);
       const std::vector<size_t> offsets = EqualChunkOffsets(n, pages);
       for (size_t i = 0; i + 1 < offsets.size(); ++i) {
         IdIter lo = begin + static_cast<ptrdiff_t>(offsets[i]);
@@ -111,7 +109,7 @@ class StrBulkLoader {
     }
 
     const size_t slabs =
-        std::min(n, StrSlabCount(n, options_.max_entries, dims_left));
+        std::min(n, StrSlabCount(n, fanout_, dims_left));
     const std::vector<size_t> offsets = EqualChunkOffsets(n, slabs);
     for (size_t i = 0; i + 1 < offsets.size(); ++i) {
       TilePoints(begin + static_cast<ptrdiff_t>(offsets[i]),
@@ -123,7 +121,7 @@ class StrBulkLoader {
   void TileNodes(NodeIter begin, NodeIter end, size_t dim,
                  std::vector<std::unique_ptr<RTreeNode>>* parents) {
     const size_t n = static_cast<size_t>(end - begin);
-    if (n <= options_.max_entries) {
+    if (n <= fanout_) {
       parents->push_back(MakeParent(begin, end));
       return;
     }
@@ -138,7 +136,7 @@ class StrBulkLoader {
               });
 
     if (dims_left == 1) {
-      const size_t pages = StrSlabCount(n, options_.max_entries, 1);
+      const size_t pages = StrSlabCount(n, fanout_, 1);
       const std::vector<size_t> offsets = EqualChunkOffsets(n, pages);
       for (size_t i = 0; i + 1 < offsets.size(); ++i) {
         parents->push_back(
@@ -149,7 +147,7 @@ class StrBulkLoader {
     }
 
     const size_t slabs =
-        std::min(n, StrSlabCount(n, options_.max_entries, dims_left));
+        std::min(n, StrSlabCount(n, fanout_, dims_left));
     const std::vector<size_t> offsets = EqualChunkOffsets(n, slabs);
     for (size_t i = 0; i + 1 < offsets.size(); ++i) {
       TileNodes(begin + static_cast<ptrdiff_t>(offsets[i]),
@@ -171,26 +169,15 @@ class StrBulkLoader {
   }
 
   const Dataset* dataset_;
-  const RTree::Options& options_;
+  size_t fanout_;
   size_t dims_;
 };
 
-Result<RTree> RTree::BulkLoad(const Dataset& dataset, Options options) {
-  if (dataset.empty()) {
-    return Status::InvalidArgument("cannot bulk-load an empty dataset");
-  }
-  if (options.max_entries < 2) {
-    return Status::InvalidArgument("R-tree fanout must be at least 2");
-  }
-  if (dataset.dims() > kMaxDims) {
-    return Status::InvalidArgument("dataset dimensionality exceeds kMaxDims");
-  }
-  RTree tree(&dataset, options);
-  StrBulkLoader loader(&dataset, tree.options_);
-  tree.root_ = loader.Build();
-  tree.size_ = dataset.size();
-  SKYUP_PARANOID_OK(tree.Validate());
-  return tree;
+}  // namespace
+
+std::unique_ptr<RTreeNode> StrBulkLoad(const Dataset& dataset, size_t fanout) {
+  SKYUP_CHECK(!dataset.empty() && fanout >= 2);
+  return StrBulkLoader(&dataset, fanout).Build();
 }
 
 }  // namespace skyup

@@ -1,8 +1,9 @@
 #ifndef SKYUP_RTREE_BULK_LOAD_H_
 #define SKYUP_RTREE_BULK_LOAD_H_
 
-// Sort-Tile-Recursive bulk loading lives behind RTree::BulkLoad; this header
-// only exposes the helper used by tests to inspect the packing parameters.
+// Sort-Tile-Recursive bulk loading lives behind FlatRTree::BulkLoad; this
+// header only exposes the helper used by tests to inspect the packing
+// parameters.
 
 #include <cstddef>
 

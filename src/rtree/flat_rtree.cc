@@ -6,20 +6,20 @@
 #include <limits>
 #include <string>
 
+#include "rtree/rtree.h"
 #include "util/logging.h"
 
 namespace skyup {
 
-FlatRTree FlatRTree::FromTree(const RTree& tree) {
+FlatRTree FlatRTree::FromTree(const Dataset& dataset, const RTreeNode& root) {
   FlatRTree flat;
-  flat.dims_ = tree.dataset().dims();
-  flat.dataset_ = &tree.dataset();
-  if (tree.empty() || tree.root() == nullptr) return flat;
+  flat.dims_ = dataset.dims();
+  flat.dataset_ = &dataset;
 
   // Pass 1: BFS to assign arena indices — children of a node become a
-  // consecutive run, in the pointer tree's child order.
+  // consecutive run, in the scaffold's child order.
   std::deque<const RTreeNode*> order;
-  order.push_back(tree.root());
+  order.push_back(&root);
   std::vector<const RTreeNode*> nodes;
   while (!order.empty()) {
     const RTreeNode* node = order.front();
@@ -40,8 +40,8 @@ FlatRTree FlatRTree::FromTree(const RTree& tree) {
   flat.key_.resize(n);
   flat.parent_.assign(n, kNoParent);
   flat.live_count_.assign(n, 0);
-  flat.point_ids_.reserve(tree.size());
-  flat.leaf_of_slot_.reserve(tree.size());
+  flat.point_ids_.reserve(dataset.size());
+  flat.leaf_of_slot_.reserve(dataset.size());
 
   // Pass 2: fill the arena. BFS index arithmetic: the children of nodes[i]
   // start right after every child of nodes[0..i).
@@ -188,28 +188,53 @@ bool FlatRTree::Erase(PointId row) {
   return true;
 }
 
-Result<FlatRTree> FlatRTree::BulkLoad(const Dataset& dataset,
-                                      RTreeOptions options) {
-  Result<RTree> tree = RTree::BulkLoad(dataset, options);
-  if (!tree.ok()) return tree.status();
-  // The pointer tree is a scaffold here; FromTree copies everything the
-  // flat form needs, except the dataset it references.
-  return FromTree(tree.value());
-}
-
-Result<FlatRTree> FlatRTree::BulkLoadSnapshot(const Dataset& dataset,
-                                              RTreeOptions options) {
+Result<FlatRTree> FlatRTree::BulkLoad(const Dataset& dataset, size_t fanout) {
+  if (fanout < 2) {
+    return Status::InvalidArgument("R-tree fanout must be at least 2");
+  }
+  if (dataset.dims() > kMaxDims) {
+    return Status::InvalidArgument("dataset dimensionality exceeds kMaxDims");
+  }
   if (dataset.empty()) {
-    // A serving snapshot may legitimately hold zero competitors (every P
-    // row erased, none inserted yet). The empty flat index answers every
-    // probe with "no dominators", which is the right answer; it still
-    // binds dims/dataset so traversal entry points have a valid view.
     FlatRTree flat;
     flat.dims_ = dataset.dims();
     flat.dataset_ = &dataset;
     return flat;
   }
-  return BulkLoad(dataset, options);
+  // The pointer tree is a scaffold; FromTree copies everything the flat
+  // form needs and the scaffold is freed on return.
+  return FromTree(dataset, *StrBulkLoad(dataset, fanout));
+}
+
+void FlatRTree::RangeQuery(const Mbr& box, std::vector<PointId>* out) const {
+  SKYUP_CHECK(out != nullptr);
+  if (live_size() == 0) return;
+  // Closed-interval overlap of node `n`'s MBR with `box`.
+  const auto intersects = [&](uint32_t n) {
+    for (size_t d = 0; d < dims_; ++d) {
+      if (min_corner(n)[d] > box.max(d) || box.min(d) > max_corner(n)[d]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::vector<uint32_t> stack = {kRoot};
+  while (!stack.empty()) {
+    const uint32_t node = stack.back();
+    stack.pop_back();
+    if (live_count_[node] == 0 || !intersects(node)) continue;
+    if (is_leaf(node)) {
+      for (uint32_t j = point_begin(node); j < point_end(node); ++j) {
+        if (slot_live_[j] != 0 && box.Contains(slot_coords(j))) {
+          out->push_back(point_ids_[j]);
+        }
+      }
+    } else {
+      for (uint32_t c = child_begin(node); c < child_end(node); ++c) {
+        stack.push_back(c);
+      }
+    }
+  }
 }
 
 Mbr FlatRTree::root_mbr() const {

@@ -1,22 +1,22 @@
 #ifndef SKYUP_RTREE_FLAT_RTREE_H_
 #define SKYUP_RTREE_FLAT_RTREE_H_
 
-// A cache-friendly snapshot of an R-tree: every node lives in one
-// contiguous arena (breadth-first order, so the children of a node are a
-// consecutive index range), MBR corners are stored structure-of-arrays
-// per dimension, and all leaf point ids (plus their coordinates, SoA) form
-// one flat span. Best-first traversal over this layout touches sequential
-// memory instead of chasing `unique_ptr` children, and a node's child range
-// or leaf range is directly a `SoaView` the batched dominance kernels
-// (core/dominance_batch.h) can cull four lanes at a time.
+// The R-tree every algorithm runs on: every node lives in one contiguous
+// arena (breadth-first order, so the children of a node are a consecutive
+// index range), MBR corners are stored structure-of-arrays per dimension,
+// and all leaf point ids (plus their coordinates, SoA) form one flat span.
+// Best-first traversal over this layout touches sequential memory, and a
+// node's child range or leaf range is directly a `SoaView` the batched
+// dominance kernels (core/dominance_batch.h) can cull four lanes at a time.
 //
-// The arena's *shape* is immutable — dynamic inserts stay on the pointer
-// `RTree`; rebuild a `FlatRTree` (cheap, one BFS pass) to add points — but
-// the structure supports in-place deletes via per-slot tombstones:
-// `Erase(row)` marks the slot dead, decrements live counts along the
-// leaf-to-root path, and re-tightens (condenses) every ancestor MBR whose
-// union shrank, so live-node MBRs stay *exact* unions of their live
-// content. That tightness is what keeps the serving layer's box
+// `BulkLoad` packs the rows with Sort-Tile-Recursive and copies the packed
+// tree breadth-first, keeping its child and leaf order. The arena's *shape*
+// is immutable — there is no in-place insert; bulk-load again to add
+// points — but the structure supports in-place deletes via per-slot
+// tombstones: `Erase(row)` marks the slot dead, decrements live counts
+// along the leaf-to-root path, and re-tightens (condenses) every ancestor
+// MBR whose union shrank, so live-node MBRs stay *exact* unions of their
+// live content. That tightness is what keeps the serving layer's box
 // lower-bound prune sound under deletes
 // (src/serve/shard/shard_query.cc), and `Validate()` proves it. Dead
 // nodes (live_count == 0) keep their stale MBRs and are skipped by
@@ -29,30 +29,21 @@
 #include "core/dominance_batch.h"
 #include "core/point.h"
 #include "rtree/mbr.h"
-#include "rtree/rtree.h"
 #include "util/status.h"
 
 namespace skyup {
 
+struct RTreeNode;
+
 class FlatRTree {
  public:
-  /// Flattens an existing (possibly dynamically built) pointer tree. Child
-  /// order is preserved exactly, so best-first traversals of the flat and
-  /// pointer forms push entries in the same sequence and return
-  /// bit-identical results.
-  static FlatRTree FromTree(const RTree& tree);
-
-  /// STR bulk load + flatten in one step (the common construction for
-  /// static query workloads).
+  /// Packs every row of `dataset` with Sort-Tile-Recursive into nodes of
+  /// at most `fanout` entries. An empty dataset — legal while a live table
+  /// has everything erased — yields the empty index bound to `dataset`,
+  /// which answers every probe with "no dominators". Fails on a fanout
+  /// below 2 or more than `kMaxDims` dimensions.
   static Result<FlatRTree> BulkLoad(const Dataset& dataset,
-                                    RTreeOptions options = {});
-
-  /// `BulkLoad` for the serving rebuild path (src/serve/rebuilder.cc):
-  /// identical for non-empty datasets, but an *empty* dataset — legal
-  /// while a live table has everything erased — yields an empty index
-  /// bound to `dataset` instead of an error.
-  static Result<FlatRTree> BulkLoadSnapshot(const Dataset& dataset,
-                                            RTreeOptions options = {});
+                                    size_t fanout = 64);
 
   FlatRTree() = default;
   FlatRTree(FlatRTree&&) = default;
@@ -153,6 +144,10 @@ class FlatRTree {
                    static_cast<size_t>(e - b), dims_};
   }
 
+  /// Appends the ids of all live points inside `box` (closed) to `out`,
+  /// walking child ranges depth-first and skipping dead nodes and slots.
+  void RangeQuery(const Mbr& box, std::vector<PointId>* out) const;
+
   /// Root MBR (empty box for an empty or fully-erased tree). For a live
   /// tree this is an *exact* union of the live points — Erase re-tightens
   /// it — which the serving-layer prune depends on.
@@ -172,6 +167,10 @@ class FlatRTree {
   // Copying is reserved for Clone(): a copy that still points at the
   // original dataset aliases mutable state across snapshots.
   FlatRTree(const FlatRTree&) = default;
+
+  // Copies the STR scaffold rooted at `root` (built over `dataset`) into
+  // the arena, breadth-first, keeping child and leaf order.
+  static FlatRTree FromTree(const Dataset& dataset, const RTreeNode& root);
 
   // Recomputes node `n`'s MBR as the exact union of its live content
   // (slots for a leaf, live children for an internal node), updating both

@@ -1,19 +1,24 @@
 #ifndef SKYUP_RTREE_RTREE_H_
 #define SKYUP_RTREE_RTREE_H_
 
+// Private construction scaffold of `FlatRTree::BulkLoad`: the
+// Sort-Tile-Recursive loader packs a pointer tree, which the flat arena
+// then copies breadth-first. Nothing outside src/rtree/ includes this
+// header; every index consumer works on `FlatRTree`.
+
+#include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/point.h"
 #include "rtree/mbr.h"
-#include "util/status.h"
 
 namespace skyup {
 
-/// One node of an in-memory R-tree. Leaves (level 0) hold point ids into
-/// the indexed `Dataset`; internal nodes hold child nodes. The node's `mbr`
-/// always bounds everything below it.
+/// One node of the STR scaffold. Leaves (level 0) hold point ids into the
+/// indexed `Dataset`; internal nodes hold child nodes. The node's `mbr`
+/// bounds everything below it.
 struct RTreeNode {
   Mbr mbr;
   int level = 0;  ///< 0 for leaves; parents are child level + 1.
@@ -21,123 +26,12 @@ struct RTreeNode {
   std::vector<std::unique_ptr<RTreeNode>> children;
 
   bool is_leaf() const { return level == 0; }
-  size_t entry_count() const {
-    return is_leaf() ? points.size() : children.size();
-  }
 };
 
-/// Structural statistics reported by `RTree::Stats`.
-struct RTreeStats {
-  size_t point_count = 0;
-  size_t node_count = 0;
-  size_t leaf_count = 0;
-  size_t height = 0;  ///< number of levels; 1 means the root is a leaf.
-};
-
-/// An in-memory R-tree over a `Dataset`.
-///
-/// Supports STR bulk loading (used to index both `P` and `T` in the paper's
-/// experiments) and Guttman-style dynamic insertion with quadratic node
-/// splitting. The tree stores point *ids*; coordinates are read from the
-/// dataset, which must outlive the tree and must not be resized while the
-/// tree references it (inserting into the tree after appending to the
-/// dataset is fine).
-/// Node-split heuristic used on dynamic-insert overflow.
-enum class SplitStrategy {
-  /// Guttman's quadratic split: pick the most wasteful seed pair, then
-  /// assign entries greedily by enlargement preference.
-  kQuadratic,
-  /// R*-tree split: choose the split axis by minimal margin sum, then the
-  /// distribution along it with minimal overlap (ties: minimal area).
-  /// Produces squarer, less overlapping nodes; forced reinsertion is not
-  /// implemented (see rtree.cc).
-  kRStar,
-};
-
-/// Construction parameters of `RTree`. (Defined at namespace scope so the
-/// brace-default arguments below are valid in-class — a nested struct with
-/// member initializers cannot default-construct inside its encloser.)
-struct RTreeOptions {
-  /// Maximum entries per node (fanout). Must be >= 2.
-  size_t max_entries = 64;
-  /// Minimum entries per non-root node; 0 means 40% of `max_entries`.
-  size_t min_entries = 0;
-  /// Overflow handling for dynamic inserts (bulk loading ignores it).
-  SplitStrategy split = SplitStrategy::kQuadratic;
-};
-
-class RTree {
- public:
-  using Options = RTreeOptions;
-
-  /// Creates an empty tree over `dataset`.
-  explicit RTree(const Dataset* dataset, Options options = {});
-
-  RTree(RTree&&) = default;
-  RTree& operator=(RTree&&) = default;
-  RTree(const RTree&) = delete;
-  RTree& operator=(const RTree&) = delete;
-
-  /// Bulk-loads every point of `dataset` with the Sort-Tile-Recursive
-  /// algorithm, producing a packed tree. Fails on an empty dataset or
-  /// invalid options.
-  static Result<RTree> BulkLoad(const Dataset& dataset, Options options = {});
-
-  /// Inserts one point by id (must be a valid dataset row).
-  void Insert(PointId id);
-
-  /// Removes one point by id. Underflowing nodes are dissolved and their
-  /// surviving points reinserted (condense-tree); MBRs re-tighten along
-  /// the deletion path. Returns false if `id` is not in the tree.
-  bool Delete(PointId id);
-
-  /// Number of indexed points.
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  const RTreeNode* root() const { return root_.get(); }
-  const Dataset& dataset() const { return *dataset_; }
-  const Options& options() const { return options_; }
-
-  /// Appends ids of all points inside `box` (closed) to `out`.
-  void RangeQuery(const Mbr& box, std::vector<PointId>* out) const;
-
-  /// Number of points inside `box` without materializing them.
-  size_t CountRange(const Mbr& box) const;
-
-  /// Walks the whole tree and checks structural invariants: MBR
-  /// containment/tightness, fill factors, uniform leaf depth.
-  Status Validate() const;
-
-  RTreeStats Stats() const;
-
- private:
-  friend class StrBulkLoader;
-
-  // Returns the new sibling if `node` was split, nullptr otherwise.
-  std::unique_ptr<RTreeNode> InsertRecursive(RTreeNode* node, PointId id,
-                                             const double* coords);
-
-  RTreeNode* ChooseSubtree(RTreeNode* node, const Mbr& box) const;
-
-  // Removes `id` from the subtree under `node`; appends points of
-  // dissolved (underflowing) descendants to `orphans`. Returns true if the
-  // point was found. On return the subtree's MBRs are tight again.
-  bool DeleteRecursive(RTreeNode* node, PointId id, const double* coords,
-                       std::vector<PointId>* orphans);
-
-  std::unique_ptr<RTreeNode> SplitLeaf(RTreeNode* node);
-  std::unique_ptr<RTreeNode> SplitInternal(RTreeNode* node);
-
-  void RecomputeMbr(RTreeNode* node) const;
-
-  size_t min_entries() const;
-
-  const Dataset* dataset_;
-  Options options_;
-  std::unique_ptr<RTreeNode> root_;
-  size_t size_ = 0;
-};
+/// Packs every row of the non-empty `dataset` into an STR tree of at most
+/// `fanout` (>= 2) entries per node and returns its root. Child and leaf
+/// order is the loader's tiling order, which the flat arena preserves.
+std::unique_ptr<RTreeNode> StrBulkLoad(const Dataset& dataset, size_t fanout);
 
 }  // namespace skyup
 

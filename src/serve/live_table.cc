@@ -10,9 +10,7 @@ namespace skyup {
 
 LiveTable::LiveTable(LiveTableOptions options,
                      std::shared_ptr<const Snapshot> initial)
-    : options_(options), log_(std::move(initial)) {
-  index_options_.max_entries = options_.rtree_fanout;
-}
+    : options_(options), log_(std::move(initial)) {}
 
 Result<std::unique_ptr<LiveTable>> LiveTable::Create(
     LiveTableOptions options) {
@@ -22,11 +20,9 @@ Result<std::unique_ptr<LiveTable>> LiveTable::Create(
   if (options.rtree_fanout < 2) {
     return Status::InvalidArgument("R-tree fanout must be at least 2");
   }
-  RTreeOptions index_options;
-  index_options.max_entries = options.rtree_fanout;
   Result<std::shared_ptr<const Snapshot>> initial = Snapshot::Create(
       /*epoch=*/1, Dataset(options.dims), {}, Dataset(options.dims), {},
-      index_options);
+      options.rtree_fanout);
   if (!initial.ok()) return initial.status();
   std::unique_ptr<LiveTable> table(
       new LiveTable(options, std::move(initial).value()));

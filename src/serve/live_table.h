@@ -32,7 +32,6 @@
 #include <optional>
 #include <vector>
 
-#include "rtree/rtree.h"
 #include "serve/delta_log.h"
 #include "serve/snapshot.h"
 #include "util/lock_order.h"
@@ -144,7 +143,7 @@ class LiveTable {
   /// and the next `BeginRebuild` re-offers them.
   void AbandonRebuild();
 
-  const RTreeOptions& index_options() const { return index_options_; }
+  size_t rtree_fanout() const { return options_.rtree_fanout; }
 
  private:
   LiveTable(LiveTableOptions options, std::shared_ptr<const Snapshot> initial);
@@ -154,7 +153,6 @@ class LiveTable {
   Status Erase(DeltaTarget target, uint64_t id);
 
   LiveTableOptions options_;
-  RTreeOptions index_options_;
 
   mutable Mutex mu_ SKYUP_ACQUIRED_AFTER(lock_order::kTable)
       SKYUP_ACQUIRED_BEFORE(lock_order::kTableSub);

@@ -40,7 +40,7 @@ void AppendLiveRows(const Snapshot& base, const DeltaPrefix& ops,
 
 Result<std::shared_ptr<const Snapshot>> MergeSnapshot(
     const Snapshot& base, const DeltaPrefix& ops, uint64_t next_epoch,
-    RTreeOptions index_options) {
+    size_t rtree_fanout) {
   const size_t dims = base.dims();
   DeltaMasks masks;
   masks.Build(base, ops);
@@ -61,7 +61,7 @@ Result<std::shared_ptr<const Snapshot>> MergeSnapshot(
                  &product_ids);
   return Snapshot::Create(next_epoch, std::move(competitors),
                           std::move(competitor_ids), std::move(products),
-                          std::move(product_ids), index_options);
+                          std::move(product_ids), rtree_fanout);
 }
 
 Result<std::shared_ptr<const Snapshot>> PatchSnapshot(

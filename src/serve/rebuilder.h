@@ -36,7 +36,7 @@ namespace skyup {
 /// base snapshot itself already tombstoned.
 Result<std::shared_ptr<const Snapshot>> MergeSnapshot(
     const Snapshot& base, const DeltaPrefix& ops, uint64_t next_epoch,
-    RTreeOptions index_options);
+    size_t rtree_fanout);
 
 /// What one publish cycle produced. Queries behave identically either
 /// way; the distinction is purely cost/bookkeeping (ServeStats keeps

@@ -170,7 +170,7 @@ Result<size_t> ShardedTable::PublishCycle(const RebuildPolicy& policy) {
     Result<std::shared_ptr<const Snapshot>> merged =
         kind == PublishKind::kMajor
             ? MergeSnapshot(*jobs[s].base, jobs[s].ops, jobs[s].next_epoch,
-                            tables_[s]->index_options())
+                            tables_[s]->rtree_fanout())
             : PatchSnapshot(*jobs[s].base, jobs[s].ops, jobs[s].next_epoch);
     if (!merged.ok()) {
       // Unwind the whole cycle: every shard keeps its frozen ops pending

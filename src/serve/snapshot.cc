@@ -51,7 +51,7 @@ Snapshot::Snapshot(uint64_t epoch, std::unique_ptr<Dataset> competitors,
 Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
     uint64_t epoch, Dataset competitors,
     std::vector<uint64_t> competitor_ids, Dataset products,
-    std::vector<uint64_t> product_ids, RTreeOptions index_options) {
+    std::vector<uint64_t> product_ids, size_t rtree_fanout) {
   if (competitors.dims() != products.dims()) {
     return Status::InvalidArgument(
         "snapshot P/T dimensionality mismatch: " +
@@ -70,7 +70,7 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
       std::make_unique<Dataset>(std::move(products)),
       std::move(product_ids)));
   Result<FlatRTree> index =
-      FlatRTree::BulkLoadSnapshot(*snapshot->competitors_, index_options);
+      FlatRTree::BulkLoad(*snapshot->competitors_, rtree_fanout);
   if (!index.ok()) return index.status();
   snapshot->index_ = std::move(index).value();
   snapshot->published_at_ = SteadyClock::now();

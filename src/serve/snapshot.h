@@ -61,7 +61,7 @@ class Snapshot {
   static Result<std::shared_ptr<const Snapshot>> Create(
       uint64_t epoch, Dataset competitors,
       std::vector<uint64_t> competitor_ids, Dataset products,
-      std::vector<uint64_t> product_ids, RTreeOptions index_options = {});
+      std::vector<uint64_t> product_ids, size_t rtree_fanout = 64);
 
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;

@@ -1,94 +1,12 @@
 #include <queue>
 #include <vector>
 
-#include "core/dominance.h"
 #include "core/dominance_batch.h"
 #include "rtree/flat_rtree.h"
 #include "skyline/skyline.h"
 #include "util/logging.h"
 
 namespace skyup {
-
-namespace {
-
-// Best-first queue entry: either an R-tree node or a concrete point,
-// prioritized by the L1 "mindist" (sum of min-corner coordinates), which is
-// a monotone scoring function — guaranteeing that a deheaped, undominated
-// point is a final skyline member (Papadias et al., BBS).
-struct BbsEntry {
-  double key;
-  uint64_t seq;  // deterministic FIFO tie-break
-  const RTreeNode* node;
-  PointId point;
-
-  bool operator>(const BbsEntry& other) const {
-    if (key != other.key) return key > other.key;
-    return seq > other.seq;
-  }
-};
-
-bool EntryDominated(const std::vector<const double*>& skyline,
-                    const double* min_corner, size_t dims) {
-  for (const double* s : skyline) {
-    if (DominatesOrEqual(s, min_corner, dims)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-std::vector<PointId> SkylineBbs(const RTree& tree) {
-  std::vector<PointId> result;
-  if (tree.empty()) return result;
-
-  const Dataset& data = tree.dataset();
-  const size_t dims = data.dims();
-  std::priority_queue<BbsEntry, std::vector<BbsEntry>, std::greater<BbsEntry>>
-      heap;
-  uint64_t seq = 0;
-  heap.push({tree.root()->mbr.MinCornerSum(), seq++, tree.root(),
-             kInvalidPointId});
-
-  std::vector<const double*> window;
-  while (!heap.empty()) {
-    const BbsEntry entry = heap.top();
-    heap.pop();
-    if (entry.node != nullptr) {
-      if (EntryDominated(window, entry.node->mbr.min_data(), dims)) continue;
-      if (entry.node->is_leaf()) {
-        for (PointId id : entry.node->points) {
-          const double* p = data.data(id);
-          if (!EntryDominated(window, p, dims)) {
-            double key = 0.0;
-            for (size_t i = 0; i < dims; ++i) key += p[i];
-            heap.push({key, seq++, nullptr, id});
-          }
-        }
-      } else {
-        for (const auto& child : entry.node->children) {
-          if (!EntryDominated(window, child->mbr.min_data(), dims)) {
-            heap.push({child->mbr.MinCornerSum(), seq++, child.get(),
-                       kInvalidPointId});
-          }
-        }
-      }
-    } else {
-      const double* p = data.data(entry.point);
-      if (!EntryDominated(window, p, dims)) {
-        window.push_back(p);
-        result.push_back(entry.point);
-      }
-    }
-  }
-  // The tree may index a subset of the dataset (incremental builds), so the
-  // paranoid re-proof enumerates the tree's own points as the input set.
-  SKYUP_PARANOID_OK([&]() -> Status {
-    std::vector<PointId> all;
-    tree.RangeQuery(tree.root()->mbr, &all);
-    return CheckSkylineInvariants(data, &all, result);
-  }());
-  return result;
-}
 
 std::vector<PointId> SkylineBbs(const FlatRTree& tree) {
   std::vector<PointId> result;
@@ -97,6 +15,10 @@ std::vector<PointId> SkylineBbs(const FlatRTree& tree) {
   // containment, SoA/AoS mirror agreement); re-prove them under paranoid.
   SKYUP_PARANOID_OK(tree.Validate());
 
+  // Best-first by the L1 "mindist" (sum of min-corner coordinates), a
+  // monotone score, so a deheaped undominated point is a final skyline
+  // member (Papadias et al.). Point entries carry node == kNoNode; seq is
+  // the deterministic FIFO tie-break.
   const size_t dims = tree.dims();
   constexpr uint32_t kNoNode = UINT32_MAX;
   struct FlatBbsEntry {
@@ -116,8 +38,8 @@ std::vector<PointId> SkylineBbs(const FlatRTree& tree) {
   heap.push({tree.min_corner_sum(FlatRTree::kRoot), seq++, FlatRTree::kRoot,
              kInvalidPointId});
 
-  // Same traversal as the pointer form; the window is one SoA block and the
-  // per-entry dominance tests are batched kernel sweeps.
+  // The window is one SoA block; the per-entry dominance tests are batched
+  // kernel sweeps.
   SoaBlock window(dims);
   auto dominated = [&window](const double* p) {
     return !window.empty() && DominatesAny(window.view(), p);
@@ -175,8 +97,6 @@ std::vector<PointId> Skyline(const Dataset& data, SkylineAlgorithm algo) {
     case SkylineAlgorithm::kSfs:
       return SkylineSfs(data);
     case SkylineAlgorithm::kBbs: {
-      // The dispatcher builds a throwaway index anyway, so it builds the
-      // cache-friendly flat snapshot and runs the batched traversal.
       Result<FlatRTree> tree = FlatRTree::BulkLoad(data);
       SKYUP_CHECK(tree.ok()) << tree.status().ToString();
       return SkylineBbs(tree.value());

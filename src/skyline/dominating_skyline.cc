@@ -14,30 +14,10 @@ namespace skyup {
 
 namespace {
 
-struct Entry {
-  double key;
-  uint64_t seq;
-  const RTreeNode* node;
-  PointId point;
-
-  bool operator>(const Entry& other) const {
-    if (key != other.key) return key > other.key;
-    return seq > other.seq;
-  }
-};
-
 // An R-tree entry can intersect ADR(t) = (-inf, t] iff its min corner is
 // coordinatewise <= t.
 bool OverlapsAdr(const double* min_corner, const double* t, size_t dims) {
   return DominatesOrEqual(min_corner, t, dims);
-}
-
-bool PrunedBySkyline(const std::vector<const double*>& window,
-                     const double* min_corner, size_t dims) {
-  for (const double* s : window) {
-    if (DominatesOrEqual(s, min_corner, dims)) return true;
-  }
-  return false;
 }
 
 // Batched window prune: true iff some accepted skyline member dominates-or-
@@ -76,81 +56,17 @@ Status CheckProbeResult(const Dataset& data, const double* t,
   return Status::OK();
 }
 
-}  // namespace
-
-// The pointer-tree probe is deliberately kept on the seed's scalar
-// point-pair loops: it is the unbatched baseline the flat/batched traversal
-// below is benchmarked against (bench_micro) and verified bit-identical to
-// (tests/flat_index_test.cc).
-std::vector<PointId> DominatingSkyline(const RTree& tree, const double* t,
-                                       ProbeStats* stats) {
-  SKYUP_TRACE_SPAN_VERBOSE("probe/dominating-skyline");
-  std::vector<PointId> result;
-  if (tree.empty()) return result;
-  const Dataset& data = tree.dataset();
-  const size_t dims = data.dims();
-  ProbeStats local;
-  ProbeStats* st = stats != nullptr ? stats : &local;
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  uint64_t seq = 0;
-  const RTreeNode* root = tree.root();
-  if (root == nullptr || root->entry_count() == 0) return result;
-  if (OverlapsAdr(root->mbr.min_data(), t, dims)) {
-    heap.push({root->mbr.MinCornerSum(), seq++, root, kInvalidPointId});
-  }
-
-  std::vector<const double*> window;
-  while (!heap.empty()) {
-    const Entry entry = heap.top();
-    heap.pop();
-    ++st->heap_pops;
-
-    if (entry.node != nullptr) {
-      ++st->nodes_visited;
-      if (PrunedBySkyline(window, entry.node->mbr.min_data(), dims)) continue;
-      if (entry.node->is_leaf()) {
-        for (PointId id : entry.node->points) {
-          const double* p = data.data(id);
-          ++st->points_scanned;
-          // Only strict dominators of t are candidates; a point equal to t
-          // does not dominate it.
-          if (!Dominates(p, t, dims)) continue;
-          if (PrunedBySkyline(window, p, dims)) continue;
-          double key = 0.0;
-          for (size_t i = 0; i < dims; ++i) key += p[i];
-          heap.push({key, seq++, nullptr, id});
-        }
-      } else {
-        for (const auto& child : entry.node->children) {
-          if (!OverlapsAdr(child->mbr.min_data(), t, dims)) continue;
-          if (PrunedBySkyline(window, child->mbr.min_data(), dims)) continue;
-          heap.push(
-              {child->mbr.MinCornerSum(), seq++, child.get(), kInvalidPointId});
-        }
-      }
-    } else {
-      const double* p = data.data(entry.point);
-      if (PrunedBySkyline(window, p, dims)) continue;
-      window.push_back(p);
-      result.push_back(entry.point);
-    }
-  }
-  SKYUP_PARANOID_OK(CheckProbeResult(data, t, result));
-  return result;
-}
-
-std::vector<PointId> DominatingSkyline(const FlatRTree& tree, const double* t,
-                                       ProbeStats* stats) {
-  std::vector<PointId> result;
-  DominatingSkylineInto(tree, t, /*dead_rows=*/nullptr, &result, stats);
-  return result;
-}
-
-void DominatingSkylineInto(const FlatRTree& tree, const double* t,
-                           const uint8_t* dead_rows,
-                           std::vector<PointId>* result, ProbeStats* stats) {
-  SKYUP_TRACE_SPAN_VERBOSE("probe/dominating-skyline-flat");
+// The one constrained-skyline traversal (Algorithm 3) behind
+// `DominatingSkylineInto` and `DominatingSkylineFrom`: best-first by
+// min-corner sum from the seed nodes `roots[0, root_count)` and the seed
+// point ids `points[0, point_count)`, confined to ADR(t), pruned by the
+// window of accepted members. Node expansion culls a child run or a leaf's
+// slot range with one batched SoA sweep.
+void ConstrainedSkyline(const FlatRTree& tree, const uint32_t* roots,
+                        size_t root_count, const PointId* points,
+                        size_t point_count, const double* t,
+                        const uint8_t* dead_rows, std::vector<PointId>* result,
+                        ProbeStats* stats) {
   result->clear();
   if (tree.empty() || tree.live_size() == 0) return;
   const size_t dims = tree.dims();
@@ -158,13 +74,11 @@ void DominatingSkylineInto(const FlatRTree& tree, const double* t,
   ProbeStats* st = stats != nullptr ? stats : &local;
   // With no tombstones and no mask every liveness test below passes, so
   // the traversal — entries, order, tie-breaks, and the stat counters —
-  // is identical to the historical all-live probe (the property the
-  // flat-vs-pointer bit-exactness tests pin down).
+  // is identical to the all-live probe.
   const bool masked = dead_rows != nullptr || tree.has_tombstones();
 
-  // Point entries carry node == kNoNode; the key/seq ordering matches the
-  // pointer-tree probe entry for entry, so the two traversals pop — and
-  // therefore accept — in the same sequence.
+  // Point entries carry node == kNoNode; (key, seq) fixes the pop — and
+  // therefore accept — order, ties broken by push order.
   constexpr uint32_t kNoNode = UINT32_MAX;
   struct FlatEntry {
     double key;
@@ -176,14 +90,29 @@ void DominatingSkylineInto(const FlatRTree& tree, const double* t,
       return seq > other.seq;
     }
   };
+  const auto point_key = [dims](const double* p) {
+    double key = 0.0;
+    for (size_t i = 0; i < dims; ++i) key += p[i];
+    return key;
+  };
 
   std::priority_queue<FlatEntry, std::vector<FlatEntry>,
                       std::greater<FlatEntry>>
       heap;
   uint64_t seq = 0;
-  if (OverlapsAdr(tree.min_corner(FlatRTree::kRoot), t, dims)) {
-    heap.push({tree.min_corner_sum(FlatRTree::kRoot), seq++, FlatRTree::kRoot,
-               kInvalidPointId});
+  for (size_t r = 0; r < root_count; ++r) {
+    const uint32_t node = roots[r];
+    if (tree.node_live_count(node) == 0) continue;
+    if (!OverlapsAdr(tree.min_corner(node), t, dims)) continue;
+    heap.push({tree.min_corner_sum(node), seq++, node, kInvalidPointId});
+  }
+  for (size_t i = 0; i < point_count; ++i) {
+    const PointId id = points[i];
+    const double* p = tree.dataset().data(id);
+    ++st->points_scanned;
+    if (masked && !tree.row_alive(id)) continue;
+    if (!Dominates(p, t, dims)) continue;
+    heap.push({point_key(p), seq++, kNoNode, id});
   }
 
   SoaBlock window(dims);
@@ -200,8 +129,8 @@ void DominatingSkylineInto(const FlatRTree& tree, const double* t,
         const uint32_t b = tree.point_begin(entry.node);
         const uint32_t e = tree.point_end(entry.node);
         st->points_scanned += e - b;
-        // One SoA sweep keeps exactly the strict dominators of t, in leaf
-        // order (ascending lanes) — the order the scalar loop scans.
+        // One SoA sweep keeps exactly the strict dominators of t (a point
+        // equal to t does not dominate it), in leaf order.
         kept.clear();
         ++st->block_kernel_calls;
         FilterDominated(tree.point_block(b, e), t, &kept, /*strict=*/true);
@@ -214,9 +143,7 @@ void DominatingSkylineInto(const FlatRTree& tree, const double* t,
           }
           const double* p = tree.slot_coords(slot);
           if (PrunedBySkyline(window, p, st)) continue;
-          double key = 0.0;
-          for (size_t i = 0; i < dims; ++i) key += p[i];
-          heap.push({key, seq++, kNoNode, tree.point_ids()[slot]});
+          heap.push({point_key(p), seq++, kNoNode, tree.point_ids()[slot]});
         }
       } else {
         const uint32_t b = tree.child_begin(entry.node);
@@ -243,6 +170,35 @@ void DominatingSkylineInto(const FlatRTree& tree, const double* t,
     }
   }
   SKYUP_PARANOID_OK(CheckProbeResult(tree.dataset(), t, *result));
+}
+
+}  // namespace
+
+void DominatingSkylineInto(const FlatRTree& tree, const double* t,
+                           const uint8_t* dead_rows,
+                           std::vector<PointId>* result, ProbeStats* stats) {
+  SKYUP_TRACE_SPAN_VERBOSE("probe/dominating-skyline");
+  const uint32_t root = FlatRTree::kRoot;
+  ConstrainedSkyline(tree, &root, 1, nullptr, 0, t, dead_rows, result, stats);
+}
+
+std::vector<PointId> DominatingSkyline(const FlatRTree& tree, const double* t,
+                                       ProbeStats* stats) {
+  std::vector<PointId> result;
+  DominatingSkylineInto(tree, t, /*dead_rows=*/nullptr, &result, stats);
+  return result;
+}
+
+std::vector<PointId> DominatingSkylineFrom(const FlatRTree& tree,
+                                           const std::vector<uint32_t>& roots,
+                                           const std::vector<PointId>& points,
+                                           const double* t,
+                                           ProbeStats* stats) {
+  SKYUP_TRACE_SPAN_VERBOSE("probe/dominating-skyline-from");
+  std::vector<PointId> result;
+  ConstrainedSkyline(tree, roots.data(), roots.size(), points.data(),
+                     points.size(), t, /*dead_rows=*/nullptr, &result, stats);
+  return result;
 }
 
 void DominatingSkylineTileInto(const FlatRTree& tree,
@@ -375,73 +331,6 @@ void DominatingSkylineTileInto(const FlatRTree& tree,
   for (size_t j = 0; j < tile_count; ++j) {
     SKYUP_PARANOID_OK(CheckProbeResult(tree.dataset(), tile[j], results[j]));
   }
-}
-
-std::vector<PointId> DominatingSkylineFrom(
-    const Dataset& data, const std::vector<const RTreeNode*>& roots,
-    const std::vector<PointId>& points, const double* t, ProbeStats* stats) {
-  SKYUP_TRACE_SPAN_VERBOSE("probe/dominating-skyline-from");
-  std::vector<PointId> result;
-  const size_t dims = data.dims();
-  ProbeStats local;
-  ProbeStats* st = stats != nullptr ? stats : &local;
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  uint64_t seq = 0;
-  for (const RTreeNode* root : roots) {
-    if (root == nullptr || root->entry_count() == 0) continue;
-    if (!OverlapsAdr(root->mbr.min_data(), t, dims)) continue;
-    heap.push({root->mbr.MinCornerSum(), seq++, root, kInvalidPointId});
-  }
-  for (PointId id : points) {
-    const double* p = data.data(id);
-    ++st->points_scanned;
-    if (!Dominates(p, t, dims)) continue;
-    double key = 0.0;
-    for (size_t i = 0; i < dims; ++i) key += p[i];
-    heap.push({key, seq++, nullptr, id});
-  }
-
-  // The join's candidate filter: same traversal as above, pointer nodes,
-  // but the dominance window runs on the batched SoA kernels.
-  SoaBlock window(dims);
-  while (!heap.empty()) {
-    const Entry entry = heap.top();
-    heap.pop();
-    ++st->heap_pops;
-
-    if (entry.node != nullptr) {
-      ++st->nodes_visited;
-      if (PrunedBySkyline(window, entry.node->mbr.min_data(), st)) continue;
-      if (entry.node->is_leaf()) {
-        for (PointId id : entry.node->points) {
-          const double* p = data.data(id);
-          ++st->points_scanned;
-          // Only strict dominators of t are candidates; a point equal to t
-          // does not dominate it.
-          if (!Dominates(p, t, dims)) continue;
-          if (PrunedBySkyline(window, p, st)) continue;
-          double key = 0.0;
-          for (size_t i = 0; i < dims; ++i) key += p[i];
-          heap.push({key, seq++, nullptr, id});
-        }
-      } else {
-        for (const auto& child : entry.node->children) {
-          if (!OverlapsAdr(child->mbr.min_data(), t, dims)) continue;
-          if (PrunedBySkyline(window, child->mbr.min_data(), st)) continue;
-          heap.push(
-              {child->mbr.MinCornerSum(), seq++, child.get(), kInvalidPointId});
-        }
-      }
-    } else {
-      const double* p = data.data(entry.point);
-      if (PrunedBySkyline(window, p, st)) continue;
-      window.Append(p);
-      result.push_back(entry.point);
-    }
-  }
-  SKYUP_PARANOID_OK(CheckProbeResult(data, t, result));
-  return result;
 }
 
 }  // namespace skyup

@@ -5,7 +5,6 @@
 
 #include "core/point.h"
 #include "rtree/flat_rtree.h"
-#include "rtree/rtree.h"
 
 namespace skyup {
 
@@ -15,29 +14,22 @@ struct ProbeStats {
   size_t nodes_visited = 0;
   size_t points_scanned = 0;
   /// Batched dominance-kernel invocations (core/dominance_batch.h): window
-  /// prunes, leaf filters, and child culls. Zero on the single-root pointer
-  /// probe, which is deliberately kept scalar as the baseline/oracle; makes
-  /// the flat/batched traversal observable end to end.
+  /// prunes, leaf filters, and child culls; makes the batched traversal
+  /// observable end to end.
   size_t block_kernel_calls = 0;
 };
 
 /// `getDominatingSky` (Algorithm 3 of the paper): the skyline of the set of
-/// points in `tree` that strictly dominate `t`, computed by a best-first
-/// (BBS-style) traversal constrained to the anti-dominant region ADR(t).
+/// live points in `tree` that strictly dominate `t`, computed by a
+/// best-first (BBS-style) traversal constrained to the anti-dominant region
+/// ADR(t). Node expansion culls children with the batched SoA kernels and
+/// the dominance window lives in one SoA block; tombstoned slots and
+/// fully-dead subtrees are skipped.
 ///
-/// `t` must have `tree.dataset().dims()` coordinates. The returned ids are
-/// mutually non-dominating, every one strictly dominates `t`, and together
-/// they dominate every dominator of `t` in the tree — exactly the input
+/// `t` must have `tree.dims()` coordinates. The returned ids are mutually
+/// non-dominating, every one strictly dominates `t`, and together they
+/// dominate every live dominator of `t` in the tree — exactly the input
 /// Algorithm 1 (single-product upgrade) requires.
-std::vector<PointId> DominatingSkyline(const RTree& tree, const double* t,
-                                       ProbeStats* stats = nullptr);
-
-/// The same probe over the flat arena snapshot: identical results (bit for
-/// bit — same entries, same best-first order, same tie-breaks), but node
-/// expansion culls children with the batched SoA kernels and the dominance
-/// window lives in one SoA block instead of scattered rows. Tombstoned
-/// slots and fully-dead subtrees are skipped, so the result is the skyline
-/// of the *live* dominators.
 std::vector<PointId> DominatingSkyline(const FlatRTree& tree, const double* t,
                                        ProbeStats* stats = nullptr);
 
@@ -73,14 +65,15 @@ void DominatingSkylineTileInto(const FlatRTree& tree,
                                ProbeStats* stats = nullptr);
 
 /// Multi-source variant used by the join's leaf processing (Alg. 4 line 9):
-/// the skyline of the dominators of `t` among the points below `roots`
-/// plus the explicit `points`, all referring to `data`. Same best-first,
-/// skyline-pruned traversal as `DominatingSkyline`, seeded from several
-/// entries at once. Window pruning runs on the batched kernels.
-std::vector<PointId> DominatingSkylineFrom(
-    const Dataset& data, const std::vector<const RTreeNode*>& roots,
-    const std::vector<PointId>& points, const double* t,
-    ProbeStats* stats = nullptr);
+/// the skyline of the dominators of `t` among the live points below the
+/// node indices `roots` plus the explicit point ids `points`, all of
+/// `tree`. The same traversal as `DominatingSkylineInto`, seeded from
+/// several entries at once (roots first, then points, in the given order).
+std::vector<PointId> DominatingSkylineFrom(const FlatRTree& tree,
+                                           const std::vector<uint32_t>& roots,
+                                           const std::vector<PointId>& points,
+                                           const double* t,
+                                           ProbeStats* stats = nullptr);
 
 }  // namespace skyup
 

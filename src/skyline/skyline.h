@@ -7,7 +7,6 @@
 #include "core/dataset.h"
 #include "core/point.h"
 #include "rtree/flat_rtree.h"
-#include "rtree/rtree.h"
 #include "util/status.h"
 
 namespace skyup {
@@ -34,12 +33,8 @@ std::vector<PointId> SkylineBnl(const Dataset& data,
 std::vector<PointId> SkylineSfs(const Dataset& data,
                                 const std::vector<PointId>* subset = nullptr);
 
-/// Branch-and-bound skyline over an R-tree (best-first by min-corner sum).
-std::vector<PointId> SkylineBbs(const RTree& tree);
-
-/// BBS over the flat arena snapshot (rtree/flat_rtree.h): identical result
-/// order, batched SoA dominance tests. The `Skyline` dispatcher routes
-/// `kBbs` through this form.
+/// Branch-and-bound skyline of the live points of an R-tree (best-first by
+/// min-corner sum, batched SoA dominance tests).
 std::vector<PointId> SkylineBbs(const FlatRTree& tree);
 
 /// Divide & conquer skyline: median split on rotating dimensions, merge by

@@ -96,9 +96,9 @@ class Status {
 /// A value-or-error wrapper: holds either a `T` or an error `Status`.
 ///
 /// Usage:
-///   Result<RTree> r = RTree::BulkLoad(...);
+///   Result<FlatRTree> r = FlatRTree::BulkLoad(...);
 ///   if (!r.ok()) return r.status();
-///   RTree tree = std::move(r).value();
+///   FlatRTree tree = std::move(r).value();
 template <typename T>
 class Result {
  public:

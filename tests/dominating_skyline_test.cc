@@ -43,7 +43,7 @@ std::set<std::vector<double>> Coords(const Dataset& ds,
 TEST(DominatingSkylineTest, NoDominators) {
   Result<Dataset> ds = Dataset::FromRows({{5, 5}, {6, 4}});
   ASSERT_TRUE(ds.ok());
-  Result<RTree> tree = RTree::BulkLoad(*ds);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*ds);
   ASSERT_TRUE(tree.ok());
   const std::vector<double> t = {1.0, 1.0};
   EXPECT_TRUE(DominatingSkyline(tree.value(), t.data()).empty());
@@ -52,7 +52,7 @@ TEST(DominatingSkylineTest, NoDominators) {
 TEST(DominatingSkylineTest, EqualPointIsNotADominator) {
   Result<Dataset> ds = Dataset::FromRows({{2, 2}, {3, 3}});
   ASSERT_TRUE(ds.ok());
-  Result<RTree> tree = RTree::BulkLoad(*ds);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*ds);
   ASSERT_TRUE(tree.ok());
   const std::vector<double> t = {2.0, 2.0};
   EXPECT_TRUE(DominatingSkyline(tree.value(), t.data()).empty());
@@ -65,7 +65,7 @@ TEST(DominatingSkylineTest, SimpleCase) {
   Result<Dataset> ds =
       Dataset::FromRows({{1, 4}, {4, 1}, {2, 2}, {6, 6}, {5, 0.5}});
   ASSERT_TRUE(ds.ok());
-  Result<RTree> tree = RTree::BulkLoad(*ds);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*ds);
   ASSERT_TRUE(tree.ok());
   const std::vector<double> t = {5.0, 5.0};
   std::vector<PointId> sky = DominatingSkyline(tree.value(), t.data());
@@ -85,9 +85,7 @@ TEST_P(DominatingSkylineSweep, MatchesReferenceOnRandomProbes) {
   Result<Dataset> p = GenerateCompetitors(param.n, param.dims,
                                           param.distribution, 404 + param.n);
   ASSERT_TRUE(p.ok());
-  RTree::Options options;
-  options.max_entries = 16;
-  Result<RTree> tree = RTree::BulkLoad(*p, options);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*p, 16);
   ASSERT_TRUE(tree.ok());
 
   Rng rng(17);
@@ -129,12 +127,12 @@ TEST(DominatingSkylineFromTest, RootSeedEqualsSingleSource) {
   Result<Dataset> p =
       GenerateCompetitors(800, 3, Distribution::kAntiCorrelated, 71);
   ASSERT_TRUE(p.ok());
-  Result<RTree> tree = RTree::BulkLoad(*p);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*p);
   ASSERT_TRUE(tree.ok());
   const std::vector<double> t = {1.2, 1.2, 1.2};
   const auto single = Coords(*p, DominatingSkyline(tree.value(), t.data()));
   const auto multi = Coords(
-      *p, DominatingSkylineFrom(*p, {tree->root()}, {}, t.data()));
+      *p, DominatingSkylineFrom(*tree, {FlatRTree::kRoot}, {}, t.data()));
   EXPECT_EQ(single, multi);
   EXPECT_FALSE(multi.empty());
 }
@@ -143,22 +141,21 @@ TEST(DominatingSkylineFromTest, SubtreeSeedsAndExplicitPoints) {
   Result<Dataset> p =
       GenerateCompetitors(600, 2, Distribution::kIndependent, 72);
   ASSERT_TRUE(p.ok());
-  RTree::Options options;
-  options.max_entries = 8;
-  Result<RTree> tree = RTree::BulkLoad(*p, options);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*p, 8);
   ASSERT_TRUE(tree.ok());
-  ASSERT_FALSE(tree->root()->is_leaf());
+  ASSERT_FALSE(tree->is_leaf(FlatRTree::kRoot));
 
   // Seed from the root's children plus a few explicit point ids: must
   // equal the single-source result (same coverage, different seeding).
-  std::vector<const RTreeNode*> roots;
-  for (const auto& child : tree->root()->children) {
-    roots.push_back(child.get());
+  std::vector<uint32_t> roots;
+  for (uint32_t c = tree->child_begin(FlatRTree::kRoot);
+       c < tree->child_end(FlatRTree::kRoot); ++c) {
+    roots.push_back(c);
   }
   const std::vector<PointId> extra = {0, 1, 2, 3, 4};
   const std::vector<double> t = {0.9, 0.9};
   const auto multi =
-      Coords(*p, DominatingSkylineFrom(*p, roots, extra, t.data()));
+      Coords(*p, DominatingSkylineFrom(*tree, roots, extra, t.data()));
   const auto single = Coords(*p, DominatingSkyline(tree.value(), t.data()));
   EXPECT_EQ(multi, single);
 }
@@ -166,7 +163,10 @@ TEST(DominatingSkylineFromTest, SubtreeSeedsAndExplicitPoints) {
 TEST(DominatingSkylineFromTest, EmptySeedsYieldEmpty) {
   Dataset p(2);
   p.Add({0.1, 0.1});
-  EXPECT_TRUE(DominatingSkylineFrom(p, {}, {}, p.data(0)).empty());
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(p);
+  ASSERT_TRUE(tree.ok());
+  const std::vector<double> t = {0.5, 0.5};
+  EXPECT_TRUE(DominatingSkylineFrom(*tree, {}, {}, t.data()).empty());
 }
 
 TEST(DominatingSkylineFromTest, PointSeedsOnly) {
@@ -175,8 +175,10 @@ TEST(DominatingSkylineFromTest, PointSeedsOnly) {
   p.Add({0.5, 0.1});
   p.Add({0.3, 0.3});
   p.Add({0.9, 0.9});  // not a dominator of t
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(p);
+  ASSERT_TRUE(tree.ok());
   const std::vector<double> t = {0.8, 0.8};
-  const auto sky = DominatingSkylineFrom(p, {}, {0, 1, 2, 3}, t.data());
+  const auto sky = DominatingSkylineFrom(*tree, {}, {0, 1, 2, 3}, t.data());
   EXPECT_EQ(sky.size(), 3u);
 }
 
@@ -184,7 +186,7 @@ TEST(DominatingSkylineTest, StatsAreAccounted) {
   Result<Dataset> p =
       GenerateCompetitors(2000, 2, Distribution::kIndependent, 8);
   ASSERT_TRUE(p.ok());
-  Result<RTree> tree = RTree::BulkLoad(*p);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*p);
   ASSERT_TRUE(tree.ok());
   const std::vector<double> t = {1.5, 1.5};  // dominated by everything
   ProbeStats stats;
@@ -203,15 +205,13 @@ TEST(DominatingSkylineTest, PrunesFarNodes) {
     ds.Add({0.5 + 0.5 * rng.NextDouble(), 0.5 + 0.5 * rng.NextDouble()});
   }
   ds.Add({0.01, 0.01});
-  RTree::Options options;
-  options.max_entries = 16;
-  Result<RTree> tree = RTree::BulkLoad(ds, options);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(ds, 16);
   ASSERT_TRUE(tree.ok());
   const std::vector<double> t = {0.05, 0.05};
   ProbeStats stats;
   std::vector<PointId> sky = DominatingSkyline(tree.value(), t.data(), &stats);
   ASSERT_EQ(sky.size(), 1u);
-  EXPECT_LT(stats.nodes_visited, tree->Stats().node_count / 4);
+  EXPECT_LT(stats.nodes_visited, tree->node_count() / 4);
 }
 
 // The shared tile traversal vs the per-query probe, compared as *value
@@ -245,11 +245,10 @@ TEST(DominatingSkylineTileTest, TileMatchesSoloProbesAsValueSets) {
       }
       ds.Add(p);
     }
-    RTree::Options options;
-    options.max_entries = 2 + static_cast<size_t>(rng.NextUint64(7));
-    Result<RTree> tree = RTree::BulkLoad(ds, options);
+    Result<FlatRTree> tree =
+        FlatRTree::BulkLoad(ds, 2 + static_cast<size_t>(rng.NextUint64(7)));
     ASSERT_TRUE(tree.ok());
-    FlatRTree flat = FlatRTree::FromTree(tree.value());
+    FlatRTree flat = std::move(tree).value();
 
     // Tombstone a random subset through the index, and kill a further
     // subset through the caller-side mask — the tile traversal composes
@@ -308,11 +307,9 @@ TEST(DominatingSkylineTileTest, SharedTraversalVisitsFewerNodesThanSolo) {
   for (int i = 0; i < 4000; ++i) {
     ds.Add({rng.NextDouble(), rng.NextDouble()});
   }
-  RTree::Options options;
-  options.max_entries = 8;
-  Result<RTree> tree = RTree::BulkLoad(ds, options);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(ds, 8);
   ASSERT_TRUE(tree.ok());
-  FlatRTree flat = FlatRTree::FromTree(tree.value());
+  const FlatRTree& flat = tree.value();
 
   std::vector<std::vector<double>> points(kMaxDominanceTile);
   std::vector<const double*> tile(kMaxDominanceTile);

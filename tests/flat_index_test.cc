@@ -1,9 +1,9 @@
-// Tests for the flat arena R-tree snapshot (rtree/flat_rtree.h) and the
-// batched traversals built on it: structural invariants via Validate(),
-// and bit-identical equivalence with the pointer-tree scalar paths —
-// dominating-skyline probes, BBS, and full improved-probing top-k at every
-// thread count — across dims 2..6, distributions, tie-heavy catalogs, and
-// exact-duplicate catalogs.
+// Tests for the flat arena R-tree (rtree/flat_rtree.h) and the batched
+// traversals built on it: structural invariants via Validate(), tombstone
+// deletes, and agreement with brute force — dominating-skyline probes, BBS,
+// and full improved-probing top-k (bit-identical at every thread count) —
+// across dims 2..6, distributions, tie-heavy catalogs, and exact-duplicate
+// catalogs.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "data/generator.h"
 #include "flat_rtree_test_peer.h"
 #include "rtree/flat_rtree.h"
-#include "rtree/rtree.h"
 #include "skyline/dominating_skyline.h"
 #include "skyline/skyline.h"
 
@@ -59,23 +58,14 @@ Dataset TieHeavy(const Dataset& base) {
   return out;
 }
 
-void ExpectSameIds(const std::vector<PointId>& flat,
-                   const std::vector<PointId>& pointer,
-                   const std::string& label) {
-  ASSERT_EQ(flat.size(), pointer.size()) << label;
-  for (size_t i = 0; i < flat.size(); ++i) {
-    ASSERT_EQ(flat[i], pointer[i]) << label << " position " << i;
-  }
-}
-
 void ExpectBitIdentical(const std::vector<UpgradeResult>& a,
                         const std::vector<UpgradeResult>& b,
                         const std::string& label) {
   ASSERT_EQ(a.size(), b.size()) << label;
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].product_id, b[i].product_id) << label << " rank " << i;
-    // Bit-level, not approximate: the flat path must run the exact same
-    // arithmetic as the pointer path.
+    // Bit-level, not approximate: the tiled gather must hand Algorithm 1
+    // the same dominator values as the oracle's linear scan.
     ASSERT_EQ(a[i].cost, b[i].cost) << label << " rank " << i;
     ASSERT_EQ(a[i].upgraded, b[i].upgraded) << label << " rank " << i;
     ASSERT_EQ(a[i].already_competitive, b[i].already_competitive)
@@ -89,9 +79,7 @@ TEST(FlatRTreeTest, ValidatesAcrossShapes) {
       for (size_t fanout : {4u, 16u, 64u}) {
         const Dataset data =
             MakeData(n, dims, Distribution::kAntiCorrelated, 11 * dims + n);
-        RTreeOptions options;
-        options.max_entries = fanout;
-        Result<FlatRTree> flat = FlatRTree::BulkLoad(data, options);
+        Result<FlatRTree> flat = FlatRTree::BulkLoad(data, fanout);
         ASSERT_TRUE(flat.ok());
         const Status st = flat.value().Validate();
         EXPECT_TRUE(st.ok()) << "dims=" << dims << " n=" << n
@@ -108,10 +96,9 @@ TEST(FlatRTreeTest, ValidatesAcrossShapes) {
 // straight at the broken structure. One fresh snapshot per corruption.
 TEST(FlatRTreeTest, ValidateNamesTheViolatedInvariant) {
   const Dataset data = MakeData(200, 3, Distribution::kIndependent, 7);
-  RTreeOptions options;
-  options.max_entries = 8;  // several levels, so internal nodes exist
+  const size_t fanout = 8;  // several levels, so internal nodes exist
   const auto build = [&]() {
-    Result<FlatRTree> flat = FlatRTree::BulkLoad(data, options);
+    Result<FlatRTree> flat = FlatRTree::BulkLoad(data, fanout);
     EXPECT_TRUE(flat.ok());
     return std::move(flat).value();
   };
@@ -177,10 +164,9 @@ TEST(FlatRTreeTest, ValidateNamesTheViolatedInvariant) {
   }
 }
 
-// Rows as a sorted coordinate value set. Erase-path comparisons against the
-// pointer tree must be value-based: RTree::Delete condenses underflowing
-// nodes and reinserts survivors, so tie-broken representatives and traversal
-// stats may legitimately differ even though the answer set cannot.
+// Rows as a sorted coordinate value set. Comparisons against the oracles
+// are value-based: which of several coordinate-duplicate rows represents a
+// skyline member is a tie-break, the answer's values are not.
 std::vector<std::vector<double>> ValueSet(const Dataset& data,
                                           const std::vector<PointId>& rows) {
   std::vector<std::vector<double>> out;
@@ -213,22 +199,19 @@ std::vector<std::vector<double>> BruteDominatorValueSet(
   return out;
 }
 
-// The tentpole contract: after any erase sequence, probing the tombstoned
-// flat snapshot answers exactly like a pointer tree that physically deleted
-// the rows, and like brute force over the surviving rows. Validate() and the
+// After any erase sequence, probing the tombstoned index answers exactly
+// like brute force over the surviving rows. Validate() and the
 // live/tombstone tallies must hold after every single erase.
-TEST(FlatTombstoneTest, EraseThenQueryMatchesPointerDeleteAndBruteForce) {
+TEST(FlatTombstoneTest, EraseThenQueryMatchesBruteForce) {
   for (size_t dims : {2u, 3u}) {
     const size_t n = 220;
     const Dataset data =
         MakeData(n, dims, Distribution::kAntiCorrelated, 29 + dims);
     const Dataset queries =
         MakeData(24, dims, Distribution::kIndependent, 91 + dims);
-    RTreeOptions options;
-    options.max_entries = 8;
-    Result<RTree> tree = RTree::BulkLoad(data, options);
-    ASSERT_TRUE(tree.ok());
-    FlatRTree flat = FlatRTree::FromTree(tree.value());
+    Result<FlatRTree> built = FlatRTree::BulkLoad(data, 8);
+    ASSERT_TRUE(built.ok());
+    FlatRTree flat = std::move(built).value();
     std::vector<uint8_t> alive(n, 1);
     size_t live = n;
     for (size_t r = 0; r < 140; ++r) {
@@ -238,7 +221,6 @@ TEST(FlatTombstoneTest, EraseThenQueryMatchesPointerDeleteAndBruteForce) {
         continue;
       }
       ASSERT_TRUE(flat.Erase(row));
-      ASSERT_TRUE(tree.value().Delete(row));
       alive[static_cast<size_t>(row)] = 0;
       --live;
       const Status st = flat.Validate();
@@ -249,15 +231,9 @@ TEST(FlatTombstoneTest, EraseThenQueryMatchesPointerDeleteAndBruteForce) {
       if (r % 10 != 9) continue;  // probe every tenth erase
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         const double* q = queries.data(static_cast<PointId>(qi));
-        const auto flat_set = ValueSet(data, DominatingSkyline(flat, q));
-        const auto tree_set = ValueSet(data, DominatingSkyline(tree.value(), q));
-        const auto brute_set = BruteDominatorValueSet(data, alive, q);
-        ASSERT_EQ(flat_set, brute_set)
-            << "flat vs brute, dims=" << dims << " round=" << r
-            << " query=" << qi;
-        ASSERT_EQ(tree_set, brute_set)
-            << "pointer vs brute, dims=" << dims << " round=" << r
-            << " query=" << qi;
+        ASSERT_EQ(ValueSet(data, DominatingSkyline(flat, q)),
+                  BruteDominatorValueSet(data, alive, q))
+            << "dims=" << dims << " round=" << r << " query=" << qi;
       }
     }
   }
@@ -270,9 +246,8 @@ TEST(FlatTombstoneTest, EraseWholeLeafThenEverything) {
   const size_t n = 96;
   const Dataset data = MakeData(n, 3, Distribution::kIndependent, 53);
   const Dataset queries = MakeData(12, 3, Distribution::kIndependent, 54);
-  RTreeOptions options;
-  options.max_entries = 8;
-  Result<FlatRTree> built = FlatRTree::BulkLoad(data, options);
+  const size_t fanout = 8;
+  Result<FlatRTree> built = FlatRTree::BulkLoad(data, fanout);
   ASSERT_TRUE(built.ok());
   FlatRTree flat = std::move(built).value();
   std::vector<uint8_t> alive(n, 1);
@@ -313,18 +288,14 @@ TEST(FlatTombstoneTest, EraseWholeLeafThenEverything) {
 }
 
 // Erase() edge cases, the insert-erase-reinsert cycle (reinsertion is a
-// fresh row + re-flatten: tombstones never resurrect in place), and Clone()
+// fresh row + re-load: tombstones never resurrect in place), and Clone()
 // independence.
 TEST(FlatTombstoneTest, EraseEdgeCasesReinsertAndClone) {
   Dataset data = MakeData(40, 3, Distribution::kIndependent, 13);
   data.Reserve(data.size() + 1);  // keep row storage stable across Add below
-  RTreeOptions options;
-  options.max_entries = 8;
-  RTree tree(&data, options);
-  for (size_t i = 0; i < 40; ++i) {
-    tree.Insert(static_cast<PointId>(i));
-  }
-  FlatRTree flat = FlatRTree::FromTree(tree);
+  Result<FlatRTree> built = FlatRTree::BulkLoad(data, 8);
+  ASSERT_TRUE(built.ok());
+  FlatRTree flat = std::move(built).value();
 
   EXPECT_FALSE(flat.Erase(static_cast<PointId>(-1)));
   EXPECT_FALSE(flat.Erase(static_cast<PointId>(data.size())));
@@ -334,25 +305,27 @@ TEST(FlatTombstoneTest, EraseEdgeCasesReinsertAndClone) {
   EXPECT_FALSE(flat.row_alive(0));
   EXPECT_EQ(flat.live_size(), 39u);
   EXPECT_EQ(flat.tombstones(), 1u);
-  ASSERT_TRUE(tree.Delete(0));
   {
     const Status st = flat.Validate();
     ASSERT_TRUE(st.ok()) << st.message();
   }
 
-  // Reinsert the erased coordinates as a fresh row: the old snapshot does
-  // not know it, a re-flatten indexes it with a clean slate.
+  // Reinsert the erased coordinates as a fresh row: the old index does
+  // not know it, a re-load indexes every row with a clean slate, and the
+  // erased row has to be erased again.
   const std::vector<double> coords(data.data(0), data.data(0) + 3);
   const PointId reborn = data.Add(coords.data());
-  EXPECT_FALSE(flat.Erase(reborn)) << "rows appended after the snapshot are "
+  EXPECT_FALSE(flat.Erase(reborn)) << "rows appended after the load are "
                                       "unindexed";
   EXPECT_FALSE(flat.row_alive(reborn));
-  tree.Insert(reborn);
-  FlatRTree refreshed = FlatRTree::FromTree(tree);
-  EXPECT_EQ(refreshed.live_size(), 40u);
+  Result<FlatRTree> reloaded = FlatRTree::BulkLoad(data, 8);
+  ASSERT_TRUE(reloaded.ok());
+  FlatRTree refreshed = std::move(reloaded).value();
   EXPECT_EQ(refreshed.tombstones(), 0u);
+  EXPECT_TRUE(refreshed.row_alive(0));
+  ASSERT_TRUE(refreshed.Erase(0));
+  EXPECT_EQ(refreshed.live_size(), 40u);
   EXPECT_TRUE(refreshed.row_alive(reborn));
-  EXPECT_FALSE(refreshed.row_alive(0));  // deleted from the pointer tree
   {
     const Status st = refreshed.Validate();
     ASSERT_TRUE(st.ok()) << st.message();
@@ -379,10 +352,9 @@ TEST(FlatTombstoneTest, EraseEdgeCasesReinsertAndClone) {
 // the delete machinery gets one precise corruption.
 TEST(FlatRTreeTest, ValidateNamesTombstoneInvariants) {
   const Dataset data = MakeData(200, 3, Distribution::kIndependent, 7);
-  RTreeOptions options;
-  options.max_entries = 8;
+  const size_t fanout = 8;
   const auto build = [&]() {
-    Result<FlatRTree> flat = FlatRTree::BulkLoad(data, options);
+    Result<FlatRTree> flat = FlatRTree::BulkLoad(data, fanout);
     EXPECT_TRUE(flat.ok());
     return std::move(flat).value();
   };
@@ -456,43 +428,21 @@ TEST(FlatRTreeTest, ValidateNamesTombstoneInvariants) {
   }
 }
 
-TEST(FlatRTreeTest, SnapshotsDynamicallyGrownTree) {
-  // FromTree must flatten any pointer tree, not just STR-shaped ones.
-  Dataset data = MakeData(300, 3, Distribution::kIndependent, 99);
-  data.Reserve(data.size() + 1);  // keep row pointers stable across the Add
-  RTree tree(&data);
-  for (size_t i = 0; i < data.size(); ++i) {
-    tree.Insert(static_cast<PointId>(i));
-  }
-  const FlatRTree flat = FlatRTree::FromTree(tree);
-  const Status st = flat.Validate();
-  EXPECT_TRUE(st.ok()) << st.message();
-  EXPECT_EQ(flat.size(), data.size());
-
-  // The snapshot is a point-in-time copy: it does not see later inserts —
-  // rebuild to refresh (the documented immutability contract).
-  const std::vector<double> extra(3, 0.5);
-  tree.Insert(data.Add(extra));
-  EXPECT_EQ(flat.size(), data.size() - 1);
-  const FlatRTree refreshed = FlatRTree::FromTree(tree);
-  EXPECT_EQ(refreshed.size(), data.size());
-  EXPECT_TRUE(refreshed.Validate().ok());
-}
-
-TEST(FlatRTreeTest, RootMbrMatchesPointerRoot) {
+TEST(FlatRTreeTest, RootMbrIsTheDataBoundingBox) {
   const Dataset data = MakeData(200, 4, Distribution::kCorrelated, 5);
-  Result<RTree> tree = RTree::BulkLoad(data);
-  ASSERT_TRUE(tree.ok());
-  const FlatRTree flat = FlatRTree::FromTree(tree.value());
-  const Mbr root = flat.root_mbr();
+  Result<FlatRTree> flat = FlatRTree::BulkLoad(data);
+  ASSERT_TRUE(flat.ok());
+  const Mbr root = flat->root_mbr();
   ASSERT_FALSE(root.IsEmpty());
+  const std::vector<double> lo = data.MinCorner();
+  const std::vector<double> hi = data.MaxCorner();
   for (size_t d = 0; d < 4; ++d) {
-    EXPECT_EQ(root.min_data()[d], tree.value().root()->mbr.min_data()[d]);
-    EXPECT_EQ(root.max_data()[d], tree.value().root()->mbr.max_data()[d]);
+    EXPECT_EQ(root.min_data()[d], lo[d]);
+    EXPECT_EQ(root.max_data()[d], hi[d]);
   }
 }
 
-TEST(FlatProbeTest, DominatingSkylineMatchesPointerTreeBitForBit) {
+TEST(FlatProbeTest, DominatingSkylineMatchesBruteForce) {
   for (size_t dims = 2; dims <= 6; ++dims) {
     for (Distribution distribution :
          {Distribution::kIndependent, Distribution::kAntiCorrelated}) {
@@ -502,31 +452,19 @@ TEST(FlatProbeTest, DominatingSkylineMatchesPointerTreeBitForBit) {
                                                        31 * dims)
                              : variant == 1 ? TieHeavy(base)
                                             : Duplicated(base, 3);
-        Result<RTree> tree = RTree::BulkLoad(data);
-        ASSERT_TRUE(tree.ok());
-        const FlatRTree flat = FlatRTree::FromTree(tree.value());
+        Result<FlatRTree> flat = FlatRTree::BulkLoad(data);
+        ASSERT_TRUE(flat.ok());
+        const std::vector<uint8_t> alive(data.size(), 1);
         const Dataset queries =
             MakeData(40, dims, Distribution::kIndependent, 7 * dims + variant);
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           const double* t = queries.data(static_cast<PointId>(qi));
-          ProbeStats pointer_stats, flat_stats;
-          const std::vector<PointId> expect =
-              DominatingSkyline(tree.value(), t, &pointer_stats);
-          const std::vector<PointId> got =
-              DominatingSkyline(flat, t, &flat_stats);
-          ExpectSameIds(got, expect,
-                        "dims=" + std::to_string(dims) + " variant=" +
-                            std::to_string(variant) + " q=" +
-                            std::to_string(qi));
-          // Same traversal shape: both paths pop/visit/scan identically.
-          EXPECT_EQ(flat_stats.heap_pops, pointer_stats.heap_pops);
-          EXPECT_EQ(flat_stats.nodes_visited, pointer_stats.nodes_visited);
-          EXPECT_EQ(flat_stats.points_scanned, pointer_stats.points_scanned);
-          // The pointer probe is the scalar baseline; only the flat probe
-          // exercises the batch kernels.
-          EXPECT_EQ(pointer_stats.block_kernel_calls, 0u);
-          if (flat_stats.nodes_visited > 0) {
-            EXPECT_GT(flat_stats.block_kernel_calls, 0u);
+          ProbeStats stats;
+          ASSERT_EQ(ValueSet(data, DominatingSkyline(*flat, t, &stats)),
+                    BruteDominatorValueSet(data, alive, t))
+              << "dims=" << dims << " variant=" << variant << " q=" << qi;
+          if (stats.nodes_visited > 0) {
+            EXPECT_GT(stats.block_kernel_calls, 0u);
           }
         }
       }
@@ -534,7 +472,7 @@ TEST(FlatProbeTest, DominatingSkylineMatchesPointerTreeBitForBit) {
   }
 }
 
-TEST(FlatProbeTest, BbsMatchesPointerTreeBitForBit) {
+TEST(FlatProbeTest, BbsMatchesBnl) {
   for (size_t dims = 2; dims <= 6; ++dims) {
     const Dataset base = MakeData(500, dims, Distribution::kAntiCorrelated,
                                   17 * dims);
@@ -544,12 +482,11 @@ TEST(FlatProbeTest, BbsMatchesPointerTreeBitForBit) {
                                                      17 * dims)
                            : variant == 1 ? TieHeavy(base)
                                           : Duplicated(base, 2);
-      Result<RTree> tree = RTree::BulkLoad(data);
-      ASSERT_TRUE(tree.ok());
-      const FlatRTree flat = FlatRTree::FromTree(tree.value());
-      ExpectSameIds(SkylineBbs(flat), SkylineBbs(tree.value()),
-                    "bbs dims=" + std::to_string(dims) + " variant=" +
-                        std::to_string(variant));
+      Result<FlatRTree> flat = FlatRTree::BulkLoad(data);
+      ASSERT_TRUE(flat.ok());
+      EXPECT_EQ(ValueSet(data, SkylineBbs(*flat)),
+                ValueSet(data, SkylineBnl(data)))
+          << "bbs dims=" << dims << " variant=" << variant;
     }
   }
 }
@@ -565,13 +502,13 @@ TEST(FlatTopKTest, ImprovedProbingBitIdenticalAtEveryThreadCount) {
           MakeData(60, dims, Distribution::kIndependent, 43 * dims + variant);
       const ProductCostFunction cost_fn =
           ProductCostFunction::ReciprocalSum(dims, 1e-3);
-      Result<RTree> tree = RTree::BulkLoad(competitors);
-      ASSERT_TRUE(tree.ok());
-      const FlatRTree flat = FlatRTree::FromTree(tree.value());
+      Result<FlatRTree> built = FlatRTree::BulkLoad(competitors);
+      ASSERT_TRUE(built.ok());
+      const FlatRTree& flat = built.value();
       const size_t k = 10;
 
       Result<std::vector<UpgradeResult>> expect =
-          TopKImprovedProbing(tree.value(), products, cost_fn, k);
+          TopKBruteForce(competitors, products, cost_fn, k);
       ASSERT_TRUE(expect.ok());
 
       ExecStats seq_stats;
@@ -599,26 +536,16 @@ TEST(FlatTopKTest, ImprovedProbingBitIdenticalAtEveryThreadCount) {
   }
 }
 
-TEST(FlatIndexTest, BulkLoadSnapshotEmptyDataset) {
+TEST(FlatIndexTest, BulkLoadEmptyDatasetAnswersNoDominators) {
   // The serving rebuild path must survive an empty competitor table — no
   // node arena, but dims and dataset binding intact.
   Dataset empty(3);
-  Result<FlatRTree> tree = FlatRTree::BulkLoadSnapshot(empty);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(empty);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   const double probe[] = {0.5, 0.5, 0.5};
-  std::vector<PointId> sky = DominatingSkyline(*tree, probe, nullptr);
-  EXPECT_TRUE(sky.empty());
-}
-
-TEST(FlatIndexTest, BulkLoadSnapshotNonEmptyMatchesBulkLoad) {
-  const Dataset competitors =
-      MakeData(150, 3, Distribution::kIndependent, 77);
-  Result<FlatRTree> a = FlatRTree::BulkLoadSnapshot(competitors);
-  Result<FlatRTree> b = FlatRTree::BulkLoad(competitors);
-  ASSERT_TRUE(a.ok() && b.ok());
-  const double probe[] = {0.9, 0.9, 0.9};
-  ExpectSameIds(DominatingSkyline(*a, probe, nullptr),
-                DominatingSkyline(*b, probe, nullptr), "snapshot-vs-bulk");
+  EXPECT_TRUE(DominatingSkyline(*tree, probe, nullptr).empty());
+  EXPECT_TRUE(SkylineBbs(*tree).empty());
+  EXPECT_TRUE(tree->Validate().ok());
 }
 
 TEST(FlatTopKTest, ProductAppendAfterBulkLoadKeepsQueriesValid) {

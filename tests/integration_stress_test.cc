@@ -115,7 +115,7 @@ TEST(IntegrationStressTest, AllSurfacesAgreeOnRandomWorkloads) {
 
     // Parallel probing matches sequential id-for-id.
     Result<std::vector<UpgradeResult>> parallel =
-        TopKImprovedProbing(planner->competitors_tree(), planner->products(),
+        TopKImprovedProbing(*planner->competitors_flat(), planner->products(),
                             planner->cost_function(), k, 1e-6, 3);
     ASSERT_TRUE(parallel.ok());
     Result<std::vector<UpgradeResult>> sequential =

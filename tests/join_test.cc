@@ -18,8 +18,8 @@ namespace {
 struct Workload {
   std::unique_ptr<Dataset> competitors;
   std::unique_ptr<Dataset> products;
-  std::unique_ptr<RTree> rp;
-  std::unique_ptr<RTree> rt;
+  std::unique_ptr<FlatRTree> rp;
+  std::unique_ptr<FlatRTree> rt;
   std::unique_ptr<ProductCostFunction> cost_fn;
 };
 
@@ -32,13 +32,11 @@ Workload MakeWorkload(size_t np, size_t nt, size_t dims,
   EXPECT_TRUE(p.ok() && t.ok());
   w.competitors = std::make_unique<Dataset>(std::move(p).value());
   w.products = std::make_unique<Dataset>(std::move(t).value());
-  RTree::Options options;
-  options.max_entries = fanout;
-  Result<RTree> rp = RTree::BulkLoad(*w.competitors, options);
-  Result<RTree> rt = RTree::BulkLoad(*w.products, options);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*w.competitors, fanout);
+  Result<FlatRTree> rt = FlatRTree::BulkLoad(*w.products, fanout);
   EXPECT_TRUE(rp.ok() && rt.ok());
-  w.rp = std::make_unique<RTree>(std::move(rp).value());
-  w.rt = std::make_unique<RTree>(std::move(rt).value());
+  w.rp = std::make_unique<FlatRTree>(std::move(rp).value());
+  w.rt = std::make_unique<FlatRTree>(std::move(rt).value());
   w.cost_fn = std::make_unique<ProductCostFunction>(
       ProductCostFunction::ReciprocalSum(dims, 1e-3));
   return w;
@@ -68,9 +66,12 @@ TEST(JoinCursorTest, CreateValidatesInputs) {
   EXPECT_FALSE(JoinCursor::Create(w.rp.get(), w.rt.get(), &f3).ok());
 
   Dataset empty(2);
-  RTree empty_tree(&empty);
+  Result<FlatRTree> empty_tree = FlatRTree::BulkLoad(empty);
+  ASSERT_TRUE(empty_tree.ok());
   EXPECT_FALSE(
-      JoinCursor::Create(&empty_tree, w.rt.get(), w.cost_fn.get()).ok());
+      JoinCursor::Create(&*empty_tree, w.rt.get(), w.cost_fn.get()).ok());
+  EXPECT_FALSE(
+      JoinCursor::Create(w.rp.get(), &*empty_tree, w.cost_fn.get()).ok());
 }
 
 TEST(JoinCursorTest, ExhaustsAllProducts) {
@@ -176,6 +177,46 @@ TEST(JoinTest, UpgradedResultsAreUndominated) {
   }
 }
 
+TEST(JoinTest, TombstonedEntriesAreSkipped) {
+  // Erased competitors must not constrain a product, and erased products
+  // must not be reported: the join answers like brute force over the
+  // surviving rows.
+  Workload w = MakeWorkload(600, 80, 3, Distribution::kAntiCorrelated, 77, 8);
+  Dataset live_p(3);
+  Dataset live_t(3);
+  for (size_t i = 0; i < w.competitors->size(); ++i) {
+    const PointId row = static_cast<PointId>(i);
+    if (i % 3 == 0) {
+      ASSERT_TRUE(w.rp->Erase(row));
+    } else {
+      live_p.Add(w.competitors->data(row));
+    }
+  }
+  std::vector<bool> erased_t(w.products->size(), false);
+  for (size_t i = 0; i < w.products->size(); ++i) {
+    const PointId row = static_cast<PointId>(i);
+    if (i % 4 == 0) {
+      ASSERT_TRUE(w.rt->Erase(row));
+      erased_t[i] = true;
+    } else {
+      live_t.Add(w.products->data(row));
+    }
+  }
+
+  Result<std::vector<UpgradeResult>> oracle =
+      TopKBruteForce(live_p, live_t, *w.cost_fn, 12);
+  ASSERT_TRUE(oracle.ok());
+  Result<std::vector<UpgradeResult>> join =
+      TopKJoin(*w.rp, *w.rt, *w.cost_fn, 12);
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_EQ(join->size(), oracle->size());
+  for (size_t i = 0; i < oracle->size(); ++i) {
+    EXPECT_FALSE(erased_t[static_cast<size_t>((*join)[i].product_id)])
+        << "rank " << i;
+    EXPECT_NEAR((*join)[i].cost, (*oracle)[i].cost, 1e-9) << "rank " << i;
+  }
+}
+
 TEST(JoinTest, CompetitiveProductsComeFirstAtZeroCost) {
   // Products straddling the competitor cube: some undominated.
   Workload w = MakeWorkload(200, 1, 2, Distribution::kIndependent, 55);
@@ -183,7 +224,7 @@ TEST(JoinTest, CompetitiveProductsComeFirstAtZeroCost) {
   auto products = std::make_unique<Dataset>(2);
   products->Add({-1.0, 5.0});  // best x overall: undominated
   products->Add({1.5, 1.5});   // dominated by everything
-  Result<RTree> rt = RTree::BulkLoad(*products);
+  Result<FlatRTree> rt = FlatRTree::BulkLoad(*products);
   ASSERT_TRUE(rt.ok());
 
   Result<std::vector<UpgradeResult>> top =
@@ -227,8 +268,8 @@ TEST(JoinTest, LeafRefinementIsResultInvariant) {
   ASSERT_TRUE(p.ok() && t.ok());
   auto pp = std::make_unique<Dataset>(std::move(p).value());
   auto tt = std::make_unique<Dataset>(std::move(t).value());
-  Result<RTree> rp = RTree::BulkLoad(*pp);
-  Result<RTree> rt = RTree::BulkLoad(*tt);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*pp);
+  Result<FlatRTree> rt = FlatRTree::BulkLoad(*tt);
   ASSERT_TRUE(rp.ok() && rt.ok());
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(3, 1e-3);
 
@@ -267,8 +308,8 @@ TEST(JoinTest, LeafRefinementPrunesWineLikeWorkloads) {
   ASSERT_TRUE(split.ok());
   auto pp = std::make_unique<Dataset>(std::move(split->competitors));
   auto tt = std::make_unique<Dataset>(std::move(split->products));
-  Result<RTree> rp = RTree::BulkLoad(*pp);
-  Result<RTree> rt = RTree::BulkLoad(*tt);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*pp);
+  Result<FlatRTree> rt = FlatRTree::BulkLoad(*tt);
   ASSERT_TRUE(rp.ok() && rt.ok());
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(3, 1e-3);
 
@@ -400,8 +441,8 @@ TEST(JoinTest, ProductIdenticalToCompetitorIsCompetitive) {
   p->Add({0.1, 0.6});
   auto t = std::make_unique<Dataset>(2);
   t->Add({0.3, 0.3});
-  Result<RTree> rp = RTree::BulkLoad(*p);
-  Result<RTree> rt = RTree::BulkLoad(*t);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*p);
+  Result<FlatRTree> rt = FlatRTree::BulkLoad(*t);
   ASSERT_TRUE(rp.ok() && rt.ok());
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(2, 1e-3);
   Result<std::vector<UpgradeResult>> top =
@@ -417,8 +458,8 @@ TEST(JoinTest, SingleEntryTrees) {
   p->Add({0.1, 0.2, 0.3});
   auto t = std::make_unique<Dataset>(3);
   t->Add({0.4, 0.4, 0.4});
-  Result<RTree> rp = RTree::BulkLoad(*p);
-  Result<RTree> rt = RTree::BulkLoad(*t);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*p);
+  Result<FlatRTree> rt = FlatRTree::BulkLoad(*t);
   ASSERT_TRUE(rp.ok() && rt.ok());
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(3, 1e-3);
   Result<std::vector<UpgradeResult>> top =

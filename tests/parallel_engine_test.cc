@@ -203,7 +203,7 @@ TEST(ParallelEngineTest, TieHeavyImprovedProbingIsDeterministic) {
        {Distribution::kIndependent, Distribution::kAntiCorrelated}) {
     Fixture fx = Make(600, 45, 3, distribution, 101);
     Dataset products = TieHeavyProducts(fx.products, 8);  // 360, all 8-fold
-    Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+    Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
     ASSERT_TRUE(tree.ok());
 
     Result<std::vector<UpgradeResult>> sequential =
@@ -229,7 +229,7 @@ TEST(ParallelEngineTest, TieHeavyImprovedProbingIsDeterministic) {
 
 TEST(ParallelEngineTest, BasicProbingParallelMatchesSequential) {
   Fixture fx = Make(700, 90, 3, Distribution::kAntiCorrelated, 55);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   Result<std::vector<UpgradeResult>> sequential =
       TopKBasicProbing(tree.value(), fx.products, fx.cost_fn, 12);
@@ -284,14 +284,17 @@ Dataset MixedPositionProducts(size_t n_each, size_t dims, uint64_t seed) {
 }
 
 // The lower-bound cut must actually fire on a mixed catalog — and must
-// never change the result.
+// never change the result. A shard gathers a whole tile (up to
+// kMaxDominanceTile candidates) before upgrading any of its members, so
+// its own threshold can only prune from its second tile on: the catalog
+// is sized so every shard spans more than one tile at up to 18 workers.
 TEST(ParallelEngineTest, PruningFiresOnMixedCatalog) {
   Result<Dataset> p =
       GenerateCompetitors(2000, 3, Distribution::kAntiCorrelated, 13);
   ASSERT_TRUE(p.ok());
-  Dataset products = MixedPositionProducts(200, 3, 1300);
+  Dataset products = MixedPositionProducts(600, 3, 1300);
   ProductCostFunction cost_fn = ProductCostFunction::ReciprocalSum(3, 1e-3);
-  Result<RTree> tree = RTree::BulkLoad(*p);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*p);
   ASSERT_TRUE(tree.ok());
 
   Result<std::vector<UpgradeResult>> sequential =
@@ -316,7 +319,7 @@ TEST(ParallelEngineTest, PruningFiresOnMixedCatalog) {
 // same diagnostics (shared ValidateTopKArgs).
 TEST(ParallelEngineTest, ValidationMatchesSequentialDiagnostics) {
   Fixture fx = Make(100, 10, 2, Distribution::kIndependent, 21);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   Dataset empty(2);
   Dataset wrong_dims(3);
@@ -362,13 +365,12 @@ TEST(ParallelEngineTest, ValidationMatchesSequentialDiagnostics) {
   }
 }
 
-// Runs every probing entry point (brute force, basic, improved on both
-// indexes) at `threads` under `control` and returns their statuses.
+// Runs every probing entry point (brute force, basic, improved) at
+// `threads` under `control` and returns their statuses.
 std::vector<std::pair<std::string, Status>> RunAllProbing(
     const Fixture& fx, size_t threads, const QueryControl* control) {
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   EXPECT_TRUE(tree.ok());
-  const FlatRTree flat = FlatRTree::FromTree(tree.value());
   return {
       {"brute", TopKBruteForce(fx.competitors, fx.products, fx.cost_fn, 5,
                                1e-6, threads, nullptr, nullptr, control)
@@ -380,10 +382,6 @@ std::vector<std::pair<std::string, Status>> RunAllProbing(
                                        5, 1e-6, threads, nullptr, nullptr,
                                        control)
                        .status()},
-      {"improved-flat",
-       TopKImprovedProbing(flat, fx.products, fx.cost_fn, 5, 1e-6, threads,
-                           nullptr, nullptr, control)
-           .status()},
   };
 }
 
@@ -422,7 +420,7 @@ TEST(QueryControlTest, CancellationWinsWhenBothFired) {
 
 TEST(QueryControlTest, UnfiredControlLeavesResultsBitIdentical) {
   Fixture fx = Make(500, 70, 3, Distribution::kIndependent, 93);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   QueryControl control;
   control.SetDeadline(SteadyClock::now() + std::chrono::hours(1));
@@ -443,7 +441,7 @@ TEST(QueryControlTest, StatsStayConsistentOnEarlyUnwind) {
   // happened; the accounting identity is enforced by DCHECK inside the
   // engine, here we just confirm the call survives with stats attached.
   Fixture fx = Make(600, 120, 3, Distribution::kAntiCorrelated, 94);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   QueryControl control;
   control.Cancel();

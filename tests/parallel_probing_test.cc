@@ -1,6 +1,6 @@
-// Multi-threaded improved probing on the pointer tree: the one candidate
-// loop (core/probing.cc) must return the single-thread answer at every
-// worker count.
+// Multi-threaded improved probing: the one candidate loop
+// (core/probing.cc) must return the single-thread answer at every worker
+// count.
 
 #include "core/probing.h"
 
@@ -32,7 +32,7 @@ TEST(ParallelProbingTest, MatchesSequentialExactly) {
   for (auto distribution : {Distribution::kIndependent,
                             Distribution::kAntiCorrelated}) {
     Fixture fx = Make(800, 120, 3, distribution, 42);
-    Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+    Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
     ASSERT_TRUE(tree.ok());
 
     Result<std::vector<UpgradeResult>> sequential =
@@ -57,7 +57,7 @@ TEST(ParallelProbingTest, MatchesSequentialExactly) {
 
 TEST(ParallelProbingTest, MoreThreadsThanProducts) {
   Fixture fx = Make(200, 3, 2, Distribution::kIndependent, 7);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   Result<std::vector<UpgradeResult>> r = TopKImprovedProbing(
       tree.value(), fx.products, fx.cost_fn, 3, 1e-6, /*threads=*/64);
@@ -67,7 +67,7 @@ TEST(ParallelProbingTest, MoreThreadsThanProducts) {
 
 TEST(ParallelProbingTest, DefaultThreadCount) {
   Fixture fx = Make(300, 50, 2, Distribution::kIndependent, 8);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   ExecStats stats;
   Result<std::vector<UpgradeResult>> r = TopKImprovedProbing(
@@ -85,7 +85,7 @@ TEST(ParallelProbingTest, ShardTruncationKeepsGlobalOptimum) {
   // Many products per shard force the bounded-buffer truncation path; the
   // global top-k must survive it.
   Fixture fx = Make(400, 500, 2, Distribution::kAntiCorrelated, 9);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   Result<std::vector<UpgradeResult>> sequential =
       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 8);
@@ -101,7 +101,7 @@ TEST(ParallelProbingTest, ShardTruncationKeepsGlobalOptimum) {
 
 TEST(ParallelProbingTest, RejectsInvalidArguments) {
   Fixture fx = Make(100, 10, 2, Distribution::kIndependent, 10);
-  Result<RTree> tree = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(tree.ok());
   EXPECT_FALSE(
       TopKImprovedProbing(tree.value(), fx.products, fx.cost_fn, 0).ok());

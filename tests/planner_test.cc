@@ -225,7 +225,7 @@ TEST(PlannerTest, TopKWithReportMatchesTopKAndCarriesTelemetry) {
         << AlgorithmName(algo);
     EXPECT_GT(report->stats.products_processed, 0u) << AlgorithmName(algo);
   }
-  // Improved probing runs on the flat snapshot's batched kernels.
+  // Improved probing runs on the batched kernels.
   ASSERT_NE(planner->competitors_flat(), nullptr);
   Result<TopKReport> improved =
       planner->TopKWithReport(4, Algorithm::kImprovedProbing);

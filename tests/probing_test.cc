@@ -35,7 +35,7 @@ Fixture MakeScene() {
 
 TEST(ProbingTest, UndominatedProductCostsZeroAndRanksFirst) {
   Fixture fx = MakeScene();
-  Result<RTree> rp = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(rp.ok());
 
   for (auto algo : {&TopKBasicProbing, &TopKImprovedProbing}) {
@@ -60,7 +60,7 @@ TEST(ProbingTest, ResultsSortedByCost) {
   Result<Dataset> t = GenerateProducts(80, 3, Distribution::kIndependent, 4);
   ASSERT_TRUE(p.ok() && t.ok());
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(3, 1e-3);
-  Result<RTree> rp = RTree::BulkLoad(*p);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*p);
   ASSERT_TRUE(rp.ok());
 
   Result<std::vector<UpgradeResult>> top =
@@ -74,7 +74,7 @@ TEST(ProbingTest, ResultsSortedByCost) {
 
 TEST(ProbingTest, KLargerThanTReturnsAll) {
   Fixture fx = MakeScene();
-  Result<RTree> rp = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(rp.ok());
   Result<std::vector<UpgradeResult>> top =
       TopKBasicProbing(rp.value(), fx.products, fx.cost_fn, 100);
@@ -84,7 +84,7 @@ TEST(ProbingTest, KLargerThanTReturnsAll) {
 
 TEST(ProbingTest, RejectsInvalidArguments) {
   Fixture fx = MakeScene();
-  Result<RTree> rp = RTree::BulkLoad(fx.competitors);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(fx.competitors);
   ASSERT_TRUE(rp.ok());
 
   EXPECT_FALSE(
@@ -110,7 +110,7 @@ TEST(ProbingTest, UpgradedResultsAreUndominated) {
   Result<Dataset> t = GenerateProducts(50, 2, Distribution::kIndependent, 12);
   ASSERT_TRUE(p.ok() && t.ok());
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(2, 1e-3);
-  Result<RTree> rp = RTree::BulkLoad(*p);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*p);
   ASSERT_TRUE(rp.ok());
 
   Result<std::vector<UpgradeResult>> top =
@@ -132,7 +132,7 @@ TEST(ProbingTest, BasicAndImprovedAgreeWithBruteForce) {
     Result<Dataset> t = GenerateProducts(60, 3, distribution, 22);
     ASSERT_TRUE(p.ok() && t.ok());
     ProductCostFunction f = ProductCostFunction::ReciprocalSum(3, 1e-3);
-    Result<RTree> rp = RTree::BulkLoad(*p);
+    Result<FlatRTree> rp = FlatRTree::BulkLoad(*p);
     ASSERT_TRUE(rp.ok());
 
     Result<std::vector<UpgradeResult>> oracle =
@@ -159,7 +159,7 @@ TEST(ProbingTest, StatsShowImprovedFetchesFewerDominators) {
   Result<Dataset> t = GenerateProducts(30, 2, Distribution::kIndependent, 32);
   ASSERT_TRUE(p.ok() && t.ok());
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(2, 1e-3);
-  Result<RTree> rp = RTree::BulkLoad(*p);
+  Result<FlatRTree> rp = FlatRTree::BulkLoad(*p);
   ASSERT_TRUE(rp.ok());
 
   ExecStats basic_stats, improved_stats;

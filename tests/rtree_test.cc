@@ -1,4 +1,6 @@
-#include "rtree/rtree.h"
+// STR bulk loading and range queries of the R-tree index
+// (rtree/flat_rtree.h), checked against brute force, with and without
+// tombstone deletes.
 
 #include <gtest/gtest.h>
 
@@ -6,6 +8,7 @@
 #include <vector>
 
 #include "rtree/bulk_load.h"
+#include "rtree/flat_rtree.h"
 #include "util/random.h"
 
 namespace skyup {
@@ -23,9 +26,13 @@ Dataset RandomDataset(size_t n, size_t dims, uint64_t seed) {
   return ds;
 }
 
-std::vector<PointId> BruteForceRange(const Dataset& ds, const Mbr& box) {
+// Ids of the rows inside `box`, skipping rows whose `alive` byte is 0
+// (all rows when `alive` is empty).
+std::vector<PointId> BruteForceRange(const Dataset& ds, const Mbr& box,
+                                     const std::vector<uint8_t>& alive = {}) {
   std::vector<PointId> out;
   for (size_t i = 0; i < ds.size(); ++i) {
+    if (!alive.empty() && alive[i] == 0) continue;
     if (box.Contains(ds.data(static_cast<PointId>(i)))) {
       out.push_back(static_cast<PointId>(i));
     }
@@ -33,121 +40,123 @@ std::vector<PointId> BruteForceRange(const Dataset& ds, const Mbr& box) {
   return out;
 }
 
+Mbr RandomBox(Rng* rng, size_t dims) {
+  std::vector<double> lo(dims), hi(dims);
+  for (size_t i = 0; i < dims; ++i) {
+    const double a = rng->NextDouble();
+    const double b = rng->NextDouble();
+    lo[i] = std::min(a, b);
+    hi[i] = std::max(a, b);
+  }
+  return Mbr::FromCorners(lo.data(), hi.data(), dims);
+}
+
+// Sorted RangeQuery answer.
+std::vector<PointId> Range(const FlatRTree& tree, const Mbr& box) {
+  std::vector<PointId> got;
+  tree.RangeQuery(box, &got);
+  std::sort(got.begin(), got.end());
+  return got;
+}
+
+FlatRTree Load(const Dataset& ds, size_t fanout = 64) {
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(ds, fanout);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  return std::move(tree).value();
+}
+
+size_t LeafCount(const FlatRTree& tree) {
+  size_t leaves = 0;
+  for (uint32_t n = 0; n < tree.node_count(); ++n) {
+    if (tree.is_leaf(n)) ++leaves;
+  }
+  return leaves;
+}
+
 TEST(RTreeTest, EmptyTree) {
   Dataset ds(2);
-  RTree tree(&ds);
+  const FlatRTree tree = Load(ds);
   EXPECT_TRUE(tree.empty());
+  EXPECT_EQ(tree.live_size(), 0u);
   EXPECT_TRUE(tree.Validate().ok());
-  std::vector<PointId> out;
   const std::vector<double> lo = {0, 0}, hi = {1, 1};
-  tree.RangeQuery(Mbr::FromCorners(lo.data(), hi.data(), 2), &out);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(RTreeTest, InsertSinglePoint) {
-  Dataset ds(2);
-  ds.Add({0.5, 0.5});
-  RTree tree(&ds);
-  tree.Insert(0);
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-}
-
-TEST(RTreeTest, InsertManyValidates) {
-  Dataset ds = RandomDataset(2000, 3, 42);
-  RTree::Options options;
-  options.max_entries = 8;
-  RTree tree(&ds, options);
-  for (size_t i = 0; i < ds.size(); ++i) {
-    tree.Insert(static_cast<PointId>(i));
-  }
-  EXPECT_EQ(tree.size(), 2000u);
-  Status s = tree.Validate();
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  RTreeStats stats = tree.Stats();
-  EXPECT_GT(stats.height, 2u);
-  EXPECT_EQ(stats.point_count, 2000u);
+  EXPECT_TRUE(Range(tree, Mbr::FromCorners(lo.data(), hi.data(), 2)).empty());
 }
 
 TEST(RTreeTest, BulkLoadValidates) {
   Dataset ds = RandomDataset(5000, 2, 7);
-  Result<RTree> tree = RTree::BulkLoad(ds);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->size(), 5000u);
-  Status s = tree->Validate();
+  const FlatRTree tree = Load(ds);
+  EXPECT_EQ(tree.size(), 5000u);
+  Status s = tree.Validate();
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
-TEST(RTreeTest, BulkLoadRejectsEmptyDataset) {
-  Dataset ds(2);
-  EXPECT_FALSE(RTree::BulkLoad(ds).ok());
+TEST(RTreeTest, BulkLoadAcceptsEmptyDataset) {
+  // An empty dataset yields the empty index bound to it, but the fanout
+  // and dimensionality limits still apply.
+  Dataset ds(3);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(ds);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->dims(), 3u);
+  EXPECT_EQ(&tree->dataset(), &ds);
+  EXPECT_EQ(tree->node_count(), 0u);
+  EXPECT_TRUE(tree->root_mbr().IsEmpty());
+  EXPECT_FALSE(FlatRTree::BulkLoad(ds, 1).ok());
+  Dataset wide(kMaxDims + 1);
+  EXPECT_FALSE(FlatRTree::BulkLoad(wide).ok());
 }
 
 TEST(RTreeTest, BulkLoadRejectsTinyFanout) {
   Dataset ds = RandomDataset(10, 2, 1);
-  RTree::Options options;
-  options.max_entries = 1;
-  EXPECT_FALSE(RTree::BulkLoad(ds, options).ok());
+  EXPECT_FALSE(FlatRTree::BulkLoad(ds, 1).ok());
 }
 
 TEST(RTreeTest, BulkLoadSmallDatasetSingleLeafRoot) {
   Dataset ds = RandomDataset(10, 2, 3);
-  Result<RTree> tree = RTree::BulkLoad(ds);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_TRUE(tree->root()->is_leaf());
-  EXPECT_EQ(tree->Stats().height, 1u);
+  const FlatRTree tree = Load(ds);
+  EXPECT_TRUE(tree.is_leaf(FlatRTree::kRoot));
+  EXPECT_EQ(tree.node_count(), 1u);
 }
 
 TEST(RTreeTest, BulkLoadIsPacked) {
   // STR should produce close to n / fanout leaves.
   Dataset ds = RandomDataset(6400, 2, 9);
-  RTree::Options options;
-  options.max_entries = 64;
-  Result<RTree> tree = RTree::BulkLoad(ds, options);
-  ASSERT_TRUE(tree.ok());
-  const RTreeStats stats = tree->Stats();
-  EXPECT_LE(stats.leaf_count, 140u);  // perfect packing would give 100
-  EXPECT_GE(stats.leaf_count, 100u);
+  const FlatRTree tree = Load(ds, 64);
+  const size_t leaves = LeafCount(tree);
+  EXPECT_LE(leaves, 140u);  // perfect packing would give 100
+  EXPECT_GE(leaves, 100u);
 }
 
 class RangeQueryTest : public ::testing::TestWithParam<
                            std::tuple<size_t, size_t, bool>> {};
 
+// Parameters: row count, dims, and whether the bulk-loaded index stays
+// intact. When it does not, a third of the rows are tombstoned first:
+// RangeQuery must skip dead slots and dead subtrees and still match brute
+// force over the survivors.
 TEST_P(RangeQueryTest, MatchesBruteForce) {
   const size_t n = std::get<0>(GetParam());
   const size_t dims = std::get<1>(GetParam());
-  const bool bulk = std::get<2>(GetParam());
-
+  const bool erase = !std::get<2>(GetParam());
   Dataset ds = RandomDataset(n, dims, 1000 + n + dims);
-  RTree::Options options;
-  options.max_entries = 16;
-  RTree tree(&ds, options);
-  if (bulk) {
-    Result<RTree> loaded = RTree::BulkLoad(ds, options);
-    ASSERT_TRUE(loaded.ok());
-    tree = std::move(loaded).value();
-  } else {
-    for (size_t i = 0; i < ds.size(); ++i) {
-      tree.Insert(static_cast<PointId>(i));
+  FlatRTree tree = Load(ds, 16);
+  std::vector<uint8_t> alive(n, 1);
+  if (erase) {
+    // Erase a contiguous run (kills whole leaves) plus a strided sample.
+    for (size_t i = 0; i < n; ++i) {
+      if (i < n / 6 || i % 5 == 0) {
+        ASSERT_TRUE(tree.Erase(static_cast<PointId>(i)));
+        alive[i] = 0;
+      }
     }
   }
-  ASSERT_TRUE(tree.Validate().ok());
+  Status s = tree.Validate();
+  ASSERT_TRUE(s.ok()) << s.ToString();
 
   Rng rng(55);
   for (int q = 0; q < 25; ++q) {
-    std::vector<double> lo(dims), hi(dims);
-    for (size_t i = 0; i < dims; ++i) {
-      const double a = rng.NextDouble();
-      const double b = rng.NextDouble();
-      lo[i] = std::min(a, b);
-      hi[i] = std::max(a, b);
-    }
-    const Mbr box = Mbr::FromCorners(lo.data(), hi.data(), dims);
-    std::vector<PointId> got;
-    tree.RangeQuery(box, &got);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, BruteForceRange(ds, box));
-    EXPECT_EQ(tree.CountRange(box), got.size());
+    const Mbr box = RandomBox(&rng, dims);
+    EXPECT_EQ(Range(tree, box), BruteForceRange(ds, box, alive));
   }
 }
 
@@ -163,256 +172,88 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(std::get<0>(param_info.param));
       name += "_d";
       name += std::to_string(std::get<1>(param_info.param));
-      name += std::get<2>(param_info.param) ? "_bulk" : "_insert";
+      name += std::get<2>(param_info.param) ? "_bulk" : "_erase";
       return name;
     });
 
 TEST(RTreeTest, RangeQueryWholeSpaceReturnsEverything) {
   Dataset ds = RandomDataset(300, 3, 77);
-  Result<RTree> tree = RTree::BulkLoad(ds);
-  ASSERT_TRUE(tree.ok());
+  const FlatRTree tree = Load(ds);
   const std::vector<double> lo = {-1, -1, -1}, hi = {2, 2, 2};
-  std::vector<PointId> out;
-  tree->RangeQuery(Mbr::FromCorners(lo.data(), hi.data(), 3), &out);
-  EXPECT_EQ(out.size(), 300u);
+  EXPECT_EQ(Range(tree, Mbr::FromCorners(lo.data(), hi.data(), 3)).size(),
+            300u);
 }
 
 TEST(RTreeTest, DuplicatePointsAreAllIndexed) {
   Dataset ds(2);
   for (int i = 0; i < 100; ++i) ds.Add({0.5, 0.5});
-  RTree::Options options;
-  options.max_entries = 8;
-  Result<RTree> tree = RTree::BulkLoad(ds, options);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_TRUE(tree->Validate().ok());
+  const FlatRTree tree = Load(ds, 8);
+  EXPECT_TRUE(tree.Validate().ok());
   const std::vector<double> lo = {0.5, 0.5};
-  std::vector<PointId> out;
-  tree->RangeQuery(Mbr::FromCorners(lo.data(), lo.data(), 2), &out);
-  EXPECT_EQ(out.size(), 100u);
-}
-
-TEST(RTreeTest, MixedBulkThenInsert) {
-  Dataset ds = RandomDataset(500, 2, 21);
-  Result<RTree> tree = RTree::BulkLoad(ds);
-  ASSERT_TRUE(tree.ok());
-  // Appending to the dataset then inserting keeps the tree valid.
-  Dataset* mutable_ds = const_cast<Dataset*>(&tree->dataset());
-  Rng rng(22);
-  for (int i = 0; i < 200; ++i) {
-    const PointId id = mutable_ds->Add({rng.NextDouble(), rng.NextDouble()});
-    tree->Insert(id);
-  }
-  EXPECT_EQ(tree->size(), 700u);
-  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
-}
-
-TEST(RStarSplitTest, InsertManyValidates) {
-  Dataset ds = RandomDataset(3000, 3, 61);
-  RTree::Options options;
-  options.max_entries = 10;
-  options.split = SplitStrategy::kRStar;
-  RTree tree(&ds, options);
-  for (size_t i = 0; i < ds.size(); ++i) {
-    tree.Insert(static_cast<PointId>(i));
-  }
-  EXPECT_EQ(tree.size(), 3000u);
-  Status s = tree.Validate();
-  EXPECT_TRUE(s.ok()) << s.ToString();
-}
-
-TEST(RStarSplitTest, QueriesAgreeWithQuadratic) {
-  Dataset ds = RandomDataset(1200, 2, 62);
-  RTree::Options quad_options;
-  quad_options.max_entries = 8;
-  quad_options.split = SplitStrategy::kQuadratic;
-  RTree::Options rstar_options = quad_options;
-  rstar_options.split = SplitStrategy::kRStar;
-
-  RTree quad(&ds, quad_options);
-  RTree rstar(&ds, rstar_options);
-  for (size_t i = 0; i < ds.size(); ++i) {
-    quad.Insert(static_cast<PointId>(i));
-    rstar.Insert(static_cast<PointId>(i));
-  }
-  ASSERT_TRUE(quad.Validate().ok());
-  ASSERT_TRUE(rstar.Validate().ok());
-
-  Rng rng(63);
-  for (int q = 0; q < 30; ++q) {
-    std::vector<double> lo(2), hi(2);
-    for (size_t i = 0; i < 2; ++i) {
-      const double a = rng.NextDouble();
-      const double b = rng.NextDouble();
-      lo[i] = std::min(a, b);
-      hi[i] = std::max(a, b);
-    }
-    const Mbr box = Mbr::FromCorners(lo.data(), hi.data(), 2);
-    std::vector<PointId> via_quad, via_rstar;
-    quad.RangeQuery(box, &via_quad);
-    rstar.RangeQuery(box, &via_rstar);
-    std::sort(via_quad.begin(), via_quad.end());
-    std::sort(via_rstar.begin(), via_rstar.end());
-    EXPECT_EQ(via_quad, via_rstar);
-  }
-}
-
-TEST(RStarSplitTest, ReducesSiblingOverlap) {
-  // On clustered data R* splits should produce less total sibling overlap
-  // at the leaf level than quadratic splits.
-  Rng rng(64);
-  Dataset ds(2);
-  for (int cluster = 0; cluster < 20; ++cluster) {
-    const double cx = rng.NextDouble();
-    const double cy = rng.NextDouble();
-    for (int i = 0; i < 100; ++i) {
-      ds.Add({cx + 0.02 * rng.NextGaussian(), cy + 0.02 * rng.NextGaussian()});
-    }
-  }
-
-  auto leaf_overlap = [&](SplitStrategy strategy) {
-    RTree::Options options;
-    options.max_entries = 8;
-    options.split = strategy;
-    RTree tree(&ds, options);
-    for (size_t i = 0; i < ds.size(); ++i) {
-      tree.Insert(static_cast<PointId>(i));
-    }
-    EXPECT_TRUE(tree.Validate().ok());
-    std::vector<const RTreeNode*> leaves;
-    std::vector<const RTreeNode*> stack = {tree.root()};
-    while (!stack.empty()) {
-      const RTreeNode* node = stack.back();
-      stack.pop_back();
-      if (node->is_leaf()) {
-        leaves.push_back(node);
-      } else {
-        for (const auto& child : node->children) stack.push_back(child.get());
-      }
-    }
-    double overlap = 0.0;
-    for (size_t i = 0; i < leaves.size(); ++i) {
-      for (size_t j = i + 1; j < leaves.size(); ++j) {
-        overlap += leaves[i]->mbr.OverlapArea(leaves[j]->mbr);
-      }
-    }
-    return overlap;
-  };
-
-  const double quad = leaf_overlap(SplitStrategy::kQuadratic);
-  const double rstar = leaf_overlap(SplitStrategy::kRStar);
-  EXPECT_LT(rstar, quad);
+  EXPECT_EQ(Range(tree, Mbr::FromCorners(lo.data(), lo.data(), 2)).size(),
+            100u);
 }
 
 TEST(RTreeDeleteTest, DeleteSinglePoint) {
   Dataset ds(2);
   ds.Add({0.5, 0.5});
-  RTree tree(&ds);
-  tree.Insert(0);
-  EXPECT_TRUE(tree.Delete(0));
-  EXPECT_EQ(tree.size(), 0u);
+  FlatRTree tree = Load(ds);
+  EXPECT_TRUE(tree.Erase(0));
+  EXPECT_EQ(tree.live_size(), 0u);
   EXPECT_TRUE(tree.Validate().ok());
-  EXPECT_FALSE(tree.Delete(0));  // already gone
+  EXPECT_FALSE(tree.Erase(0));  // already gone
 }
 
 TEST(RTreeDeleteTest, DeleteMissingIdReturnsFalse) {
   Dataset ds(2);
   ds.Add({0.1, 0.1});
+  FlatRTree tree = Load(ds);
   ds.Add({0.9, 0.9});
-  RTree tree(&ds);
-  tree.Insert(0);
-  EXPECT_FALSE(tree.Delete(1));   // valid row, never inserted
-  EXPECT_FALSE(tree.Delete(99));  // invalid row
-  EXPECT_EQ(tree.size(), 1u);
+  EXPECT_FALSE(tree.Erase(1));   // valid row, appended after the load
+  EXPECT_FALSE(tree.Erase(99));  // invalid row
+  EXPECT_EQ(tree.live_size(), 1u);
 }
 
 TEST(RTreeDeleteTest, DeleteHalfThenQueriesStayExact) {
   Dataset ds = RandomDataset(1500, 2, 71);
-  RTree::Options options;
-  options.max_entries = 8;
-  RTree tree(&ds, options);
-  for (size_t i = 0; i < ds.size(); ++i) {
-    tree.Insert(static_cast<PointId>(i));
-  }
+  FlatRTree tree = Load(ds, 8);
 
-  // Delete every odd id; MBRs must re-tighten and fills stay legal.
+  // Delete every odd id; MBRs must re-tighten.
+  std::vector<uint8_t> alive(ds.size(), 1);
   for (size_t i = 1; i < ds.size(); i += 2) {
-    ASSERT_TRUE(tree.Delete(static_cast<PointId>(i))) << i;
+    ASSERT_TRUE(tree.Erase(static_cast<PointId>(i))) << i;
+    alive[i] = 0;
   }
-  EXPECT_EQ(tree.size(), 750u);
+  EXPECT_EQ(tree.live_size(), 750u);
   Status s = tree.Validate();
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   Rng rng(72);
   for (int q = 0; q < 20; ++q) {
-    std::vector<double> lo(2), hi(2);
-    for (size_t i = 0; i < 2; ++i) {
-      const double a = rng.NextDouble();
-      const double b = rng.NextDouble();
-      lo[i] = std::min(a, b);
-      hi[i] = std::max(a, b);
-    }
-    const Mbr box = Mbr::FromCorners(lo.data(), hi.data(), 2);
-    std::vector<PointId> got;
-    tree.RangeQuery(box, &got);
-    std::sort(got.begin(), got.end());
-    std::vector<PointId> expected;
-    for (PointId id : BruteForceRange(ds, box)) {
-      if (id % 2 == 0) expected.push_back(id);
-    }
-    ASSERT_EQ(got, expected);
+    const Mbr box = RandomBox(&rng, 2);
+    ASSERT_EQ(Range(tree, box), BruteForceRange(ds, box, alive));
   }
 }
 
 TEST(RTreeDeleteTest, DeleteEverythingShrinksToEmptyRoot) {
   Dataset ds = RandomDataset(300, 3, 73);
-  RTree::Options options;
-  options.max_entries = 6;
-  RTree tree(&ds, options);
+  FlatRTree tree = Load(ds, 6);
   for (size_t i = 0; i < ds.size(); ++i) {
-    tree.Insert(static_cast<PointId>(i));
-  }
-  for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(tree.Delete(static_cast<PointId>(i))) << i;
+    ASSERT_TRUE(tree.Erase(static_cast<PointId>(i))) << i;
     ASSERT_TRUE(tree.Validate().ok()) << "after deleting " << i;
   }
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.Stats().height, 1u);
-}
-
-TEST(RTreeDeleteTest, InterleavedInsertDelete) {
-  Dataset ds = RandomDataset(2000, 2, 74);
-  RTree::Options options;
-  options.max_entries = 10;
-  RTree tree(&ds, options);
-  Rng rng(75);
-  std::vector<bool> present(ds.size(), false);
-  size_t live = 0;
-  for (int step = 0; step < 6000; ++step) {
-    const PointId id = static_cast<PointId>(rng.NextUint64(ds.size()));
-    if (present[static_cast<size_t>(id)]) {
-      ASSERT_TRUE(tree.Delete(id));
-      present[static_cast<size_t>(id)] = false;
-      --live;
-    } else {
-      tree.Insert(id);
-      present[static_cast<size_t>(id)] = true;
-      ++live;
-    }
-  }
-  EXPECT_EQ(tree.size(), live);
-  Status s = tree.Validate();
-  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(tree.live_size(), 0u);
+  EXPECT_TRUE(tree.root_mbr().IsEmpty());
 }
 
 TEST(RTreeDeleteTest, DeleteFromBulkLoadedTree) {
   Dataset ds = RandomDataset(800, 3, 76);
-  Result<RTree> tree = RTree::BulkLoad(ds);
-  ASSERT_TRUE(tree.ok());
+  FlatRTree tree = Load(ds);
   for (PointId id : {0, 100, 200, 300, 400}) {
-    ASSERT_TRUE(tree->Delete(id));
+    ASSERT_TRUE(tree.Erase(id));
   }
-  EXPECT_EQ(tree->size(), 795u);
-  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
+  EXPECT_EQ(tree.live_size(), 795u);
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(StrSlabCountTest, FormulaCases) {

@@ -42,7 +42,7 @@ void Publish(LiveTable* t) {
   std::optional<LiveTable::RebuildJob> job = t->BeginRebuild();
   ASSERT_TRUE(job.has_value());
   Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, t->index_options());
+      *job->base, job->ops, job->next_epoch, t->rtree_fanout());
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   t->CompleteRebuild(*merged);
 }
@@ -276,7 +276,7 @@ TEST(RebuildProtocolTest, FreezeMergePublishAbsorbsBacklog) {
   EXPECT_EQ(job->ops.size(), 7u);
 
   Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, t.index_options());
+      *job->base, job->ops, job->next_epoch, t.rtree_fanout());
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ((*merged)->competitors().size(), 4u);  // 5 inserted - 1 erased
   EXPECT_EQ((*merged)->competitor_ids(), (std::vector<uint64_t>{1, 3, 4, 5}));

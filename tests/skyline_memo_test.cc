@@ -192,7 +192,7 @@ TEST(SkylineMemoTest, LiveTablePublishRollsTheMemo) {
   std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
   ASSERT_TRUE(job.has_value());
   Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, t.index_options());
+      *job->base, job->ops, job->next_epoch, t.rtree_fanout());
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   t.CompleteRebuild(*merged);
   EXPECT_EQ(view.memo->entry_count(), 0u);

@@ -154,7 +154,7 @@ TEST_P(SkylineSweepTest, AllAlgorithmsAgreeAndAreCorrect) {
   const auto bnl = Coords(*data, SkylineBnl(*data));
   const auto sfs = Coords(*data, SkylineSfs(*data));
   const auto dnc = Coords(*data, SkylineDnc(*data));
-  Result<RTree> tree = RTree::BulkLoad(*data);
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*data);
   ASSERT_TRUE(tree.ok());
   const auto bbs = Coords(*data, SkylineBbs(tree.value()));
 

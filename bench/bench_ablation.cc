@@ -20,7 +20,7 @@
 #include "core/single_upgrade.h"
 #include "data/wine.h"
 #include "skyline/skyline.h"
-#include "util/logging.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace skyup {

@@ -6,7 +6,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "util/logging.h"
+#include "util/check.h"
 #include "util/timer.h"
 
 namespace skyup {

@@ -8,7 +8,7 @@
 
 #include "bench_common.h"
 #include "data/wine.h"
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 namespace bench {

@@ -16,7 +16,7 @@
 #include "data/generator.h"
 #include "skyline/dominating_skyline.h"
 #include "skyline/skyline.h"
-#include "util/logging.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace skyup {

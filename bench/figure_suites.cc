@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 namespace bench {

@@ -116,8 +116,6 @@ bench["serve"] = {
     "queries_executed": counters.get("skyup_serve_queries_executed_total"),
     "rebuilds_published": counters.get("skyup_serve_rebuilds_published_total"),
     "patches_published": counters.get("skyup_serve_patches_published_total"),
-    "erase_fallback_scans": counters.get(
-        "skyup_serve_erase_fallback_scans_total"),
     "candidates_pruned": counters.get("skyup_serve_candidates_pruned_total"),
     "prune_disabled_queries": counters.get(
         "skyup_serve_prune_disabled_queries_total"),
@@ -279,14 +277,13 @@ if [ "$shard" = 1 ]; then
   # shellcheck disable=SC2086
   "$cli_bin" serve --load-gen $common --threads="$cores" --shards=1 \
     --out="$workdir/single.json"
-  echo "shard A/B sharded (shards=$shards, $cores shard workers) ..."
-  # Shard workers = cores (the shard-per-core deployment shape): with
-  # fewer cores than shards, spawning one worker per shard would only
-  # oversubscribe; ParallelFor folds multiple shards into each worker.
+  echo "shard A/B sharded (shards=$shards) ..."
+  # The scatter runs on min(shards, hardware threads) workers (the
+  # shard-per-core deployment shape): with fewer cores than shards,
+  # ParallelFor folds several shards into each worker.
   # shellcheck disable=SC2086
   "$cli_bin" serve --load-gen $common --threads="$cores" \
-    --shards="$shards" --shard-threads="$cores" \
-    --out="$workdir/sharded.json"
+    --shards="$shards" --out="$workdir/sharded.json"
   python3 - "$out_file" "$workdir/single.json" "$workdir/sharded.json" \
     "$shards" <<'EOF'
 import json, sys

@@ -81,11 +81,10 @@ void RunOne(uint64_t seed) {
   Result<std::unique_ptr<ShardedTable>> table = ShardedTable::Create(options);
   SKYUP_CHECK(table.ok()) << table.status().ToString() << " seed=" << seed;
   ShardedTable& t = **table;
-  const size_t threads = rng.NextUint64(2) == 0 ? 0 : 1;
   auto run = [&](const ShardedView& views,
                  const std::vector<BatchQuery>& group) {
     std::vector<BatchQueryResult> out;
-    TopKShardedBatch(views, cost_fn, group, epsilon, threads, &out);
+    TopKShardedBatch(views, cost_fn, group, epsilon, &out);
     SKYUP_CHECK(out.size() == group.size()) << "seed=" << seed;
     for (const BatchQueryResult& r : out) {
       SKYUP_CHECK(r.status.ok()) << r.status.ToString() << " seed=" << seed;

@@ -98,11 +98,10 @@ void CheckSameResults(const std::vector<UpgradeResult>& oracle,
 // One query, alone, through the serve engine.
 std::vector<UpgradeResult> EngineTopK(const ShardedView& views,
                                       const ProductCostFunction& cost_fn,
-                                      size_t k, double epsilon, size_t threads,
+                                      size_t k, double epsilon,
                                       uint64_t seed) {
   std::vector<BatchQueryResult> out;
-  TopKShardedBatch(views, cost_fn, {BatchQuery{k, nullptr}}, epsilon,
-                   threads, &out);
+  TopKShardedBatch(views, cost_fn, {BatchQuery{k, nullptr}}, epsilon, &out);
   SKYUP_CHECK(out.front().status.ok())
       << out.front().status.ToString() << " seed=" << seed;
   return std::move(out.front().results);
@@ -126,8 +125,6 @@ void RunOne(uint64_t seed) {
   ServerOptions options;
   options.dims = dims;
   options.shards = 1 + static_cast<size_t>(rng.NextUint64(8));
-  // Both scatter modes: one worker per shard, and serial scatter.
-  options.shard_query_threads = rng.NextUint64(2) == 0 ? 0 : 1;
   options.default_epsilon = epsilon;
   // Tiny fanouts + thresholds exercise deep trees and frequent publishes.
   options.rtree_fanout = 2 + static_cast<size_t>(rng.NextUint64(7));
@@ -145,7 +142,6 @@ void RunOne(uint64_t seed) {
   SKYUP_CHECK(created.ok()) << created.status().ToString()
                             << " seed=" << seed;
   Server& server = **created;
-  const size_t threads = options.shard_query_threads;
 
   // A quarter of the seeds run erase-heavy: patched snapshots accumulate
   // index tombstones and queries carry pending erases, which is what the
@@ -253,7 +249,7 @@ void RunOne(uint64_t seed) {
     const size_t k = 1 + static_cast<size_t>(rng.NextUint64(6));
     CheckSameResults(
         OracleTopK(check.live_p, check.live_t, cost_fn, dims, k, epsilon),
-        EngineTopK(check.views, cost_fn, k, epsilon, threads, seed),
+        EngineTopK(check.views, cost_fn, k, epsilon, seed),
         "stale-view", seed, check.captured_at);
   }
 
@@ -261,7 +257,7 @@ void RunOne(uint64_t seed) {
   // agree with both the oracle and the overlay answer for the same state.
   const size_t k = 1 + static_cast<size_t>(rng.NextUint64(6));
   const std::vector<UpgradeResult> via_overlay = EngineTopK(
-      server.table().AcquireViews(), cost_fn, k, epsilon, threads, seed);
+      server.table().AcquireViews(), cost_fn, k, epsilon, seed);
   RebuildPolicy compact;
   compact.threshold_ops = 1;
   compact.compact_tombstone_pct = 0;  // every shard publishes a major
@@ -278,7 +274,7 @@ void RunOne(uint64_t seed) {
   // free to reuse cached results for the same state).
   clean.cache.reset();
   const std::vector<UpgradeResult> via_snapshot =
-      EngineTopK(clean, cost_fn, k, epsilon, threads, seed);
+      EngineTopK(clean, cost_fn, k, epsilon, seed);
   CheckSameResults(via_overlay, via_snapshot, "post-rebuild", seed, steps);
   CheckSameResults(OracleTopK(live_p, live_t, cost_fn, dims, k, epsilon),
                    via_snapshot, "final-oracle", seed, steps);

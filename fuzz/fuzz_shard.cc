@@ -6,10 +6,11 @@
 // exactly — sharding is a partition of pure work, so it may never change
 // a byte of output.
 //
-// Shard counts deliberately include 1 (the oracle's own partition, run
-// with the other scatter mode) and counts larger than the competitor set
-// (empty shards must freeze/publish as identity patches without
-// desynchronizing the cross-shard epoch). Beyond results, the fuzz also
+// Shard counts deliberately include 1 (the oracle's own partition) and
+// counts larger than the hardware thread count (one scatter worker folds
+// several shards) and than the competitor set (empty shards must
+// freeze/publish as identity patches without desynchronizing the
+// cross-shard epoch). Beyond results, the fuzz also
 // pins the epoch protocol: after every op, the N-shard server's epoch
 // and total delta backlog must equal the one-shard server's — publish
 // cycles fire on the same op counts.
@@ -56,8 +57,9 @@ void CheckSameResults(const std::vector<UpgradeResult>& oracle,
 void RunOne(uint64_t seed) {
   Rng rng(seed);
   const size_t dims = 2 + static_cast<size_t>(rng.NextUint64(3));
-  // 1 and 9 matter: the oracle's partition under the other scatter mode,
-  // and more shards than the table will hold rows for most of the run.
+  // 1 and 9 matter: the oracle's own partition, and more shards than the
+  // table will hold rows for most of the run (and than most hosts have
+  // hardware threads, so one scatter worker folds several shards).
   constexpr size_t kShardChoices[] = {1, 2, 3, 5, 9};
   const size_t shards = kShardChoices[rng.NextUint64(5)];
   const ProductCostFunction cost_fn =
@@ -66,7 +68,6 @@ void RunOne(uint64_t seed) {
   ServerOptions base;
   base.dims = dims;
   base.shards = 1;
-  base.shard_query_threads = 0;
   base.background_rebuild = false;  // deterministic inline publishes
   base.rebuild_threshold_ops = 1 + static_cast<size_t>(rng.NextUint64(16));
   base.compact_tombstone_pct = 5 + static_cast<size_t>(rng.NextUint64(96));
@@ -77,10 +78,6 @@ void RunOne(uint64_t seed) {
 
   ServerOptions sharded_options = base;
   sharded_options.shards = shards;
-  // Exercise both scatter modes: one worker per shard and serial scatter.
-  // At one shard only serial scatter differs from the oracle.
-  sharded_options.shard_query_threads =
-      shards == 1 || rng.NextUint64(2) == 1 ? 1 : 0;
 
   Result<std::unique_ptr<Server>> oracle = Server::Create(cost_fn, base);
   SKYUP_CHECK(oracle.ok()) << oracle.status().ToString() << " seed=" << seed;

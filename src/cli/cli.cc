@@ -72,8 +72,7 @@ commands:
              | --load-gen --dims=D [--duration=5] [--clients=8] [--qps=0]
              [--query-fraction=0.9] [--k=10] [--timeout=0]
              [--preload-p=20000] [--preload-t=2000] [--threads=2]
-             [--shards=1] [--shard-threads=0]
-             [--rebuild-threshold=1024] [--batch-max=16]
+             [--shards=1] [--rebuild-threshold=1024] [--batch-max=16]
              [--batch-wait-us=200] [--memo-cache-mb=16] [--seed=42]
              [--connect=HOST:PORT] [--tenant=bench]
              [--out=FILE.json] [--metrics-out=FILE]
@@ -205,6 +204,24 @@ Status WriteDatasetCsv(const std::string& path, const Dataset& ds) {
     table.rows.emplace_back(p, p + ds.dims());
   }
   return WriteCsvFile(path, table);
+}
+
+// --metrics-out: JSON when `path` ends in ".json", Prometheus text
+// otherwise.
+Status WriteMetricsFile(const MetricsRegistry& registry,
+                        const std::string& path) {
+  std::ofstream file(path);
+  if (!file) {
+    return Status::IOError("cannot open '" + path + "' for writing");
+  }
+  const bool json =
+      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
+  if (json) {
+    registry.WriteJson(file);
+  } else {
+    registry.WritePrometheus(file);
+  }
+  return Status::OK();
 }
 
 int Fail(std::ostream& err, const Status& status) {
@@ -510,19 +527,8 @@ int CmdTopK(const Flags& flags, std::ostream& out, std::ostream& err) {
           .AddGauge("skyup_query_wall_seconds",
                     "end-to-end wall time of the top-k query")
           ->Set(wall_seconds);
-      std::ofstream metrics_file(*metrics_path);
-      if (!metrics_file) {
-        return Fail(err, Status::IOError("cannot open '" + *metrics_path +
-                                         "' for writing"));
-      }
-      const bool json = metrics_path->size() >= 5 &&
-                        metrics_path->compare(metrics_path->size() - 5, 5,
-                                              ".json") == 0;
-      if (json) {
-        registry.WriteJson(metrics_file);
-      } else {
-        registry.WritePrometheus(metrics_file);
-      }
+      const Status written = WriteMetricsFile(registry, *metrics_path);
+      if (!written.ok()) return Fail(err, written);
     }
     return 0;
   };
@@ -563,7 +569,6 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto preload_t = ToInt(flags.GetOr("preload-t", "2000"));
   const auto threads = ToInt(flags.GetOr("threads", "2"));
   const auto shards = ToInt(flags.GetOr("shards", "1"));
-  const auto shard_threads = ToInt(flags.GetOr("shard-threads", "0"));
   const auto threshold = ToInt(flags.GetOr("rebuild-threshold", "1024"));
   const auto batch_max = ToInt(flags.GetOr("batch-max", "16"));
   const auto batch_wait = ToInt(flags.GetOr("batch-wait-us", "200"));
@@ -575,12 +580,12 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto metrics_path = flags.Get("metrics-out");
   if (!dims || !duration || !clients || !qps || !query_fraction || !k ||
       !timeout || !preload_p || !preload_t || !threads || !shards ||
-      !shard_threads || !threshold || !batch_max || !batch_wait || !memo_mb ||
-      !seed || *dims < 1 || *duration <= 0 || *clients < 1 || *qps < 0 ||
+      !threshold || !batch_max || !batch_wait || !memo_mb || !seed ||
+      *dims < 1 || *duration <= 0 || *clients < 1 || *qps < 0 ||
       *query_fraction < 0 || *query_fraction > 1 || *k < 1 || *timeout < 0 ||
       *preload_p < 0 || *preload_t < 0 || *threads < 1 || *shards < 1 ||
-      *shard_threads < 0 || *threshold < 1 || *batch_max < 1 ||
-      *batch_wait < 0 || *memo_mb < 0 || *seed < 0) {
+      *threshold < 1 || *batch_max < 1 || *batch_wait < 0 || *memo_mb < 0 ||
+      *seed < 0) {
     return Usage(err, "serve --load-gen: malformed numeric flag");
   }
 
@@ -604,7 +609,6 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
   ServerOptions options;
   options.dims = load.dims;
   options.shards = static_cast<size_t>(*shards);
-  options.shard_query_threads = static_cast<size_t>(*shard_threads);
   options.query_threads = static_cast<size_t>(*threads);
   options.rebuild_threshold_ops = static_cast<size_t>(*threshold);
   options.batch_max = static_cast<size_t>(*batch_max);
@@ -695,7 +699,6 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
        << ", \"clients\": " << load.clients
        << ", \"query_threads\": " << options.query_threads
        << ", \"shards\": " << options.shards
-       << ", \"shard_query_threads\": " << options.shard_query_threads
        << ", \"duration_seconds\": " << load.duration_seconds
        << ", \"target_qps\": " << load.target_qps
        << ", \"query_fraction\": " << load.query_fraction
@@ -744,19 +747,8 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
   if (metrics_path.has_value() && server != nullptr) {
     MetricsRegistry registry;
     server->FillMetrics(&registry);
-    std::ofstream metrics_file(*metrics_path);
-    if (!metrics_file) {
-      return Fail(err, Status::IOError("cannot open '" + *metrics_path +
-                                       "' for writing"));
-    }
-    const bool json_metrics =
-        metrics_path->size() >= 5 &&
-        metrics_path->compare(metrics_path->size() - 5, 5, ".json") == 0;
-    if (json_metrics) {
-      registry.WriteJson(metrics_file);
-    } else {
-      registry.WritePrometheus(metrics_file);
-    }
+    const Status written = WriteMetricsFile(registry, *metrics_path);
+    if (!written.ok()) return Fail(err, written);
   }
   if (server != nullptr) return FinishServeObs(server.get(), options, err);
   return 0;
@@ -912,8 +904,7 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
       << "# replay: final epoch=" << report->final_epoch
       << " backlog=" << report->final_backlog << " rebuilds="
       << (*server)->stats().rebuilds_published << " patches="
-      << (*server)->stats().patches_published << " fallback_scans="
-      << (*server)->stats().erase_fallback_scans << "\n"
+      << (*server)->stats().patches_published << "\n"
       << "# replay: memo hits=" << (*server)->stats().memo_hits << "/"
       << ((*server)->stats().memo_hits + (*server)->stats().memo_misses)
       << " batches=" << (*server)->stats().batches_executed
@@ -922,19 +913,8 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   if (metrics_path.has_value()) {
     MetricsRegistry registry;
     (*server)->FillMetrics(&registry);
-    std::ofstream metrics_file(*metrics_path);
-    if (!metrics_file) {
-      return Fail(err, Status::IOError("cannot open '" + *metrics_path +
-                                       "' for writing"));
-    }
-    const bool json = metrics_path->size() >= 5 &&
-                      metrics_path->compare(metrics_path->size() - 5, 5,
-                                            ".json") == 0;
-    if (json) {
-      registry.WriteJson(metrics_file);
-    } else {
-      registry.WritePrometheus(metrics_file);
-    }
+    const Status written = WriteMetricsFile(registry, *metrics_path);
+    if (!written.ok()) return Fail(err, written);
   }
   return FinishServeObs(server->get(), options, err);
 }

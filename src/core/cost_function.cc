@@ -5,7 +5,7 @@
 
 #include "core/dominance.h"
 #include "core/point.h"
-#include "util/logging.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace skyup {

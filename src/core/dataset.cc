@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

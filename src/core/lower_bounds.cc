@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "rtree/mbr.h"
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

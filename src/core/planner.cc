@@ -6,7 +6,7 @@
 #include "core/topk_common.h"
 #include "obs/trace.h"
 #include "skyline/dominating_skyline.h"
-#include "util/logging.h"
+#include "util/check.h"
 #include "util/timer.h"
 
 namespace skyup {

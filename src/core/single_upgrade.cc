@@ -5,7 +5,7 @@
 
 #include "core/dominance.h"
 #include "obs/trace.h"
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

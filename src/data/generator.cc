@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace skyup {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

@@ -5,7 +5,7 @@
 #include <set>
 #include <sstream>
 
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

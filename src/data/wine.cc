@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "skyline/skyline.h"
-#include "util/logging.h"
+#include "util/check.h"
 #include "util/random.h"
 
 namespace skyup {

@@ -40,9 +40,10 @@ namespace skyup {
 
 // X(field): the per-query work counters a flight record keeps, in JSON
 // key order. Each is the `ServeStats` counter of the same name, measured
-// over one query; obs/ may not include serve/, so the list lives here and
-// `Server::Execute` copies it by name (a name that is not a `ServeStats`
-// field fails to compile there).
+// over the query's group (one sweep serves every member); obs/ may not
+// include serve/, so the list lives here and `Server::ExecuteBatch`
+// copies it by name (a name that is not a `ServeStats` field fails to
+// compile there).
 // clang-format off
 #define SKYUP_FLIGHT_RECORD_COUNTERS(X) \
   X(candidates_evaluated)               \
@@ -57,7 +58,7 @@ namespace skyup {
 /// One completed query, as remembered by the ring.
 struct QueryFlightRecord {
   uint64_t query_id = 0;   ///< admission-assigned id (0 = unattributed)
-  uint64_t batch_id = 0;   ///< grouped-execution id (0 = ran solo)
+  uint64_t batch_id = 0;   ///< shared by a group's members (0 = group of one)
   uint64_t tenant_id = 0;  ///< front-door tenant (0 = single-tenant serve)
   uint64_t epoch = 0;      ///< snapshot epoch the query was served at
   uint64_t end_ts_us = 0;  ///< wall-clock completion time (unix µs)
@@ -70,8 +71,8 @@ struct QueryFlightRecord {
 #define SKYUP_FLIGHT_RECORD_MEMBER(field) uint64_t field = 0;
   SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_FLIGHT_RECORD_MEMBER)
 #undef SKYUP_FLIGHT_RECORD_MEMBER
-  /// Scatter-gather attribution (all zero for grouped executions):
-  /// which shard's worker dominated this query's wall time.
+  /// Scatter-gather attribution, shared by a group's members: which
+  /// shard dominated the group's wall time.
   uint32_t shard_count = 0;
   uint32_t slowest_shard = 0;
   double slowest_shard_seconds = 0;

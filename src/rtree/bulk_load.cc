@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "rtree/rtree.h"
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "rtree/rtree.h"
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

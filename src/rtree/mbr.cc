@@ -4,7 +4,7 @@
 #include <limits>
 #include <sstream>
 
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 
@@ -83,31 +83,6 @@ double Mbr::Area() const {
   if (IsEmpty()) return 0.0;
   double area = 1.0;
   for (size_t i = 0; i < dims_; ++i) area *= max_[i] - min_[i];
-  return area;
-}
-
-double Mbr::Margin() const {
-  if (IsEmpty()) return 0.0;
-  double margin = 0.0;
-  for (size_t i = 0; i < dims_; ++i) margin += max_[i] - min_[i];
-  return margin;
-}
-
-double Mbr::Enlargement(const Mbr& other) const {
-  Mbr merged = *this;
-  merged.Expand(other);
-  return merged.Area() - Area();
-}
-
-double Mbr::OverlapArea(const Mbr& other) const {
-  SKYUP_DCHECK(dims_ == other.dims_);
-  double area = 1.0;
-  for (size_t i = 0; i < dims_; ++i) {
-    const double lo = std::max(min_[i], other.min_[i]);
-    const double hi = std::min(max_[i], other.max_[i]);
-    if (lo > hi) return 0.0;
-    area *= hi - lo;
-  }
   return area;
 }
 

@@ -56,15 +56,6 @@ class Mbr {
   /// Product of side lengths (0 for an empty box).
   double Area() const;
 
-  /// Sum of side lengths (the "margin"; used by split heuristics).
-  double Margin() const;
-
-  /// Area growth needed to also include `other`.
-  double Enlargement(const Mbr& other) const;
-
-  /// Area of the intersection with `other`; 0 when disjoint.
-  double OverlapArea(const Mbr& other) const;
-
   /// Sum of min-corner coordinates: the BBS traversal priority ("mindist"
   /// to the origin under the L1 monotone scoring function).
   double MinCornerSum() const;

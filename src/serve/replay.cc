@@ -224,58 +224,11 @@ Result<ReplayReport> Replay(Server* server, const ReplayWorkload& workload,
   }
   ReplayReport report;
   Timer wall;
-  // One result block per query, identical whether the query ran solo or
-  // grouped (TopKShardedBatch gives each member exactly its solo answer,
-  // so the batch_max setting must not change the log bytes — CI compares
-  // every replay against bench/workloads/serve_1k.expected).
-  auto emit_query_block = [&](size_t k, const QueryResponse& response) {
-    ++report.queries;
-    // Deliberately no wall times or epochs here: everything printed is a
-    // pure function of the op stream, so two replays must be
-    // byte-identical.
-    out << "query " << report.queries << " k=" << k
-        << " results=" << response.results.size() << "\n";
-    for (size_t r = 0; r < response.results.size(); ++r) {
-      const UpgradeResult& res = response.results[r];
-      out << "  " << (r + 1) << " id=" << res.product_id
-          << " cost=" << Num(res.cost) << " upgraded=";
-      for (size_t d = 0; d < res.upgraded.size(); ++d) {
-        if (d > 0) out << ';';
-        out << Num(res.upgraded[d]);
-      }
-      out << "\n";
-    }
-  };
   const size_t batch_cap = server->options().batch_max;
   size_t op_no = 0;
   for (size_t op_at = 0; op_at < workload.ops.size(); ++op_at) {
     const ReplayOp& op = workload.ops[op_at];
     ++op_no;
-    // Grouped path: a run of consecutive queries (no update between them
-    // sees the same live state) executes as one shared traversal.
-    if (op.kind == ReplayOpKind::kQuery && batch_cap > 1) {
-      size_t run = 1;
-      while (run < batch_cap && op_at + run < workload.ops.size() &&
-             workload.ops[op_at + run].kind == ReplayOpKind::kQuery) {
-        ++run;
-      }
-      std::vector<QueryRequest> requests(run);
-      for (size_t i = 0; i < run; ++i) {
-        requests[i].k = workload.ops[op_at + i].k;
-      }
-      const std::vector<QueryResponse> responses = server->QueryBatch(requests);
-      for (size_t i = 0; i < run; ++i) {
-        if (!responses[i].status.ok()) {
-          return Status::Internal(
-              "op " + std::to_string(op_no + i) +
-              ": query failed: " + responses[i].status.message());
-        }
-        emit_query_block(requests[i].k, responses[i]);
-      }
-      op_at += run - 1;
-      op_no += run - 1;
-      continue;
-    }
     switch (op.kind) {
       case ReplayOpKind::kInsertCompetitor: {
         Result<uint64_t> id = server->InsertCompetitor(op.coords);
@@ -315,15 +268,48 @@ Result<ReplayReport> Replay(Server* server, const ReplayWorkload& workload,
         break;
       }
       case ReplayOpKind::kQuery: {
-        QueryRequest request;
-        request.k = op.k;
-        QueryResponse response = server->Query(request);
-        if (!response.status.ok()) {
-          return Status::Internal(
-              "op " + std::to_string(op_no) +
-              ": query failed: " + response.status.message());
+        // A run of up to batch_max consecutive queries (no update between
+        // them, so they see the same live state) executes as one group; a
+        // run of one at batch_max = 1. Each member gets exactly its solo
+        // answer, so batch_max never changes the log bytes — CI compares
+        // every replay against bench/workloads/serve_1k.expected.
+        size_t run = 1;
+        while (run < batch_cap && op_at + run < workload.ops.size() &&
+               workload.ops[op_at + run].kind == ReplayOpKind::kQuery) {
+          ++run;
         }
-        emit_query_block(op.k, response);
+        std::vector<QueryRequest> requests(run);
+        for (size_t i = 0; i < run; ++i) {
+          requests[i].k = workload.ops[op_at + i].k;
+        }
+        const std::vector<QueryResponse> responses =
+            server->QueryBatch(requests);
+        for (size_t i = 0; i < run; ++i) {
+          const QueryResponse& response = responses[i];
+          if (!response.status.ok()) {
+            return Status::Internal(
+                "op " + std::to_string(op_no + i) +
+                ": query failed: " + response.status.message());
+          }
+          ++report.queries;
+          // Deliberately no wall times or epochs here: everything printed
+          // is a pure function of the op stream, so two replays must be
+          // byte-identical.
+          out << "query " << report.queries << " k=" << requests[i].k
+              << " results=" << response.results.size() << "\n";
+          for (size_t r = 0; r < response.results.size(); ++r) {
+            const UpgradeResult& res = response.results[r];
+            out << "  " << (r + 1) << " id=" << res.product_id
+                << " cost=" << Num(res.cost) << " upgraded=";
+            for (size_t d = 0; d < res.upgraded.size(); ++d) {
+              if (d > 0) out << ';';
+              out << Num(res.upgraded[d]);
+            }
+            out << "\n";
+          }
+        }
+        op_at += run - 1;
+        op_no += run - 1;
         break;
       }
     }

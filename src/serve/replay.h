@@ -77,9 +77,9 @@ struct ReplayReport {
 /// Replays `workload` against `server`, writing one result block per query
 /// to `out`. The server must be in deterministic mode
 /// (`background_rebuild == false`); the result log is then a pure function
-/// of the workload. When the server's `batch_max` is > 1, runs of
-/// consecutive queries execute as one grouped traversal (`QueryBatch`) —
-/// the log stays byte-identical to `batch_max == 1`, which CI's batch
+/// of the workload. Every run of up to `batch_max` consecutive queries
+/// executes as one group (`QueryBatch`; a run of one at `batch_max == 1`)
+/// — the log is byte-identical for every `batch_max`, which CI's batch
 /// guard enforces. Costs print with `%.12g`. Returns the op counts;
 /// fails fast on the first op the server rejects for a structural reason
 /// (arity mismatch, unknown id).

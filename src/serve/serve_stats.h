@@ -34,8 +34,6 @@ namespace skyup {
     "incremental snapshot patches published by the rebuilder")           \
   X(delta_ops_scanned, "skyup_serve_delta_ops_scanned_total",            \
     "delta ops folded into per-query overlays")                          \
-  X(erase_fallback_scans, "skyup_serve_erase_fallback_scans_total",      \
-    "index probes invalidated by a competitor erase (linear rescan)")    \
   X(candidates_evaluated, "skyup_serve_candidates_evaluated_total",      \
     "Algorithm-1 evaluations across serve queries")                      \
   X(candidates_pruned, "skyup_serve_candidates_pruned_total",            \

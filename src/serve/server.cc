@@ -187,104 +187,69 @@ Status Server::EraseProduct(uint64_t id) {
   return outcome;
 }
 
-QueryResponse Server::Execute(const QueryRequest& request,
-                              const QueryControl* control,
-                              QueryFlightRecord* record) {
-  QueryResponse response;
-  Timer wall;
-  ServeStats query_stats;
-  // Phase attribution costs per-candidate clock laps, so it is collected
-  // only for queries that both want a record and carry a control (every
-  // Submit allocates one; the deterministic control-free inline path —
-  // what --replay and the benches drive — stays lap-free).
-  std::optional<QueryTelemetry> telemetry;
-  if (record != nullptr && control != nullptr) telemetry.emplace();
-  ShardQueryInfo shard_info;
-  const ShardedView views = table_->AcquireViews();
-  response.epoch = views.epoch;
-  std::vector<BatchQueryResult> outcome;
-  TopKShardedBatch(views, cost_fn_, {BatchQuery{request.k, control}},
-                   options_.default_epsilon, options_.shard_query_threads,
-                   &outcome, &query_stats,
-                   telemetry.has_value() ? &*telemetry : nullptr, &shard_info);
-  {
-    MutexLock lock(stats_mu_);
-    stats_.MergeFrom(query_stats);
-  }
-  response.status = std::move(outcome.front().status);
-  response.results = std::move(outcome.front().results);
-  response.wall_seconds = wall.ElapsedSeconds();
-  if (record != nullptr) {
-    record->epoch = response.epoch;
-    record->k = static_cast<uint32_t>(request.k);
-    if (telemetry.has_value()) record->phases = telemetry->phases.total;
-#define SKYUP_FLIGHT_RECORD_COPY(field) record->field = query_stats.field;
-    SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_FLIGHT_RECORD_COPY)
-#undef SKYUP_FLIGHT_RECORD_COPY
-    record->shard_count = shard_info.shard_count;
-    record->slowest_shard = shard_info.slowest_shard;
-    record->slowest_shard_seconds = shard_info.slowest_shard_seconds;
-  }
-  return response;
-}
-
 std::vector<QueryResponse> Server::ExecuteBatch(
-    const std::vector<const QueryRequest*>& requests,
-    const std::vector<const QueryControl*>& controls,
+    const std::vector<BatchQuery>& group,
     std::vector<QueryFlightRecord>* records) {
-  SKYUP_CHECK(requests.size() == controls.size());
-  SKYUP_CHECK(!requests.empty() && requests.size() <= kMaxServeBatch);
+  SKYUP_CHECK(!group.empty() && group.size() <= kMaxServeBatch);
   Timer wall;
   ServeStats batch_stats;
   batch_stats.batches_executed = 1;
-  if (requests.size() >= 2) batch_stats.batched_queries = requests.size();
-  std::vector<BatchQuery> batch;
-  batch.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    BatchQuery q;
-    q.k = requests[i]->k;
-    q.control = controls[i];
-    batch.push_back(q);
+  if (group.size() >= 2) batch_stats.batched_queries = group.size();
+  // Phase attribution costs clock laps, so it is collected only for groups
+  // that want records and whose members all carry a control (every Submit
+  // allocates one; the control-free inline path — what --replay and the
+  // benches drive — stays lap-free).
+  std::optional<QueryTelemetry> telemetry;
+  if (records != nullptr &&
+      std::all_of(group.begin(), group.end(), [](const BatchQuery& q) {
+        return q.control != nullptr;
+      })) {
+    telemetry.emplace();
   }
+  ShardQueryInfo shard_info;
   // One consistent view set AND one candidate sweep for the whole group
   // — each member's result is bit-identical to its solo execution.
   const ShardedView views = table_->AcquireViews();
-  const uint64_t group_epoch = views.epoch;
   std::vector<BatchQueryResult> outcomes;
-  TopKShardedBatch(views, cost_fn_, batch, options_.default_epsilon,
-                   options_.shard_query_threads, &outcomes, &batch_stats);
+  TopKShardedBatch(views, cost_fn_, group, options_.default_epsilon,
+                   &outcomes, &batch_stats,
+                   telemetry.has_value() ? &*telemetry : nullptr, &shard_info);
   const double elapsed = wall.ElapsedSeconds();
-  {
-    MutexLock lock(stats_mu_);
-    stats_.MergeFrom(batch_stats);
-    batch_size_.Observe(static_cast<double>(requests.size()));
-  }
-  std::vector<QueryResponse> responses(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    responses[i].epoch = group_epoch;
+  std::vector<QueryResponse> responses(group.size());
+  for (size_t i = 0; i < group.size(); ++i) {
+    responses[i].status = std::move(outcomes[i].status);
+    responses[i].results = std::move(outcomes[i].results);
+    responses[i].epoch = views.epoch;
     responses[i].wall_seconds = elapsed;
-    if (outcomes[i].status.ok()) {
-      responses[i].results = std::move(outcomes[i].results);
-    } else {
-      responses[i].status = std::move(outcomes[i].status);
-    }
   }
   if (records != nullptr) {
-    // Batch members share one traversal, so per-member work counters and
-    // phase laps are not attributable — records carry the shared batch id
-    // (0 for a group of one) plus the member's own epoch/k/outcome, and
-    // leave the counters zero.
-    records->assign(requests.size(), QueryFlightRecord{});
+    // Members share one traversal, so every member's record carries the
+    // group's counters, laps and slowest shard under the shared batch id
+    // (0 for a group of one).
     const uint64_t batch_id =
-        requests.size() >= 2
+        group.size() >= 2
             // lint: relaxed-ok (pure id allocation; only uniqueness matters)
             ? next_batch_id_.fetch_add(1, std::memory_order_relaxed) + 1
             : 0;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      (*records)[i].batch_id = batch_id;
-      (*records)[i].epoch = group_epoch;
-      (*records)[i].k = static_cast<uint32_t>(requests[i]->k);
+    records->assign(group.size(), QueryFlightRecord{});
+    for (size_t i = 0; i < group.size(); ++i) {
+      QueryFlightRecord& record = (*records)[i];
+      record.batch_id = batch_id;
+      record.epoch = views.epoch;
+      record.k = static_cast<uint32_t>(group[i].k);
+      if (telemetry.has_value()) record.phases = telemetry->phases.total;
+#define SKYUP_FLIGHT_RECORD_COPY(field) record.field = batch_stats.field;
+      SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_FLIGHT_RECORD_COPY)
+#undef SKYUP_FLIGHT_RECORD_COPY
+      record.shard_count = shard_info.shard_count;
+      record.slowest_shard = shard_info.slowest_shard;
+      record.slowest_shard_seconds = shard_info.slowest_shard_seconds;
     }
+  }
+  {
+    MutexLock lock(stats_mu_);
+    stats_.MergeFrom(batch_stats);
+    batch_size_.Observe(static_cast<double>(group.size()));
   }
   return responses;
 }
@@ -310,33 +275,14 @@ void Server::RecordOutcome(const QueryResponse& response) {
 }
 
 QueryResponse Server::Query(const QueryRequest& request) {
-  std::shared_ptr<QueryControl> control = request.control;
-  if (control == nullptr && request.timeout_seconds > 0.0) {
-    control = std::make_shared<QueryControl>();
-  }
-  if (control != nullptr && request.timeout_seconds > 0.0) {
-    control->SetTimeout(request.timeout_seconds);
-  }
-  const uint64_t query_id = NextQueryId();
-  if (control != nullptr) control->set_query_id(query_id);
-  const bool record_flight = recorder_.enabled();
-  QueryFlightRecord record;
-  QueryResponse response =
-      Execute(request, control.get(), record_flight ? &record : nullptr);
-  RecordOutcome(response);
-  if (record_flight) {
-    FinishFlight(&record, response, query_id, /*queue_seconds=*/0.0);
-  }
-  return response;
+  return std::move(QueryBatch({request}).front());
 }
 
 std::vector<QueryResponse> Server::QueryBatch(
     const std::vector<QueryRequest>& requests) {
   if (requests.empty()) return {};
-  // Same control/timeout plumbing as Query(), per member.
   std::vector<std::shared_ptr<QueryControl>> owned(requests.size());
-  std::vector<const QueryControl*> controls(requests.size(), nullptr);
-  std::vector<const QueryRequest*> request_ptrs(requests.size());
+  std::vector<BatchQuery> group(requests.size());
   std::vector<uint64_t> query_ids(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     std::shared_ptr<QueryControl> control = requests[i].control;
@@ -348,14 +294,13 @@ std::vector<QueryResponse> Server::QueryBatch(
     }
     query_ids[i] = NextQueryId();
     if (control != nullptr) control->set_query_id(query_ids[i]);
-    owned[i] = control;
-    controls[i] = control.get();
-    request_ptrs[i] = &requests[i];
+    group[i] = BatchQuery{requests[i].k, control.get()};
+    owned[i] = std::move(control);
   }
   const bool record_flight = recorder_.enabled();
   std::vector<QueryFlightRecord> records;
-  std::vector<QueryResponse> responses = ExecuteBatch(
-      request_ptrs, controls, record_flight ? &records : nullptr);
+  std::vector<QueryResponse> responses =
+      ExecuteBatch(group, record_flight ? &records : nullptr);
   for (size_t i = 0; i < responses.size(); ++i) {
     RecordOutcome(responses[i]);
     if (record_flight) {
@@ -466,25 +411,16 @@ void Server::WorkerLoop() {
         runnable.push_back(i);
       }
     }
-    if (runnable.size() == 1 && cap == 1) {
-      // Batching off: the historical per-query path.
-      PendingQuery& pending = group[runnable.front()];
-      responses[runnable.front()] =
-          Execute(pending.request, pending.control.get(),
-                  record_flight ? &records[runnable.front()] : nullptr);
-    } else if (!runnable.empty()) {
-      std::vector<const QueryRequest*> requests;
-      std::vector<const QueryControl*> controls;
-      requests.reserve(runnable.size());
-      controls.reserve(runnable.size());
+    if (!runnable.empty()) {
+      std::vector<BatchQuery> members;
+      members.reserve(runnable.size());
       for (size_t i : runnable) {
-        requests.push_back(&group[i].request);
-        controls.push_back(group[i].control.get());
+        members.push_back(BatchQuery{group[i].request.k,
+                                     group[i].control.get()});
       }
       std::vector<QueryFlightRecord> grouped_records;
-      std::vector<QueryResponse> grouped =
-          ExecuteBatch(requests, controls,
-                       record_flight ? &grouped_records : nullptr);
+      std::vector<QueryResponse> grouped = ExecuteBatch(
+          members, record_flight ? &grouped_records : nullptr);
       for (size_t u = 0; u < runnable.size(); ++u) {
         responses[runnable[u]] = std::move(grouped[u]);
         if (record_flight) records[runnable[u]] = grouped_records[u];

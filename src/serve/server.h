@@ -4,14 +4,16 @@
 // The serving front door: a bounded-queue session executor over one
 // `ShardedTable` (N = 1 is the single-table case). Updates apply
 // synchronously (validated, logged, visible); queries either run inline
-// (`Query`, the deterministic path) or through the worker pool (`Submit`)
-// with admission control — a full queue rejects with `kResourceExhausted`
-// instead of building unbounded backlog — and per-query deadlines
-// enforced cooperatively by the query engine (core/query_control.h).
-// Every query runs through `TopKShardedBatch` (serve/shard/shard_query.h),
-// solo queries as a group of one. Snapshot regeneration runs on the
-// table's background coordinator, or inline after each update when
-// `ServerOptions::background_rebuild` is false (replay mode).
+// (`Query`/`QueryBatch`, the deterministic path) or through the worker
+// pool (`Submit`) with admission control — a full queue rejects with
+// `kResourceExhausted` instead of building unbounded backlog — and
+// per-query deadlines enforced cooperatively by the query engine
+// (core/query_control.h). Every query runs as a group through one
+// executor, `ExecuteBatch` over `TopKShardedBatch`
+// (serve/shard/shard_query.h); a solo query is a group of one. Snapshot
+// regeneration runs on the table's background coordinator, or inline
+// after each update when `ServerOptions::background_rebuild` is false
+// (replay mode).
 
 #include <atomic>
 #include <cstdint>
@@ -46,11 +48,6 @@ struct ServerOptions {
   /// [1, kMaxShards]. Results are byte-identical for any value —
   /// fuzz/fuzz_serve.cc and the `--shards` replay guard enforce it.
   size_t shards = 1;
-  /// Scatter-gather workers per query; 0 = one per shard. Serial
-  /// scatter (1) trades per-query latency for cross-query throughput when
-  /// the worker pool already saturates the cores. Results are identical
-  /// either way (offer-order independence).
-  size_t shard_query_threads = 0;
   /// Front-door tenant id stamped into flight records (0 = single-tenant).
   uint64_t tenant_id = 0;
   /// Worker threads draining the `Submit` queue.
@@ -78,7 +75,7 @@ struct ServerOptions {
   bool background_rebuild = true;
   /// Grouped execution width: workers drain up to this many queued queries
   /// and run them as one shared candidate sweep (TopKShardedBatch). 1 =
-  /// per-query execution (the batching-off baseline); max kMaxServeBatch.
+  /// groups of one (the batching-off baseline); max kMaxServeBatch.
   /// Results are bit-identical either way.
   size_t batch_max = 1;
   /// With batch_max > 1: a worker that finds fewer than batch_max queued
@@ -145,13 +142,14 @@ class Server {
   Status EraseProduct(uint64_t id);
 
   /// Runs the query inline on the calling thread (still honors the
-  /// request's deadline/control). The deterministic path.
+  /// request's deadline/control) as a group of one: `QueryBatch({request})`.
   QueryResponse Query(const QueryRequest& request);
 
-  /// Runs a group of queries inline as ONE shared traversal (the
-  /// deterministic grouped path `--replay` uses when batching is on).
-  /// `responses[i]` corresponds to `requests[i]` and is bit-identical to
-  /// `Query(requests[i])`. Group size must be <= kMaxServeBatch.
+  /// Runs a group of queries inline as ONE shared traversal — the
+  /// deterministic path `--replay` uses for every run of consecutive
+  /// queries. `responses[i]` corresponds to `requests[i]` and is
+  /// bit-identical to `Query(requests[i])`. Group size must be <=
+  /// kMaxServeBatch.
   std::vector<QueryResponse> QueryBatch(
       const std::vector<QueryRequest>& requests);
 
@@ -209,14 +207,14 @@ class Server {
     SteadyClock::time_point admitted{};  ///< for queue-wait attribution
   };
 
-  /// `record` may be null (recorder off); when set, Execute fills the
-  /// execution-side fields (epoch, k, results, counters, phases).
-  QueryResponse Execute(const QueryRequest& request,
-                        const QueryControl* control,
-                        QueryFlightRecord* record);
+  /// The one executor: runs `group` as one sweep over one view set.
+  /// `records` may be null (recorder off); otherwise it is resized to the
+  /// group and each member's record gets the execution-side fields: the
+  /// shared batch id (0 for a group of one), epoch, k, and the group's
+  /// counters, slowest shard and — when every member carries a control —
+  /// phase laps.
   std::vector<QueryResponse> ExecuteBatch(
-      const std::vector<const QueryRequest*>& requests,
-      const std::vector<const QueryControl*>& controls,
+      const std::vector<BatchQuery>& group,
       std::vector<QueryFlightRecord>* records);
   /// Callable while holding `queue_mu_` (Submit records rejections inside
   /// its admission critical section — the queue -> stats edge of the
@@ -263,7 +261,7 @@ class Server {
   ServeStats stats_ SKYUP_GUARDED_BY(stats_mu_);
   Histogram query_latency_ SKYUP_GUARDED_BY(stats_mu_){
       Histogram::DefaultLatencyBucketsSeconds()};
-  /// Queries per grouped execution (observed per drain when batching on).
+  /// Queries per grouped execution (observed once per group).
   Histogram batch_size_ SKYUP_GUARDED_BY(stats_mu_){
       {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0}};
 

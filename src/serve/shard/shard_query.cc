@@ -131,7 +131,7 @@ ShardGather BuildShardGather(const ShardedView& sharded, size_t dims,
 void TopKShardedBatch(const ShardedView& sharded,
                       const ProductCostFunction& cost_fn,
                       const std::vector<BatchQuery>& queries, double epsilon,
-                      size_t threads, std::vector<BatchQueryResult>* out,
+                      std::vector<BatchQueryResult>* out,
                       ServeStats* stats, QueryTelemetry* telemetry,
                       ShardQueryInfo* info) {
   SKYUP_CHECK(out != nullptr);
@@ -212,20 +212,21 @@ void TopKShardedBatch(const ShardedView& sharded,
       w.collectors.emplace_back((live_init >> i) & 1 ? queries[i].k : 1);
     }
   }
+  // Built by the worker when it reaches the shard, so the first lap
+  // starts there and not at scatter time.
   std::vector<std::unique_ptr<ShardTelemetry>> worker_telemetry(num_shards);
-  if (telemetry != nullptr) {
-    for (std::unique_ptr<ShardTelemetry>& tel : worker_telemetry) {
-      tel = std::make_unique<ShardTelemetry>();
-    }
-  }
 
+  // min(shards, hardware threads) workers; each folds a contiguous run of
+  // shards, so a wide table never spawns a thread per shard.
   ParallelFor(
-      num_shards, threads == 0 ? num_shards : threads,
-      [&](size_t, size_t begin, size_t end) {
+      num_shards, /*threads=*/0, [&](size_t, size_t begin, size_t end) {
         for (size_t s = begin; s < end; ++s) {
           SKYUP_TRACE_SPAN_Q("serve/shard-worker", query_id);
           Timer worker_wall;
           WorkerState& w = workers[s];
+          if (telemetry != nullptr) {
+            worker_telemetry[s] = std::make_unique<ShardTelemetry>();
+          }
           ShardTelemetry* const tel = worker_telemetry[s].get();
           const Snapshot& own = *sharded.views[s].snapshot;
           const ShardContext& own_ctx = ctx[s];
@@ -258,6 +259,10 @@ void TopKShardedBatch(const ShardedView& sharded,
           std::vector<const double*> dominators;
           UpgradeCache* const cache = sharded.cache.get();
           UpgradeCache::Hit hit;
+          // A run of cache-served candidates laps `other` once, when the
+          // run ends (at the next miss or before the merge lap), so a warm
+          // cache pays no clock read per hit.
+          bool hits_unlapped = false;
 
           auto offer = [&](uint64_t mask, uint64_t stable_id, double cost,
                            const std::vector<double>& upgraded,
@@ -297,10 +302,14 @@ void TopKShardedBatch(const ShardedView& sharded,
                 ++w.stats.cache_hits;
                 offer(mask, stable_id, hit.cost, hit.upgraded,
                       hit.already_competitive);
-                LapOther(tel);  // cache-served: no probe/upgrade to charge
+                hits_unlapped = true;  // no probe/upgrade to charge
                 return;
               }
               ++w.stats.cache_misses;
+              if (hits_unlapped) {
+                LapOther(tel);
+                hits_unlapped = false;
+              }
             }
 
             if (gather.prune_ok && gather.have_box) {
@@ -433,6 +442,7 @@ void TopKShardedBatch(const ShardedView& sharded,
           }
           // Residual loop/collector time since the last lap — charged on
           // both exits, so a cancelled worker still reports its phases.
+          if (hits_unlapped) LapOther(tel);
           LapMerge(tel);
           w.wall_seconds = worker_wall.ElapsedSeconds();
         }

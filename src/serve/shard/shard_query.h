@@ -89,26 +89,26 @@ struct ShardQueryInfo {
 /// cost, so `(*out)[i]` is bit-identical to running `queries[i]` alone
 /// (docs/algorithms.md, "Cross-query amortization").
 ///
-/// `threads` workers sweep the shards (0 = one per shard, capped by the
-/// shard count). Candidates are every live product (base rows not erased
-/// + overlay inserts); ids in the results are stable ids, and an empty
-/// live product set yields an empty result. `stats` (may be null) gets
+/// min(shards, hardware threads) workers sweep the shards, each folding a
+/// contiguous run of them. Candidates are every live product (base rows
+/// not erased + overlay inserts); ids in the results are stable ids, and
+/// an empty live product set yields an empty result. `stats` (may be null) gets
 /// `delta_ops_scanned`, `candidates_evaluated`, `candidates_pruned`,
 /// `prune_disabled_queries`, the cache and memo counters, and
 /// `shard_queries`/`shard_fanout`; shared work counts once per group.
 ///
-/// `telemetry` and `info` (may be null) describe a solo query: the
-/// per-phase wall breakdown via per-candidate clock laps, and the slowest
-/// shard worker. Callers pass null for groups of two or more, whose laps
-/// are not attributable to one member; null keeps the hot path free of
-/// clock reads.
+/// `telemetry` and `info` (may be null) describe the whole group: the
+/// per-phase wall breakdown via clock laps (one per miss-path phase, one
+/// per run of cache-served candidates), and the slowest shard. The group
+/// shares one sweep, so the server stamps both on every member's record;
+/// a null `telemetry` keeps the hot path free of clock reads.
 ///
 /// `out` is resized to `queries.size()`; `out[i]` corresponds to
 /// `queries[i]`. `queries.size()` must be in [1, kMaxServeBatch].
 void TopKShardedBatch(const ShardedView& sharded,
                       const ProductCostFunction& cost_fn,
                       const std::vector<BatchQuery>& queries, double epsilon,
-                      size_t threads, std::vector<BatchQueryResult>* out,
+                      std::vector<BatchQueryResult>* out,
                       ServeStats* stats = nullptr,
                       QueryTelemetry* telemetry = nullptr,
                       ShardQueryInfo* info = nullptr);

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

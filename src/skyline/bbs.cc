@@ -4,7 +4,7 @@
 #include "core/dominance_batch.h"
 #include "rtree/flat_rtree.h"
 #include "skyline/skyline.h"
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

@@ -3,7 +3,7 @@
 
 #include "core/dominance.h"
 #include "skyline/skyline.h"
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

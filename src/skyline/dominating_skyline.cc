@@ -8,7 +8,6 @@
 #include "core/dominance_batch.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace skyup {
 

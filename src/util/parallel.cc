@@ -12,7 +12,11 @@ namespace skyup {
 
 size_t ResolveThreadCount(size_t requested, size_t items) {
   if (requested == 0) {
-    requested = std::max(1u, std::thread::hardware_concurrency());
+    // Read once: the query is a syscall (or a /sys read), and the serve
+    // scatter resolves its width on every query.
+    static const size_t hardware =
+        std::max(1u, std::thread::hardware_concurrency());
+    requested = hardware;
   }
   return std::max<size_t>(1, std::min(requested, items));
 }

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "util/logging.h"
+#include "util/check.h"
 
 namespace skyup {
 

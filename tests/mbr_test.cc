@@ -11,7 +11,6 @@ TEST(MbrTest, EmptyBoxProperties) {
   Mbr box(2);
   EXPECT_TRUE(box.IsEmpty());
   EXPECT_DOUBLE_EQ(box.Area(), 0.0);
-  EXPECT_DOUBLE_EQ(box.Margin(), 0.0);
 }
 
 TEST(MbrTest, FromPointIsDegenerate) {
@@ -35,7 +34,6 @@ TEST(MbrTest, ExpandGrowsBox) {
   EXPECT_DOUBLE_EQ(box.min(0), 0.0);
   EXPECT_DOUBLE_EQ(box.max(1), 3.0);
   EXPECT_DOUBLE_EQ(box.Area(), 6.0);
-  EXPECT_DOUBLE_EQ(box.Margin(), 5.0);
 }
 
 TEST(MbrTest, ExpandByBox) {
@@ -82,27 +80,6 @@ TEST(MbrTest, ContainsBox) {
   EXPECT_TRUE(outer.ContainsBox(inner));
   EXPECT_FALSE(inner.ContainsBox(outer));
   EXPECT_TRUE(outer.ContainsBox(Mbr(2)));  // empty box in anything
-}
-
-TEST(MbrTest, Enlargement) {
-  const std::vector<double> lo1 = {0, 0}, hi1 = {1, 1};
-  const std::vector<double> lo2 = {2, 0}, hi2 = {3, 1};
-  Mbr a = Mbr::FromCorners(lo1.data(), hi1.data(), 2);
-  Mbr b = Mbr::FromCorners(lo2.data(), hi2.data(), 2);
-  // Union is [0,3]x[0,1], area 3; a's own area is 1.
-  EXPECT_DOUBLE_EQ(a.Enlargement(b), 2.0);
-  EXPECT_DOUBLE_EQ(a.Enlargement(a), 0.0);
-}
-
-TEST(MbrTest, OverlapArea) {
-  const std::vector<double> lo1 = {0, 0}, hi1 = {2, 2};
-  const std::vector<double> lo2 = {1, 1}, hi2 = {3, 3};
-  const std::vector<double> lo3 = {5, 5}, hi3 = {6, 6};
-  Mbr a = Mbr::FromCorners(lo1.data(), hi1.data(), 2);
-  Mbr b = Mbr::FromCorners(lo2.data(), hi2.data(), 2);
-  Mbr c = Mbr::FromCorners(lo3.data(), hi3.data(), 2);
-  EXPECT_DOUBLE_EQ(a.OverlapArea(b), 1.0);
-  EXPECT_DOUBLE_EQ(a.OverlapArea(c), 0.0);
 }
 
 TEST(MbrTest, MinCornerSum) {

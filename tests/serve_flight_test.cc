@@ -239,6 +239,45 @@ TEST_F(FlightTest, BatchMembersShareOneBatchId) {
   EXPECT_NE(records[1].query_id, records[2].query_id);
 }
 
+TEST_F(FlightTest, QueuedGroupRecordsCarryTheGroupsLapsAndCounters) {
+  // Three queries queued behind the test seam drain as one group. Every
+  // Submit carries a control, so the group is lapped, and each member's
+  // record carries the group's laps, counters and slowest shard under
+  // one batch id.
+  ServerOptions options = SmallOptions();
+  options.shards = 2;
+  options.batch_max = 8;
+  options.query_threads = 1;
+  Result<std::unique_ptr<Server>> server = MakeServer(options);
+  ASSERT_TRUE(server.ok());
+  Seed(server->get());
+
+  (*server)->HoldWorkersForTest();
+  QueryRequest request;
+  request.k = 2;
+  std::vector<std::future<QueryResponse>> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back((*server)->Submit(request));
+  (*server)->ReleaseWorkersForTest();
+  for (std::future<QueryResponse>& f : futures) {
+    ASSERT_TRUE(f.get().status.ok());
+  }
+
+  const std::vector<QueryFlightRecord> records =
+      (*server)->flight_recorder().QueryRecords();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_GT(records[0].batch_id, 0u);
+  for (const QueryFlightRecord& record : records) {
+    EXPECT_EQ(record.batch_id, records[0].batch_id);
+    EXPECT_EQ(record.shard_count, 2u);
+    EXPECT_GT(record.phases.TotalSeconds(), 0.0);
+#define SKYUP_TEST_SAME_COUNTER(field) \
+  EXPECT_EQ(record.field, records[0].field) << #field;
+    SKYUP_FLIGHT_RECORD_COUNTERS(SKYUP_TEST_SAME_COUNTER)
+#undef SKYUP_TEST_SAME_COUNTER
+  }
+  EXPECT_GT(records[0].candidates_evaluated + records[0].cache_hits, 0u);
+}
+
 TEST_F(FlightTest, PeriodicSamplerFillsTheSampleRing) {
   ServerOptions options = SmallOptions();
   options.stats_interval_ms = 5;

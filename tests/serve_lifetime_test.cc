@@ -34,8 +34,7 @@ TEST(SnapshotLifetimeTest, ReadersHoldSnapshotsAcrossRebuildPublishes) {
       ProductCostFunction::ReciprocalSum(3, 1e-3);
   auto top_k = [&](const ShardedView& view, size_t k) {
     std::vector<BatchQueryResult> out;
-    TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, 1e-6,
-                     /*threads=*/0, &out);
+    TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, 1e-6, &out);
     return out.front().status;
   };
 

@@ -39,8 +39,8 @@ Result<std::vector<UpgradeResult>> TopK(const ShardedView& view,
                                         const QueryControl* control = nullptr,
                                         ServeStats* stats = nullptr) {
   std::vector<BatchQueryResult> out;
-  TopKShardedBatch(view, cost_fn, {BatchQuery{k, control}}, epsilon,
-                   /*threads=*/0, &out, stats);
+  TopKShardedBatch(view, cost_fn, {BatchQuery{k, control}}, epsilon, &out,
+                   stats);
   if (!out.front().status.ok()) return out.front().status;
   return std::move(out.front().results);
 }
@@ -196,7 +196,6 @@ TEST(TopKOverlayTest, MaskAwareProbeServesSkylineMemberDeathWithoutRescan) {
   Result<std::vector<UpgradeResult>> top =
       TopK(t.AcquireViews(), CostFn(2), 1, 1e-6, nullptr, &stats);
   ASSERT_TRUE(top.ok());
-  EXPECT_EQ(stats.erase_fallback_scans, 0u);
   EXPECT_EQ(stats.candidates_evaluated, 1u);
   // The dead row attains the live box's min corner, so this query must
   // have sat out the prune rather than trusting a stale face.
@@ -246,16 +245,14 @@ TEST(TopKOverlayTest, SoundPrunePreservesExactTopKAcrossPatchedEpochs) {
     competitor_ids.push_back(*id);
     ASSERT_TRUE(t.MaybePublishInline(policy).ok());
 
-    ServeStats stats;
-    Result<std::vector<UpgradeResult>> pruned = TopK(
-        t.AcquireViews(), CostFn(2), 2, 1e-6, nullptr, &stats);
+    Result<std::vector<UpgradeResult>> pruned =
+        TopK(t.AcquireViews(), CostFn(2), 2);
     ASSERT_TRUE(pruned.ok());
     Result<std::vector<UpgradeResult>> oracle =
         TopK(CleanView(&t), CostFn(2), 2);
     ASSERT_TRUE(oracle.ok());
     ExpectExactlyEqual(*pruned, *oracle,
                        "round=" + std::to_string(round));
-    EXPECT_EQ(stats.erase_fallback_scans, 0u);
   }
   // Every round's 2-op backlog crossed the threshold against a well-fed
   // indexed base, so the publishes above really were patches.
@@ -289,7 +286,6 @@ TEST(TopKOverlayTest, StatsCountDeltaScans) {
       TopK(t.AcquireViews(), CostFn(2), 1, 1e-6, nullptr, &stats).ok());
   EXPECT_EQ(stats.delta_ops_scanned, 5u);
   EXPECT_EQ(stats.candidates_evaluated, 1u);
-  EXPECT_EQ(stats.erase_fallback_scans, 0u);
 }
 
 }  // namespace

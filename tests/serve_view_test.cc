@@ -80,9 +80,12 @@ TEST(ViewConsistencyTest, ConcurrentViewsAnswerAtTheirCapturedPrefix) {
   const ProductCostFunction cost_fn = CostFn();
 
   // Readers query back to back until the writer is done, and keep one
-  // answer per version they observe.
+  // answer per version they observe. The writer waits for reader 0's
+  // first answer at mid-stream and for a second, later one at the end, so
+  // at least two versions are observed however the threads are scheduled.
   constexpr size_t kReaders = 2;
   std::atomic<bool> done{false};
+  std::atomic<size_t> reader0_answers{0};
   std::vector<std::vector<Answer>> answers(kReaders);
   std::vector<std::thread> readers;
   for (size_t r = 0; r < kReaders; ++r) {
@@ -92,22 +95,31 @@ TEST(ViewConsistencyTest, ConcurrentViewsAnswerAtTheirCapturedPrefix) {
         const ShardedView views = server.table().AcquireViews();
         std::vector<BatchQueryResult> out;
         TopKShardedBatch(views, cost_fn, {BatchQuery{k, nullptr}},
-                         options.default_epsilon, /*threads=*/0, &out);
+                         options.default_epsilon, &out);
         EXPECT_TRUE(out.front().status.ok());
         if (answers[r].empty() || answers[r].back().version != views.version) {
           answers[r].push_back(
               Answer{views.version, k, std::move(out.front().results)});
+          if (r == 0) reader0_answers.fetch_add(1);
         }
       }
     });
   }
+  bool applied_all = true;
   for (size_t i = 0; i < ops.size(); ++i) {
     const Status status = Apply(&server, ops[i]);
     if (!status.ok()) {
       ADD_FAILURE() << "op " << i << ": " << status.ToString();
+      applied_all = false;
       break;
     }
     if (i % 8 == 0) std::this_thread::yield();
+    if (i == ops.size() / 2) {
+      while (reader0_answers.load() < 1) std::this_thread::yield();
+    }
+  }
+  while (applied_all && reader0_answers.load() < 2) {
+    std::this_thread::yield();
   }
   done.store(true);
   for (std::thread& reader : readers) reader.join();

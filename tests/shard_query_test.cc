@@ -1,19 +1,22 @@
 // Tests for the serve tier's scatter-gather top-k (serve/shard/
 // shard_query.h): the query is a pure function of the live value set, so
-// results must not depend on publish state, worker count, or whether a
-// query runs alone or inside a group — each checked bit-for-bit. Also
-// pins the counter semantics (shard_queries/shard_fanout bump, cache
-// counters track the GLOBAL upgrade cache — per-shard caches do not
-// exist), the flight-recorder attribution struct, and the per-phase laps
-// a solo query reports. Exactness against a from-scratch oracle at random
+// results must not depend on publish state, shard count (nor on how many
+// shards one worker folds), or whether a query runs alone or inside a
+// group — each checked bit-for-bit. Also pins the counter semantics
+// (shard_queries/shard_fanout bump, cache counters track the GLOBAL
+// upgrade cache — per-shard caches do not exist), the flight-recorder
+// attribution struct, and the per-phase laps a query reports, cold or
+// warm cache. Exactness against a from-scratch oracle at random
 // shard counts lives in fuzz/fuzz_serve.cc and tests/serve_query_test.cc.
 
 #include "serve/shard/shard_query.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/cost_function.h"
@@ -67,11 +70,11 @@ std::unique_ptr<ShardedTable> BuildTable(size_t shards, uint64_t seed,
 // One query, alone — a group of one, the way Server::Query runs it.
 Result<std::vector<UpgradeResult>> Solo(
     const ShardedView& view, const ProductCostFunction& cost_fn, size_t k,
-    size_t threads = 0, ServeStats* stats = nullptr,
-    QueryTelemetry* telemetry = nullptr, ShardQueryInfo* info = nullptr) {
+    ServeStats* stats = nullptr, QueryTelemetry* telemetry = nullptr,
+    ShardQueryInfo* info = nullptr) {
   std::vector<BatchQueryResult> out;
-  TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, kEps, threads,
-                   &out, stats, telemetry, info);
+  TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, kEps, &out,
+                   stats, telemetry, info);
   if (!out.front().status.ok()) return out.front().status;
   return std::move(out.front().results);
 }
@@ -118,17 +121,27 @@ TEST(ShardQueryTest, PublishStateDoesNotChangeResults) {
 }
 
 TEST(ShardQueryTest, WorkerCountDoesNotChangeResults) {
+  // The scatter runs on min(shards, hardware threads) workers; with more
+  // than twice as many shards as hardware threads, some worker folds
+  // several shards in a row. Stable ids come from the table in op order,
+  // so the same op stream on one shard must give the same bytes.
+  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  const size_t wide = std::min(2 * hardware + 1, kMaxShards);
   const ProductCostFunction cost_fn =
       ProductCostFunction::ReciprocalSum(2, 1e-3);
-  std::unique_ptr<ShardedTable> table =
-      BuildTable(/*shards=*/5, /*seed=*/13, /*steps=*/140);
-  const ShardedView view = Uncached(table->AcquireViews());
-  auto serial = Solo(view, cost_fn, 6, /*threads=*/1);
-  ASSERT_TRUE(serial.ok());
-  for (const size_t threads : {0u, 2u, 3u, 16u}) {
-    auto got = Solo(view, cost_fn, 6, threads);
-    ASSERT_TRUE(got.ok()) << "threads=" << threads;
-    ExpectSameResults(*serial, *got);
+  std::unique_ptr<ShardedTable> one =
+      BuildTable(/*shards=*/1, /*seed=*/13, /*steps=*/140);
+  std::unique_ptr<ShardedTable> many =
+      BuildTable(wide, /*seed=*/13, /*steps=*/140);
+  for (const size_t k : {1u, 6u, 40u}) {
+    auto want = Solo(Uncached(one->AcquireViews()), cost_fn, k);
+    ASSERT_TRUE(want.ok());
+    ShardQueryInfo info;
+    auto got = Solo(Uncached(many->AcquireViews()), cost_fn, k,
+                    /*stats=*/nullptr, /*telemetry=*/nullptr, &info);
+    ASSERT_TRUE(got.ok()) << "k=" << k;
+    ExpectSameResults(*want, *got);
+    EXPECT_EQ(info.shard_count, wide);
   }
 }
 
@@ -161,22 +174,20 @@ TEST(ShardQueryTest, BatchMembersMatchTheirSoloRuns) {
     batch.push_back(q);
   }
   batch.push_back(BatchQuery{/*k=*/0, /*control=*/nullptr});
-  for (const size_t threads : {0u, 1u, 2u, 8u}) {
-    std::vector<BatchQueryResult> out;
-    ServeStats stats;
-    TopKShardedBatch(view, cost_fn, batch, kEps, threads, &out, &stats);
-    ASSERT_EQ(out.size(), batch.size());
-    for (size_t i = 0; i + 1 < out.size(); ++i) {
-      ASSERT_TRUE(out[i].status.ok()) << "member " << i;
-      auto solo = Solo(view, cost_fn, batch[i].k, /*threads=*/1);
-      ASSERT_TRUE(solo.ok());
-      ExpectSameResults(*solo, out[i].results);
-    }
-    EXPECT_EQ(out.back().status.code(), StatusCode::kInvalidArgument);
-    EXPECT_TRUE(out.back().results.empty());
-    EXPECT_EQ(stats.shard_queries, 5u) << "threads=" << threads;
-    EXPECT_EQ(stats.shard_fanout, 15u) << "threads=" << threads;
+  std::vector<BatchQueryResult> out;
+  ServeStats stats;
+  TopKShardedBatch(view, cost_fn, batch, kEps, &out, &stats);
+  ASSERT_EQ(out.size(), batch.size());
+  for (size_t i = 0; i + 1 < out.size(); ++i) {
+    ASSERT_TRUE(out[i].status.ok()) << "member " << i;
+    auto solo = Solo(view, cost_fn, batch[i].k);
+    ASSERT_TRUE(solo.ok());
+    ExpectSameResults(*solo, out[i].results);
   }
+  EXPECT_EQ(out.back().status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(out.back().results.empty());
+  EXPECT_EQ(stats.shard_queries, 5u);
+  EXPECT_EQ(stats.shard_fanout, 15u);
 }
 
 TEST(ShardQueryTest, CountersBumpAndGlobalCacheServesRepeats) {
@@ -191,8 +202,7 @@ TEST(ShardQueryTest, CountersBumpAndGlobalCacheServesRepeats) {
   ServeStats stats;
   QueryTelemetry telemetry;
   ShardQueryInfo info;
-  auto got = Solo(view, cost_fn, 4, /*threads=*/0, &stats, &telemetry,
-                  &info);
+  auto got = Solo(view, cost_fn, 4, &stats, &telemetry, &info);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.shard_queries, 1u);
   EXPECT_EQ(stats.shard_fanout, 3u);
@@ -203,22 +213,27 @@ TEST(ShardQueryTest, CountersBumpAndGlobalCacheServesRepeats) {
   EXPECT_EQ(info.shard_count, 3u);
   EXPECT_LT(info.slowest_shard, 3u);
   EXPECT_GE(info.slowest_shard_seconds, 0.0);
-  // A solo query with telemetry laps its phases on every shard worker:
-  // one breakdown row per shard, and the cold probes took time.
+  // A query with telemetry laps its phases on every shard: one breakdown
+  // row per shard, and the cold probes took time.
   EXPECT_EQ(telemetry.phases.per_shard.size(), 3u);
   EXPECT_GT(telemetry.phases.total.probe_seconds, 0.0);
   EXPECT_GT(telemetry.phases.total.upgrade_seconds, 0.0);
 
   // A repeat of the same query is served wholly from the cache — zero
-  // candidate evaluations — and stays byte-identical.
+  // candidate evaluations — and stays byte-identical. It runs no probe or
+  // upgrade; each shard laps its run of hits into `other` once.
   ServeStats repeat_stats;
-  auto repeat = Solo(table->AcquireViews(), cost_fn, 4, /*threads=*/0,
-                     &repeat_stats);
+  QueryTelemetry repeat_telemetry;
+  auto repeat = Solo(table->AcquireViews(), cost_fn, 4, &repeat_stats,
+                     &repeat_telemetry);
   ASSERT_TRUE(repeat.ok());
   ExpectSameResults(*got, *repeat);
   EXPECT_EQ(repeat_stats.cache_hits, stats.cache_misses);
   EXPECT_EQ(repeat_stats.cache_misses, 0u);
   EXPECT_EQ(repeat_stats.candidates_evaluated, 0u);
+  EXPECT_EQ(repeat_telemetry.phases.total.probe_seconds, 0.0);
+  EXPECT_EQ(repeat_telemetry.phases.total.upgrade_seconds, 0.0);
+  EXPECT_GT(repeat_telemetry.phases.total.other_seconds, 0.0);
 
   // An update that can change dominator skylines invalidates through the
   // routed op stream: the next query recomputes (some misses) yet still
@@ -226,7 +241,7 @@ TEST(ShardQueryTest, CountersBumpAndGlobalCacheServesRepeats) {
   ASSERT_TRUE(table->InsertCompetitor({0.01, 0.01}).ok());
   const ShardedView updated = table->AcquireViews();
   ServeStats warm_stats;
-  auto warm = Solo(updated, cost_fn, 4, /*threads=*/0, &warm_stats);
+  auto warm = Solo(updated, cost_fn, 4, &warm_stats);
   ASSERT_TRUE(warm.ok());
   EXPECT_GT(warm_stats.cache_misses, 0u);
   auto expect = Solo(Uncached(updated), cost_fn, 4);

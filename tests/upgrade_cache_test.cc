@@ -168,8 +168,8 @@ TEST(UpgradeCacheTest, CachedQueriesMatchUncachedUnderChurn) {
       ProductCostFunction::ReciprocalSum(dims, 1e-3);
   auto top_k = [&](const ShardedView& view, size_t k, ServeStats* stats) {
     std::vector<BatchQueryResult> out;
-    TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, 1e-6,
-                     /*threads=*/0, &out, stats);
+    TopKShardedBatch(view, cost_fn, {BatchQuery{k, nullptr}}, 1e-6, &out,
+                     stats);
     EXPECT_TRUE(out.front().status.ok()) << out.front().status.ToString();
     return std::move(out.front().results);
   };

@@ -64,8 +64,7 @@ commands:
              listen as a multi-tenant network front door
              --replay=OPS.csv [--out=FILE] [--metrics-out=FILE]
              [--shards=1] [--epsilon=1e-6] [--fanout=64]
-             [--rebuild-threshold=64]
-             [--min-publish-backlog=1] [--compact-tombstone-pct=50]
+             [--rebuild-threshold=64] [--compact-tombstone-pct=50]
              [--compact-tail-pct=150] [--batch-max=1]
              [--batch-wait-us=200] [--memo-cache-mb=16]
              | --gen-ops=FILE --ops=N --dims=D [--seed=1]
@@ -844,7 +843,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto fanout = ToInt(flags.GetOr("fanout", "64"));
   const auto shards = ToInt(flags.GetOr("shards", "1"));
   const auto threshold = ToInt(flags.GetOr("rebuild-threshold", "64"));
-  const auto min_backlog = ToInt(flags.GetOr("min-publish-backlog", "1"));
   const auto tombstone_pct = ToInt(flags.GetOr("compact-tombstone-pct", "50"));
   const auto tail_pct = ToInt(flags.GetOr("compact-tail-pct", "150"));
   const auto batch_max = ToInt(flags.GetOr("batch-max", "1"));
@@ -852,11 +850,11 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto memo_mb = ToInt(flags.GetOr("memo-cache-mb", "16"));
   const auto out_path = flags.Get("out");
   const auto metrics_path = flags.Get("metrics-out");
-  if (!epsilon || !fanout || !shards || !threshold || !min_backlog ||
-      !tombstone_pct || !tail_pct || !batch_max || !batch_wait || !memo_mb ||
+  if (!epsilon || !fanout || !shards || !threshold || !tombstone_pct ||
+      !tail_pct || !batch_max || !batch_wait || !memo_mb ||
       !IsValidEpsilon(*epsilon) || *fanout < 2 || *shards < 1 ||
-      *threshold < 1 || *min_backlog < 1 || *tombstone_pct < 1 ||
-      *tail_pct < 1 || *batch_max < 1 || *batch_wait < 0 || *memo_mb < 0) {
+      *threshold < 1 || *tombstone_pct < 1 || *tail_pct < 1 ||
+      *batch_max < 1 || *batch_wait < 0 || *memo_mb < 0) {
     return Usage(err, "serve: malformed numeric flag");
   }
 
@@ -869,7 +867,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   options.default_epsilon = *epsilon;
   options.rtree_fanout = static_cast<size_t>(*fanout);
   options.rebuild_threshold_ops = static_cast<size_t>(*threshold);
-  options.publish_min_backlog = static_cast<size_t>(*min_backlog);
   options.compact_tombstone_pct = static_cast<size_t>(*tombstone_pct);
   options.compact_tail_pct = static_cast<size_t>(*tail_pct);
   options.batch_max = static_cast<size_t>(*batch_max);

@@ -16,10 +16,11 @@
 //     shared_ptr; a chunk never moves, and adding one replaces the chunk
 //     list rather than growing it in place, so a captured list stays
 //     valid while the log keeps growing and outlives the epoch;
-//   - every write happens under the owning table's mutex before the
-//     counts that expose it are bumped, and nothing below a count is ever
-//     written again — so a reader whose counts were captured under that
-//     mutex reads the rows below them with no lock and no atomics.
+//   - every write happens under the writer side of the table fence
+//     (ShardedTable::route_mu_) before the counts that expose it are
+//     bumped, and nothing below a count is ever written again — so a
+//     reader whose counts were captured under the reader side reads the
+//     rows below them with no lock and no atomics.
 //
 // Overlay soundness (full argument in docs/algorithms.md):
 //   - erased competitors are composed into the index probe as a per-row
@@ -56,10 +57,10 @@ enum class DeltaTarget : uint8_t {
 
 enum class DeltaKind : uint8_t { kInsert, kErase };
 
-/// One accepted update as a value — what the write-ahead hook and the
-/// upgrade cache observe. `coords` is sized `dims` for inserts and empty
-/// for erases; `id` is the table-scoped stable id the op creates or
-/// removes. The log itself stores resolved rows, not these.
+/// One accepted update as a value — what the upgrade cache observes.
+/// `coords` is sized `dims` for inserts and empty for erases; `id` is the
+/// table-scoped stable id the op creates or removes. The log itself
+/// stores resolved rows, not these.
 struct DeltaOp {
   DeltaTarget target = DeltaTarget::kCompetitor;
   DeltaKind kind = DeltaKind::kInsert;
@@ -108,7 +109,7 @@ struct DeltaChunks {
   }
 };
 
-/// A prefix of one epoch's log, captured under the owning table's mutex:
+/// A prefix of one epoch's log, captured under the table fence:
 /// the chunk list and the counts that bound what a reader may touch.
 /// Copying one copies a shared_ptr and five integers.
 struct DeltaPrefix {
@@ -200,8 +201,8 @@ class DeltaMasks {
 };
 
 /// One epoch's append-only log, bound to the epoch's base snapshot. Not
-/// synchronized: every call happens under the owning LiveTable's mutex,
-/// and readers only ever see it through captured prefixes.
+/// synchronized: every call happens under the owning ShardedTable's fence
+/// (`route_mu_`), and readers only ever see it through captured prefixes.
 class DeltaLog {
  public:
   explicit DeltaLog(std::shared_ptr<const Snapshot> base);

@@ -4,11 +4,12 @@
 // Snapshot publication: folding a frozen delta-log prefix into the next
 // epoch. The prefix is already resolved (serve/delta_log.h): erases name
 // the rows they kill, so a publish digests it with the same `DeltaMasks`
-// a query uses and never maps an id. ShardedTable drives it — one publish cycle freezes, merges and
-// installs every shard, either inline after an update (the deterministic
-// mode replay uses) or on its coordinator thread. Publication is atomic
-// via `LiveTable::CompleteRebuild`; in-flight queries keep their pinned
-// epochs until they drop them.
+// a query uses and never maps an id. ShardedTable drives it — one
+// publish cycle freezes, merges and installs every shard, either inline
+// after an update (the deterministic mode replay uses) or on its
+// coordinator thread. Publication is atomic: every shard installs under
+// the writer side of the table fence (serve/shard/sharded_table.h);
+// in-flight queries keep their pinned epochs until they drop them.
 //
 // Two publish flavors share the pipeline:
 //   - *patch* (`PatchSnapshot`): O(rows) clone of the base — erases
@@ -51,19 +52,8 @@ enum class PublishKind : uint8_t {
 struct RebuildPolicy {
   /// Publish once the backlog holds at least this many ops.
   size_t threshold_ops = 1024;
-  /// Also publish a non-empty backlog once the snapshot is older than
-  /// this many seconds (<= 0 disables the age trigger — required for
-  /// deterministic replay). Only the background coordinator applies it.
-  double max_age_seconds = 0.0;
   /// Background coordinator poll interval between nudges.
   double poll_interval_seconds = 0.05;
-  /// Storm hysteresis, background coordinator only: the age trigger never
-  /// fires below this backlog, and no publish (either trigger) happens
-  /// within this many seconds of the previous one. The op-count threshold
-  /// still wins eventually, so a sustained burst is bounded by
-  /// `threshold_ops`, not starved.
-  size_t min_publish_backlog = 1;
-  double min_publish_interval_seconds = 0.0;
   /// Patch-vs-major decision: publish a major compaction when the patched
   /// index would be at least this % tombstones, or the unindexed tail
   /// would reach this % of the indexed slot count. A base with no indexed

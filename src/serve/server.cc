@@ -30,9 +30,7 @@ Server::Server(ProductCostFunction cost_fn, ServerOptions options,
                std::unique_ptr<ShardedTable> table)
     : cost_fn_(std::move(cost_fn)),
       options_(options),
-      table_(std::move(table)),
-      recorder_(FlightRecorderOptions{options.flight_query_ring,
-                                      options.flight_sample_ring}) {
+      table_(std::move(table)) {
   recorder_.set_enabled(options_.flight_recorder);
 }
 
@@ -81,9 +79,6 @@ Result<std::unique_ptr<Server>> Server::Create(ProductCostFunction cost_fn,
                                             std::move(table).value()));
   RebuildPolicy policy;
   policy.threshold_ops = options.rebuild_threshold_ops;
-  policy.max_age_seconds = options.rebuild_max_age_seconds;
-  policy.min_publish_backlog = options.publish_min_backlog;
-  policy.min_publish_interval_seconds = options.publish_min_interval_seconds;
   policy.compact_tombstone_pct = options.compact_tombstone_pct;
   policy.compact_tail_pct = options.compact_tail_pct;
   server->inline_policy_ = policy;
@@ -157,8 +152,8 @@ void Server::AfterUpdate(const Status& outcome) {
   // publish-cycle boundaries are identical for every shard count (the
   // `--shards` replay guard depends on this). Cycle counters live in the
   // table; stats() overlays them. A failed cycle is remembered by the
-  // table (last_error()); frozen ops stay pending and the next cycle
-  // re-offers them.
+  // table (last_error()) and installs nothing; its ops stay pending for
+  // the next cycle.
   (void)table_->MaybePublishInline(inline_policy_);
 }
 
@@ -511,7 +506,7 @@ void Server::RecordRejection(const QueryControl& control,
 void Server::TakeSystemSample(bool heartbeat) {
   SystemSample sample;
   sample.ts_us = NowUnixMicros();
-  const LiveTable::Diagnostics diag = table_->SampleDiagnostics();
+  const ShardedTable::Diagnostics diag = table_->SampleDiagnostics();
   sample.epoch = diag.epoch;
   sample.snapshot_age_seconds = diag.snapshot_age_seconds;
   sample.delta_backlog = diag.delta_backlog;
@@ -620,12 +615,6 @@ void Server::FillMetrics(MetricsRegistry* registry) const {
       {"skyup_serve_rebuild_threshold_ops",
        "configured backlog size that forces a publish",
        options_.rebuild_threshold_ops},
-      {"skyup_serve_publish_min_backlog",
-       "configured minimum backlog for the age-triggered publish",
-       options_.publish_min_backlog},
-      {"skyup_serve_publish_min_interval_ms",
-       "configured minimum milliseconds between publishes",
-       static_cast<uint64_t>(options_.publish_min_interval_seconds * 1000.0)},
       {"skyup_serve_compact_tombstone_pct",
        "configured tombstone % that escalates a patch to a compaction",
        options_.compact_tombstone_pct},
@@ -650,7 +639,7 @@ void Server::FillMetrics(MetricsRegistry* registry) const {
   }
   // One consistent health sample, aggregated across shards exactly like
   // the heartbeat's.
-  const LiveTable::Diagnostics diag = table_->SampleDiagnostics();
+  const ShardedTable::Diagnostics diag = table_->SampleDiagnostics();
   registry
       ->AddGauge("skyup_serve_snapshot_epoch",
                  "epoch of the currently published snapshot")

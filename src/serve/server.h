@@ -57,14 +57,9 @@ struct ServerOptions {
   size_t max_pending = 64;
   double default_epsilon = 1e-6;
   size_t rtree_fanout = 64;
-  /// Publish triggers and patch-vs-major policy (serve/rebuilder.h).
+  /// Publish trigger: a cycle folds the delta log once the backlog holds
+  /// this many ops (serve/rebuilder.h).
   size_t rebuild_threshold_ops = 1024;
-  double rebuild_max_age_seconds = 0.0;
-  /// Storm hysteresis (background publishes): the age trigger needs at
-  /// least this backlog, and publishes are rate-capped to one per
-  /// interval. Echoed as gauges by Server::FillMetrics.
-  size_t publish_min_backlog = 1;
-  double publish_min_interval_seconds = 0.0;
   /// Patch-vs-major escalation thresholds (percent of indexed slots);
   /// rebuilder.h explains the defaults.
   size_t compact_tombstone_pct = 50;
@@ -86,12 +81,11 @@ struct ServerOptions {
   /// queries (serve/skyline_memo.h); 0 disables memoization.
   size_t memo_cache_mb = 16;
   /// Flight recorder (obs/flight_recorder.h): always-on bounded-memory
-  /// rings of completed-query records and periodic system samples, kept
-  /// for post-hoc dumps. Observe-only — turning it off changes nothing
-  /// but the per-query record cost (one relaxed load when off).
+  /// rings of completed-query records and periodic system samples (sized
+  /// by the `FlightRecorderOptions` defaults), kept for post-hoc dumps.
+  /// Observe-only — turning it off changes nothing but the per-query
+  /// record cost (one relaxed load when off).
   bool flight_recorder = true;
-  size_t flight_query_ring = 1024;  ///< completed-query records retained
-  size_t flight_sample_ring = 256;  ///< system samples retained
   /// Queries whose end-to-end latency reaches this many microseconds are
   /// promoted: marked slow in their flight record and emitted as a
   /// structured-log record carrying their retained trace spans.

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "obs/log.h"
+#include "serve/skyline_memo.h"
 #include "serve/upgrade_cache.h"
 #include "util/check.h"
 
@@ -24,22 +26,28 @@ Result<std::unique_ptr<ShardedTable>> ShardedTable::Create(
     return Status::InvalidArgument("sharded table shards must be in [1, " +
                                    std::to_string(kMaxShards) + "]");
   }
-  std::unique_ptr<ShardedTable> sharded(new ShardedTable(options));
-  sharded->tables_.reserve(options.shards);
-  LiveTableOptions shard_options;
-  shard_options.dims = options.dims;
-  shard_options.rtree_fanout = options.rtree_fanout;
-  shard_options.memo_cache_bytes = options.memo_cache_bytes / options.shards;
-  for (size_t s = 0; s < options.shards; ++s) {
-    Result<std::unique_ptr<LiveTable>> table =
-        LiveTable::Create(shard_options);
-    if (!table.ok()) return table.status();
-    sharded->tables_.push_back(std::move(table).value());
+  if (options.rtree_fanout < 2) {
+    return Status::InvalidArgument("R-tree fanout must be at least 2");
   }
+  // Every shard starts on the same immutable empty epoch-1 snapshot.
+  Result<std::shared_ptr<const Snapshot>> empty = Snapshot::Create(
+      /*epoch=*/1, Dataset(options.dims), {}, Dataset(options.dims), {},
+      options.rtree_fanout);
+  if (!empty.ok()) return empty.status();
+  const size_t memo_bytes = options.memo_cache_bytes / options.shards;
+  std::unique_ptr<ShardedTable> sharded(new ShardedTable(options));
   {
     // Not shared yet; the lock only keeps the GUARDED_BY invariant
-    // unconditional (same construction pattern as LiveTable::Create).
+    // unconditional.
     WriterLock lock(sharded->route_mu_);
+    sharded->shards_.reserve(options.shards);
+    for (size_t s = 0; s < options.shards; ++s) {
+      sharded->shards_.push_back(Shard{
+          DeltaLog(*empty),
+          memo_bytes > 0
+              ? std::make_shared<SkylineMemo>(options.dims, memo_bytes)
+              : nullptr});
+    }
     ShardPartitionerOptions part;
     part.dims = options.dims;
     part.shards = options.shards;
@@ -50,83 +58,83 @@ Result<std::unique_ptr<ShardedTable>> ShardedTable::Create(
   return sharded;
 }
 
-Result<uint64_t> ShardedTable::InsertCompetitor(
-    const std::vector<double>& coords) {
+Result<uint64_t> ShardedTable::Insert(DeltaTarget target,
+                                      const std::vector<double>& coords) {
   if (coords.size() != options_.dims) {
     return Status::InvalidArgument(
         "insert has " + std::to_string(coords.size()) + " coords, table is " +
         std::to_string(options_.dims) + "-dimensional");
   }
+  const bool competitor = target == DeltaTarget::kCompetitor;
   WriterLock lock(route_mu_);
-  const uint64_t id = next_competitor_id_++;
-  const uint32_t shard = partitioner_->RouteCompetitor(coords);
-  competitor_shard_.emplace(id, shard);
+  const uint64_t id = competitor ? next_competitor_id_++ : next_product_id_++;
+  const uint32_t shard = competitor ? partitioner_->RouteCompetitor(coords)
+                                    : partitioner_->RouteProduct(coords);
+  (competitor ? competitor_shard_ : product_shard_).emplace(id, shard);
   // Feed the global cache in id-allocation order, before the op reaches
   // its shard (so no reader sees an op the cache hasn't vetted entries
-  // against). A shard apply cannot fail past this point — arity was
-  // checked above and the id is fresh and the largest yet — so the cache
-  // never observes a phantom op.
-  cache_->OnDeltaOp(
-      DeltaOp{DeltaTarget::kCompetitor, DeltaKind::kInsert, id, coords});
-  return tables_[shard]->InsertCompetitorWithId(id, coords);
+  // against). The append cannot fail past this point — arity was checked
+  // above and the id is fresh and the largest yet — so the cache never
+  // observes a phantom op.
+  cache_->OnDeltaOp(DeltaOp{target, DeltaKind::kInsert, id, coords});
+  shards_[shard].log.AppendInsert(target, id, coords.data());
+  return id;
+}
+
+Status ShardedTable::Erase(DeltaTarget target, uint64_t id) {
+  const bool competitor = target == DeltaTarget::kCompetitor;
+  WriterLock lock(route_mu_);
+  std::unordered_map<uint64_t, uint32_t>& routes =
+      competitor ? competitor_shard_ : product_shard_;
+  auto it = routes.find(id);
+  if (it == routes.end()) {
+    return Status::NotFound(std::string(competitor ? "competitor"
+                                                   : "product") +
+                            " id " + std::to_string(id) + " is not live");
+  }
+  DeltaLog& log = shards_[it->second].log;
+  routes.erase(it);
+  // A routed id is live in its shard: the routing map drops it here, at
+  // its only erase.
+  const std::optional<DeltaErase> erase = log.Resolve(target, id);
+  SKYUP_CHECK(erase.has_value())
+      << "routed id " << id << " has no live row in its shard";
+  cache_->OnDeltaOp(DeltaOp{target, DeltaKind::kErase, id, {}});
+  log.AppendErase(*erase);
+  return Status::OK();
+}
+
+Result<uint64_t> ShardedTable::InsertCompetitor(
+    const std::vector<double>& coords) {
+  return Insert(DeltaTarget::kCompetitor, coords);
 }
 
 Result<uint64_t> ShardedTable::InsertProduct(
     const std::vector<double>& coords) {
-  if (coords.size() != options_.dims) {
-    return Status::InvalidArgument(
-        "insert has " + std::to_string(coords.size()) + " coords, table is " +
-        std::to_string(options_.dims) + "-dimensional");
-  }
-  WriterLock lock(route_mu_);
-  const uint64_t id = next_product_id_++;
-  const uint32_t shard = partitioner_->RouteProduct(coords);
-  product_shard_.emplace(id, shard);
-  cache_->OnDeltaOp(
-      DeltaOp{DeltaTarget::kProduct, DeltaKind::kInsert, id, coords});
-  return tables_[shard]->InsertProductWithId(id, coords);
+  return Insert(DeltaTarget::kProduct, coords);
 }
 
 Status ShardedTable::EraseCompetitor(uint64_t id) {
-  WriterLock lock(route_mu_);
-  auto it = competitor_shard_.find(id);
-  if (it == competitor_shard_.end()) {
-    return Status::NotFound("competitor id " + std::to_string(id) +
-                            " is not live");
-  }
-  const uint32_t shard = it->second;
-  competitor_shard_.erase(it);
-  cache_->OnDeltaOp(
-      DeltaOp{DeltaTarget::kCompetitor, DeltaKind::kErase, id, {}});
-  return tables_[shard]->EraseCompetitor(id);
+  return Erase(DeltaTarget::kCompetitor, id);
 }
 
 Status ShardedTable::EraseProduct(uint64_t id) {
-  WriterLock lock(route_mu_);
-  auto it = product_shard_.find(id);
-  if (it == product_shard_.end()) {
-    return Status::NotFound("product id " + std::to_string(id) +
-                            " is not live");
-  }
-  const uint32_t shard = it->second;
-  product_shard_.erase(it);
-  cache_->OnDeltaOp(
-      DeltaOp{DeltaTarget::kProduct, DeltaKind::kErase, id, {}});
-  return tables_[shard]->EraseProduct(id);
+  return Erase(DeltaTarget::kProduct, id);
 }
 
 ShardedView ShardedTable::AcquireViews() const {
   // The reader side of the table fence. Every op runs (cache feed and
-  // shard apply) and every publish installs under the writer side, so
+  // log append) and every publish installs under the writer side, so
   // the capture below is one cut of the op stream: exactly the first
   // `version` ops, every shard at one epoch.
   ShardedView sharded;
   sharded.cache = cache_;
-  sharded.views.reserve(tables_.size());
+  sharded.views.reserve(options_.shards);
   ReaderLock lock(route_mu_);
   sharded.version = cache_->version();
-  for (const std::unique_ptr<LiveTable>& table : tables_) {
-    sharded.views.push_back(table->AcquireView());
+  for (const Shard& shard : shards_) {
+    sharded.views.push_back(
+        ReadView{shard.log.base(), shard.log.prefix(), shard.memo});
   }
   sharded.epoch = sharded.views.front().epoch();
   for (const ReadView& view : sharded.views) {
@@ -139,65 +147,67 @@ ShardedView ShardedTable::AcquireViews() const {
 
 Result<size_t> ShardedTable::MaybePublishInline(const RebuildPolicy& policy) {
   MutexLock lock(coord_mu_);
-  if (delta_backlog() < policy.threshold_ops) return size_t{0};
+  if (!ShouldPublish(policy)) return size_t{0};
   return PublishCycle(policy);
 }
 
 // One publish cycle, all shards in lock-step:
-//   freeze    every shard's delta log (allow_empty keeps idle shards in
-//             the cycle so epochs never diverge),
-//   merge     each shard outside every lock readers touch — patch or
-//             compact per shard-local churn (ChoosePublish),
-//   install   all shards under the exclusive epoch fence.
-// Serialized by coord_mu_ (held by the caller), so freeze never finds a
-// rebuild already in flight.
+//   freeze    every shard at one cut of the op stream — a view capture
+//             under the reader side, so counts, not copies (idle shards
+//             stay in the cycle so epochs never diverge),
+//   merge     each shard outside the fence — patch or compact per
+//             shard-local churn (ChoosePublish),
+//   install   all shards under the writer side: the merged snapshot
+//             starts its epoch's log, which carries over the ops
+//             appended past the freeze, and the shard's memo rolls.
+// Serialized by coord_mu_ (held by the caller), so nothing replaces a
+// log between its freeze and its install. A failed merge installs
+// nothing and leaves every log untouched: its ops stay pending for the
+// next cycle.
 Result<size_t> ShardedTable::PublishCycle(const RebuildPolicy& policy) {
-  const size_t n = tables_.size();
-  std::vector<LiveTable::RebuildJob> jobs;
-  jobs.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    std::optional<LiveTable::RebuildJob> job =
-        tables_[s]->BeginRebuild(/*allow_empty=*/true);
-    SKYUP_CHECK(job.has_value())
-        << "shard " << s << " had a rebuild in flight during a cycle";
-    jobs.push_back(std::move(*job));
-  }
-
+  const ShardedView frozen = AcquireViews();
+  const uint64_t next_epoch = frozen.epoch + 1;
+  const size_t n = frozen.views.size();
   size_t cycle_majors = 0;
+  size_t ops = 0;
   std::vector<std::shared_ptr<const Snapshot>> next(n);
   for (size_t s = 0; s < n; ++s) {
-    const PublishKind kind = ChoosePublish(*jobs[s].base, jobs[s].ops, policy);
+    const Snapshot& base = *frozen.views[s].snapshot;
+    const DeltaPrefix& prefix = frozen.views[s].deltas;
+    const PublishKind kind = ChoosePublish(base, prefix, policy);
     Result<std::shared_ptr<const Snapshot>> merged =
         kind == PublishKind::kMajor
-            ? MergeSnapshot(*jobs[s].base, jobs[s].ops, jobs[s].next_epoch,
-                            tables_[s]->rtree_fanout())
-            : PatchSnapshot(*jobs[s].base, jobs[s].ops, jobs[s].next_epoch);
+            ? MergeSnapshot(base, prefix, next_epoch, options_.rtree_fanout)
+            : PatchSnapshot(base, prefix, next_epoch);
     if (!merged.ok()) {
-      // Unwind the whole cycle: every shard keeps its frozen ops pending
-      // and the next cycle re-offers them; no shard installs, so the
-      // common-epoch invariant holds.
-      for (size_t u = 0; u < n; ++u) tables_[u]->AbandonRebuild();
       last_error_ = merged.status();
       return merged.status();
     }
     if (kind == PublishKind::kMajor) ++cycle_majors;
+    ops += prefix.size();
     next[s] = std::move(merged).value();
   }
 
   {
     WriterLock fence(route_mu_);
     for (size_t s = 0; s < n; ++s) {
-      tables_[s]->CompleteRebuild(std::move(next[s]));
+      Shard& shard = shards_[s];
+      DeltaLog log(std::move(next[s]));
+      log.CarryOver(shard.log, frozen.views[s].deltas);
+      shard.log = std::move(log);
+      // Epoch rollover: old-epoch memo entries can never match new-epoch
+      // lookups (entries self-describe their epoch), so dropping the
+      // cache is purely memory reclamation — the "free invalidation" of
+      // epoch scoping.
+      if (shard.memo != nullptr) shard.memo->OnPublish();
     }
   }
   majors_ += cycle_majors;
   patches_ += n - cycle_majors;
   ++cycles_;
   if (LogEnabled(LogLevel::kInfo)) {
-    size_t ops = 0;
-    for (const LiveTable::RebuildJob& job : jobs) ops += job.ops.size();
     LogRecord(LogLevel::kInfo, "publish")
-        .U64("epoch", jobs.front().next_epoch)
+        .U64("epoch", next_epoch)
         .U64("shards", n)
         .U64("majors", cycle_majors)
         .U64("ops", ops);
@@ -207,20 +217,7 @@ Result<size_t> ShardedTable::PublishCycle(const RebuildPolicy& policy) {
 
 bool ShardedTable::ShouldPublish(const RebuildPolicy& policy) const {
   const size_t backlog = delta_backlog();
-  if (backlog == 0) return false;
-  // All shards publish together, so shard 0's snapshot age is the cycle
-  // age. Storm hysteresis: no trigger fires within the minimum interval
-  // of the previous publish, and the age trigger additionally demands a
-  // minimum backlog worth publishing.
-  if (policy.min_publish_interval_seconds > 0.0 &&
-      tables_.front()->snapshot_age_seconds() <
-          policy.min_publish_interval_seconds) {
-    return false;
-  }
-  if (backlog >= policy.threshold_ops) return true;
-  return policy.max_age_seconds > 0.0 &&
-         backlog >= policy.min_publish_backlog &&
-         tables_.front()->snapshot_age_seconds() >= policy.max_age_seconds;
+  return backlog > 0 && backlog >= policy.threshold_ops;
 }
 
 void ShardedTable::Start(const RebuildPolicy& policy) {
@@ -275,34 +272,43 @@ void ShardedTable::Loop() {
 
 uint64_t ShardedTable::epoch() const {
   ReaderLock lock(route_mu_);
-  return tables_.front()->epoch();
+  return shards_.front().log.base()->epoch();
 }
 
 size_t ShardedTable::delta_backlog() const {
+  ReaderLock lock(route_mu_);
   size_t total = 0;
-  for (const std::unique_ptr<LiveTable>& table : tables_) {
-    total += table->delta_backlog();
-  }
+  for (const Shard& shard : shards_) total += shard.log.size();
   return total;
 }
 
-LiveTable::Diagnostics ShardedTable::SampleDiagnostics() const {
-  LiveTable::Diagnostics agg;
-  bool first = true;
-  for (const std::unique_ptr<LiveTable>& table : tables_) {
-    const LiveTable::Diagnostics d = table->SampleDiagnostics();
-    if (first) {
-      agg.epoch = d.epoch;
-      agg.snapshot_age_seconds = d.snapshot_age_seconds;
-      first = false;
+ShardedTable::Diagnostics ShardedTable::SampleDiagnostics() const {
+  // One capture under the reader side; everything else derives from the
+  // captured snapshots and prefixes, outside the fence.
+  const ShardedView sharded = AcquireViews();
+  Diagnostics d;
+  d.epoch = sharded.epoch;
+  d.snapshot_age_seconds =
+      std::chrono::duration<double>(
+          SteadyClock::now() - sharded.views.front().snapshot->published_at())
+          .count();
+  DeltaMasks masks;
+  for (const ReadView& view : sharded.views) {
+    const Snapshot& base = *view.snapshot;
+    d.delta_backlog += view.deltas.size();
+    const FlatRTree& index = base.index();
+    if (index.size() > 0) {
+      d.tombstone_pct = std::max(
+          d.tombstone_pct, 100.0 * static_cast<double>(index.tombstones()) /
+                               static_cast<double>(index.size()));
     }
-    agg.delta_backlog += d.delta_backlog;
-    agg.tombstone_pct = std::max(agg.tombstone_pct, d.tombstone_pct);
-    agg.memo_bytes += d.memo_bytes;
-    agg.live_competitors += d.live_competitors;
-    agg.live_products += d.live_products;
+    if (view.memo != nullptr) d.memo_bytes += view.memo->bytes_used();
+    masks.Build(base, view.deltas);
+    d.live_competitors +=
+        masks.Live(DeltaTarget::kCompetitor, base, view.deltas);
+    d.live_products += masks.Live(DeltaTarget::kProduct, base, view.deltas);
   }
-  return agg;
+  return d;
 }
 
 uint64_t ShardedTable::rebuilds_published() const {

@@ -1,11 +1,11 @@
 #ifndef SKYUP_SERVE_SHARD_SHARDED_TABLE_H_
 #define SKYUP_SERVE_SHARD_SHARDED_TABLE_H_
 
-// The serve tier's live state: N independent `LiveTable` shards (each
-// with its own delta log, publish input, and skyline memo) behind one id
-// space, one spatial router, one cross-shard epoch, and one *global*
-// upgrade-result cache. Every `Server` holds exactly one; N = 1 is the
-// single-table case.
+// The serve tier's live state: N spatial shards (each its epoch's delta
+// log, which carries the base snapshot, and a skyline memo) behind one
+// id space, one spatial router, one cross-shard epoch, one *global*
+// upgrade-result cache and one lock. Every `Server` holds exactly one;
+// N = 1 is the single-table case.
 //
 // Invariants this file owns:
 //
@@ -16,35 +16,37 @@
 //     authority: a routing map remembers each live id's shard, so erases
 //     find their row and an erase of a dead id never reaches a shard.
 //
-//   * One fence, one cut. Every op holds the writer side of `route_mu_`
-//     from id allocation through the cache feed to the shard apply, and
-//     every publish installs all shards under it; `AcquireViews` stamps
-//     the cache clock and captures every shard view under the reader
-//     side. A view set is therefore one cut of the op stream — exactly
-//     the first `version` ops, every shard at one epoch — and a query
-//     sees all-old or all-new, never a mix. Capture copies pointers and
-//     counts only (serve/delta_log.h), so the shared section is short.
-//     Publishes are *cycles*: every shard is frozen, merged outside the
-//     locks, then installed together, so per-shard epochs never diverge
-//     (idle shards publish an O(rows) identity patch to keep step).
+//   * One fence, one cut. `route_mu_` is the only lock on shard state.
+//     Every op holds its writer side from id allocation through the cache
+//     feed to the log append, and every publish installs all shards under
+//     it; `AcquireViews` stamps the cache clock and captures every shard
+//     under the reader side. A view set is therefore one cut of the op
+//     stream — exactly the first `version` ops, every shard at one epoch
+//     — and a query sees all-old or all-new, never a mix. Capture copies
+//     pointers and counts only (serve/delta_log.h), so the shared section
+//     is short. Publishes are *cycles*: every shard is frozen at one cut
+//     (a view capture), merged outside the fence, then installed together,
+//     so per-shard epochs never diverge (idle shards publish an O(rows)
+//     identity patch to keep step).
 //
 //   * Deterministic publish instants. The inline trigger fires on the
 //     *total* backlog across shards, so cycle boundaries in `--replay`
 //     are a pure function of the op stream, independent of shard count.
 //
-//   * One upgrade cache, global dominators. A shard's own UpgradeCache
-//     would hold outcomes derived from shard-local dominator sets —
-//     unsound to serve as global answers — so shards keep none and this
-//     table feeds a single cache with the routed op stream instead, under
-//     `route_mu_` in id-allocation order, *before* the op reaches its
-//     shard. An entry therefore survives only ops that provably leave its
-//     global dominator skyline unchanged (serve/upgrade_cache.h). Because
-//     the clock is stamped inside the same cut as the views, a view at
-//     `version` contains exactly the ops the clock counted, and `Store`'s
-//     no-op-landed check makes an entry's version exact.
+//   * One upgrade cache, global dominators. A per-shard cache would hold
+//     outcomes derived from shard-local dominator sets — unsound to serve
+//     as global answers — so this table feeds a single cache with the
+//     routed op stream instead, under `route_mu_` in id-allocation order,
+//     *before* the op reaches its shard. An entry therefore survives only
+//     ops that provably leave its global dominator skyline unchanged
+//     (serve/upgrade_cache.h). Because the clock is stamped inside the
+//     same cut as the views, a view at `version` contains exactly the ops
+//     the clock counted, and `Store`'s no-op-landed check makes an
+//     entry's version exact.
 //
-// The scatter-gather query engine over the captured views lives in
-// serve/shard/shard_query.h.
+// Old snapshots and old logs are reclaimed by shared_ptr when the last
+// in-flight view drops. The scatter-gather query engine over the captured
+// views lives in serve/shard/shard_query.h.
 
 #include <cstdint>
 #include <memory>
@@ -52,7 +54,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "serve/live_table.h"
+#include "serve/delta_log.h"
 #include "serve/rebuilder.h"
 #include "serve/shard/partitioner.h"
 #include "util/lock_order.h"
@@ -64,17 +66,19 @@ namespace skyup {
 
 class UpgradeCache;
 
-/// Upper bound on `ShardedTableOptions::shards`: every shard is a full
-/// LiveTable (and, with one worker per shard, a scatter thread per query),
-/// so a shard count is bounded by hardware, not by the caller.
+/// Upper bound on `ShardedTableOptions::shards`: every shard holds its own
+/// snapshot, log and memo (and a query scatters one task per shard), so a
+/// shard count is bounded by hardware, not by the caller.
 inline constexpr size_t kMaxShards = 256;
 
 struct ShardedTableOptions {
   size_t dims = 0;    ///< required, >= 1
   size_t shards = 1;  ///< required, in [1, kMaxShards]
+  /// Fanout of the per-snapshot STR bulk load; required, >= 2.
   size_t rtree_fanout = 64;
-  /// Per-shard memo budget; the total across shards matches what the
-  /// caller would have given a single table.
+  /// Total byte budget of the epoch-scoped skyline memos
+  /// (serve/skyline_memo.h), split evenly across shards; 0 disables
+  /// memoization.
   size_t memo_cache_bytes = 0;
   /// Competitor inserts routed to shard 0 before the STR tiles are fitted
   /// (serve/shard/partitioner.h).
@@ -96,6 +100,8 @@ struct ShardedView {
 
 class ShardedTable {
  public:
+  /// Starts empty at epoch 1 (every shard on an empty snapshot, so a
+  /// view never holds a null snapshot).
   static Result<std::unique_ptr<ShardedTable>> Create(
       ShardedTableOptions options);
   ~ShardedTable();
@@ -104,7 +110,9 @@ class ShardedTable {
   ShardedTable& operator=(const ShardedTable&) = delete;
 
   /// Update API: global stable ids in op order, `kNotFound` for dead
-  /// ids, `kInvalidArgument` for arity.
+  /// ids, `kInvalidArgument` for arity. Every accepted update is in its
+  /// shard's log (and visible to subsequently captured views) before the
+  /// call returns.
   Result<uint64_t> InsertCompetitor(const std::vector<double>& coords);
   Result<uint64_t> InsertProduct(const std::vector<double>& coords);
   Status EraseCompetitor(uint64_t id);
@@ -112,7 +120,9 @@ class ShardedTable {
 
   /// Captures one consistent view of every shard: all at the same epoch
   /// and holding exactly the first `version` accepted ops (ops and
-  /// publish installs are excluded for the duration of the capture).
+  /// publish installs are excluded for the duration of the capture). The
+  /// views stay valid until dropped, across any number of later appends
+  /// and publishes.
   ShardedView AcquireViews() const;
 
   /// Deterministic-mode publish check: one cycle when the total backlog
@@ -121,9 +131,10 @@ class ShardedTable {
   Result<size_t> MaybePublishInline(const RebuildPolicy& policy);
 
   /// Background coordination: a coordinator thread publishes a cycle
-  /// whenever `ShouldPublish` holds — checked at start-up, after every
-  /// cycle, on every Nudge and every `poll_interval_seconds`. Start/Stop
-  /// are externally serialized; Nudge wakes the loop early.
+  /// whenever the backlog reaches `policy.threshold_ops` — checked at
+  /// start-up, after every cycle, on every Nudge and every
+  /// `poll_interval_seconds`. Start/Stop are externally serialized;
+  /// Nudge wakes the loop early.
   void Start(const RebuildPolicy& policy);
   void Stop();
   void Nudge();
@@ -132,9 +143,23 @@ class ShardedTable {
   uint64_t epoch() const;
   /// Total delta ops not yet absorbed, across shards.
   size_t delta_backlog() const;
-  /// Aggregated health sample: epoch/age from shard 0 (all shards publish
-  /// together), sums for backlog/memo/live counts, max tombstone ratio.
-  LiveTable::Diagnostics SampleDiagnostics() const;
+
+  /// One consistent health sample for the flight recorder's periodic
+  /// system samples and the metrics gauges, taken from one view set so
+  /// the fields describe the same cut (the memo footprint is read just
+  /// after it): the common epoch and its snapshot age, sums of backlog,
+  /// memo footprint and live rows (snapshot plus log) over shards, and
+  /// the largest tombstone fraction of any shard's index.
+  struct Diagnostics {
+    uint64_t epoch = 0;
+    double snapshot_age_seconds = 0;
+    uint64_t delta_backlog = 0;
+    double tombstone_pct = 0;  ///< dead fraction of indexed slots, in %
+    uint64_t memo_bytes = 0;   ///< 0 when memoization is disabled
+    uint64_t live_competitors = 0;
+    uint64_t live_products = 0;
+  };
+  Diagnostics SampleDiagnostics() const;
 
   /// Shard publishes by kind, summed over cycles (one cycle publishes
   /// every shard).
@@ -143,21 +168,27 @@ class ShardedTable {
   uint64_t publish_cycles() const;
   Status last_error() const;
 
-  size_t shards() const { return tables_.size(); }
-  size_t dims() const { return options_.dims; }
-  LiveTable& shard(size_t s) { return *tables_[s]; }
-  static const char* partitioner_kind() { return ShardPartitioner::kind(); }
-
  private:
+  /// One spatial shard. Unsynchronized: `route_mu_` guards it.
+  struct Shard {
+    /// The current epoch's log; its base is the current snapshot.
+    DeltaLog log;
+    /// Epoch-scoped skyline memo shared by every view of this shard;
+    /// dropped wholesale at each install. Null when memoization is off.
+    std::shared_ptr<SkylineMemo> memo;
+  };
+
   explicit ShardedTable(ShardedTableOptions options);
 
+  Result<uint64_t> Insert(DeltaTarget target,
+                          const std::vector<double>& coords);
+  Status Erase(DeltaTarget target, uint64_t id);
   Result<size_t> PublishCycle(const RebuildPolicy& policy)
       SKYUP_REQUIRES(coord_mu_);
   bool ShouldPublish(const RebuildPolicy& policy) const;
   void Loop() SKYUP_EXCLUDES(coord_mu_);
 
   ShardedTableOptions options_;
-  std::vector<std::unique_ptr<LiveTable>> tables_;
 
   /// The global upgrade-result cache (see the class comment). Set once in
   /// Create and never reseated; the cache is internally synchronized, so
@@ -166,11 +197,12 @@ class ShardedTable {
   std::shared_ptr<UpgradeCache> cache_;
 
   /// The table fence (see the class comment): writer side for id
-  /// allocation, routing, the cache feed and the shard apply of one op,
+  /// allocation, routing, the cache feed and the log append of one op,
   /// and for a publish install; reader side for view capture. kShardTable
-  /// band: held while shard kTable locks are taken.
+  /// band: held while the memo and cache substructure locks are taken.
   mutable SharedMutex route_mu_ SKYUP_ACQUIRED_AFTER(lock_order::kShardTable)
-      SKYUP_ACQUIRED_BEFORE(lock_order::kTable);
+      SKYUP_ACQUIRED_BEFORE(lock_order::kTableSub);
+  std::vector<Shard> shards_ SKYUP_GUARDED_BY(route_mu_);
   std::unique_ptr<ShardPartitioner> partitioner_ SKYUP_GUARDED_BY(route_mu_);
   uint64_t next_competitor_id_ SKYUP_GUARDED_BY(route_mu_) = 1;
   uint64_t next_product_id_ SKYUP_GUARDED_BY(route_mu_) = 1;
@@ -181,7 +213,7 @@ class ShardedTable {
 
   /// Publish-cycle serialization + coordinator handshake + counters. Sits
   /// above the kShardTable band: a cycle holds it across freeze, merge,
-  /// and install (which takes `route_mu_` and every shard's table lock).
+  /// and install (which take `route_mu_`).
   mutable Mutex coord_mu_ SKYUP_ACQUIRED_AFTER(lock_order::kRebuilder)
       SKYUP_ACQUIRED_BEFORE(lock_order::kShardTable);
   CondVar coord_cv_;

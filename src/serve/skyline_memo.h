@@ -93,9 +93,10 @@ class SkylineMemo {
   struct Bucket {
     std::vector<Entry> entries;
   };
-  // Shard locks sit in the table-substructure band: Store/OnPublish run
-  // while LiveTable::mu_ is held, and shards are only ever locked one at
-  // a time (the diagnostics aggregate sequentially).
+  // Shard locks sit in the table-substructure band: OnPublish runs while
+  // the table fence (ShardedTable::route_mu_) is held, and shards are
+  // only ever locked one at a time (the diagnostics aggregate
+  // sequentially).
   struct Shard {
     mutable Mutex mu SKYUP_ACQUIRED_AFTER(lock_order::kTableSub)
         SKYUP_ACQUIRED_BEFORE(lock_order::kObsRegistry);

@@ -3,8 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "util/check.h"
-
 namespace skyup {
 
 namespace {
@@ -75,25 +73,6 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
   snapshot->index_ = std::move(index).value();
   snapshot->published_at_ = SteadyClock::now();
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
-}
-
-void SnapshotStore::Publish(std::shared_ptr<const Snapshot> snapshot) {
-  SKYUP_CHECK(snapshot != nullptr) << "cannot publish a null snapshot";
-  MutexLock lock(mu_);
-  SKYUP_CHECK(current_ == nullptr || snapshot->epoch() > current_->epoch())
-      << "snapshot epochs must strictly increase: " << snapshot->epoch()
-      << " after " << current_->epoch();
-  current_ = std::move(snapshot);
-}
-
-std::shared_ptr<const Snapshot> SnapshotStore::Acquire() const {
-  MutexLock lock(mu_);
-  return current_;
-}
-
-uint64_t SnapshotStore::epoch() const {
-  MutexLock lock(mu_);
-  return current_ == nullptr ? 0 : current_->epoch();
 }
 
 }  // namespace skyup

@@ -7,9 +7,9 @@
 // answer queries: the competitor set P (plus its flat arena index), the
 // candidate set T, and the row <-> stable-id maps that connect dataset
 // rows to the ids the serving API speaks. Snapshots are reference-counted
-// (`shared_ptr`) and never mutated after publication — readers acquire one
-// from the `SnapshotStore`, run against it for as long as they like, and
-// drop it; the last release of a superseded epoch frees it. That is the
+// (`shared_ptr`) and never mutated after publication — readers capture one
+// in a view (serve/delta_log.h), run against it for as long as they like,
+// and drop it; the last release of a superseded epoch frees it. That is the
 // entire reclamation protocol: no epochs to retire by hand, no hazard
 // pointers (docs/algorithms.md, "Serving & online updates").
 //
@@ -34,10 +34,7 @@
 #include "core/dominance_batch.h"
 #include "core/point.h"
 #include "rtree/flat_rtree.h"
-#include "util/lock_order.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 #include "util/timer.h"
 
 namespace skyup {
@@ -144,33 +141,6 @@ class Snapshot {
   FlatRTree index_;
   SoaBlock tail_block_;
   SteadyClock::time_point published_at_;
-};
-
-/// Publication point between the rebuilder (single writer at a time) and
-/// query threads (any number of readers). `Acquire` is one shared_ptr copy
-/// under a mutex; the snapshot itself is immutable, so that is the only
-/// synchronization readers ever need.
-class SnapshotStore {
- public:
-  SnapshotStore() = default;
-  SnapshotStore(const SnapshotStore&) = delete;
-  SnapshotStore& operator=(const SnapshotStore&) = delete;
-
-  /// Atomically replaces the current snapshot. The epoch must strictly
-  /// increase across publishes (checked).
-  void Publish(std::shared_ptr<const Snapshot> snapshot);
-
-  /// The current snapshot (never null once one is published). The caller's
-  /// reference keeps the epoch alive for the duration of its query.
-  std::shared_ptr<const Snapshot> Acquire() const;
-
-  /// Epoch of the current snapshot, 0 before the first publish.
-  uint64_t epoch() const;
-
- private:
-  mutable Mutex mu_ SKYUP_ACQUIRED_AFTER(lock_order::kTableSub)
-      SKYUP_ACQUIRED_BEFORE(lock_order::kObsRegistry);
-  std::shared_ptr<const Snapshot> current_ SKYUP_GUARDED_BY(mu_);
 };
 
 }  // namespace skyup

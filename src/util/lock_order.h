@@ -27,16 +27,13 @@
 //        |                             cycle holds it across freeze, merge
 //        |                             and install; Server::stats() reads
 //        |                             publish counters under stats_mu_)
-//   kShardTable    ShardedTable::route_mu_ — the table fence: id
-//        |         routing and each op's shard apply on the writer side,
-//        |         view capture on the reader side; sits above every
-//        |         per-shard LiveTable lock it coordinates
-//   kTable         LiveTable::mu_      (delta apply / view acquisition;
-//        |                             also serializes the lock-free
-//        |                             DeltaLog it owns)
-//   kTableSub      UpgradeCache, SkylineMemo shards, SnapshotStore —
-//        |         table substructures locked while LiveTable::mu_ is
-//        |         held; mutually non-nesting
+//   kShardTable    ShardedTable::route_mu_ — the table fence and the
+//        |         only lock on shard state: id routing and each op's
+//        |         log append on the writer side, view capture on the
+//        |         reader side, every publish install on the writer side
+//   kTableSub      UpgradeCache, SkylineMemo shards — table
+//        |         substructures locked while route_mu_ is held (cache
+//        |         feed, memo roll at install); mutually non-nesting
 //   kObsRegistry   trace registry, MetricsRegistry — any layer may
 //        |         export metrics/spans while holding serving locks
 //   kObsFlight     FlightRecorder::mu_ — query records are appended
@@ -67,8 +64,7 @@ inline Rank kServerQueue SKYUP_ACQUIRED_AFTER(kFrontDoor);
 inline Rank kServerStats SKYUP_ACQUIRED_AFTER(kServerQueue);
 inline Rank kRebuilder SKYUP_ACQUIRED_AFTER(kServerStats);
 inline Rank kShardTable SKYUP_ACQUIRED_AFTER(kRebuilder);
-inline Rank kTable SKYUP_ACQUIRED_AFTER(kShardTable);
-inline Rank kTableSub SKYUP_ACQUIRED_AFTER(kTable);
+inline Rank kTableSub SKYUP_ACQUIRED_AFTER(kShardTable);
 inline Rank kObsRegistry SKYUP_ACQUIRED_AFTER(kTableSub);
 inline Rank kObsFlight SKYUP_ACQUIRED_AFTER(kObsRegistry);
 inline Rank kObsLog SKYUP_ACQUIRED_AFTER(kObsFlight);

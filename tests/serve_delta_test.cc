@@ -1,34 +1,35 @@
-// Tests for the delta pipeline (serve/delta_log.h, serve/live_table.h,
-// serve/rebuilder.h): resolution of ops at append, captured prefixes that
-// later appends never disturb, the per-reader erase masks (insert/erase
-// cancellation, snapshot erase masks), live-table update semantics and
-// write-ahead hook ordering, the freeze/merge/publish rebuild protocol
-// including carry-over and abandonment, and the inline publish step that
-// drives it.
+// Tests for the delta pipeline (serve/delta_log.h, serve/rebuilder.h)
+// and the live table that drives it (serve/shard/sharded_table.h at one
+// shard): resolution of ops at append, captured prefixes that later
+// appends never disturb, the per-reader erase masks (insert/erase
+// cancellation, snapshot erase masks), update semantics, the
+// freeze/merge/install publish step including carry-over, and the inline
+// publish trigger that drives it.
 
 #include "serve/delta_log.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <memory>
-#include <thread>
-#include <utility>
+#include <optional>
 #include <vector>
 
-#include "serve/live_table.h"
 #include "serve/rebuilder.h"
 #include "serve/shard/sharded_table.h"
 
 namespace skyup {
 namespace {
 
-Result<std::unique_ptr<LiveTable>> MakeTable(size_t dims) {
-  LiveTableOptions options;
+constexpr size_t kFanout = 64;
+
+// The live table at one shard: every op lands in one log.
+Result<std::unique_ptr<ShardedTable>> MakeTable(size_t dims) {
+  ShardedTableOptions options;
   options.dims = dims;
-  return LiveTable::Create(options);
+  return ShardedTable::Create(options);
 }
+
+ReadView View(const ShardedTable& t) { return t.AcquireViews().views[0]; }
 
 std::shared_ptr<const Snapshot> EmptySnapshot(size_t dims) {
   Result<std::shared_ptr<const Snapshot>> snapshot =
@@ -37,14 +38,21 @@ std::shared_ptr<const Snapshot> EmptySnapshot(size_t dims) {
   return *snapshot;
 }
 
-// Folds the table's frozen prefix into its next epoch by a full merge.
-void Publish(LiveTable* t) {
-  std::optional<LiveTable::RebuildJob> job = t->BeginRebuild();
-  ASSERT_TRUE(job.has_value());
-  Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, t->rtree_fanout());
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  t->CompleteRebuild(*merged);
+// Folds the table's whole backlog into its next epoch.
+void Publish(ShardedTable* t) {
+  RebuildPolicy policy;
+  policy.threshold_ops = 1;
+  Result<size_t> published = t->MaybePublishInline(policy);
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  ASSERT_EQ(*published, 1u);
+}
+
+// Appends an erase of `id` the way the table does: resolved once, at
+// append.
+void AppendErase(DeltaLog* log, DeltaTarget target, uint64_t id) {
+  const std::optional<DeltaErase> erase = log->Resolve(target, id);
+  ASSERT_TRUE(erase.has_value()) << "id " << id << " is not live";
+  log->AppendErase(*erase);
 }
 
 TEST(DeltaLogTest, CapturedPrefixIgnoresLaterAppends) {
@@ -104,14 +112,16 @@ TEST(DeltaLogTest, ResolvesIdsOnceAtAppend) {
   EXPECT_TRUE(log.AcceptsId(DeltaTarget::kCompetitor, 1));
 }
 
+// The live table's update semantics, at one shard so every op lands in
+// the same log.
 TEST(LiveTableTest, InsertEraseSemantics) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  ShardedTable& t = **table;
 
-  Result<uint64_t> c1 = t.InsertCompetitorWithId(1, {0.1, 0.9});
-  Result<uint64_t> c2 = t.InsertCompetitorWithId(2, {0.9, 0.1});
-  Result<uint64_t> p1 = t.InsertProductWithId(1, {0.5, 0.5});
+  Result<uint64_t> c1 = t.InsertCompetitor({0.1, 0.9});
+  Result<uint64_t> c2 = t.InsertCompetitor({0.9, 0.1});
+  Result<uint64_t> p1 = t.InsertProduct({0.5, 0.5});
   ASSERT_TRUE(c1.ok() && c2.ok() && p1.ok());
   EXPECT_EQ(*c1, 1u);
   EXPECT_EQ(*c2, 2u);
@@ -119,90 +129,66 @@ TEST(LiveTableTest, InsertEraseSemantics) {
   EXPECT_EQ(t.SampleDiagnostics().live_competitors, 2u);
   EXPECT_EQ(t.SampleDiagnostics().live_products, 1u);
 
-  // Arity mismatches, id 0 and ids that do not ascend are rejected and
-  // change nothing.
-  EXPECT_EQ(t.InsertCompetitorWithId(3, {0.1}).status().code(),
+  // Arity mismatches are rejected and change nothing.
+  EXPECT_EQ(t.InsertCompetitor({0.1}).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(t.InsertCompetitorWithId(0, {0.1, 0.1}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(t.InsertCompetitorWithId(2, {0.1, 0.1}).status().code(),
+  EXPECT_EQ(t.InsertProduct({0.1, 0.2, 0.3}).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(t.SampleDiagnostics().live_competitors, 2u);
   EXPECT_EQ(t.delta_backlog(), 3u);
 
   EXPECT_TRUE(t.EraseCompetitor(1).ok());
   EXPECT_EQ(t.SampleDiagnostics().live_competitors, 1u);
-  // Ids no row carries are kNotFound.
+  // Ids no live row carries — never allocated, or already erased — are
+  // kNotFound and append nothing.
   EXPECT_EQ(t.EraseProduct(42).code(), StatusCode::kNotFound);
   EXPECT_EQ(t.EraseCompetitor(7).code(), StatusCode::kNotFound);
+  EXPECT_EQ(t.EraseCompetitor(1).code(), StatusCode::kNotFound);
   EXPECT_EQ(t.delta_backlog(), 4u);
 
-  // After a publish the ids resolve against the snapshot instead, and a
-  // new id must still exceed the snapshot's.
+  // After a publish the ids resolve against the snapshot instead, and new
+  // ids keep counting past the snapshot's.
   Publish(&t);
-  EXPECT_EQ(t.InsertCompetitorWithId(2, {0.3, 0.3}).status().code(),
-            StatusCode::kInvalidArgument);
   EXPECT_TRUE(t.EraseCompetitor(2).ok());
   EXPECT_EQ(t.EraseCompetitor(1).code(), StatusCode::kNotFound);
   EXPECT_EQ(t.SampleDiagnostics().live_competitors, 0u);
   EXPECT_EQ(t.SampleDiagnostics().live_products, 1u);
+  Result<uint64_t> c3 = t.InsertCompetitor({0.3, 0.3});
+  ASSERT_TRUE(c3.ok());
+  EXPECT_EQ(*c3, 3u);
 }
 
 TEST(LiveTableTest, ViewIsConsistentAtCaptureTime) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
-  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.2, 0.2}).ok());
+  ShardedTable& t = **table;
+  ASSERT_TRUE(t.InsertCompetitor({0.2, 0.2}).ok());
 
-  ReadView view = t.AcquireView();
+  const ReadView view = View(t);
   EXPECT_EQ(view.deltas.size(), 1u);
 
   // Later updates do not leak into the captured view.
-  ASSERT_TRUE(t.InsertCompetitorWithId(2, {0.3, 0.3}).ok());
+  ASSERT_TRUE(t.InsertCompetitor({0.3, 0.3}).ok());
   ASSERT_TRUE(t.EraseCompetitor(1).ok());
   EXPECT_EQ(view.deltas.size(), 1u);
   EXPECT_EQ(view.deltas.competitors, 1u);
   EXPECT_EQ(view.deltas.erases, 0u);
-  EXPECT_EQ(t.AcquireView().deltas.size(), 3u);
+  EXPECT_EQ(View(t).deltas.size(), 3u);
   DeltaMasks masks;
   masks.Build(*view.snapshot, view.deltas);
   EXPECT_EQ(masks.Live(DeltaTarget::kCompetitor, *view.snapshot, view.deltas),
             1u);
 }
 
-TEST(LiveTableTest, AppendHookRunsBeforeVisibility) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
-  ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
-  std::atomic<bool> captured{false};
-  size_t ops_seen = 0;
-  std::thread reader;
-  t.SetAppendHook([&](const DeltaOp& op) {
-    EXPECT_EQ(op.kind, DeltaKind::kInsert);
-    // Write-ahead contract: while the hook runs no view can be captured,
-    // and the first one captured after it already holds the op.
-    reader = std::thread([&] {
-      ops_seen = t.AcquireView().deltas.size();
-      captured.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(captured.load());
-  });
-  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.2}).ok());
-  reader.join();
-  EXPECT_TRUE(captured.load());
-  EXPECT_EQ(ops_seen, 1u);
-}
-
 TEST(DeltaMasksTest, InsertThenEraseCancels) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
-  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.1}).ok());
-  ASSERT_TRUE(t.InsertCompetitorWithId(2, {0.2, 0.2}).ok());
+  ShardedTable& t = **table;
+  ASSERT_TRUE(t.InsertCompetitor({0.1, 0.1}).ok());
+  ASSERT_TRUE(t.InsertCompetitor({0.2, 0.2}).ok());
   ASSERT_TRUE(t.EraseCompetitor(1).ok());
 
-  const ReadView view = t.AcquireView();
+  const ReadView view = View(t);
   DeltaMasks masks;
   masks.Build(*view.snapshot, view.deltas);
   ASSERT_EQ(view.deltas.competitors, 2u);
@@ -220,11 +206,11 @@ TEST(DeltaMasksTest, InsertThenEraseCancels) {
 }
 
 TEST(DeltaMasksTest, EraseOfBaseRowSetsMask) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
+  Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
-  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.1}).ok());
-  ASSERT_TRUE(t.InsertCompetitorWithId(2, {0.2, 0.2}).ok());
+  ShardedTable& t = **table;
+  ASSERT_TRUE(t.InsertCompetitor({0.1, 0.1}).ok());
+  ASSERT_TRUE(t.InsertCompetitor({0.2, 0.2}).ok());
 
   // Absorb both inserts into a snapshot, then erase one of them.
   Publish(&t);
@@ -232,100 +218,79 @@ TEST(DeltaMasksTest, EraseOfBaseRowSetsMask) {
   EXPECT_EQ(t.delta_backlog(), 0u);
 
   ASSERT_TRUE(t.EraseCompetitor(1).ok());
-  const ReadView view = t.AcquireView();
+  const ReadView view = View(t);
   DeltaMasks masks;
   masks.Build(*view.snapshot, view.deltas);
   EXPECT_EQ(masks.snapshot_erased(DeltaTarget::kCompetitor), 1u);
   // Row 0 is id 1 (rows are id-sorted).
   EXPECT_NE(masks.snapshot_mask(DeltaTarget::kCompetitor)[0], 0);
   EXPECT_EQ(masks.snapshot_mask(DeltaTarget::kCompetitor)[1], 0);
-  // Both rows are indexed, so the erase ticks the memo's clock.
+  // The first publish compacts, so both rows are indexed and the erase
+  // ticks the memo's clock.
   EXPECT_EQ(view.deltas.erased_indexed, 1u);
   EXPECT_EQ(masks.Live(DeltaTarget::kCompetitor, *view.snapshot, view.deltas),
             1u);
 }
 
+// One shard's publish step by step, on the log itself: the freeze is a
+// prefix (counts, no copy), the merge folds it outside any lock, and the
+// install starts the next epoch's log with the ops appended past the
+// freeze carried over.
 TEST(RebuildProtocolTest, FreezeMergePublishAbsorbsBacklog) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
-  ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
+  DeltaLog log(EmptySnapshot(2));
   for (uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(t.InsertCompetitorWithId(
-                     i + 1, {0.1 * static_cast<double>(i + 1),
-                             0.9 - 0.1 * static_cast<double>(i)})
-                    .ok());
+    const double coords[2] = {0.1 * static_cast<double>(i + 1),
+                              0.9 - 0.1 * static_cast<double>(i)};
+    log.AppendInsert(DeltaTarget::kCompetitor, i + 1, coords);
   }
-  ASSERT_TRUE(t.InsertProductWithId(1, {0.5, 0.5}).ok());
-  ASSERT_TRUE(t.EraseCompetitor(2).ok());
-  EXPECT_EQ(t.delta_backlog(), 7u);
+  const double product[2] = {0.5, 0.5};
+  log.AppendInsert(DeltaTarget::kProduct, 1, product);
+  AppendErase(&log, DeltaTarget::kCompetitor, 2);
+  EXPECT_EQ(log.size(), 7u);
 
-  std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
-  ASSERT_TRUE(job.has_value());
-  EXPECT_EQ(job->ops.size(), 7u);
-  EXPECT_EQ(job->next_epoch, 2u);
-  // A second BeginRebuild while one is in flight is refused.
-  EXPECT_FALSE(t.BeginRebuild().has_value());
-
+  const DeltaPrefix frozen = log.prefix();
   // Updates during the merge stay visible and pending — an insert, an
   // erase of a frozen insert, and an erase of an insert made mid-merge.
-  ASSERT_TRUE(t.InsertCompetitorWithId(6, {0.7, 0.7}).ok());
-  ASSERT_TRUE(t.InsertCompetitorWithId(7, {0.8, 0.05}).ok());
-  ASSERT_TRUE(t.EraseCompetitor(3).ok());
-  ASSERT_TRUE(t.EraseCompetitor(7).ok());
-  EXPECT_EQ(t.delta_backlog(), 11u);
-  EXPECT_EQ(job->ops.size(), 7u);
+  const double late[2][2] = {{0.7, 0.7}, {0.8, 0.05}};
+  log.AppendInsert(DeltaTarget::kCompetitor, 6, late[0]);
+  log.AppendInsert(DeltaTarget::kCompetitor, 7, late[1]);
+  AppendErase(&log, DeltaTarget::kCompetitor, 3);
+  AppendErase(&log, DeltaTarget::kCompetitor, 7);
+  EXPECT_EQ(log.size(), 11u);
+  EXPECT_EQ(frozen.size(), 7u);
 
-  Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, t.rtree_fanout());
+  Result<std::shared_ptr<const Snapshot>> merged =
+      MergeSnapshot(*log.base(), frozen, /*next_epoch=*/2, kFanout);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ((*merged)->competitors().size(), 4u);  // 5 inserted - 1 erased
   EXPECT_EQ((*merged)->competitor_ids(), (std::vector<uint64_t>{1, 3, 4, 5}));
   EXPECT_EQ((*merged)->products().size(), 1u);
-  t.CompleteRebuild(*merged);
+  DeltaLog next(*merged);
+  next.CarryOver(log, frozen);
 
   // Only the four mid-merge ops remain, carried into the new epoch's log:
   // the erase of id 3 now names its snapshot row, the erase of id 7 the
   // carried insert.
-  EXPECT_EQ(t.epoch(), 2u);
-  EXPECT_EQ(t.delta_backlog(), 4u);
-  const ReadView view = t.AcquireView();
-  EXPECT_EQ(view.deltas.competitors, 2u);
-  ASSERT_EQ(view.deltas.erases, 2u);
-  EXPECT_FALSE(view.deltas.erase(0).inserted);
-  EXPECT_EQ(view.deltas.erase(0).row, 1);  // id 3 is snapshot row 1
-  EXPECT_TRUE(view.deltas.erase(1).inserted);
-  EXPECT_EQ(view.deltas.erase(1).row, 1);  // id 7 is carried row 1
-  EXPECT_EQ(view.deltas.erased_indexed, 1u);
-  EXPECT_EQ(t.SampleDiagnostics().live_competitors, 4u);  // 1, 4, 5, 6
+  EXPECT_EQ(next.base()->epoch(), 2u);
+  EXPECT_EQ(next.size(), 4u);
+  const DeltaPrefix& carried = next.prefix();
+  EXPECT_EQ(carried.competitors, 2u);
+  ASSERT_EQ(carried.erases, 2u);
+  EXPECT_FALSE(carried.erase(0).inserted);
+  EXPECT_EQ(carried.erase(0).row, 1);  // id 3 is snapshot row 1
+  EXPECT_TRUE(carried.erase(1).inserted);
+  EXPECT_EQ(carried.erase(1).row, 1);  // id 7 is carried row 1
+  EXPECT_EQ(carried.erased_indexed, 1u);
+  DeltaMasks masks;
+  masks.Build(*next.base(), carried);
+  EXPECT_EQ(masks.Live(DeltaTarget::kCompetitor, *next.base(), carried),
+            4u);  // 1, 4, 5, 6
 
   // The next publish folds the carried ops like any others.
-  Publish(&t);
-  EXPECT_EQ(t.delta_backlog(), 0u);
-  EXPECT_EQ(t.AcquireView().snapshot->competitor_ids(),
-            (std::vector<uint64_t>{1, 4, 5, 6}));
-}
-
-TEST(RebuildProtocolTest, AbandonReoffersFrozenOps) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
-  ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
-  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.4, 0.4}).ok());
-
-  std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
-  ASSERT_TRUE(job.has_value());
-  t.AbandonRebuild();
-  EXPECT_EQ(t.epoch(), 1u);
-  EXPECT_EQ(t.delta_backlog(), 1u);
-
-  // The next rebuild sees the same op again, plus what landed since.
-  ASSERT_TRUE(t.InsertProductWithId(1, {0.9, 0.9}).ok());
-  std::optional<LiveTable::RebuildJob> retry = t.BeginRebuild();
-  ASSERT_TRUE(retry.has_value());
-  ASSERT_EQ(retry->ops.size(), 2u);
-  ASSERT_EQ(retry->ops.competitors, 1u);
-  EXPECT_EQ(retry->ops.id(DeltaTarget::kCompetitor, 0),
-            job->ops.id(DeltaTarget::kCompetitor, 0));
-  t.AbandonRebuild();
+  Result<std::shared_ptr<const Snapshot>> again =
+      MergeSnapshot(*next.base(), carried, /*next_epoch=*/3, kFanout);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ((*again)->competitor_ids(), (std::vector<uint64_t>{1, 4, 5, 6}));
 }
 
 // The deterministic serving mode's publish step: nothing below the
@@ -369,33 +334,9 @@ TEST(RebuildProtocolTest, InlinePublishHonorsThreshold) {
   EXPECT_EQ(t.patches_published(), 1u);
   EXPECT_EQ(t.epoch(), 3u);
   EXPECT_EQ(t.delta_backlog(), 0u);
-  const LiveTable::Diagnostics diag = t.SampleDiagnostics();
+  const ShardedTable::Diagnostics diag = t.SampleDiagnostics();
   EXPECT_EQ(diag.live_competitors, 4u);
   EXPECT_EQ(diag.live_products, 2u);
-}
-
-TEST(LiveTableTest, WriteAheadHookObservesEveryAcceptedUpdate) {
-  Result<std::unique_ptr<LiveTable>> table = MakeTable(2);
-  ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
-  std::vector<DeltaOp> wal;
-  t.SetAppendHook([&](const DeltaOp& op) { wal.push_back(op); });
-
-  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.2}).ok());
-  ASSERT_TRUE(t.InsertProductWithId(1, {0.3, 0.4}).ok());
-  EXPECT_EQ(t.InsertProductWithId(2, {0.3}).status().code(),
-            StatusCode::kInvalidArgument);  // rejected: not logged
-  EXPECT_EQ(t.EraseProduct(9).code(),
-            StatusCode::kNotFound);  // rejected: not logged
-  ASSERT_TRUE(t.EraseCompetitor(1).ok());
-
-  ASSERT_EQ(wal.size(), 3u);
-  EXPECT_EQ(wal[0].target, DeltaTarget::kCompetitor);
-  EXPECT_EQ(wal[0].kind, DeltaKind::kInsert);
-  EXPECT_EQ(wal[0].coords, (std::vector<double>{0.1, 0.2}));
-  EXPECT_EQ(wal[1].target, DeltaTarget::kProduct);
-  EXPECT_EQ(wal[2].kind, DeltaKind::kErase);
-  EXPECT_EQ(wal[2].id, 1u);
 }
 
 }  // namespace

@@ -238,8 +238,6 @@ TEST(ServerTest, InlineRebuildTriggersOnThreshold) {
 TEST(ServerTest, StatsEchoThePublishPolicy) {
   ServerOptions options = SmallOptions();
   options.rebuild_threshold_ops = 16;
-  options.publish_min_backlog = 3;
-  options.publish_min_interval_seconds = 0.25;
   options.compact_tombstone_pct = 20;
   options.compact_tail_pct = 40;
   Result<std::unique_ptr<Server>> server = MakeServer(options);
@@ -250,10 +248,6 @@ TEST(ServerTest, StatsEchoThePublishPolicy) {
   registry.WritePrometheus(prom);
   const std::string text = prom.str();
   EXPECT_NE(text.find("\nskyup_serve_rebuild_threshold_ops 16\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("\nskyup_serve_publish_min_backlog 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("\nskyup_serve_publish_min_interval_ms 250\n"),
             std::string::npos);
   EXPECT_NE(text.find("\nskyup_serve_compact_tombstone_pct 20\n"),
             std::string::npos);

@@ -1,6 +1,5 @@
-// Tests for the versioned snapshot store (serve/snapshot.h): construction
-// invariants, stable-id round trips, epoch ordering in the store, and
-// shared_ptr-based lifetime of superseded snapshots.
+// Tests for versioned serving snapshots (serve/snapshot.h): construction
+// invariants and stable-id round trips.
 
 #include "serve/snapshot.h"
 
@@ -81,49 +80,6 @@ TEST(SnapshotTest, CreateRejectsMalformedInputs) {
         Snapshot::Create(1, Dataset(2), {}, Dataset(3), {});
     EXPECT_FALSE(s.ok());
   }
-}
-
-TEST(SnapshotStoreTest, PublishAdvancesEpochAndAcquireTracks) {
-  SnapshotStore store;
-  EXPECT_EQ(store.epoch(), 0u);
-  EXPECT_EQ(store.Acquire(), nullptr);
-
-  Result<std::shared_ptr<const Snapshot>> first = MakeSnapshot(1);
-  ASSERT_TRUE(first.ok());
-  store.Publish(*first);
-  EXPECT_EQ(store.epoch(), 1u);
-  EXPECT_EQ(store.Acquire()->epoch(), 1u);
-
-  Result<std::shared_ptr<const Snapshot>> second = MakeSnapshot(2);
-  ASSERT_TRUE(second.ok());
-  store.Publish(*second);
-  EXPECT_EQ(store.epoch(), 2u);
-  EXPECT_EQ(store.Acquire()->epoch(), 2u);
-}
-
-TEST(SnapshotStoreTest, SupersededSnapshotOutlivesPublishWhileHeld) {
-  SnapshotStore store;
-  Result<std::shared_ptr<const Snapshot>> first = MakeSnapshot(1);
-  ASSERT_TRUE(first.ok());
-  // Move the snapshot into the store so this test holds no extra
-  // reference that would pin it past the reader below.
-  store.Publish(std::move(*first));
-
-  // A reader holds epoch 1 across two later publishes.
-  std::shared_ptr<const Snapshot> held = store.Acquire();
-  std::weak_ptr<const Snapshot> watch = held;
-  for (uint64_t e = 2; e <= 3; ++e) {
-    Result<std::shared_ptr<const Snapshot>> next = MakeSnapshot(e);
-    ASSERT_TRUE(next.ok());
-    store.Publish(*next);
-  }
-  EXPECT_EQ(held->epoch(), 1u);
-  EXPECT_EQ(held->competitors().size(), 2u);  // still fully usable
-  EXPECT_FALSE(watch.expired());
-
-  // Reclamation happens exactly when the last holder lets go.
-  held.reset();
-  EXPECT_TRUE(watch.expired());
 }
 
 }  // namespace

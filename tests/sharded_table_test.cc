@@ -1,11 +1,11 @@
 // Tests for the shard-per-core live state (serve/shard/sharded_table.h):
-// global stable-id allocation in op order, erase routing through the id
-// maps, the deterministic inline publish trigger on *total* backlog, the
-// cross-shard epoch invariant (every captured view set is all-old or
-// all-new — including under concurrent publish cycles, which is the
-// TSan-facing stress here), the upgrade-cache version stamp on captured
-// views, the background coordinator's start-up publish, and aggregated
-// diagnostics.
+// option validation, global stable-id allocation in op order, erase
+// routing through the id maps, the deterministic inline publish trigger
+// on *total* backlog, the cross-shard epoch invariant (every captured
+// view set is all-old or all-new and exactly one prefix of the op stream
+// — including under concurrent publish cycles, which is the TSan-facing
+// stress here), the upgrade-cache version stamp on captured views, the
+// background coordinator's start-up publish, and aggregated diagnostics.
 
 #include "serve/shard/sharded_table.h"
 
@@ -41,6 +41,10 @@ TEST(ShardedTableTest, CreateValidatesOptions) {
   EXPECT_FALSE(ShardedTable::Create(bad).ok());
   bad.shards = kMaxShards + 1;
   EXPECT_FALSE(ShardedTable::Create(bad).ok());
+  bad.shards = 2;
+  bad.rtree_fanout = 1;
+  EXPECT_FALSE(ShardedTable::Create(bad).ok());
+  bad.rtree_fanout = 2;
   bad.shards = kMaxShards;
   EXPECT_TRUE(ShardedTable::Create(bad).ok());
 }
@@ -242,7 +246,7 @@ TEST(ShardedTableTest, DiagnosticsAggregateAcrossShards) {
             ->InsertProduct({rng.NextDouble(0, 1), rng.NextDouble(0, 1)})
             .ok());
   }
-  const LiveTable::Diagnostics diag = (*table)->SampleDiagnostics();
+  const ShardedTable::Diagnostics diag = (*table)->SampleDiagnostics();
   EXPECT_EQ(diag.live_competitors, 30u);
   EXPECT_EQ(diag.live_products, 7u);
   EXPECT_EQ(diag.delta_backlog, 37u);
@@ -252,10 +256,40 @@ TEST(ShardedTableTest, DiagnosticsAggregateAcrossShards) {
 // The cross-shard epoch fence under fire: a writer pushes updates while
 // a coordinator publishes cycles and readers continuously capture view
 // sets. A reader must NEVER observe two shards at different epochs in
-// one capture — that is the all-old-or-all-new guarantee the two-phase
-// freeze/install protocol exists for. Run under TSan via the "parallel"
-// label to also check the fence is data-race-free.
+// one capture, and every capture must be exactly the first `version` ops
+// of the stream — its live competitors, summed over shards, equal the
+// precomputed count after that prefix, whether the cut fell before,
+// inside or after a freeze/install. That is the all-old-or-all-new
+// guarantee of the one fence. Run under TSan via the "parallel" label to
+// also check the fence is data-race-free.
 TEST(ShardedTableStressTest, ReadersNeverObserveMixedEpochs) {
+  // The op stream, with the ids the table allocates (they count from 1
+  // in op order), and live_after[v]: the live competitors after the
+  // first v ops.
+  struct Op {
+    bool erase;
+    uint64_t id;
+    std::vector<double> coords;
+  };
+  Rng rng(7);
+  std::vector<Op> ops;
+  std::vector<uint64_t> live;
+  std::vector<size_t> live_after = {0};
+  uint64_t next_id = 1;
+  for (int i = 0; i < 3000; ++i) {
+    if (!live.empty() && rng.NextUint64(4) == 0) {
+      const size_t at = static_cast<size_t>(rng.NextUint64(live.size()));
+      ops.push_back(Op{true, live[at], {}});
+      live[at] = live.back();
+      live.pop_back();
+    } else {
+      ops.push_back(
+          Op{false, next_id, {rng.NextDouble(0, 1), rng.NextDouble(0, 1)}});
+      live.push_back(next_id++);
+    }
+    live_after.push_back(live.size());
+  }
+
   auto table = ShardedTable::Create(SmallOptions(4));
   ASSERT_TRUE(table.ok());
   RebuildPolicy policy;
@@ -268,31 +302,35 @@ TEST(ShardedTableStressTest, ReadersNeverObserveMixedEpochs) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
+      DeltaMasks masks;
       while (!stop.load(std::memory_order_relaxed)) {
         const ShardedView view = (*table)->AcquireViews();
+        size_t live_competitors = 0;
         for (const ReadView& v : view.views) {
           ASSERT_EQ(v.epoch(), view.epoch)
               << "mixed-epoch capture: shard at " << v.epoch()
               << " inside a view set stamped " << view.epoch;
+          masks.Build(*v.snapshot, v.deltas);
+          live_competitors +=
+              masks.Live(DeltaTarget::kCompetitor, *v.snapshot, v.deltas);
         }
+        ASSERT_LT(view.version, live_after.size());
+        ASSERT_EQ(live_competitors, live_after[view.version])
+            << "view set at version " << view.version << ", epoch "
+            << view.epoch << " is not the first " << view.version << " ops";
         captures.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
-  Rng rng(7);
-  std::vector<uint64_t> live;
-  for (int i = 0; i < 3000; ++i) {
-    if (!live.empty() && rng.NextUint64(4) == 0) {
-      const size_t at = static_cast<size_t>(rng.NextUint64(live.size()));
-      ASSERT_TRUE((*table)->EraseCompetitor(live[at]).ok());
-      live[at] = live.back();
-      live.pop_back();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const Op& op = ops[i];
+    if (op.erase) {
+      ASSERT_TRUE((*table)->EraseCompetitor(op.id).ok());
     } else {
-      auto id = (*table)->InsertCompetitor(
-          {rng.NextDouble(0, 1), rng.NextDouble(0, 1)});
+      auto id = (*table)->InsertCompetitor(op.coords);
       ASSERT_TRUE(id.ok());
-      live.push_back(*id);
+      ASSERT_EQ(*id, op.id);
     }
     if (i % 256 == 0) (*table)->Nudge();
   }
@@ -310,6 +348,7 @@ TEST(ShardedTableStressTest, ReadersNeverObserveMixedEpochs) {
   EXPECT_GT(captures.load(), 0u);
   EXPECT_TRUE((*table)->last_error().ok());
   EXPECT_GT((*table)->publish_cycles(), 0u);
+  EXPECT_EQ((*table)->SampleDiagnostics().live_competitors, live.size());
 }
 
 }  // namespace

@@ -15,8 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "serve/live_table.h"
 #include "serve/rebuilder.h"
+#include "serve/shard/sharded_table.h"
 #include "util/random.h"
 
 namespace skyup {
@@ -171,34 +171,33 @@ TEST(SkylineMemoTest, ConcurrentHitsStoresAndPublishes) {
 }
 
 TEST(SkylineMemoTest, LiveTablePublishRollsTheMemo) {
-  // End-to-end: the table-owned memo is dropped by CompleteRebuild, and
-  // views carry the shared memo pointer.
-  LiveTableOptions options;
+  // End-to-end: the table-owned memo is dropped when a publish installs,
+  // and views carry the shared memo pointer.
+  ShardedTableOptions options;
   options.dims = 2;
   options.memo_cache_bytes = 1 << 20;
-  Result<std::unique_ptr<LiveTable>> table = LiveTable::Create(options);
+  Result<std::unique_ptr<ShardedTable>> table = ShardedTable::Create(options);
   ASSERT_TRUE(table.ok());
-  LiveTable& t = **table;
-  ASSERT_TRUE(t.InsertCompetitorWithId(1, {0.1, 0.2}).ok());
-  ASSERT_TRUE(t.InsertProductWithId(1, {0.9, 0.9}).ok());
+  ShardedTable& t = **table;
+  ASSERT_TRUE(t.InsertCompetitor({0.1, 0.2}).ok());
+  ASSERT_TRUE(t.InsertProduct({0.9, 0.9}).ok());
 
-  ReadView view = t.AcquireView();
+  const ReadView view = t.AcquireViews().views[0];
   ASSERT_NE(view.memo, nullptr);
   const std::vector<double> probe = {0.5, 0.5};
   view.memo->Store(view.epoch(), probe.data(), 0, Rows({1}));
   std::vector<PointId> rows;
   EXPECT_TRUE(view.memo->Lookup(view.epoch(), probe.data(), 0, &rows));
 
-  std::optional<LiveTable::RebuildJob> job = t.BeginRebuild();
-  ASSERT_TRUE(job.has_value());
-  Result<std::shared_ptr<const Snapshot>> merged = MergeSnapshot(
-      *job->base, job->ops, job->next_epoch, t.rtree_fanout());
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  t.CompleteRebuild(*merged);
+  RebuildPolicy policy;
+  policy.threshold_ops = 1;
+  Result<size_t> published = t.MaybePublishInline(policy);
+  ASSERT_TRUE(published.ok()) << published.status().ToString();
+  ASSERT_EQ(*published, 1u);
   EXPECT_EQ(view.memo->entry_count(), 0u);
   EXPECT_FALSE(view.memo->Lookup(view.epoch(), probe.data(), 0, &rows));
   // The new view shares the same memo object.
-  ReadView fresh = t.AcquireView();
+  const ReadView fresh = t.AcquireViews().views[0];
   EXPECT_EQ(fresh.memo.get(), view.memo.get());
   EXPECT_GT(fresh.epoch(), view.epoch());
 }

@@ -13,10 +13,10 @@
 namespace {
 
 using skyup::lock_order::kObsRegistry;
-using skyup::lock_order::kTable;
+using skyup::lock_order::kShardTable;
 using skyup::lock_order::kTableSub;
 
-skyup::Mutex outer SKYUP_ACQUIRED_AFTER(kTable)
+skyup::Mutex outer SKYUP_ACQUIRED_AFTER(kShardTable)
     SKYUP_ACQUIRED_BEFORE(kTableSub);
 skyup::Mutex inner SKYUP_ACQUIRED_AFTER(kTableSub)
     SKYUP_ACQUIRED_BEFORE(kObsRegistry);

@@ -15,7 +15,7 @@
 namespace {
 
 using skyup::lock_order::kObsRegistry;
-using skyup::lock_order::kTable;
+using skyup::lock_order::kShardTable;
 using skyup::lock_order::kTableSub;
 
 class Table {
@@ -68,7 +68,7 @@ class Table {
  private:
   void ApplyLocked() SKYUP_REQUIRES(mu_) { ++value_; }
 
-  mutable skyup::Mutex mu_ SKYUP_ACQUIRED_AFTER(kTable)
+  mutable skyup::Mutex mu_ SKYUP_ACQUIRED_AFTER(kShardTable)
       SKYUP_ACQUIRED_BEFORE(kTableSub);
   skyup::CondVar cv_;
   int value_ SKYUP_GUARDED_BY(mu_) = 0;

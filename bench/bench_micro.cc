@@ -61,28 +61,36 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeRangeQuery);
 
-template <SkylineAlgorithm kAlgo>
-void BM_Skyline(benchmark::State& state) {
+// BBS including the bulk load of its R-tree, so all three skylines start
+// from the same rows.
+std::vector<PointId> SkylineBbsOfRows(const Dataset& ds,
+                                      const std::vector<PointId>*) {
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(ds);
+  SKYUP_CHECK(tree.ok());
+  return SkylineBbs(tree.value());
+}
+
+using SkylineFn = std::vector<PointId> (*)(const Dataset&,
+                                           const std::vector<PointId>*);
+
+void BM_Skyline(benchmark::State& state, SkylineFn skyline) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Distribution distribution = state.range(1) == 0
                                         ? Distribution::kIndependent
                                         : Distribution::kAntiCorrelated;
   Dataset ds = MakeData(n, 3, distribution);
   for (auto _ : state) {
-    std::vector<PointId> sky = Skyline(ds, kAlgo);
+    std::vector<PointId> sky = skyline(ds, nullptr);
     benchmark::DoNotOptimize(sky.size());
   }
 }
-BENCHMARK(BM_Skyline<SkylineAlgorithm::kBnl>)
+BENCHMARK_CAPTURE(BM_Skyline, bnl, &SkylineBnl)
     ->Args({20000, 0})
     ->Args({20000, 1});
-BENCHMARK(BM_Skyline<SkylineAlgorithm::kSfs>)
+BENCHMARK_CAPTURE(BM_Skyline, sfs, &SkylineSfs)
     ->Args({20000, 0})
     ->Args({20000, 1});
-BENCHMARK(BM_Skyline<SkylineAlgorithm::kBbs>)
-    ->Args({20000, 0})
-    ->Args({20000, 1});
-BENCHMARK(BM_Skyline<SkylineAlgorithm::kDnc>)
+BENCHMARK_CAPTURE(BM_Skyline, bbs, &SkylineBbsOfRows)
     ->Args({20000, 0})
     ->Args({20000, 1});
 

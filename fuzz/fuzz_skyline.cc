@@ -1,4 +1,4 @@
-// Differential fuzz: BNL vs SFS vs DNC vs BBS skylines on adversarial
+// Differential fuzz: BNL vs SFS vs BBS skylines on adversarial
 // inputs (ties, duplicates, degenerate coordinates, singletons,
 // all-dominated sets). The algorithms may pick different representatives
 // of duplicated coordinate vectors, so agreement is on the *distinct
@@ -8,7 +8,7 @@
 //
 // A second phase tombstones a random subset of the R-tree index
 // (`FlatRTree::Erase`), validating the index after every erase, then
-// checks BBS against BNL over the surviving rows and every
+// checks BBS and SFS against BNL over the surviving rows and every
 // `DominatingSkyline` probe against a brute-force oracle.
 
 #include <algorithm>
@@ -56,7 +56,6 @@ void RunOne(uint64_t seed) {
 
   const std::vector<PointId> bnl = SkylineBnl(data);
   const std::vector<PointId> sfs = SkylineSfs(data);
-  const std::vector<PointId> dnc = SkylineDnc(data);
   const size_t fanout = 2 + static_cast<size_t>(rng.NextUint64(15));
   Result<FlatRTree> built = FlatRTree::BulkLoad(data, fanout);
   SKYUP_CHECK(built.ok()) << built.status().ToString() << " seed=" << seed;
@@ -65,8 +64,8 @@ void RunOne(uint64_t seed) {
   const std::vector<PointId> bbs = SkylineBbs(tree);
 
   const std::set<std::vector<double>> oracle = CoordSet(data, bnl);
-  for (const auto* other : {&sfs, &dnc, &bbs}) {
-    const char* name = other == &sfs ? "SFS" : other == &dnc ? "DNC" : "BBS";
+  for (const auto* other : {&sfs, &bbs}) {
+    const char* name = other == &sfs ? "SFS" : "BBS";
     SKYUP_CHECK(CoordSet(data, *other) == oracle)
         << name << " skyline disagrees with BNL (" << other->size() << " vs "
         << bnl.size() << " ids), shape=" << ShapeName(shape)
@@ -128,8 +127,8 @@ void RunOne(uint64_t seed) {
   SKYUP_CHECK(tree.live_size() == live);
   SKYUP_CHECK(tree.tombstones() == data.size() - live);
 
-  // BBS over the survivors equals BNL over the surviving rows, compared
-  // as coordinate multisets.
+  // BBS over the survivors, and SFS over the surviving rows, equal BNL
+  // over the surviving rows, compared as coordinate multisets.
   std::vector<PointId> survivors;
   for (size_t r = 0; r < data.size(); ++r) {
     if (alive[r]) survivors.push_back(static_cast<PointId>(r));
@@ -138,6 +137,11 @@ void RunOne(uint64_t seed) {
   const std::vector<PointId> bnl_after = SkylineBnl(data, &survivors);
   SKYUP_CHECK(Values(data, bbs_after) == Values(data, bnl_after))
       << "post-erase BBS skyline disagrees with BNL (" << bbs_after.size()
+      << " vs " << bnl_after.size() << " ids), shape=" << ShapeName(shape)
+      << " seed=" << seed << " rows: " << RowsToString(data);
+  const std::vector<PointId> sfs_after = SkylineSfs(data, &survivors);
+  SKYUP_CHECK(Values(data, sfs_after) == Values(data, bnl_after))
+      << "subset SFS skyline disagrees with BNL (" << sfs_after.size()
       << " vs " << bnl_after.size() << " ids), shape=" << ShapeName(shape)
       << " seed=" << seed << " rows: " << RowsToString(data);
   if (live == 0) SKYUP_CHECK(tree.root_mbr().IsEmpty());

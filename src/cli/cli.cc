@@ -42,7 +42,7 @@ commands:
   wine       synthesize the UCI-wine stand-in table (4,898 x 3)
              --out=FILE [--count=4898] [--seed=2012]
   skyline    print the skyline row indices of a CSV
-             --in=FILE [--algo=bnl|sfs|bbs|dnc]
+             --in=FILE (sort-filter skyline)
   topk       top-k product upgrading
              --competitors=FILE --products=FILE [--k=1]
              [--algorithm=join|improved|basic|brute] [--lb=nlb|clb|alb]
@@ -192,6 +192,13 @@ Result<Dataset> LoadCsvDataset(const std::string& path) {
   if (table->rows.empty()) {
     return Status::InvalidArgument("'" + path + "' holds no rows");
   }
+  for (size_t i = 0; i < table->rows.size(); ++i) {
+    if (!AllFinite(table->rows[i].data(), table->rows[i].size())) {
+      return Status::InvalidArgument("'" + path + "' row " +
+                                     std::to_string(i) +
+                                     " has a non-finite value");
+    }
+  }
   return Dataset::FromRows(table->rows);
 }
 
@@ -264,6 +271,45 @@ class SignalDumpScope {
   SignalDumpScope(const SignalDumpScope&) = delete;
   SignalDumpScope& operator=(const SignalDumpScope&) = delete;
 };
+
+// Each serve mode's defaults for the serving knobs it takes; a null
+// default means the mode has no such flag (it stays an unknown flag).
+struct ServeKnobDefaults {
+  const char* threads;
+  const char* shards;
+  const char* rebuild_threshold;
+  const char* batch_max;
+};
+
+// Parses the serving knobs shared by replay, --load-gen and --listen
+// (--threads, --shards, --rebuild-threshold, --batch-max, --batch-wait-us,
+// --memo-cache-mb) into `options`. False on a malformed or out-of-range
+// value.
+bool ApplyServeKnobFlags(const Flags& flags, const ServeKnobDefaults& defaults,
+                         ServerOptions* options) {
+  struct Knob {
+    const char* name;
+    const char* def;
+    long long min;
+    size_t* field;
+  };
+  const Knob knobs[] = {
+      {"threads", defaults.threads, 1, &options->query_threads},
+      {"shards", defaults.shards, 1, &options->shards},
+      {"rebuild-threshold", defaults.rebuild_threshold, 1,
+       &options->rebuild_threshold_ops},
+      {"batch-max", defaults.batch_max, 1, &options->batch_max},
+      {"batch-wait-us", "200", 0, &options->batch_wait_us},
+      {"memo-cache-mb", "16", 0, &options->memo_cache_mb},
+  };
+  for (const Knob& knob : knobs) {
+    if (knob.def == nullptr) continue;
+    const auto value = ToInt(flags.GetOr(knob.name, knob.def));
+    if (!value || *value < knob.min) return false;
+    *knob.field = static_cast<size_t>(*value);
+  }
+  return true;
+}
 
 // Parses the observability flags shared by the serve modes
 // (--flight-recorder, --flight-out, --slow-log, --slow-query-us,
@@ -392,28 +438,15 @@ int CmdWine(const Flags& flags, std::ostream& out, std::ostream& err) {
 int CmdSkyline(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto path = flags.Get("in");
   if (!path) return Usage(err, "skyline requires --in");
-  const std::string algo_name = flags.GetOr("algo", "sfs");
-  SkylineAlgorithm algo;
-  if (algo_name == "bnl") {
-    algo = SkylineAlgorithm::kBnl;
-  } else if (algo_name == "sfs") {
-    algo = SkylineAlgorithm::kSfs;
-  } else if (algo_name == "bbs") {
-    algo = SkylineAlgorithm::kBbs;
-  } else if (algo_name == "dnc") {
-    algo = SkylineAlgorithm::kDnc;
-  } else {
-    return Usage(err, "skyline: --algo must be bnl, sfs, bbs, or dnc");
-  }
   if (flags.ReportUnused(err)) return 2;
 
   Result<Dataset> ds = LoadCsvDataset(*path);
   if (!ds.ok()) return Fail(err, ds.status());
   Timer timer;
-  std::vector<PointId> sky = Skyline(*ds, algo);
+  std::vector<PointId> sky = SkylineSfs(*ds);
   std::sort(sky.begin(), sky.end());
   out << "# skyline of " << ds->size() << " points: " << sky.size()
-      << " members (" << algo_name << ", "
+      << " members (sfs, "
       << static_cast<long long>(timer.ElapsedMicros()) << " us)\n";
   for (PointId id : sky) out << id << "\n";
   return 0;
@@ -566,25 +599,18 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto timeout = ToDouble(flags.GetOr("timeout", "0"));
   const auto preload_p = ToInt(flags.GetOr("preload-p", "20000"));
   const auto preload_t = ToInt(flags.GetOr("preload-t", "2000"));
-  const auto threads = ToInt(flags.GetOr("threads", "2"));
-  const auto shards = ToInt(flags.GetOr("shards", "1"));
-  const auto threshold = ToInt(flags.GetOr("rebuild-threshold", "1024"));
-  const auto batch_max = ToInt(flags.GetOr("batch-max", "16"));
-  const auto batch_wait = ToInt(flags.GetOr("batch-wait-us", "200"));
-  const auto memo_mb = ToInt(flags.GetOr("memo-cache-mb", "16"));
   const auto seed = ToInt(flags.GetOr("seed", "42"));
   const auto connect = flags.Get("connect");
   const std::string tenant = flags.GetOr("tenant", "bench");
   const auto out_path = flags.Get("out");
   const auto metrics_path = flags.Get("metrics-out");
+  ServerOptions options;
   if (!dims || !duration || !clients || !qps || !query_fraction || !k ||
-      !timeout || !preload_p || !preload_t || !threads || !shards ||
-      !threshold || !batch_max || !batch_wait || !memo_mb || !seed ||
-      *dims < 1 || *duration <= 0 || *clients < 1 || *qps < 0 ||
-      *query_fraction < 0 || *query_fraction > 1 || *k < 1 || *timeout < 0 ||
-      *preload_p < 0 || *preload_t < 0 || *threads < 1 || *shards < 1 ||
-      *threshold < 1 || *batch_max < 1 || *batch_wait < 0 || *memo_mb < 0 ||
-      *seed < 0) {
+      !timeout || !preload_p || !preload_t || !seed || *dims < 1 ||
+      *duration <= 0 || *clients < 1 || *qps < 0 || *query_fraction < 0 ||
+      *query_fraction > 1 || *k < 1 || *timeout < 0 || *preload_p < 0 ||
+      *preload_t < 0 || *seed < 0 ||
+      !ApplyServeKnobFlags(flags, {"2", "1", "1024", "16"}, &options)) {
     return Usage(err, "serve --load-gen: malformed numeric flag");
   }
 
@@ -605,14 +631,7 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
   ServeStats stats;
   Result<LoadGenReport> report = Status::Internal("load-gen never ran");
 
-  ServerOptions options;
   options.dims = load.dims;
-  options.shards = static_cast<size_t>(*shards);
-  options.query_threads = static_cast<size_t>(*threads);
-  options.rebuild_threshold_ops = static_cast<size_t>(*threshold);
-  options.batch_max = static_cast<size_t>(*batch_max);
-  options.batch_wait_us = static_cast<size_t>(*batch_wait);
-  options.memo_cache_mb = static_cast<size_t>(*memo_mb);
 
   std::unique_ptr<Server> server;  // in-process mode only
   if (connect.has_value()) {
@@ -634,7 +653,7 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
         WireClient::Dial(host, static_cast<uint16_t>(*port));
     if (!admin.ok()) return Fail(err, admin.status());
     Result<uint64_t> tenant_id = admin->CreateTenant(
-        tenant, load.dims, static_cast<size_t>(*shards), /*quota=*/0,
+        tenant, load.dims, options.shards, /*quota=*/0,
         /*attach_existing=*/true);
     if (!tenant_id.ok()) return Fail(err, tenant_id.status());
     err << "# load-gen: tenant '" << tenant << "' (id " << *tenant_id
@@ -684,7 +703,7 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
       << " updates in " << report->wall_seconds << " s\n"
       << "# load-gen: offered=" << report->offered_qps
       << " qps achieved=" << report->achieved_qps << " qps ("
-      << report->achieved_qps / static_cast<double>(*threads)
+      << report->achieved_qps / static_cast<double>(options.query_threads)
       << " qps/core), p50=" << report->latency_p50_seconds * 1e3
       << " ms p99=" << report->latency_p99_seconds * 1e3 << " ms\n"
       << "# load-gen: memo hits=" << stats.memo_hits << "/" << probes
@@ -713,7 +732,8 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
        << "  \"offered_qps\": " << report->offered_qps << ",\n"
        << "  \"achieved_qps\": " << report->achieved_qps << ",\n"
        << "  \"achieved_qps_per_core\": "
-       << report->achieved_qps / static_cast<double>(*threads) << ",\n"
+       << report->achieved_qps / static_cast<double>(options.query_threads)
+       << ",\n"
        << "  \"queries_ok\": " << report->queries_ok << ",\n"
        << "  \"queries_rejected\": " << report->queries_rejected << ",\n"
        << "  \"queries_timed_out\": " << report->queries_timed_out << ",\n"
@@ -757,28 +777,17 @@ int CmdServeLoadGen(const Flags& flags, std::ostream& out, std::ostream& err) {
 // a `shutdown` command arrives over the wire.
 int CmdServeListen(const Flags& flags, std::ostream& out, std::ostream& err) {
   const auto listen = ToInt(flags.GetOr("listen", "0"));
-  const auto threads = ToInt(flags.GetOr("threads", "2"));
   const auto quota = ToInt(flags.GetOr("quota", "64"));
-  const auto threshold = ToInt(flags.GetOr("rebuild-threshold", "1024"));
-  const auto batch_max = ToInt(flags.GetOr("batch-max", "16"));
-  const auto batch_wait = ToInt(flags.GetOr("batch-wait-us", "200"));
-  const auto memo_mb = ToInt(flags.GetOr("memo-cache-mb", "16"));
-  if (!listen || !threads || !quota || !threshold || !batch_max ||
-      !batch_wait || !memo_mb || *listen < 0 || *listen > 65535 ||
-      *threads < 1 || *quota < 1 || *threshold < 1 || *batch_max < 1 ||
-      *batch_wait < 0 || *memo_mb < 0) {
+  FrontDoorOptions options;
+  // Tenants take their shard count from the wire `create`, not a flag.
+  if (!listen || !quota || *listen < 0 || *listen > 65535 || *quota < 1 ||
+      !ApplyServeKnobFlags(flags, {"2", nullptr, "1024", "16"},
+                           &options.tenant_base)) {
     return Usage(err, "serve --listen: malformed numeric flag");
   }
-
-  FrontDoorOptions options;
   options.port = static_cast<uint16_t>(*listen);
   options.tenant_base.dims = 1;  // per-tenant `create` overrides
-  options.tenant_base.query_threads = static_cast<size_t>(*threads);
   options.tenant_base.max_pending = static_cast<size_t>(*quota);
-  options.tenant_base.rebuild_threshold_ops = static_cast<size_t>(*threshold);
-  options.tenant_base.batch_max = static_cast<size_t>(*batch_max);
-  options.tenant_base.batch_wait_us = static_cast<size_t>(*batch_wait);
-  options.tenant_base.memo_cache_mb = static_cast<size_t>(*memo_mb);
   if (auto rc = ApplyServeObsFlags(flags, &options.tenant_base, err)) {
     return *rc;
   }
@@ -841,37 +850,27 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   const auto epsilon = ToDouble(flags.GetOr("epsilon", "1e-6"));
   const auto fanout = ToInt(flags.GetOr("fanout", "64"));
-  const auto shards = ToInt(flags.GetOr("shards", "1"));
-  const auto threshold = ToInt(flags.GetOr("rebuild-threshold", "64"));
   const auto tombstone_pct = ToInt(flags.GetOr("compact-tombstone-pct", "50"));
   const auto tail_pct = ToInt(flags.GetOr("compact-tail-pct", "150"));
-  const auto batch_max = ToInt(flags.GetOr("batch-max", "1"));
-  const auto batch_wait = ToInt(flags.GetOr("batch-wait-us", "200"));
-  const auto memo_mb = ToInt(flags.GetOr("memo-cache-mb", "16"));
   const auto out_path = flags.Get("out");
   const auto metrics_path = flags.Get("metrics-out");
-  if (!epsilon || !fanout || !shards || !threshold || !tombstone_pct ||
-      !tail_pct || !batch_max || !batch_wait || !memo_mb ||
-      !IsValidEpsilon(*epsilon) || *fanout < 2 || *shards < 1 ||
-      *threshold < 1 || *tombstone_pct < 1 || *tail_pct < 1 ||
-      *batch_max < 1 || *batch_wait < 0 || *memo_mb < 0) {
+  ServerOptions options;
+  // Queries run inline, so replay takes no --threads.
+  if (!epsilon || !fanout || !tombstone_pct || !tail_pct ||
+      !IsValidEpsilon(*epsilon) || *fanout < 2 || *tombstone_pct < 1 ||
+      *tail_pct < 1 ||
+      !ApplyServeKnobFlags(flags, {nullptr, "1", "64", "1"}, &options)) {
     return Usage(err, "serve: malformed numeric flag");
   }
 
   Result<ReplayWorkload> workload = ReadWorkloadFile(*replay_path);
   if (!workload.ok()) return Fail(err, workload.status());
 
-  ServerOptions options;
   options.dims = workload->dims;
-  options.shards = static_cast<size_t>(*shards);
   options.default_epsilon = *epsilon;
   options.rtree_fanout = static_cast<size_t>(*fanout);
-  options.rebuild_threshold_ops = static_cast<size_t>(*threshold);
   options.compact_tombstone_pct = static_cast<size_t>(*tombstone_pct);
   options.compact_tail_pct = static_cast<size_t>(*tail_pct);
-  options.batch_max = static_cast<size_t>(*batch_max);
-  options.batch_wait_us = static_cast<size_t>(*batch_wait);
-  options.memo_cache_mb = static_cast<size_t>(*memo_mb);
   options.background_rebuild = false;  // replay must be deterministic
   options.query_threads = 1;
   if (auto rc = ApplyServeObsFlags(flags, &options, err)) return *rc;

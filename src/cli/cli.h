@@ -7,7 +7,7 @@
 //
 //   skyup generate --out=P.csv --count=100000 --dims=3 --dist=anti
 //   skyup wine     --out=wine.csv
-//   skyup skyline  --in=P.csv --algo=sfs
+//   skyup skyline  --in=P.csv
 //   skyup topk     --competitors=P.csv --products=T.csv --k=5
 //                  --algorithm=join --lb=clb
 //

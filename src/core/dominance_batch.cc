@@ -57,28 +57,6 @@ size_t FilterDominatedScalar(const SoaView& block, const double* q,
   return appended;
 }
 
-void ClassifyBlockScalar(const SoaView& block, const double* q,
-                         DomRelation* out) {
-  for (size_t i = 0; i < block.count; ++i) {
-    bool a_le = true;  // lane <= q on every dimension
-    bool b_le = true;  // q <= lane on every dimension
-    for (size_t d = 0; d < block.dims && (a_le || b_le); ++d) {
-      const double v = block.dim(d)[i];
-      a_le = a_le && v <= q[d];
-      b_le = b_le && q[d] <= v;
-    }
-    if (a_le && b_le) {
-      out[i] = DomRelation::kEqual;
-    } else if (a_le) {
-      out[i] = DomRelation::kDominates;
-    } else if (b_le) {
-      out[i] = DomRelation::kDominatedBy;
-    } else {
-      out[i] = DomRelation::kIncomparable;
-    }
-  }
-}
-
 void TileDominanceMasksScalar(const SoaView& block, const double* const* tile,
                               size_t tile_count, bool strict,
                               uint64_t* masks) {
@@ -171,37 +149,6 @@ FilterDominatedAvx2(const SoaView& block, const double* q,
   return appended;
 }
 
-__attribute__((target("avx2"))) void ClassifyBlockAvx2(const SoaView& block,
-                                                       const double* q,
-                                                       DomRelation* out) {
-  size_t i = 0;
-  for (; i + 4 <= block.count; i += 4) {
-    __m256d a_le = AllOnes();  // lane <= q everywhere
-    __m256d b_le = AllOnes();  // q <= lane everywhere
-    for (size_t d = 0; d < block.dims; ++d) {
-      const __m256d v = _mm256_loadu_pd(block.dim(d) + i);
-      const __m256d qd = _mm256_set1_pd(q[d]);
-      a_le = _mm256_and_pd(a_le, _mm256_cmp_pd(v, qd, _CMP_LE_OQ));
-      b_le = _mm256_and_pd(b_le, _mm256_cmp_pd(qd, v, _CMP_LE_OQ));
-    }
-    const int am = _mm256_movemask_pd(a_le);
-    const int bm = _mm256_movemask_pd(b_le);
-    for (int lane = 0; lane < 4; ++lane) {
-      const bool a = (am >> lane) & 1;
-      const bool b = (bm >> lane) & 1;
-      out[i + static_cast<size_t>(lane)] =
-          a ? (b ? DomRelation::kEqual : DomRelation::kDominates)
-            : (b ? DomRelation::kDominatedBy : DomRelation::kIncomparable);
-    }
-  }
-  if (i < block.count) {
-    SoaView tail = block;
-    tail.data += i;
-    tail.count -= i;
-    ClassifyBlockScalar(tail, q, out + i);
-  }
-}
-
 // Register-blocked multi-query sweep: four block lanes wide (one __m256d),
 // four tile members deep (eight live accumulators + the shared coordinate
 // load fit comfortably in the sixteen ymm registers). Each coordinate
@@ -280,16 +227,6 @@ size_t FilterDominated(const SoaView& block, const double* q,
   if (UseAvx2()) return FilterDominatedAvx2(block, q, out, strict);
 #endif
   return FilterDominatedScalar(block, q, out, strict);
-}
-
-void ClassifyBlock(const SoaView& block, const double* q, DomRelation* out) {
-#if SKYUP_HAVE_AVX2_PATH
-  if (UseAvx2()) {
-    ClassifyBlockAvx2(block, q, out);
-    return;
-  }
-#endif
-  ClassifyBlockScalar(block, q, out);
 }
 
 void TileDominanceMasks(const SoaView& block, const double* const* tile,

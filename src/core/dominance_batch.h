@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/dominance.h"
 #include "core/point.h"
 
 namespace skyup {
@@ -86,10 +85,6 @@ bool DominatesAny(const SoaView& block, const double* q);
 size_t FilterDominated(const SoaView& block, const double* q,
                        std::vector<uint32_t>* out, bool strict = true);
 
-/// Full four-way classification of every lane against `q`, one
-/// `Compare(lane, q)` per lane into `out[0..count)`.
-void ClassifyBlock(const SoaView& block, const double* q, DomRelation* out);
-
 /// Maximum tile width the multi-query kernels accept: outcome masks are one
 /// `uint64_t` per block lane, bit `j` = tile member `j`.
 inline constexpr size_t kMaxDominanceTile = 64;
@@ -112,8 +107,6 @@ void TileDominanceMasks(const SoaView& block, const double* const* tile,
 bool DominatesAnyScalar(const SoaView& block, const double* q);
 size_t FilterDominatedScalar(const SoaView& block, const double* q,
                              std::vector<uint32_t>* out, bool strict = true);
-void ClassifyBlockScalar(const SoaView& block, const double* q,
-                         DomRelation* out);
 void TileDominanceMasksScalar(const SoaView& block, const double* const* tile,
                               size_t tile_count, bool strict,
                               uint64_t* masks);

@@ -60,6 +60,15 @@ Result<UpgradePlanner> UpgradePlanner::Create(Dataset competitors,
   if (options.rtree_fanout < 2) {
     return Status::InvalidArgument("R-tree fanout must be at least 2");
   }
+  for (const Dataset* data : {&competitors, &products}) {
+    for (size_t i = 0; i < data->size(); ++i) {
+      if (!AllFinite(data->data(static_cast<PointId>(i)), data->dims())) {
+        return Status::InvalidArgument(
+            std::string(data == &competitors ? "P" : "T") + " row " +
+            std::to_string(i) + " has a non-finite coordinate");
+      }
+    }
+  }
   SKYUP_TRACE_SPAN("planner/create");
 
   if (options.validate_monotonicity) {

@@ -80,7 +80,8 @@ struct PlannerOptions {
 /// time in nondecreasing cost order (the paper's progressiveness).
 class UpgradePlanner {
  public:
-  /// Validates inputs, copies the datasets, and bulk-loads both R-trees.
+  /// Validates inputs (non-empty, matching dims, every coordinate finite),
+  /// copies the datasets, and bulk-loads both R-trees.
   static Result<UpgradePlanner> Create(Dataset competitors, Dataset products,
                                        ProductCostFunction cost_fn,
                                        PlannerOptions options = {});

@@ -1,6 +1,8 @@
 #ifndef SKYUP_CORE_POINT_H_
 #define SKYUP_CORE_POINT_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,6 +44,12 @@ class PointView {
   const double* data_ = nullptr;
   size_t dims_ = 0;
 };
+
+/// True iff every coordinate of `p[0, dims)` is finite. NaN breaks every
+/// dominance test and ±inf every cost, so the entry points refuse both.
+inline bool AllFinite(const double* p, size_t dims) {
+  return std::all_of(p, p + dims, [](double v) { return std::isfinite(v); });
+}
 
 /// Renders a coordinate vector as "(a, b, c)" for diagnostics.
 std::string PointToString(const double* p, size_t dims);

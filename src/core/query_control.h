@@ -14,8 +14,10 @@
 // query from any thread.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 
+#include "util/check.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -46,8 +48,17 @@ class QueryControl {
     has_deadline_.store(true, std::memory_order_release);
   }
 
-  /// Convenience: deadline = now + `seconds`.
+  /// The largest timeout `SetTimeout` takes: half the clock's range, so
+  /// `now + seconds` cannot overflow.
+  static constexpr double kMaxTimeoutSeconds =
+      std::chrono::duration<double>(SteadyClock::duration::max()).count() /
+      2.0;
+
+  /// Convenience: deadline = now + `seconds`, with `seconds` in
+  /// (0, kMaxTimeoutSeconds].
   void SetTimeout(double seconds) {
+    SKYUP_DCHECK(seconds > 0.0 && seconds <= kMaxTimeoutSeconds)
+        << "timeout out of range: " << seconds;
     SetDeadline(SteadyClock::now() +
                 std::chrono::duration_cast<SteadyClock::duration>(
                     std::chrono::duration<double>(seconds)));

@@ -1,13 +1,13 @@
 #include "serve/replay.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "serve/server.h"
+#include "serve/shard/wire.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -21,42 +21,6 @@ std::string Num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return buf;
-}
-
-std::vector<std::string> SplitCommas(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  for (;;) {
-    size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
-    }
-    fields.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-Status ParseDouble(const std::string& field, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad numeric field '" + field + "'");
-  }
-  return Status::OK();
-}
-
-Status ParseUint(const std::string& field, uint64_t* out) {
-  if (field.empty()) return Status::InvalidArgument("empty integer field");
-  uint64_t value = 0;
-  for (char c : field) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("bad integer field '" + field + "'");
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return Status::OK();
 }
 
 }  // namespace
@@ -74,7 +38,7 @@ Result<ReplayWorkload> ParseWorkload(const std::string& text) {
     if (line[0] == '#') {
       if (line.rfind(kHeaderPrefix, 0) == 0) {
         uint64_t dims = 0;
-        Status st = ParseUint(line.substr(sizeof(kHeaderPrefix) - 1), &dims);
+        Status st = ParseU64(line.substr(sizeof(kHeaderPrefix) - 1), &dims);
         if (!st.ok() || dims == 0) {
           return Status::InvalidArgument("bad workload header: " + line);
         }
@@ -101,7 +65,7 @@ Result<ReplayWorkload> ParseWorkload(const std::string& text) {
       op.coords.reserve(workload.dims);
       for (size_t i = 1; i < fields.size(); ++i) {
         double v = 0.0;
-        Status st = ParseDouble(fields[i], &v);
+        Status st = ParseF64(fields[i], &v);
         if (!st.ok()) {
           return Status::InvalidArgument(
               "line " + std::to_string(line_no) + ": " + st.message());
@@ -115,7 +79,7 @@ Result<ReplayWorkload> ParseWorkload(const std::string& text) {
         return Status::InvalidArgument(
             "line " + std::to_string(line_no) + ": erase expects one id");
       }
-      Status st = ParseUint(fields[1], &op.id);
+      Status st = ParseU64(fields[1], &op.id);
       if (!st.ok() || op.id == 0) {
         return Status::InvalidArgument(
             "line " + std::to_string(line_no) + ": bad erase id");
@@ -127,7 +91,7 @@ Result<ReplayWorkload> ParseWorkload(const std::string& text) {
             "line " + std::to_string(line_no) + ": query expects one k");
       }
       uint64_t k = 0;
-      Status st = ParseUint(fields[1], &k);
+      Status st = ParseU64(fields[1], &k);
       if (!st.ok() || k == 0) {
         return Status::InvalidArgument(
             "line " + std::to_string(line_no) + ": bad query k");

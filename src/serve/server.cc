@@ -24,6 +24,17 @@ uint64_t NowUnixMicros() {
           .count());
 }
 
+// A request's timeout: 0 = no deadline, else a positive span the steady
+// clock can represent. NaN fails both comparisons.
+Status CheckTimeout(double seconds) {
+  if (seconds >= 0.0 && seconds <= QueryControl::kMaxTimeoutSeconds) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      "timeout must be 0 (none) or in (0, " +
+      std::to_string(QueryControl::kMaxTimeoutSeconds) + "] seconds");
+}
+
 }  // namespace
 
 Server::Server(ProductCostFunction cost_fn, ServerOptions options,
@@ -276,37 +287,53 @@ QueryResponse Server::Query(const QueryRequest& request) {
 std::vector<QueryResponse> Server::QueryBatch(
     const std::vector<QueryRequest>& requests) {
   if (requests.empty()) return {};
-  std::vector<std::shared_ptr<QueryControl>> owned(requests.size());
-  std::vector<BatchQuery> group(requests.size());
-  std::vector<uint64_t> query_ids(requests.size());
+  std::vector<QueryResponse> responses(requests.size());
+  // Requests with a bad timeout are refused here; the rest run as one
+  // group, member j answering request members[j].
+  std::vector<size_t> members;
+  std::vector<std::shared_ptr<QueryControl>> owned;
+  std::vector<BatchQuery> group;
+  std::vector<uint64_t> query_ids;
   for (size_t i = 0; i < requests.size(); ++i) {
-    std::shared_ptr<QueryControl> control = requests[i].control;
-    if (control == nullptr && requests[i].timeout_seconds > 0.0) {
-      control = std::make_shared<QueryControl>();
+    responses[i].status = CheckTimeout(requests[i].timeout_seconds);
+    if (!responses[i].status.ok()) {
+      RecordOutcome(responses[i]);
+      continue;
     }
-    if (control != nullptr && requests[i].timeout_seconds > 0.0) {
+    std::shared_ptr<QueryControl> control = requests[i].control;
+    if (requests[i].timeout_seconds > 0.0) {
+      if (control == nullptr) control = std::make_shared<QueryControl>();
       control->SetTimeout(requests[i].timeout_seconds);
     }
-    query_ids[i] = NextQueryId();
-    if (control != nullptr) control->set_query_id(query_ids[i]);
-    group[i] = BatchQuery{requests[i].k, control.get()};
-    owned[i] = std::move(control);
+    members.push_back(i);
+    query_ids.push_back(NextQueryId());
+    if (control != nullptr) control->set_query_id(query_ids.back());
+    group.push_back(BatchQuery{requests[i].k, control.get()});
+    owned.push_back(std::move(control));
   }
+  if (group.empty()) return responses;
   const bool record_flight = recorder_.enabled();
   std::vector<QueryFlightRecord> records;
-  std::vector<QueryResponse> responses =
+  std::vector<QueryResponse> executed =
       ExecuteBatch(group, record_flight ? &records : nullptr);
-  for (size_t i = 0; i < responses.size(); ++i) {
-    RecordOutcome(responses[i]);
+  for (size_t j = 0; j < executed.size(); ++j) {
+    RecordOutcome(executed[j]);
     if (record_flight) {
-      FinishFlight(&records[i], responses[i], query_ids[i],
+      FinishFlight(&records[j], executed[j], query_ids[j],
                    /*queue_seconds=*/0.0);
     }
+    responses[members[j]] = std::move(executed[j]);
   }
   return responses;
 }
 
 std::future<QueryResponse> Server::Submit(QueryRequest request) {
+  if (!CheckTimeout(request.timeout_seconds).ok()) {
+    // Refused before admission: the inline path refuses it identically.
+    std::promise<QueryResponse> refused;
+    refused.set_value(Query(request));
+    return refused.get_future();
+  }
   PendingQuery pending;
   pending.control = request.control;
   if (pending.control == nullptr) {

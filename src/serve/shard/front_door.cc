@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <utility>
@@ -16,61 +15,6 @@
 
 namespace skyup {
 namespace {
-
-std::string Num17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-Status ParseU64(const std::string& field, uint64_t* out) {
-  if (field.empty()) return Status::InvalidArgument("empty integer field");
-  uint64_t value = 0;
-  for (char c : field) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("bad integer field '" + field + "'");
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return Status::OK();
-}
-
-Status ParseF64(const std::string& field, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument("bad numeric field '" + field + "'");
-  }
-  return Status::OK();
-}
-
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::vector<std::string> tokens;
-  size_t at = 0;
-  while (at < line.size()) {
-    while (at < line.size() && line[at] == ' ') ++at;
-    size_t end = at;
-    while (end < line.size() && line[end] != ' ') ++end;
-    if (end > at) tokens.push_back(line.substr(at, end - at));
-    at = end;
-  }
-  return tokens;
-}
-
-std::vector<std::string> SplitCommas(const std::string& line) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  for (;;) {
-    const size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
-    }
-    fields.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
 
 // `-err <Code> <message>`; newlines in the message would break the
 // response's line structure, so they flatten to spaces.

@@ -65,6 +65,10 @@ Result<uint64_t> ShardedTable::Insert(DeltaTarget target,
         "insert has " + std::to_string(coords.size()) + " coords, table is " +
         std::to_string(options_.dims) + "-dimensional");
   }
+  if (!AllFinite(coords.data(), coords.size())) {
+    return Status::InvalidArgument("insert has a non-finite coordinate " +
+                                   PointToString(coords));
+  }
   const bool competitor = target == DeltaTarget::kCompetitor;
   WriterLock lock(route_mu_);
   const uint64_t id = competitor ? next_competitor_id_++ : next_product_id_++;
@@ -73,9 +77,9 @@ Result<uint64_t> ShardedTable::Insert(DeltaTarget target,
   (competitor ? competitor_shard_ : product_shard_).emplace(id, shard);
   // Feed the global cache in id-allocation order, before the op reaches
   // its shard (so no reader sees an op the cache hasn't vetted entries
-  // against). The append cannot fail past this point — arity was checked
-  // above and the id is fresh and the largest yet — so the cache never
-  // observes a phantom op.
+  // against). The append cannot fail past this point — arity and
+  // finiteness were checked above and the id is fresh and the largest yet
+  // — so the cache never observes a phantom op.
   cache_->OnDeltaOp(DeltaOp{target, DeltaKind::kInsert, id, coords});
   shards_[shard].log.AppendInsert(target, id, coords.data());
   return id;

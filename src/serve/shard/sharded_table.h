@@ -110,9 +110,9 @@ class ShardedTable {
   ShardedTable& operator=(const ShardedTable&) = delete;
 
   /// Update API: global stable ids in op order, `kNotFound` for dead
-  /// ids, `kInvalidArgument` for arity. Every accepted update is in its
-  /// shard's log (and visible to subsequently captured views) before the
-  /// call returns.
+  /// ids, `kInvalidArgument` for arity or a NaN/±inf coordinate. Every
+  /// accepted update is in its shard's log (and visible to subsequently
+  /// captured views) before the call returns.
   Result<uint64_t> InsertCompetitor(const std::vector<double>& coords);
   Result<uint64_t> InsertProduct(const std::vector<double>& coords);
   Status EraseCompetitor(uint64_t id);

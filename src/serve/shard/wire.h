@@ -69,6 +69,16 @@ Result<std::string> WireReadFrame(int fd, bool eof_ok = false);
 /// commas behind a `p,`/`t,` tag instead).
 std::string WireFormatCoords(const std::vector<double>& coords);
 
+/// Field helpers shared by the client, the front door and the replay
+/// workload parser: `%.17g` (round-trip-exact) double formatting, whole-
+/// field unsigned decimal and double parsing, and splitting a line on
+/// commas or on runs of spaces.
+std::string Num17(double v);
+Status ParseU64(const std::string& field, uint64_t* out);
+Status ParseF64(const std::string& field, double* out);
+std::vector<std::string> SplitCommas(const std::string& line);
+std::vector<std::string> SplitTokens(const std::string& line);
+
 /// One blocking client connection. Not thread-safe: the protocol is
 /// strict request/response, so callers wanting concurrency dial one
 /// client per thread (exactly what `WireLoadTarget` does).

@@ -1,5 +1,6 @@
 #include "skyline/dominating_skyline.h"
 
+#include <limits>
 #include <queue>
 #include <string>
 #include <vector>
@@ -7,6 +8,7 @@
 #include "core/dominance.h"
 #include "core/dominance_batch.h"
 #include "obs/trace.h"
+#include "skyline/skyline.h"
 #include "util/check.h"
 
 namespace skyup {
@@ -197,6 +199,31 @@ std::vector<PointId> DominatingSkylineFrom(const FlatRTree& tree,
   std::vector<PointId> result;
   ConstrainedSkyline(tree, roots.data(), roots.size(), points.data(),
                      points.size(), t, /*dead_rows=*/nullptr, &result, stats);
+  return result;
+}
+
+std::vector<PointId> SkylineBbs(const FlatRTree& tree) {
+  std::vector<PointId> result;
+  if (tree.empty() || tree.live_size() == 0) return result;
+  // The traversal trusts the arena's structural invariants (slot ranges,
+  // containment, SoA/AoS mirror agreement); re-prove them under paranoid.
+  SKYUP_PARANOID_OK(tree.Validate());
+  // Every finite point strictly dominates (+inf, ..., +inf), so ADR(t) is
+  // all of space and the probe is plain BBS: a deheaped undominated point
+  // is a final skyline member (Papadias et al.).
+  const std::vector<double> t(tree.dims(),
+                              std::numeric_limits<double>::infinity());
+  DominatingSkylineInto(tree, t.data(), /*dead_rows=*/nullptr, &result);
+  SKYUP_PARANOID_OK([&]() -> Status {
+    // Re-proof input: the *live* slots only — tombstoned points are not
+    // part of the set whose skyline this computes.
+    std::vector<PointId> all;
+    all.reserve(tree.live_size());
+    for (uint32_t j = 0; j < tree.size(); ++j) {
+      if (tree.slot_alive(j)) all.push_back(tree.point_ids()[j]);
+    }
+    return CheckSkylineInvariants(tree.dataset(), &all, result);
+  }());
   return result;
 }
 

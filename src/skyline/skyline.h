@@ -11,39 +11,27 @@
 
 namespace skyup {
 
-/// Skyline algorithms provided by the substrate.
-///
-/// All of them use the minimize orientation and return one representative
-/// per distinct coordinate vector (exact duplicates of a skyline point are
-/// dropped), so results satisfy the mutual non-domination precondition of
-/// the upgrade routine.
-enum class SkylineAlgorithm {
-  kBnl,  ///< block-nested-loops [Börzsönyi et al.]
-  kSfs,  ///< sort-filter skyline (presort by monotone score) [Chomicki et al.]
-  kBbs,  ///< branch-and-bound on an R-tree [Papadias et al.]
-  kDnc,  ///< divide & conquer on a median split [Börzsönyi et al.]
-};
+// Skyline algorithms provided by the substrate. All of them use the
+// minimize orientation and return one representative per distinct
+// coordinate vector (exact duplicates of a skyline point are dropped), so
+// results satisfy the mutual non-domination precondition of the upgrade
+// routine.
 
-/// Block-nested-loops skyline of the whole dataset, or of `subset` if given.
+/// Block-nested-loops skyline [Börzsönyi et al.] of the whole dataset, or
+/// of `subset` if given. The test oracle.
 std::vector<PointId> SkylineBnl(const Dataset& data,
                                 const std::vector<PointId>* subset = nullptr);
 
-/// Sort-filter skyline: presorts by coordinate sum, after which a point can
-/// only be dominated by already-accepted points. O(n log n + n * |SKY| * d).
+/// Sort-filter skyline [Chomicki et al.] of the whole dataset, or of
+/// `subset` if given: `SkylineOfPointers` over the rows' coordinates.
+/// O(n log n + n * |SKY| * d).
 std::vector<PointId> SkylineSfs(const Dataset& data,
                                 const std::vector<PointId>* subset = nullptr);
 
-/// Branch-and-bound skyline of the live points of an R-tree (best-first by
-/// min-corner sum, batched SoA dominance tests).
+/// Branch-and-bound skyline [Papadias et al.] of the live points of an
+/// R-tree: the Algorithm 3 probe (`DominatingSkylineInto`) with t at
+/// (+inf, ..., +inf), whose anti-dominant region is all of space.
 std::vector<PointId> SkylineBbs(const FlatRTree& tree);
-
-/// Divide & conquer skyline: median split on rotating dimensions, merge by
-/// cross-filtering the halves' skylines. O(n log^(d-1) n)-flavored.
-std::vector<PointId> SkylineDnc(const Dataset& data,
-                                const std::vector<PointId>* subset = nullptr);
-
-/// Dispatches on `algo`; `kBbs` bulk-loads a temporary R-tree.
-std::vector<PointId> Skyline(const Dataset& data, SkylineAlgorithm algo);
 
 /// In-place skyline over raw coordinate pointers (SFS strategy): on return
 /// `*points` holds exactly the distinct skyline members. Used on transient

@@ -89,15 +89,30 @@ TEST(CliTest, GenerateRejectsBadDistribution) {
 TEST(CliTest, SkylineOnTinyFile) {
   const std::string path = TempPath("sky.csv");
   WriteFile(path, "1,4\n2,3\n3,5\n2,2\n");
-  for (const char* algo : {"bnl", "sfs", "bbs", "dnc"}) {
-    CliResult r = RunCli({"skyline", "--in=" + path,
-                          std::string("--algo=") + algo});
-    ASSERT_EQ(r.code, 0) << algo << ": " << r.err;
-    // Skyline rows: (1,4) and (2,2); (2,3) is dominated by (2,2).
-    EXPECT_NE(r.out.find("2 members"), std::string::npos) << algo;
-    EXPECT_NE(r.out.find("\n0\n"), std::string::npos) << algo;
-    EXPECT_NE(r.out.find("\n3\n"), std::string::npos) << algo;
-  }
+  CliResult r = RunCli({"skyline", "--in=" + path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  // Skyline rows: (1,4) and (2,2); (2,3) is dominated by (2,2).
+  EXPECT_NE(r.out.find("2 members (sfs, "), std::string::npos) << r.out;
+  EXPECT_NE(r.out.find(" us)\n0\n3\n"), std::string::npos) << r.out;
+  // There is one skyline algorithm behind the command, so no menu flag.
+  r = RunCli({"skyline", "--in=" + path, "--algo=bbs"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("algo"), std::string::npos) << r.err;
+  std::remove(path.c_str());
+}
+
+// NaN breaks every dominance test: a CSV row holding one (or ±inf) is
+// refused with the row named, not ranked.
+TEST(CliTest, NonFiniteCsvRowsAreRuntimeErrors) {
+  const std::string path = TempPath("nan.csv");
+  WriteFile(path, "0.5,0.5\nnan,0.1\n0.2,inf\n");
+  CliResult r = RunCli({"skyline", "--in=" + path});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("row 1 has a non-finite value"), std::string::npos)
+      << r.err;
+  r = RunCli({"topk", "--competitors=" + path, "--products=" + path});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("InvalidArgument"), std::string::npos) << r.err;
   std::remove(path.c_str());
 }
 

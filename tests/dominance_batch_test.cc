@@ -157,17 +157,6 @@ TEST(DominanceBatchTest, DispatchedMatchesScalarAndFirstPrinciples) {
             EXPECT_EQ(got, expect) << "strict=" << strict;
             EXPECT_EQ(got_scalar, expect) << "strict=" << strict;
           }
-
-          // ClassifyBlock: one Compare per lane.
-          std::vector<DomRelation> got(count), got_scalar(count);
-          ClassifyBlock(view, q, got.data());
-          ClassifyBlockScalar(view, q, got_scalar.data());
-          for (size_t i = 0; i < count; ++i) {
-            for (size_t d = 0; d < dims; ++d) lane[d] = c.block.at(i, d);
-            const DomRelation expect = Compare(lane.data(), q, dims);
-            EXPECT_EQ(got[i], expect) << "lane " << i;
-            EXPECT_EQ(got_scalar[i], expect) << "lane " << i;
-          }
         }
       }
     }

@@ -70,6 +70,26 @@ TEST(PlannerTest, CreateValidatesInputs) {
   EXPECT_FALSE(UpgradePlanner::Create(p, t, f2, bad_fanout).ok());
 }
 
+TEST(PlannerTest, CreateRejectsNonFiniteCoordinates) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset p = MakeDataset({{1, 2}, {2, 1}});
+  Dataset t = MakeDataset({{3, 4}});
+  ProductCostFunction f2 = ProductCostFunction::ReciprocalSum(2);
+  for (double bad : {nan, inf, -inf}) {
+    Dataset bad_p = MakeDataset({{1, 2}, {2, bad}});
+    Result<UpgradePlanner> planner = UpgradePlanner::Create(bad_p, t, f2);
+    EXPECT_EQ(planner.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(planner.status().message().find("P row 1"), std::string::npos)
+        << planner.status().message();
+    Dataset bad_t = MakeDataset({{bad, 4}});
+    planner = UpgradePlanner::Create(p, bad_t, f2);
+    EXPECT_EQ(planner.status().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(planner.status().message().find("T row 0"), std::string::npos)
+        << planner.status().message();
+  }
+}
+
 TEST(PlannerTest, AllAlgorithmsAgreeOnPhoneExample) {
   PhoneExample ex = MakePhones();
   ProductCostFunction f = ProductCostFunction::ReciprocalSum(3, 1e-2);

@@ -196,6 +196,44 @@ TEST(ServerTest, InlineTimeoutAlreadyExpiredReturnsDeadlineExceeded) {
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
 }
 
+// A timeout must be 0 (none) or a positive span the steady clock can
+// hold: NaN, negatives and 1e300 s are refused per request, before any
+// deadline arithmetic, on both the inline and the queued path.
+TEST(ServerTest, RefusesUnrepresentableTimeouts) {
+  Result<std::unique_ptr<Server>> server = MakeServer(SmallOptions());
+  ASSERT_TRUE(server.ok());
+  Seed(server->get());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0, 1e300,
+                     std::numeric_limits<double>::infinity()}) {
+    QueryRequest request;
+    request.k = 1;
+    request.timeout_seconds = bad;
+    EXPECT_EQ((*server)->Query(request).status.code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ((*server)->Submit(request).get().status.code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  // In a batch only the bad member is refused; the others run as a group.
+  std::vector<QueryRequest> batch(3);
+  batch[0].k = 1;
+  batch[1].k = 2;
+  batch[1].timeout_seconds = std::numeric_limits<double>::quiet_NaN();
+  batch[2].k = 2;
+  batch[2].timeout_seconds = 60.0;
+  const std::vector<QueryResponse> responses = (*server)->QueryBatch(batch);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  EXPECT_EQ(responses[0].results.size(), 1u);
+  EXPECT_EQ(responses[1].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(responses[2].status.ok()) << responses[2].status.ToString();
+  EXPECT_EQ(responses[2].results.size(), 2u);
+  const ServeStats stats = (*server)->stats();
+  EXPECT_EQ(stats.queries_executed, 2u);
+  EXPECT_EQ(stats.queries_rejected, 0u);
+}
+
 TEST(ServerTest, ExternalCancelResolvesSubmittedQuery) {
   Result<std::unique_ptr<Server>> server = MakeServer(SmallOptions());
   ASSERT_TRUE(server.ok());

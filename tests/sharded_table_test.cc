@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -161,6 +162,26 @@ TEST(ShardedTableTest, RejectsArityMismatch) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ((*table)->InsertProduct({0.1, 0.2, 0.3}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// NaN breaks every dominance test and ±inf every cost; a refused insert
+// allocates no id and leaves no op behind.
+TEST(ShardedTableTest, RejectsNonFiniteCoordinates) {
+  auto table = ShardedTable::Create(SmallOptions(2));
+  ASSERT_TRUE(table.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& bad :
+       {std::vector<double>{nan, 0.5}, {0.5, inf}, {-inf, 0.5}, {nan, nan}}) {
+    EXPECT_EQ((*table)->InsertCompetitor(bad).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ((*table)->InsertProduct(bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ((*table)->delta_backlog(), 0u);
+  auto id = (*table)->InsertCompetitor({0.5, 0.5});
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, 1u);
 }
 
 TEST(ShardedTableTest, InlinePublishFiresOnTotalBacklog) {

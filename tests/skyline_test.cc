@@ -42,6 +42,23 @@ std::set<std::vector<double>> Coords(const Dataset& ds,
   return out;
 }
 
+std::vector<PointId> BbsOfRows(const Dataset& ds) {
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(ds);
+  EXPECT_TRUE(tree.ok());
+  return SkylineBbs(tree.value());
+}
+
+// The three whole-dataset skylines, by name.
+struct NamedSkyline {
+  const char* name;
+  std::vector<PointId> (*run)(const Dataset&);
+};
+const NamedSkyline kSkylines[] = {
+    {"bnl", [](const Dataset& ds) { return SkylineBnl(ds); }},
+    {"sfs", [](const Dataset& ds) { return SkylineSfs(ds); }},
+    {"bbs", BbsOfRows},
+};
+
 TEST(SkylineTest, PaperTableOneSkyline) {
   // Table I phones, maximize dims negated: the skyline is phones 1, 3, 5.
   Dataset ds = MakeDataset({{140, -200, -2.0},
@@ -50,84 +67,64 @@ TEST(SkylineTest, PaperTableOneSkyline) {
                             {180, -180, -3.0},
                             {120, -180, -4.0},
                             {150, -150, -3.0}});
-  for (auto algo : {SkylineAlgorithm::kBnl, SkylineAlgorithm::kSfs,
-                    SkylineAlgorithm::kBbs, SkylineAlgorithm::kDnc}) {
-    std::vector<PointId> sky = Skyline(ds, algo);
+  for (const NamedSkyline& algo : kSkylines) {
+    std::vector<PointId> sky = algo.run(ds);
     std::sort(sky.begin(), sky.end());
-    EXPECT_EQ(sky, (std::vector<PointId>{0, 2, 4}))
-        << "algorithm " << static_cast<int>(algo);
+    EXPECT_EQ(sky, (std::vector<PointId>{0, 2, 4})) << algo.name;
   }
 }
 
 TEST(SkylineTest, SinglePointIsItsOwnSkyline) {
   Dataset ds = MakeDataset({{1, 2}});
-  EXPECT_EQ(Skyline(ds, SkylineAlgorithm::kBnl).size(), 1u);
-  EXPECT_EQ(Skyline(ds, SkylineAlgorithm::kBbs).size(), 1u);
-  EXPECT_EQ(Skyline(ds, SkylineAlgorithm::kDnc).size(), 1u);
+  for (const NamedSkyline& algo : kSkylines) {
+    EXPECT_EQ(algo.run(ds), (std::vector<PointId>{0})) << algo.name;
+  }
 }
 
 TEST(SkylineTest, TotallyOrderedChainHasSingletonSkyline) {
   Dataset ds = MakeDataset({{3, 3}, {2, 2}, {1, 1}, {4, 4}});
-  for (auto algo : {SkylineAlgorithm::kBnl, SkylineAlgorithm::kSfs,
-                    SkylineAlgorithm::kBbs, SkylineAlgorithm::kDnc}) {
-    std::vector<PointId> sky = Skyline(ds, algo);
-    ASSERT_EQ(sky.size(), 1u);
+  for (const NamedSkyline& algo : kSkylines) {
+    std::vector<PointId> sky = algo.run(ds);
+    ASSERT_EQ(sky.size(), 1u) << algo.name;
     EXPECT_EQ(sky[0], 2);
   }
 }
 
 TEST(SkylineTest, AntiChainIsFullyInSkyline) {
   Dataset ds = MakeDataset({{1, 4}, {2, 3}, {3, 2}, {4, 1}});
-  for (auto algo : {SkylineAlgorithm::kBnl, SkylineAlgorithm::kSfs,
-                    SkylineAlgorithm::kBbs, SkylineAlgorithm::kDnc}) {
-    EXPECT_EQ(Skyline(ds, algo).size(), 4u);
+  for (const NamedSkyline& algo : kSkylines) {
+    EXPECT_EQ(algo.run(ds).size(), 4u) << algo.name;
   }
 }
 
 TEST(SkylineTest, DuplicatesKeepOneRepresentative) {
   Dataset ds = MakeDataset({{1, 1}, {1, 1}, {2, 2}});
-  for (auto algo : {SkylineAlgorithm::kBnl, SkylineAlgorithm::kSfs,
-                    SkylineAlgorithm::kBbs, SkylineAlgorithm::kDnc}) {
-    std::vector<PointId> sky = Skyline(ds, algo);
-    ASSERT_EQ(sky.size(), 1u) << "algorithm " << static_cast<int>(algo);
+  for (const NamedSkyline& algo : kSkylines) {
+    std::vector<PointId> sky = algo.run(ds);
+    ASSERT_EQ(sky.size(), 1u) << algo.name;
     EXPECT_EQ(ds.data(sky[0])[0], 1.0);
   }
+  // SFS ties on the coordinate sum break by row, so the first row wins.
+  EXPECT_EQ(SkylineSfs(ds), (std::vector<PointId>{0}));
 }
 
 TEST(SkylineTest, EmptyDatasetYieldsEmptySkyline) {
   Dataset ds(2);
-  EXPECT_TRUE(Skyline(ds, SkylineAlgorithm::kBnl).empty());
-  EXPECT_TRUE(Skyline(ds, SkylineAlgorithm::kSfs).empty());
-  EXPECT_TRUE(Skyline(ds, SkylineAlgorithm::kBbs).empty());
-  EXPECT_TRUE(Skyline(ds, SkylineAlgorithm::kDnc).empty());
-}
-
-TEST(SkylineTest, SubsetRestrictsBnlSfsAndDnc) {
-  Dataset ds = MakeDataset({{1, 1}, {5, 5}, {4, 6}});
-  const std::vector<PointId> subset = {1, 2};
-  std::vector<PointId> bnl = SkylineBnl(ds, &subset);
-  std::vector<PointId> sfs = SkylineSfs(ds, &subset);
-  std::vector<PointId> dnc = SkylineDnc(ds, &subset);
-  std::sort(bnl.begin(), bnl.end());
-  std::sort(sfs.begin(), sfs.end());
-  std::sort(dnc.begin(), dnc.end());
-  EXPECT_EQ(bnl, (std::vector<PointId>{1, 2}));
-  EXPECT_EQ(sfs, (std::vector<PointId>{1, 2}));
-  EXPECT_EQ(dnc, (std::vector<PointId>{1, 2}));
-}
-
-TEST(SkylineTest, DncLargeRecursionDepth) {
-  // Big enough to recurse several levels past the base case on every
-  // dimension, with duplicates sprinkled in.
-  Result<Dataset> base =
-      GenerateCompetitors(3000, 3, Distribution::kAntiCorrelated, 808);
-  ASSERT_TRUE(base.ok());
-  Dataset ds = *base;
-  for (int i = 0; i < 50; ++i) {
-    ds.Add(ds.data(static_cast<PointId>(i)));  // duplicates
+  for (const NamedSkyline& algo : kSkylines) {
+    EXPECT_TRUE(algo.run(ds).empty()) << algo.name;
   }
-  const auto expected = ReferenceSkylineCoords(ds);
-  EXPECT_EQ(Coords(ds, SkylineDnc(ds)), expected);
+}
+
+TEST(SkylineTest, SubsetRestrictsBnlAndSfs) {
+  Dataset ds = MakeDataset({{1, 1}, {5, 5}, {4, 6}, {5, 5}});
+  const std::vector<PointId> subset = {3, 1, 2};
+  std::vector<PointId> bnl = SkylineBnl(ds, &subset);
+  EXPECT_EQ(Coords(ds, bnl),
+            (std::set<std::vector<double>>{{5, 5}, {4, 6}}));
+  EXPECT_EQ(bnl.size(), 2u);
+  // SFS returns sum order with row ties broken by row: (5,5) at row 1
+  // represents its duplicate at row 3, whatever the subset's order.
+  EXPECT_EQ(SkylineSfs(ds, &subset), (std::vector<PointId>{1, 2}));
 }
 
 struct SkylineSweepParam {
@@ -153,15 +150,11 @@ TEST_P(SkylineSweepTest, AllAlgorithmsAgreeAndAreCorrect) {
       ReferenceSkylineCoords(*data);
   const auto bnl = Coords(*data, SkylineBnl(*data));
   const auto sfs = Coords(*data, SkylineSfs(*data));
-  const auto dnc = Coords(*data, SkylineDnc(*data));
-  Result<FlatRTree> tree = FlatRTree::BulkLoad(*data);
-  ASSERT_TRUE(tree.ok());
-  const auto bbs = Coords(*data, SkylineBbs(tree.value()));
+  const auto bbs = Coords(*data, BbsOfRows(*data));
 
   EXPECT_EQ(bnl, expected);
   EXPECT_EQ(sfs, expected);
   EXPECT_EQ(bbs, expected);
-  EXPECT_EQ(dnc, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

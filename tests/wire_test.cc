@@ -125,6 +125,20 @@ TEST(WireFormatTest, DoublesSurviveTheTextRoundTripBitExactly) {
   }
 }
 
+// Integer fields are whole unsigned decimals that fit in 64 bits; an
+// overflowing id must not wrap around to a small live one.
+TEST(WireFormatTest, ParseU64RejectsOverflowAndJunk) {
+  uint64_t v = 0;
+  ASSERT_TRUE(ParseU64("18446744073709551615", &v).ok());
+  EXPECT_EQ(v, UINT64_MAX);
+  ASSERT_TRUE(ParseU64("007", &v).ok());
+  EXPECT_EQ(v, 7u);
+  for (const char* bad : {"18446744073709551616", "18446744073709551617",
+                          "99999999999999999999", "", "-1", "1x", " 1"}) {
+    EXPECT_EQ(ParseU64(bad, &v).code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(TenantRegistryTest, ValidatesNamesAndRejectsDuplicates) {
   TenantRegistry registry(TenantBase());
   EXPECT_EQ(registry.Create("", 2, 1, 0).status().code(),
@@ -239,6 +253,37 @@ TEST(FrontDoorTest, TenantsAreIsolatedAndErrorsCarryCodes) {
   bad = client->Call("topk a notanumber");
   ASSERT_TRUE(bad.ok());
   EXPECT_EQ(bad->substr(0, 4), "-err") << *bad;
+
+  (*door)->Stop();
+}
+
+// Non-finite coordinates (in `add` and in `load` rows) and timeouts the
+// steady clock cannot hold get -err InvalidArgument; the tenant applies
+// none of them and keeps serving.
+TEST(FrontDoorTest, RefusesNonFiniteInputAndBadTimeouts) {
+  auto door = StartDoor();
+  ASSERT_TRUE(door.ok());
+  auto client = WireClient::Dial("127.0.0.1", (*door)->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->CreateTenant("ci", 3, 2, 0).ok());
+  ASSERT_TRUE(client->Insert("ci", true, {0.2, 0.3, 0.4}).ok());
+  ASSERT_TRUE(client->Insert("ci", false, {0.9, 0.9, 0.9}).ok());
+
+  for (const char* bad :
+       {"add ci p nan 0.5 0.5", "add ci t inf 0.5 0.5", "add ci p 0.5 -inf 1",
+        "load ci\np,0.1,0.1,0.1\nt,nan,nan,0.5", "topk ci 5 timeout=1e300",
+        "topk ci 5 timeout=nan", "topk ci 5 timeout=-1"}) {
+    auto reply = client->Call(bad);
+    ASSERT_TRUE(reply.ok()) << bad;
+    EXPECT_EQ(reply->rfind("-err InvalidArgument", 0), 0u)
+        << bad << " -> " << *reply;
+  }
+  // The `load` frame's valid first row was applied before the bad one.
+  auto stats = client->Stats("ci");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(StatValue(*stats, "updates_applied"), 3u);
+  EXPECT_EQ(StatValue(*stats, "queries_executed"), 0u);
+  ASSERT_TRUE(client->TopK("ci", 5, /*timeout_seconds=*/5.0).ok());
 
   (*door)->Stop();
 }

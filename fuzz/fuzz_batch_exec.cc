@@ -94,8 +94,6 @@ void RunOne(uint64_t seed) {
 
   RebuildPolicy policy;
   policy.threshold_ops = 1 + static_cast<size_t>(rng.NextUint64(16));
-  policy.compact_tombstone_pct = 5 + static_cast<size_t>(rng.NextUint64(96));
-  policy.compact_tail_pct = 10 + static_cast<size_t>(rng.NextUint64(191));
 
   std::vector<uint64_t> live_p;
   std::vector<uint64_t> live_t;

@@ -11,7 +11,7 @@
 //   * stale views: a view set captured mid-stream is re-queried after
 //     more updates and publishes land — its results must match the
 //     oracle state at capture time, not the current state;
-//   * post-rebuild agreement: after a forced full compaction (empty
+//   * post-rebuild agreement: after a forced final publish (empty
 //     overlay, upgrade cache detached), the same query must return the
 //     same results it returned through the overlay;
 //   * the cross-shard epoch protocol: publish cycles fire on the total
@@ -129,11 +129,6 @@ void RunOne(uint64_t seed) {
   // Tiny fanouts + thresholds exercise deep trees and frequent publishes.
   options.rtree_fanout = 2 + static_cast<size_t>(rng.NextUint64(7));
   options.rebuild_threshold_ops = 1 + static_cast<size_t>(rng.NextUint64(16));
-  // Random patch-vs-major escalation points: low ones force frequent
-  // compactions, high ones let tombstones and tails pile up across many
-  // patched epochs — both sides of ChoosePublish get exercised.
-  options.compact_tombstone_pct = 5 + static_cast<size_t>(rng.NextUint64(96));
-  options.compact_tail_pct = 10 + static_cast<size_t>(rng.NextUint64(191));
   options.memo_cache_mb = rng.NextUint64(2);
   options.background_rebuild = false;  // deterministic inline publishes
   options.query_threads = 1;
@@ -143,9 +138,9 @@ void RunOne(uint64_t seed) {
                             << " seed=" << seed;
   Server& server = **created;
 
-  // A quarter of the seeds run erase-heavy: patched snapshots accumulate
-  // index tombstones and queries carry pending erases, which is what the
-  // mask-aware probe and the prune face-disable path need to see.
+  // A quarter of the seeds run erase-heavy: queries carry many pending
+  // erases, which is what the mask-aware probe and the prune face-disable
+  // path need to see.
   const bool erase_heavy = rng.NextUint64(4) == 0;
   const uint64_t p_ins_below = erase_heavy ? 20 : 30;
   const uint64_t t_ins_below = p_ins_below + 15;
@@ -253,14 +248,13 @@ void RunOne(uint64_t seed) {
         "stale-view", seed, check.captured_at);
   }
 
-  // Force a final full compaction: the clean (no-overlay) query must
-  // agree with both the oracle and the overlay answer for the same state.
+  // Force a final publish: the clean (no-overlay) query must agree with
+  // both the oracle and the overlay answer for the same state.
   const size_t k = 1 + static_cast<size_t>(rng.NextUint64(6));
   const std::vector<UpgradeResult> via_overlay = EngineTopK(
       server.table().AcquireViews(), cost_fn, k, epsilon, seed);
   RebuildPolicy compact;
   compact.threshold_ops = 1;
-  compact.compact_tombstone_pct = 0;  // every shard publishes a major
   Result<size_t> published = server.table().MaybePublishInline(compact);
   SKYUP_CHECK(published.ok()) << published.status().ToString()
                               << " seed=" << seed;

@@ -9,11 +9,10 @@
 // Shard counts deliberately include 1 (the oracle's own partition) and
 // counts larger than the hardware thread count (one scatter worker folds
 // several shards) and than the competitor set (empty shards must
-// freeze/publish as identity patches without desynchronizing the
-// cross-shard epoch). Beyond results, the fuzz also
-// pins the epoch protocol: after every op, the N-shard server's epoch
-// and total delta backlog must equal the one-shard server's — publish
-// cycles fire on the same op counts.
+// freeze and publish without desynchronizing the cross-shard epoch).
+// Beyond results, the fuzz also pins the epoch protocol: after every op,
+// the N-shard server's epoch and total delta backlog must equal the
+// one-shard server's — publish cycles fire on the same op counts.
 
 #include <cstdint>
 #include <memory>
@@ -70,8 +69,6 @@ void RunOne(uint64_t seed) {
   base.shards = 1;
   base.background_rebuild = false;  // deterministic inline publishes
   base.rebuild_threshold_ops = 1 + static_cast<size_t>(rng.NextUint64(16));
-  base.compact_tombstone_pct = 5 + static_cast<size_t>(rng.NextUint64(96));
-  base.compact_tail_pct = 10 + static_cast<size_t>(rng.NextUint64(191));
   base.memo_cache_mb = rng.NextUint64(2) == 0 ? 0 : 1;
   base.query_threads = 1;
   base.flight_recorder = false;

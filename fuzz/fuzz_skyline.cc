@@ -6,12 +6,14 @@
 // definition itself: members are mutually incomparable, and every input
 // point is dominated-or-equalled by some member.
 //
-// A second phase tombstones a random subset of the R-tree index
-// (`FlatRTree::Erase`), validating the index after every erase, then
-// checks BBS and SFS against BNL over the surviving rows and every
-// `DominatingSkyline` probe against a brute-force oracle.
+// A second phase masks a random subset of the rows out (the `dead_rows`
+// byte mask the serve tier passes for pending erases), then checks the
+// masked whole-space probe (BBS) and SFS against BNL over the surviving
+// rows, and every masked `DominatingSkylineInto` and
+// `DominatingSkylineTileInto` probe against a brute-force oracle.
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -59,7 +61,7 @@ void RunOne(uint64_t seed) {
   const size_t fanout = 2 + static_cast<size_t>(rng.NextUint64(15));
   Result<FlatRTree> built = FlatRTree::BulkLoad(data, fanout);
   SKYUP_CHECK(built.ok()) << built.status().ToString() << " seed=" << seed;
-  FlatRTree tree = std::move(built).value();
+  const FlatRTree tree = std::move(built).value();
   SKYUP_CHECK_OK(tree.Validate());
   const std::vector<PointId> bbs = SkylineBbs(tree);
 
@@ -101,42 +103,27 @@ void RunOne(uint64_t seed) {
         << ShapeName(shape) << " seed=" << seed;
   }
 
-  // ---- Erase phase ----
-  std::vector<uint8_t> alive(data.size(), 1);
-  size_t live = data.size();
+  // ---- Mask phase ----
+  std::vector<uint8_t> dead(data.size(), 0);
   const size_t attempts = static_cast<size_t>(rng.NextUint64(data.size() + 1));
   for (size_t e = 0; e < attempts; ++e) {
-    const PointId row = static_cast<PointId>(rng.NextUint64(data.size()));
-    if (!alive[static_cast<size_t>(row)]) {
-      SKYUP_CHECK(!tree.Erase(row))
-          << "double erase accepted for row " << row << ", seed=" << seed;
-      continue;
-    }
-    SKYUP_CHECK(tree.Erase(row)) << "erase rejected for live row " << row
-                                 << ", seed=" << seed;
-    alive[static_cast<size_t>(row)] = 0;
-    --live;
-    SKYUP_CHECK_OK(tree.Validate());
-    SKYUP_CHECK(tree.live_size() == live)
-        << "live tally " << tree.live_size() << " != " << live
-        << ", seed=" << seed;
+    dead[static_cast<size_t>(rng.NextUint64(data.size()))] = 1;
   }
-  // Out-of-range erases are rejected without side effects.
-  SKYUP_CHECK(!tree.Erase(static_cast<PointId>(data.size())));
-  SKYUP_CHECK(!tree.Erase(static_cast<PointId>(-1)));
-  SKYUP_CHECK(tree.live_size() == live);
-  SKYUP_CHECK(tree.tombstones() == data.size() - live);
-
-  // BBS over the survivors, and SFS over the surviving rows, equal BNL
-  // over the surviving rows, compared as coordinate multisets.
   std::vector<PointId> survivors;
   for (size_t r = 0; r < data.size(); ++r) {
-    if (alive[r]) survivors.push_back(static_cast<PointId>(r));
+    if (!dead[r]) survivors.push_back(static_cast<PointId>(r));
   }
-  const std::vector<PointId> bbs_after = SkylineBbs(tree);
+
+  // The masked probe at t = +inf is BBS over the survivors; it and SFS
+  // over the surviving rows equal BNL over the surviving rows, compared
+  // as coordinate multisets.
+  const std::vector<double> top(dims,
+                                std::numeric_limits<double>::infinity());
+  std::vector<PointId> bbs_after;
+  DominatingSkylineInto(tree, top.data(), dead.data(), &bbs_after);
   const std::vector<PointId> bnl_after = SkylineBnl(data, &survivors);
   SKYUP_CHECK(Values(data, bbs_after) == Values(data, bnl_after))
-      << "post-erase BBS skyline disagrees with BNL (" << bbs_after.size()
+      << "masked BBS skyline disagrees with BNL (" << bbs_after.size()
       << " vs " << bnl_after.size() << " ids), shape=" << ShapeName(shape)
       << " seed=" << seed << " rows: " << RowsToString(data);
   const std::vector<PointId> sfs_after = SkylineSfs(data, &survivors);
@@ -144,24 +131,21 @@ void RunOne(uint64_t seed) {
       << "subset SFS skyline disagrees with BNL (" << sfs_after.size()
       << " vs " << bnl_after.size() << " ids), shape=" << ShapeName(shape)
       << " seed=" << seed << " rows: " << RowsToString(data);
-  if (live == 0) SKYUP_CHECK(tree.root_mbr().IsEmpty());
 
-  // Post-erase probes, with a brute-force oracle: every returned point is
-  // a live strict dominator of q not dominated by another live dominator,
-  // and together they cover every live dominator.
-  const size_t probes = 1 + static_cast<size_t>(rng.NextUint64(5));
-  for (size_t i = 0; i < probes; ++i) {
-    const std::vector<double> q = GenQueryPoint(&rng, data);
-    const std::vector<PointId> dom = DominatingSkyline(tree, q.data());
+  // Masked probes, with a brute-force oracle: every returned point is a
+  // surviving strict dominator of q not dominated by another surviving
+  // dominator, and together they cover every surviving dominator.
+  const auto check_probe = [&](const std::vector<double>& q,
+                               const std::vector<PointId>& dom,
+                               const char* name) {
     for (PointId id : dom) {
-      SKYUP_CHECK(alive[static_cast<size_t>(id)] &&
+      SKYUP_CHECK(!dead[static_cast<size_t>(id)] &&
                   Dominates(data.data(id), q.data(), dims))
-          << "probe returned dead/non-dominating row " << id << " for q="
-          << PointToString(q) << ", seed=" << seed;
+          << name << " returned masked/non-dominating row " << id
+          << " for q=" << PointToString(q) << ", seed=" << seed;
     }
-    for (size_t r = 0; r < data.size(); ++r) {
-      if (!alive[r]) continue;
-      const double* row = data.data(static_cast<PointId>(r));
+    for (PointId r : survivors) {
+      const double* row = data.data(r);
       if (!Dominates(row, q.data(), dims)) continue;
       bool covered = false;
       for (PointId id : dom) {
@@ -170,13 +154,29 @@ void RunOne(uint64_t seed) {
           break;
         }
         SKYUP_CHECK(!Dominates(row, data.data(id), dims))
-            << "probe kept row " << id << " dominated by live row " << r
-            << " for q=" << PointToString(q) << ", seed=" << seed;
+            << name << " kept row " << id << " dominated by surviving row "
+            << r << " for q=" << PointToString(q) << ", seed=" << seed;
       }
-      SKYUP_CHECK(covered) << "live dominator row " << r
-                           << " not covered by probe result for q="
+      SKYUP_CHECK(covered) << "surviving dominator row " << r << " not "
+                           << "covered by " << name << " result for q="
                            << PointToString(q) << ", seed=" << seed;
     }
+  };
+  const size_t probes = 1 + static_cast<size_t>(rng.NextUint64(5));
+  std::vector<std::vector<double>> queries;
+  std::vector<const double*> tile;
+  std::vector<PointId> dom;
+  for (size_t i = 0; i < probes; ++i) {
+    queries.push_back(GenQueryPoint(&rng, data));
+    DominatingSkylineInto(tree, queries.back().data(), dead.data(), &dom);
+    check_probe(queries.back(), dom, "masked probe");
+  }
+  for (const std::vector<double>& q : queries) tile.push_back(q.data());
+  std::vector<std::vector<PointId>> tiled(probes);
+  DominatingSkylineTileInto(tree, tile.data(), probes, dead.data(),
+                            tiled.data());
+  for (size_t i = 0; i < probes; ++i) {
+    check_probe(queries[i], tiled[i], "masked tile probe");
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <map>
 #include <optional>
@@ -64,8 +65,7 @@ commands:
              listen as a multi-tenant network front door
              --replay=OPS.csv [--out=FILE] [--metrics-out=FILE]
              [--shards=1] [--epsilon=1e-6] [--fanout=64]
-             [--rebuild-threshold=64] [--compact-tombstone-pct=50]
-             [--compact-tail-pct=150] [--batch-max=1]
+             [--rebuild-threshold=64] [--batch-max=1]
              [--batch-wait-us=200] [--memo-cache-mb=16]
              | --gen-ops=FILE --ops=N --dims=D [--seed=1]
              | --load-gen --dims=D [--duration=5] [--clients=8] [--qps=0]
@@ -96,9 +96,8 @@ commands:
               the op-count threshold, so two replays of the same workload
               produce byte-identical output — including under
               --batch-max>1, which groups runs of consecutive queries
-              into one shared traversal; most publishes are cheap
-              tombstone/tail patches — a full STR compaction runs only
-              past the --compact-*-pct densities; --gen-ops writes a
+              into one shared traversal; every publish re-packs the
+              live rows with an STR bulk load; --gen-ops writes a
               seeded random workload of inserts/erases/queries instead;
               --load-gen preloads the table, then drives the worker pool
               from --clients closed-loop threads for --duration seconds
@@ -164,11 +163,13 @@ class Flags {
   mutable std::set<std::string> used_;
 };
 
+// NaN and ±inf are refused: every double flag is a finite quantity, and
+// a NaN slips through any `< lo` / `> hi` range check.
 std::optional<double> ToDouble(const std::string& s) {
   try {
     size_t pos = 0;
     const double v = std::stod(s, &pos);
-    if (pos != s.size()) return std::nullopt;
+    if (pos != s.size() || !std::isfinite(v)) return std::nullopt;
     return v;
   } catch (...) {
     return std::nullopt;
@@ -850,15 +851,11 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   const auto epsilon = ToDouble(flags.GetOr("epsilon", "1e-6"));
   const auto fanout = ToInt(flags.GetOr("fanout", "64"));
-  const auto tombstone_pct = ToInt(flags.GetOr("compact-tombstone-pct", "50"));
-  const auto tail_pct = ToInt(flags.GetOr("compact-tail-pct", "150"));
   const auto out_path = flags.Get("out");
   const auto metrics_path = flags.Get("metrics-out");
   ServerOptions options;
   // Queries run inline, so replay takes no --threads.
-  if (!epsilon || !fanout || !tombstone_pct || !tail_pct ||
-      !IsValidEpsilon(*epsilon) || *fanout < 2 || *tombstone_pct < 1 ||
-      *tail_pct < 1 ||
+  if (!epsilon || !fanout || !IsValidEpsilon(*epsilon) || *fanout < 2 ||
       !ApplyServeKnobFlags(flags, {nullptr, "1", "64", "1"}, &options)) {
     return Usage(err, "serve: malformed numeric flag");
   }
@@ -869,8 +866,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   options.dims = workload->dims;
   options.default_epsilon = *epsilon;
   options.rtree_fanout = static_cast<size_t>(*fanout);
-  options.compact_tombstone_pct = static_cast<size_t>(*tombstone_pct);
-  options.compact_tail_pct = static_cast<size_t>(*tail_pct);
   options.background_rebuild = false;  // replay must be deterministic
   options.query_threads = 1;
   if (auto rc = ApplyServeObsFlags(flags, &options, err)) return *rc;
@@ -899,8 +894,7 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
       << static_cast<long long>(report->wall_seconds * 1e6) << " us\n"
       << "# replay: final epoch=" << report->final_epoch
       << " backlog=" << report->final_backlog << " rebuilds="
-      << (*server)->stats().rebuilds_published << " patches="
-      << (*server)->stats().patches_published << "\n"
+      << (*server)->stats().rebuilds_published << "\n"
       << "# replay: memo hits=" << (*server)->stats().memo_hits << "/"
       << ((*server)->stats().memo_hits + (*server)->stats().memo_misses)
       << " batches=" << (*server)->stats().batches_executed

@@ -16,13 +16,11 @@ template <typename Fn>
 void JoinCursor::ForEachEntry(const FlatRTree& tree, uint32_t node, Fn fn) {
   if (tree.is_leaf(node)) {
     for (uint32_t j = tree.point_begin(node); j < tree.point_end(node); ++j) {
-      if (tree.slot_alive(j)) {
-        fn(EntryRef{EntryRef::kNoNode, tree.point_ids()[j]});
-      }
+      fn(EntryRef{EntryRef::kNoNode, tree.point_ids()[j]});
     }
   } else {
     for (uint32_t c = tree.child_begin(node); c < tree.child_end(node); ++c) {
-      if (tree.node_live_count(c) != 0) fn(EntryRef{c, kInvalidPointId});
+      fn(EntryRef{c, kInvalidPointId});
     }
   }
 }
@@ -35,10 +33,10 @@ Result<JoinCursor> JoinCursor::Create(const FlatRTree* competitors_tree,
       cost_fn == nullptr) {
     return Status::InvalidArgument("join cursor requires non-null inputs");
   }
-  if (competitors_tree->live_size() == 0) {
+  if (competitors_tree->empty()) {
     return Status::InvalidArgument("competitor tree is empty");
   }
-  if (products_tree->live_size() == 0) {
+  if (products_tree->empty()) {
     return Status::InvalidArgument("product tree is empty");
   }
   const size_t dims = products_tree->dims();

@@ -50,7 +50,7 @@ struct JoinOptions {
 class JoinCursor {
  public:
   /// Validates dimensionalities and seeds the traversal. Both trees must
-  /// hold live points and share the cost function's dimensionality.
+  /// be non-empty and share the cost function's dimensionality.
   static Result<JoinCursor> Create(const FlatRTree* competitors_tree,
                                    const FlatRTree* products_tree,
                                    const ProductCostFunction* cost_fn,
@@ -111,7 +111,7 @@ class JoinCursor {
              const FlatRTree* products_tree,
              const ProductCostFunction* cost_fn, JoinOptions options);
 
-  /// Calls `fn(EntryRef)` for each live entry of `node` in arena order:
+  /// Calls `fn(EntryRef)` for each entry of `node` in arena order:
   /// the points of a leaf's slot range, or the nodes of a child range.
   template <typename Fn>
   static void ForEachEntry(const FlatRTree& tree, uint32_t node, Fn fn);

@@ -86,7 +86,7 @@ struct SystemSample {
   double snapshot_age_seconds = 0;
   uint64_t queue_depth = 0;    ///< admission queue occupancy
   uint64_t delta_backlog = 0;  ///< unpublished delta ops
-  double tombstone_pct = 0;    ///< dead fraction of the snapshot index
+  double tombstone_pct = 0;    ///< share of a shard's index pending erases mask
   uint64_t memo_bytes = 0;     ///< skyline-memo footprint
   uint64_t rebuilds_published = 0;
   uint64_t patches_published = 0;

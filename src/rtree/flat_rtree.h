@@ -10,17 +10,14 @@
 // dominance kernels (core/dominance_batch.h) can cull four lanes at a time.
 //
 // `BulkLoad` packs the rows with Sort-Tile-Recursive and copies the packed
-// tree breadth-first, keeping its child and leaf order. The arena's *shape*
-// is immutable — there is no in-place insert; bulk-load again to add
-// points — but the structure supports in-place deletes via per-slot
-// tombstones: `Erase(row)` marks the slot dead, decrements live counts
-// along the leaf-to-root path, and re-tightens (condenses) every ancestor
-// MBR whose union shrank, so live-node MBRs stay *exact* unions of their
-// live content. That tightness is what keeps the serving layer's box
-// lower-bound prune sound under deletes
-// (src/serve/shard/shard_query.cc), and `Validate()` proves it. Dead
-// nodes (live_count == 0) keep their stale MBRs and are skipped by
-// traversals. DESIGN.md discusses the trade-off.
+// tree breadth-first, keeping its child and leaf order. The arena is
+// immutable: there is no in-place insert or delete. To change the point
+// set, bulk-load again (the serve tier re-packs every epoch,
+// src/serve/rebuilder.h, and masks pending erases per probe with
+// `dead_rows`). Every node's MBR is the *exact* union of its content, so
+// the root MBR is the data's bounding box; the serve tier's box
+// lower-bound prune (src/serve/shard/shard_query.cc) depends on that, and
+// `Validate()` proves it.
 
 #include <cstdint>
 #include <vector>
@@ -48,57 +45,18 @@ class FlatRTree {
   FlatRTree() = default;
   FlatRTree(FlatRTree&&) = default;
   FlatRTree& operator=(FlatRTree&&) = default;
+  FlatRTree(const FlatRTree&) = delete;
   FlatRTree& operator=(const FlatRTree&) = delete;
 
-  /// Deep copy of the arena (including tombstone state) re-bound to
-  /// `dataset`, which must hold the same rows this index was built over —
-  /// typically a clone of the original dataset (src/serve patch-publish).
-  FlatRTree Clone(const Dataset* dataset) const {
-    FlatRTree copy(*this);
-    copy.dataset_ = dataset;
-    return copy;
-  }
-
   size_t dims() const { return dims_; }
-  /// Number of indexed slots, dead or alive.
+  /// Number of indexed points.
   size_t size() const { return point_ids_.size(); }
   bool empty() const { return point_ids_.empty(); }
   size_t node_count() const { return begin_.size(); }
   const Dataset& dataset() const { return *dataset_; }
 
-  /// Number of indexed points still alive.
-  size_t live_size() const { return empty() ? 0 : live_count_[kRoot]; }
-  /// Number of erased (tombstoned) slots.
-  size_t tombstones() const { return tombstones_; }
-  bool has_tombstones() const { return tombstones_ != 0; }
-
-  /// Tombstones a point by its dataset row. Marks the slot dead,
-  /// propagates live-count decrements leaf-to-root, and re-tightens every
-  /// ancestor MBR whose union over live content shrank (both SoA/AoS
-  /// mirrors and the best-first key). O(height * fanout * dims). Returns
-  /// false — and changes nothing — if `row` is out of range, was never
-  /// indexed, or is already dead.
-  bool Erase(PointId row);
-
-  /// Liveness of leaf slot `j` (same index space as `point_ids()`).
-  bool slot_alive(uint32_t j) const { return slot_live_[j] != 0; }
-  /// Liveness of dataset row `row` (false when not indexed).
-  bool row_alive(PointId row) const {
-    if (row < 0 || static_cast<size_t>(row) >= slot_of_row_.size()) {
-      return false;
-    }
-    const uint32_t j = slot_of_row_[static_cast<size_t>(row)];
-    return j != kNoSlot && slot_live_[j] != 0;
-  }
-  /// Number of live points under node `n`'s subtree (0 = dead node,
-  /// skipped by traversals).
-  uint32_t node_live_count(uint32_t n) const { return live_count_[n]; }
-
   /// The root is always node 0 of a non-empty tree.
   static constexpr uint32_t kRoot = 0;
-  /// Sentinels: the root's parent link / an unindexed dataset row.
-  static constexpr uint32_t kNoParent = UINT32_MAX;
-  static constexpr uint32_t kNoSlot = UINT32_MAX;
 
   bool is_leaf(uint32_t n) const { return level_[n] == 0; }
   int32_t level(uint32_t n) const { return level_[n]; }
@@ -144,19 +102,17 @@ class FlatRTree {
                    static_cast<size_t>(e - b), dims_};
   }
 
-  /// Appends the ids of all live points inside `box` (closed) to `out`,
-  /// walking child ranges depth-first and skipping dead nodes and slots.
+  /// Appends the ids of all points inside `box` (closed) to `out`,
+  /// walking child ranges depth-first.
   void RangeQuery(const Mbr& box, std::vector<PointId>* out) const;
 
-  /// Root MBR (empty box for an empty or fully-erased tree). For a live
-  /// tree this is an *exact* union of the live points — Erase re-tightens
-  /// it — which the serving-layer prune depends on.
+  /// Root MBR: the exact bounding box of the indexed points (an empty box
+  /// for an empty tree), which the serving-layer prune depends on.
   Mbr root_mbr() const;
 
   /// Structural invariants: BFS child contiguity, MBR containment, SoA/AoS
-  /// agreement, leaf coordinates matching the dataset, plus the tombstone
-  /// layer — live-count sums, parent links, slot/row maps, the tombstone
-  /// tally, and live-node MBRs being exact unions of live content.
+  /// agreement, leaf coordinates matching the dataset, and every MBR being
+  /// the exact union of its content.
   Status Validate() const;
 
  private:
@@ -164,20 +120,9 @@ class FlatRTree {
   // prove Validate() and the paranoid checks actually fire.
   friend class FlatRTreeTestPeer;
 
-  // Copying is reserved for Clone(): a copy that still points at the
-  // original dataset aliases mutable state across snapshots.
-  FlatRTree(const FlatRTree&) = default;
-
   // Copies the STR scaffold rooted at `root` (built over `dataset`) into
   // the arena, breadth-first, keeping child and leaf order.
   static FlatRTree FromTree(const Dataset& dataset, const RTreeNode& root);
-
-  // Recomputes node `n`'s MBR as the exact union of its live content
-  // (slots for a leaf, live children for an internal node), updating both
-  // mirrors and the best-first key. Returns true iff the stored MBR
-  // changed or the node just died — i.e. iff the parent's union may have
-  // shrunk too.
-  bool CondenseMbr(uint32_t n);
 
   size_t dims_ = 0;
   const Dataset* dataset_ = nullptr;
@@ -197,19 +142,6 @@ class FlatRTree {
   std::vector<PointId> point_ids_;
   std::vector<double> pt_soa_;  // [d * size + j]
   std::vector<double> pt_aos_;  // [j * dims + d]
-
-  // Tombstone layer. `slot_live_` is 1/0 per leaf slot; `live_count_` is
-  // the number of live points under each node's subtree; `parent_` links
-  // each node upward (kNoParent at the root) so Erase can walk the
-  // condense path without a search; `leaf_of_slot_` maps a slot to its
-  // leaf; `slot_of_row_` maps a dataset row to its slot (kNoSlot when the
-  // row is not indexed).
-  std::vector<uint8_t> slot_live_;
-  std::vector<uint32_t> live_count_;
-  std::vector<uint32_t> parent_;
-  std::vector<uint32_t> leaf_of_slot_;
-  std::vector<uint32_t> slot_of_row_;
-  size_t tombstones_ = 0;
 };
 
 }  // namespace skyup

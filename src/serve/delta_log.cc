@@ -44,8 +44,8 @@ void DeltaMasks::Build(const Snapshot& base, const DeltaPrefix& log) {
 size_t DeltaMasks::Live(DeltaTarget target, const Snapshot& base,
                         const DeltaPrefix& log) const {
   const size_t in_snapshot = target == DeltaTarget::kCompetitor
-                                 ? base.live_competitors()
-                                 : base.live_products();
+                                 ? base.competitors().size()
+                                 : base.products().size();
   return in_snapshot - snapshot_erased(target) + log.inserted(target) -
          inserted_erased(target);
 }
@@ -124,7 +124,6 @@ std::optional<DeltaErase> DeltaLog::Resolve(DeltaTarget target,
   const PointId row =
       competitor ? base_->CompetitorRow(id) : base_->ProductRow(id);
   if (row == kInvalidPointId) return std::nullopt;
-  if (competitor && !base_->competitor_alive(row)) return std::nullopt;
   return DeltaErase{row, target, false};
 }
 
@@ -137,8 +136,7 @@ void DeltaLog::AppendErase(const DeltaErase& erase) {
   ++end_.erases;
   ++end_.ops;
   // The skyline memo's clock: erases the indexed probe can observe.
-  if (erase.target == DeltaTarget::kCompetitor && !erase.inserted &&
-      static_cast<size_t>(erase.row) < base_->indexed_competitors()) {
+  if (erase.target == DeltaTarget::kCompetitor && !erase.inserted) {
     ++end_.erased_indexed;
   }
 }

@@ -28,14 +28,15 @@
 //     traversal's dominance window, so live dominators it would have
 //     shadowed are discovered by the same probe — exactness without any
 //     linear rescan;
-//   - inserted competitors (and the snapshot's unindexed tail) are scanned
-//     through the batched dominance kernels and folded into the probed
-//     skyline one point at a time (skyline/incremental.h), preserving the
-//     value set a from-scratch skyline reduction would produce;
-//   - the box lower-bound prune stays sound because live-node MBRs are
-//     re-tightened on every index tombstone and a query's prune is
-//     disabled when a *pending* overlay erase touches a face of the live
-//     bounding box (serve/shard/shard_query.h has the face argument).
+//   - inserted competitors are scanned through the batched dominance
+//     kernels and folded into the probed skyline one point at a time
+//     (skyline/incremental.h), preserving the value set a from-scratch
+//     skyline reduction would produce;
+//   - the box lower-bound prune stays sound because every publish
+//     re-bulk-loads only live rows, so each epoch's root MBR is exact,
+//     and a query's prune is disabled when a *pending* erase of a
+//     snapshot competitor touches a face of the live bounding box
+//     (serve/shard/shard_query.cc has the face argument).
 
 #include <cstdint>
 #include <memory>
@@ -118,7 +119,7 @@ struct DeltaPrefix {
   size_t competitors = 0;    ///< inserted competitor rows
   size_t products = 0;       ///< inserted product rows
   size_t erases = 0;         ///< erase-list entries
-  size_t erased_indexed = 0; ///< erases of indexed snapshot competitors
+  size_t erased_indexed = 0; ///< erases of snapshot competitors (all indexed)
 
   size_t size() const { return ops; }
   bool empty() const { return ops == 0; }
@@ -186,7 +187,7 @@ class DeltaMasks {
   }
   /// Live rows of `target` at the prefix's end. Erases always target rows
   /// that are live at the time (the sharded table validates ids), so the
-  /// subtraction never double-counts a snapshot tombstone.
+  /// subtraction never counts a row twice.
   size_t Live(DeltaTarget target, const Snapshot& base,
               const DeltaPrefix& log) const;
 

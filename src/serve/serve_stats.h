@@ -31,7 +31,7 @@ namespace skyup {
   X(rebuilds_published, "skyup_serve_rebuilds_published_total",          \
     "major compactions published by the rebuilder")                      \
   X(patches_published, "skyup_serve_patches_published_total",            \
-    "incremental snapshot patches published by the rebuilder")           \
+    "always 0: every publish is an STR merge (rebuilds_published)")      \
   X(delta_ops_scanned, "skyup_serve_delta_ops_scanned_total",            \
     "delta ops folded into per-query overlays")                          \
   X(candidates_evaluated, "skyup_serve_candidates_evaluated_total",      \

@@ -90,8 +90,6 @@ Result<std::unique_ptr<Server>> Server::Create(ProductCostFunction cost_fn,
                                             std::move(table).value()));
   RebuildPolicy policy;
   policy.threshold_ops = options.rebuild_threshold_ops;
-  policy.compact_tombstone_pct = options.compact_tombstone_pct;
-  policy.compact_tail_pct = options.compact_tail_pct;
   server->inline_policy_ = policy;
   if (options.background_rebuild) server->table_->Start(policy);
   server->workers_.reserve(options.query_threads);
@@ -622,10 +620,9 @@ void Server::DiagnosticsLoop() {
 ServeStats Server::stats() const {
   MutexLock lock(stats_mu_);
   ServeStats copy = stats_;
-  // The table owns the publish counters in both inline and background
+  // The table owns the publish counter in both inline and background
   // mode (one cycle publishes every shard).
   copy.rebuilds_published = table_->rebuilds_published();
-  copy.patches_published = table_->patches_published();
   return copy;
 }
 
@@ -642,12 +639,6 @@ void Server::FillMetrics(MetricsRegistry* registry) const {
       {"skyup_serve_rebuild_threshold_ops",
        "configured backlog size that forces a publish",
        options_.rebuild_threshold_ops},
-      {"skyup_serve_compact_tombstone_pct",
-       "configured tombstone % that escalates a patch to a compaction",
-       options_.compact_tombstone_pct},
-      {"skyup_serve_compact_tail_pct",
-       "configured unindexed-tail % that escalates a patch to a compaction",
-       options_.compact_tail_pct},
       {"skyup_serve_batch_max_queries",
        "configured grouped-execution width cap (1 = per-query execution)",
        options_.batch_max},

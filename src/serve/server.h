@@ -60,10 +60,6 @@ struct ServerOptions {
   /// Publish trigger: a cycle folds the delta log once the backlog holds
   /// this many ops (serve/rebuilder.h).
   size_t rebuild_threshold_ops = 1024;
-  /// Patch-vs-major escalation thresholds (percent of indexed slots);
-  /// rebuilder.h explains the defaults.
-  size_t compact_tombstone_pct = 50;
-  size_t compact_tail_pct = 150;
   /// True: the table's background coordinator thread folds the delta
   /// log. False: the size threshold is applied inline after each accepted
   /// update — deterministic, used by `--replay`.

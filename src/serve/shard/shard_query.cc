@@ -31,8 +31,6 @@ namespace {
 struct ShardContext {
   DeltaMasks masks;
   const uint8_t* erase_mask = nullptr;  ///< null when no snapshot row died
-  SoaView tail_view;
-  size_t indexed = 0;
 };
 
 // Shared query-time state over one captured view set: the per-shard
@@ -47,14 +45,13 @@ struct ShardGather {
 };
 
 // Global live box = union of the per-shard live boxes: each shard's index
-// root MBR (exact over live indexed rows by tombstone condensation), its
-// live tail rows, and its overlay inserts. Overlay-erased indexed rows
-// cannot be subtracted from a box, which is what the face-touch gate is
-// for: kSound's per-dimension escape assumes every *min* face of the box
-// is attained by a live competitor, so a pending indexed erase on any
-// shard that touches a face of the union sits the prune out for every
-// worker (conservative: max faces only need containment, but the check
-// covers both).
+// root MBR (exact: every publish re-bulk-loads only live rows) and its
+// overlay inserts. Overlay-erased snapshot rows cannot be subtracted from
+// a box, which is what the face-touch gate is for: kSound's per-dimension
+// escape assumes every *min* face of the box is attained by a live
+// competitor, so a pending snapshot erase on any shard that touches a
+// face of the union sits the prune out for every worker (conservative:
+// max faces only need containment, but the check covers both).
 ShardGather BuildShardGather(const ShardedView& sharded, size_t dims,
                              ServeStats* shared_stats) {
   const size_t num_shards = sharded.views.size();
@@ -69,17 +66,10 @@ ShardGather BuildShardGather(const ShardedView& sharded, size_t dims,
     c.erase_mask = c.masks.snapshot_erased(DeltaTarget::kCompetitor) > 0
                        ? c.masks.snapshot_mask(DeltaTarget::kCompetitor)
                        : nullptr;
-    c.tail_view = base.tail_view();
-    c.indexed = base.indexed_competitors();
     shared_stats->delta_ops_scanned += log.size();
 
     const Mbr root = base.index().root_mbr();
     if (!root.IsEmpty()) g.live_box.Expand(root);
-    for (size_t j = 0; j < base.tail_competitors(); ++j) {
-      const size_t row = c.indexed + j;
-      if (c.erase_mask != nullptr && c.erase_mask[row] != 0) continue;
-      g.live_box.Expand(base.competitors().data(static_cast<PointId>(row)));
-    }
     const uint8_t* dead = c.masks.inserted_mask(DeltaTarget::kCompetitor);
     for (size_t i = 0; i < log.competitors; ++i) {
       if (dead[i] == 0) g.live_box.Expand(log.row(DeltaTarget::kCompetitor, i));
@@ -94,8 +84,7 @@ ShardGather BuildShardGather(const ShardedView& sharded, size_t dims,
       if (c.erase_mask == nullptr) continue;
       for (size_t i = 0; i < log.erases && g.prune_ok; ++i) {
         const DeltaErase& erase = log.erase(i);
-        if (erase.target != DeltaTarget::kCompetitor || erase.inserted ||
-            static_cast<size_t>(erase.row) >= c.indexed) {
+        if (erase.target != DeltaTarget::kCompetitor || erase.inserted) {
           continue;
         }
         const double* q = base.competitors().data(erase.row);
@@ -368,20 +357,6 @@ void TopKShardedBatch(const ShardedView& sharded,
                 }
               }
               LapProbe(tel);
-              if (!c.tail_view.empty()) {
-                scan_hits.clear();
-                FilterDominated(c.tail_view, t, &scan_hits, /*strict=*/true);
-                for (uint32_t j : scan_hits) {
-                  const size_t row = c.indexed + j;
-                  if (c.erase_mask != nullptr && c.erase_mask[row] != 0) {
-                    continue;
-                  }
-                  PatchSkylineInsert(
-                      &dominators,
-                      base.competitors().data(static_cast<PointId>(row)),
-                      dims);
-                }
-              }
               const uint8_t* const dead =
                   c.masks.inserted_mask(DeltaTarget::kCompetitor);
               for (size_t chunk = 0; chunk < log.competitor_chunks();

@@ -32,12 +32,12 @@
 // protocol").
 //
 // The sound box lower-bound prune starts from the union of the per-shard
-// live boxes (index root MBR, kept exact over live rows by tombstone
-// condensation, expanded by live tail rows and overlay inserts). The one
-// hole — a *pending* overlay erase whose row still props up a face of the
-// box, breaking kSound's face-attainment guarantee — is closed per view
-// set by disabling the prune when any pending erased indexed row touches
-// a face (`prune_disabled_queries` counts these).
+// live boxes (index root MBR, exact because every publish re-bulk-loads
+// only live rows, expanded by live overlay inserts). The one hole — a
+// *pending* overlay erase whose row still props up a face of the box,
+// breaking kSound's face-attainment guarantee — is closed per view set by
+// disabling the prune when any pending erased snapshot row touches a face
+// (`prune_disabled_queries` counts these).
 
 #include <cstdint>
 #include <vector>

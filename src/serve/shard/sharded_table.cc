@@ -152,15 +152,15 @@ ShardedView ShardedTable::AcquireViews() const {
 Result<size_t> ShardedTable::MaybePublishInline(const RebuildPolicy& policy) {
   MutexLock lock(coord_mu_);
   if (!ShouldPublish(policy)) return size_t{0};
-  return PublishCycle(policy);
+  return PublishCycle();
 }
 
 // One publish cycle, all shards in lock-step:
 //   freeze    every shard at one cut of the op stream — a view capture
 //             under the reader side, so counts, not copies (idle shards
 //             stay in the cycle so epochs never diverge),
-//   merge     each shard outside the fence — patch or compact per
-//             shard-local churn (ChoosePublish),
+//   merge     each shard outside the fence: an STR re-pack of its live
+//             rows (MergeSnapshot),
 //   install   all shards under the writer side: the merged snapshot
 //             starts its epoch's log, which carries over the ops
 //             appended past the freeze, and the shard's memo rolls.
@@ -168,26 +168,21 @@ Result<size_t> ShardedTable::MaybePublishInline(const RebuildPolicy& policy) {
 // log between its freeze and its install. A failed merge installs
 // nothing and leaves every log untouched: its ops stay pending for the
 // next cycle.
-Result<size_t> ShardedTable::PublishCycle(const RebuildPolicy& policy) {
+Result<size_t> ShardedTable::PublishCycle() {
   const ShardedView frozen = AcquireViews();
   const uint64_t next_epoch = frozen.epoch + 1;
   const size_t n = frozen.views.size();
-  size_t cycle_majors = 0;
   size_t ops = 0;
   std::vector<std::shared_ptr<const Snapshot>> next(n);
   for (size_t s = 0; s < n; ++s) {
-    const Snapshot& base = *frozen.views[s].snapshot;
     const DeltaPrefix& prefix = frozen.views[s].deltas;
-    const PublishKind kind = ChoosePublish(base, prefix, policy);
     Result<std::shared_ptr<const Snapshot>> merged =
-        kind == PublishKind::kMajor
-            ? MergeSnapshot(base, prefix, next_epoch, options_.rtree_fanout)
-            : PatchSnapshot(base, prefix, next_epoch);
+        MergeSnapshot(*frozen.views[s].snapshot, prefix, next_epoch,
+                      options_.rtree_fanout);
     if (!merged.ok()) {
       last_error_ = merged.status();
       return merged.status();
     }
-    if (kind == PublishKind::kMajor) ++cycle_majors;
     ops += prefix.size();
     next[s] = std::move(merged).value();
   }
@@ -206,14 +201,11 @@ Result<size_t> ShardedTable::PublishCycle(const RebuildPolicy& policy) {
       if (shard.memo != nullptr) shard.memo->OnPublish();
     }
   }
-  majors_ += cycle_majors;
-  patches_ += n - cycle_majors;
   ++cycles_;
   if (LogEnabled(LogLevel::kInfo)) {
     LogRecord(LogLevel::kInfo, "publish")
         .U64("epoch", next_epoch)
         .U64("shards", n)
-        .U64("majors", cycle_majors)
         .U64("ops", ops);
   }
   return n;
@@ -261,7 +253,7 @@ void ShardedTable::Loop() {
     // The cycle runs under coord_mu_ (its REQUIRES contract): Stop()
     // waits out at most one cycle.
     if (ShouldPublish(policy_)) {
-      if (PublishCycle(policy_).ok()) continue;
+      if (PublishCycle().ok()) continue;
       // A failed cycle (last_error_ holds why) retries only after a full
       // interval, nudges or not, so a persistent merge error cannot spin.
       const SteadyClock::time_point retry_at = SteadyClock::now() + interval;
@@ -300,11 +292,13 @@ ShardedTable::Diagnostics ShardedTable::SampleDiagnostics() const {
   for (const ReadView& view : sharded.views) {
     const Snapshot& base = *view.snapshot;
     d.delta_backlog += view.deltas.size();
-    const FlatRTree& index = base.index();
-    if (index.size() > 0) {
+    // The share of the index that queries must mask.
+    const size_t indexed = base.index().size();
+    if (indexed > 0) {
       d.tombstone_pct = std::max(
-          d.tombstone_pct, 100.0 * static_cast<double>(index.tombstones()) /
-                               static_cast<double>(index.size()));
+          d.tombstone_pct,
+          100.0 * static_cast<double>(view.deltas.erased_indexed) /
+              static_cast<double>(indexed));
     }
     if (view.memo != nullptr) d.memo_bytes += view.memo->bytes_used();
     masks.Build(base, view.deltas);
@@ -317,12 +311,7 @@ ShardedTable::Diagnostics ShardedTable::SampleDiagnostics() const {
 
 uint64_t ShardedTable::rebuilds_published() const {
   MutexLock lock(coord_mu_);
-  return majors_;
-}
-
-uint64_t ShardedTable::patches_published() const {
-  MutexLock lock(coord_mu_);
-  return patches_;
+  return cycles_ * options_.shards;
 }
 
 uint64_t ShardedTable::publish_cycles() const {

@@ -26,8 +26,8 @@
 //     pointers and counts only (serve/delta_log.h), so the shared section
 //     is short. Publishes are *cycles*: every shard is frozen at one cut
 //     (a view capture), merged outside the fence, then installed together,
-//     so per-shard epochs never diverge (idle shards publish an O(rows)
-//     identity patch to keep step).
+//     so per-shard epochs never diverge (idle shards re-pack their rows
+//     to keep step).
 //
 //   * Deterministic publish instants. The inline trigger fires on the
 //     *total* backlog across shards, so cycle boundaries in `--replay`
@@ -149,22 +149,21 @@ class ShardedTable {
   /// the fields describe the same cut (the memo footprint is read just
   /// after it): the common epoch and its snapshot age, sums of backlog,
   /// memo footprint and live rows (snapshot plus log) over shards, and
-  /// the largest tombstone fraction of any shard's index.
+  /// the largest share of any shard's index that pending erases mask.
   struct Diagnostics {
     uint64_t epoch = 0;
     double snapshot_age_seconds = 0;
     uint64_t delta_backlog = 0;
-    double tombstone_pct = 0;  ///< dead fraction of indexed slots, in %
+    double tombstone_pct = 0;  ///< masked share of indexed rows, in %
     uint64_t memo_bytes = 0;   ///< 0 when memoization is disabled
     uint64_t live_competitors = 0;
     uint64_t live_products = 0;
   };
   Diagnostics SampleDiagnostics() const;
 
-  /// Shard publishes by kind, summed over cycles (one cycle publishes
-  /// every shard).
+  /// Shard publishes (STR merges), summed over cycles (one cycle
+  /// publishes every shard).
   uint64_t rebuilds_published() const;
-  uint64_t patches_published() const;
   uint64_t publish_cycles() const;
   Status last_error() const;
 
@@ -183,8 +182,7 @@ class ShardedTable {
   Result<uint64_t> Insert(DeltaTarget target,
                           const std::vector<double>& coords);
   Status Erase(DeltaTarget target, uint64_t id);
-  Result<size_t> PublishCycle(const RebuildPolicy& policy)
-      SKYUP_REQUIRES(coord_mu_);
+  Result<size_t> PublishCycle() SKYUP_REQUIRES(coord_mu_);
   bool ShouldPublish(const RebuildPolicy& policy) const;
   void Loop() SKYUP_EXCLUDES(coord_mu_);
 
@@ -222,8 +220,6 @@ class ShardedTable {
   /// Written by Start() before the loop thread exists, read-only after —
   /// the thread's creation publishes it; no guard.
   RebuildPolicy policy_;
-  uint64_t majors_ SKYUP_GUARDED_BY(coord_mu_) = 0;
-  uint64_t patches_ SKYUP_GUARDED_BY(coord_mu_) = 0;
   uint64_t cycles_ SKYUP_GUARDED_BY(coord_mu_) = 0;
   Status last_error_ SKYUP_GUARDED_BY(coord_mu_);
   /// Start/Stop are externally serialized (class contract), no guard.

@@ -10,12 +10,12 @@
 //
 // Soundness argument (also in docs/algorithms.md):
 //  - The probe `DominatingSkylineInto(snapshot.index(), t, erase_mask, ..)`
-//    reads only the immutable snapshot index and the erase mask restricted
-//    to *indexed* rows. Within an epoch the delta log is append-only, so
+//    reads only the immutable snapshot index and the erase mask over its
+//    (all indexed) rows. Within an epoch the delta log is append-only, so
 //    the set of erased indexed rows visible to a view is fully described by
 //    its *count*: a view with the same epoch and the same count has seen
-//    exactly the same prefix of erase operations (erases of tail/overlay
-//    rows never affect the indexed probe and are excluded from the count).
+//    exactly the same prefix of erase operations (erases of overlay rows
+//    never affect the indexed probe and are excluded from the count).
 //  - Keys quantize the probe coordinates only to pick a bucket; every entry
 //    stores the exact coordinates and is compared exactly on lookup, so
 //    key collisions can cause misses, never wrong results.
@@ -24,7 +24,7 @@
 //    whole cache — invalidation is free, there is nothing to diff.
 //
 // A hit returns the memoized dominator rows; the caller replays its own
-// overlay deltas on top (tail/insert folds via `PatchSkylineInsert`), so
+// overlay deltas on top (insert folds via `PatchSkylineInsert`), so
 // overlay churn needs no invalidation either. Hit results may order
 // equal-key members differently than a fresh probe would for a different
 // caller; all consumers are invariant to that (see DominatingSkylineTileInto

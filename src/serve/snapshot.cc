@@ -1,5 +1,6 @@
 #include "serve/snapshot.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -26,24 +27,10 @@ Status ValidateIds(const Dataset& data, const std::vector<uint64_t>& ids,
 
 }  // namespace
 
-Snapshot::Snapshot(uint64_t epoch, std::unique_ptr<Dataset> competitors,
-                   std::vector<uint64_t> competitor_ids,
-                   std::unique_ptr<Dataset> products,
-                   std::vector<uint64_t> product_ids)
-    : epoch_(epoch),
-      competitors_(std::move(competitors)),
-      products_(std::move(products)),
-      competitor_ids_(std::move(competitor_ids)),
-      product_ids_(std::move(product_ids)),
-      tail_block_(competitors_->dims()) {
-  competitor_rows_.reserve(competitor_ids_.size());
-  for (size_t i = 0; i < competitor_ids_.size(); ++i) {
-    competitor_rows_.emplace(competitor_ids_[i], static_cast<PointId>(i));
-  }
-  product_rows_.reserve(product_ids_.size());
-  for (size_t i = 0; i < product_ids_.size(); ++i) {
-    product_rows_.emplace(product_ids_[i], static_cast<PointId>(i));
-  }
+PointId Snapshot::RowOf(const std::vector<uint64_t>& ids, uint64_t id) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it == ids.end() || *it != id) return kInvalidPointId;
+  return static_cast<PointId>(it - ids.begin());
 }
 
 Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
@@ -62,11 +49,12 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
 
   // Two-phase: place the datasets behind stable addresses first, then
   // index — the flat index keeps a raw pointer to the competitor dataset.
-  auto snapshot = std::shared_ptr<Snapshot>(new Snapshot(
-      epoch, std::make_unique<Dataset>(std::move(competitors)),
-      std::move(competitor_ids),
-      std::make_unique<Dataset>(std::move(products)),
-      std::move(product_ids)));
+  std::shared_ptr<Snapshot> snapshot(new Snapshot());
+  snapshot->epoch_ = epoch;
+  snapshot->competitors_ = std::make_unique<Dataset>(std::move(competitors));
+  snapshot->products_ = std::make_unique<Dataset>(std::move(products));
+  snapshot->competitor_ids_ = std::move(competitor_ids);
+  snapshot->product_ids_ = std::move(product_ids);
   Result<FlatRTree> index =
       FlatRTree::BulkLoad(*snapshot->competitors_, rtree_fanout);
   if (!index.ok()) return index.status();

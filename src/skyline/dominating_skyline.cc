@@ -69,14 +69,10 @@ void ConstrainedSkyline(const FlatRTree& tree, const uint32_t* roots,
                         const uint8_t* dead_rows, std::vector<PointId>* result,
                         ProbeStats* stats) {
   result->clear();
-  if (tree.empty() || tree.live_size() == 0) return;
+  if (tree.empty()) return;
   const size_t dims = tree.dims();
   ProbeStats local;
   ProbeStats* st = stats != nullptr ? stats : &local;
-  // With no tombstones and no mask every liveness test below passes, so
-  // the traversal — entries, order, tie-breaks, and the stat counters —
-  // is identical to the all-live probe.
-  const bool masked = dead_rows != nullptr || tree.has_tombstones();
 
   // Point entries carry node == kNoNode; (key, seq) fixes the pop — and
   // therefore accept — order, ties broken by push order.
@@ -103,7 +99,6 @@ void ConstrainedSkyline(const FlatRTree& tree, const uint32_t* roots,
   uint64_t seq = 0;
   for (size_t r = 0; r < root_count; ++r) {
     const uint32_t node = roots[r];
-    if (tree.node_live_count(node) == 0) continue;
     if (!OverlapsAdr(tree.min_corner(node), t, dims)) continue;
     heap.push({tree.min_corner_sum(node), seq++, node, kInvalidPointId});
   }
@@ -111,7 +106,7 @@ void ConstrainedSkyline(const FlatRTree& tree, const uint32_t* roots,
     const PointId id = points[i];
     const double* p = tree.dataset().data(id);
     ++st->points_scanned;
-    if (masked && !tree.row_alive(id)) continue;
+    if (dead_rows != nullptr && dead_rows[id]) continue;
     if (!Dominates(p, t, dims)) continue;
     heap.push({point_key(p), seq++, kNoNode, id});
   }
@@ -137,9 +132,7 @@ void ConstrainedSkyline(const FlatRTree& tree, const uint32_t* roots,
         FilterDominated(tree.point_block(b, e), t, &kept, /*strict=*/true);
         for (uint32_t lane : kept) {
           const uint32_t slot = b + lane;
-          if (masked &&
-              (!tree.slot_alive(slot) ||
-               (dead_rows != nullptr && dead_rows[tree.point_ids()[slot]]))) {
+          if (dead_rows != nullptr && dead_rows[tree.point_ids()[slot]]) {
             continue;
           }
           const double* p = tree.slot_coords(slot);
@@ -157,7 +150,6 @@ void ConstrainedSkyline(const FlatRTree& tree, const uint32_t* roots,
                         /*strict=*/false);
         for (uint32_t lane : kept) {
           const uint32_t child = b + lane;
-          if (masked && tree.node_live_count(child) == 0) continue;
           if (PrunedBySkyline(window, tree.min_corner(child), st)) continue;
           heap.push({tree.min_corner_sum(child), seq++, child,
                      kInvalidPointId});
@@ -204,7 +196,7 @@ std::vector<PointId> DominatingSkylineFrom(const FlatRTree& tree,
 
 std::vector<PointId> SkylineBbs(const FlatRTree& tree) {
   std::vector<PointId> result;
-  if (tree.empty() || tree.live_size() == 0) return result;
+  if (tree.empty()) return result;
   // The traversal trusts the arena's structural invariants (slot ranges,
   // containment, SoA/AoS mirror agreement); re-prove them under paranoid.
   SKYUP_PARANOID_OK(tree.Validate());
@@ -215,13 +207,7 @@ std::vector<PointId> SkylineBbs(const FlatRTree& tree) {
                               std::numeric_limits<double>::infinity());
   DominatingSkylineInto(tree, t.data(), /*dead_rows=*/nullptr, &result);
   SKYUP_PARANOID_OK([&]() -> Status {
-    // Re-proof input: the *live* slots only — tombstoned points are not
-    // part of the set whose skyline this computes.
-    std::vector<PointId> all;
-    all.reserve(tree.live_size());
-    for (uint32_t j = 0; j < tree.size(); ++j) {
-      if (tree.slot_alive(j)) all.push_back(tree.point_ids()[j]);
-    }
+    std::vector<PointId> all(tree.point_ids(), tree.point_ids() + tree.size());
     return CheckSkylineInvariants(tree.dataset(), &all, result);
   }());
   return result;
@@ -236,11 +222,10 @@ void DominatingSkylineTileInto(const FlatRTree& tree,
   SKYUP_CHECK(tile_count >= 1 && tile_count <= kMaxDominanceTile)
       << "tile width out of range";
   for (size_t j = 0; j < tile_count; ++j) results[j].clear();
-  if (tree.empty() || tree.live_size() == 0) return;
+  if (tree.empty()) return;
   const size_t dims = tree.dims();
   ProbeStats local;
   ProbeStats* st = stats != nullptr ? stats : &local;
-  const bool masked = dead_rows != nullptr || tree.has_tombstones();
 
   // Same (key, seq) best-first order as the single-query traversal, plus a
   // bitmask of the tile members the entry is still live for. Bits are
@@ -313,9 +298,7 @@ void DominatingSkylineTileInto(const FlatRTree& tree,
           uint64_t lm = lane_masks[lane] & mask;
           if (lm == 0) continue;
           const uint32_t slot = b + lane;
-          if (masked &&
-              (!tree.slot_alive(slot) ||
-               (dead_rows != nullptr && dead_rows[tree.point_ids()[slot]]))) {
+          if (dead_rows != nullptr && dead_rows[tree.point_ids()[slot]]) {
             continue;
           }
           const double* p = tree.slot_coords(slot);
@@ -337,7 +320,6 @@ void DominatingSkylineTileInto(const FlatRTree& tree,
           uint64_t lm = lane_masks[lane] & mask;
           if (lm == 0) continue;
           const uint32_t child = b + lane;
-          if (masked && tree.node_live_count(child) == 0) continue;
           lm = window_prune(lm, tree.min_corner(child));
           if (lm == 0) continue;
           heap.push({tree.min_corner_sum(child), seq++, child,

@@ -20,25 +20,24 @@ struct ProbeStats {
 };
 
 /// `getDominatingSky` (Algorithm 3 of the paper): the skyline of the set of
-/// live points in `tree` that strictly dominate `t`, computed by a
-/// best-first (BBS-style) traversal constrained to the anti-dominant region
-/// ADR(t). Node expansion culls children with the batched SoA kernels and
-/// the dominance window lives in one SoA block; tombstoned slots and
-/// fully-dead subtrees are skipped.
+/// points in `tree` that strictly dominate `t`, computed by a best-first
+/// (BBS-style) traversal constrained to the anti-dominant region ADR(t).
+/// Node expansion culls children with the batched SoA kernels and the
+/// dominance window lives in one SoA block.
 ///
 /// `t` must have `tree.dims()` coordinates. The returned ids are mutually
 /// non-dominating, every one strictly dominates `t`, and together they
-/// dominate every live dominator of `t` in the tree — exactly the input
+/// dominate every dominator of `t` in the tree — exactly the input
 /// Algorithm 1 (single-product upgrade) requires.
 std::vector<PointId> DominatingSkyline(const FlatRTree& tree, const double* t,
                                        ProbeStats* stats = nullptr);
 
 /// Allocation-free, mask-aware form for hot serving loops. Appends nothing;
 /// `result` is cleared and filled in best-first accept order. `dead_rows`,
-/// when non-null, is a per-dataset-row byte mask (1 = treat as erased)
-/// composed on top of the index's own tombstones — masked points never
-/// enter the traversal's dominance window, so live dominators they would
-/// have masked are still found (no caller-side rescan needed).
+/// when non-null, is a per-dataset-row byte mask (1 = treat as erased):
+/// masked points never enter the traversal's dominance window, so live
+/// dominators they would have masked are still found (no caller-side
+/// rescan needed).
 void DominatingSkylineInto(const FlatRTree& tree, const double* t,
                            const uint8_t* dead_rows,
                            std::vector<PointId>* result,
@@ -65,7 +64,7 @@ void DominatingSkylineTileInto(const FlatRTree& tree,
                                ProbeStats* stats = nullptr);
 
 /// Multi-source variant used by the join's leaf processing (Alg. 4 line 9):
-/// the skyline of the dominators of `t` among the live points below the
+/// the skyline of the dominators of `t` among the points below the
 /// node indices `roots` plus the explicit point ids `points`, all of
 /// `tree`. The same traversal as `DominatingSkylineInto`, seeded from
 /// several entries at once (roots first, then points, in the given order).

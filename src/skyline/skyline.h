@@ -28,7 +28,7 @@ std::vector<PointId> SkylineBnl(const Dataset& data,
 std::vector<PointId> SkylineSfs(const Dataset& data,
                                 const std::vector<PointId>* subset = nullptr);
 
-/// Branch-and-bound skyline [Papadias et al.] of the live points of an
+/// Branch-and-bound skyline [Papadias et al.] of the points of an
 /// R-tree: the Algorithm 3 probe (`DominatingSkylineInto`) with t at
 /// (+inf, ..., +inf), whose anti-dominant region is all of space.
 std::vector<PointId> SkylineBbs(const FlatRTree& tree);

@@ -313,7 +313,7 @@ TEST(CliTest, ServeRejectsNonFiniteEpsilon) {
   CliResult gen = RunCli({"serve", "--gen-ops=" + ops_path, "--ops=50",
                           "--dims=2", "--seed=3"});
   ASSERT_EQ(gen.code, 0) << gen.err;
-  for (const char* epsilon : {"nan", "inf"}) {
+  for (const char* epsilon : {"nan", "inf", "-inf"}) {
     CliResult r = RunCli({"serve", "--replay=" + ops_path,
                           std::string("--epsilon=") + epsilon});
     EXPECT_EQ(r.code, 2) << epsilon << ": " << r.err;
@@ -333,6 +333,70 @@ TEST(CliTest, ServeShardsMustBePositive) {
   CliResult load = RunCli({"serve", "--load-gen", "--dims=2", "--shards=0"});
   EXPECT_EQ(load.code, 2);
   EXPECT_NE(load.err.find("malformed numeric flag"), std::string::npos);
+}
+
+// Every double flag refuses NaN and ±inf at parse time with the usage
+// message: a NaN slips through `< lo` / `> hi` range checks, so
+// `--timeout=nan` used to send queries that were all refused, and
+// `--query-fraction=nan` ran updates only. Parsing fails before any
+// server or load thread starts.
+void ExpectNonFiniteRefused(std::vector<std::string> args,
+                            const std::string& flag) {
+  args.push_back("");
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    args.back() = "--" + flag + "=" + value;
+    CliResult r = RunCli(args);
+    EXPECT_EQ(r.code, 2) << args.back() << ": " << r.err;
+    EXPECT_NE(r.err.find("malformed numeric flag"), std::string::npos)
+        << args.back() << ": " << r.err;
+    EXPECT_NE(r.err.find("usage:"), std::string::npos) << args.back();
+  }
+}
+
+TEST(CliTest, LoadGenRefusesNonFiniteTimeout) {
+  ExpectNonFiniteRefused({"serve", "--load-gen", "--dims=2"}, "timeout");
+}
+
+TEST(CliTest, LoadGenRefusesNonFiniteQps) {
+  ExpectNonFiniteRefused({"serve", "--load-gen", "--dims=2"}, "qps");
+}
+
+TEST(CliTest, LoadGenRefusesNonFiniteQueryFraction) {
+  ExpectNonFiniteRefused({"serve", "--load-gen", "--dims=2"},
+                         "query-fraction");
+}
+
+TEST(CliTest, LoadGenRefusesNonFiniteDuration) {
+  ExpectNonFiniteRefused({"serve", "--load-gen", "--dims=2"}, "duration");
+}
+
+TEST(CliTest, GenerateRefusesNonFiniteLo) {
+  ExpectNonFiniteRefused(
+      {"generate", "--out=" + TempPath("lo.csv"), "--count=5", "--dims=2"},
+      "lo");
+}
+
+TEST(CliTest, GenerateRefusesNonFiniteHi) {
+  ExpectNonFiniteRefused(
+      {"generate", "--out=" + TempPath("hi.csv"), "--count=5", "--dims=2"},
+      "hi");
+}
+
+// Every publish is an STR merge, so the patch-vs-merge knobs are gone and
+// their flags are unknown.
+TEST(CliTest, ServeRefusesRetiredCompactionFlags) {
+  const std::string ops_path = TempPath("ops_compact.csv");
+  CliResult gen = RunCli({"serve", "--gen-ops=" + ops_path, "--ops=50",
+                          "--dims=2", "--seed=3"});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  for (const char* flag :
+       {"--compact-tail-pct=10", "--compact-tombstone-pct=10"}) {
+    CliResult r = RunCli({"serve", "--replay=" + ops_path, flag});
+    EXPECT_EQ(r.code, 2) << flag << ": " << r.err;
+    EXPECT_NE(r.err.find("unknown flag --compact-"), std::string::npos)
+        << flag << ": " << r.err;
+  }
+  std::remove(ops_path.c_str());
 }
 
 TEST(CliTest, WineWritesTable) {

@@ -248,19 +248,12 @@ TEST(DominatingSkylineTileTest, TileMatchesSoloProbesAsValueSets) {
     Result<FlatRTree> tree =
         FlatRTree::BulkLoad(ds, 2 + static_cast<size_t>(rng.NextUint64(7)));
     ASSERT_TRUE(tree.ok());
-    FlatRTree flat = std::move(tree).value();
+    const FlatRTree& flat = tree.value();
 
-    // Tombstone a random subset through the index, and kill a further
-    // subset through the caller-side mask — the tile traversal composes
-    // both, exactly like the solo probe.
+    // Kill a random subset through the caller-side mask — the tile
+    // traversal skips it exactly like the solo probe.
     std::vector<uint8_t> dead(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.NextUint64(8) == 0) {
-        ASSERT_TRUE(flat.Erase(static_cast<PointId>(i)));
-      } else if (rng.NextUint64(8) == 0) {
-        dead[i] = 1;
-      }
-    }
+    for (size_t i = 0; i < n; ++i) dead[i] = rng.NextUint64(4) == 0;
     const uint8_t* mask = rep % 2 == 0 ? dead.data() : nullptr;
 
     // Tile widths across the chunk boundaries; members mix fresh random

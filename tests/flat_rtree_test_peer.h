@@ -29,21 +29,6 @@ class FlatRTreeTestPeer {
   }
   static std::vector<double>& pt_soa(FlatRTree* t) { return t->pt_soa_; }
   static std::vector<double>& pt_aos(FlatRTree* t) { return t->pt_aos_; }
-  // Tombstone arenas.
-  static std::vector<uint8_t>& slot_live(FlatRTree* t) {
-    return t->slot_live_;
-  }
-  static std::vector<uint32_t>& live_count(FlatRTree* t) {
-    return t->live_count_;
-  }
-  static std::vector<uint32_t>& parent(FlatRTree* t) { return t->parent_; }
-  static std::vector<uint32_t>& leaf_of_slot(FlatRTree* t) {
-    return t->leaf_of_slot_;
-  }
-  static std::vector<uint32_t>& slot_of_row(FlatRTree* t) {
-    return t->slot_of_row_;
-  }
-  static size_t& tombstones(FlatRTree* t) { return t->tombstones_; }
 };
 
 }  // namespace skyup

@@ -177,46 +177,6 @@ TEST(JoinTest, UpgradedResultsAreUndominated) {
   }
 }
 
-TEST(JoinTest, TombstonedEntriesAreSkipped) {
-  // Erased competitors must not constrain a product, and erased products
-  // must not be reported: the join answers like brute force over the
-  // surviving rows.
-  Workload w = MakeWorkload(600, 80, 3, Distribution::kAntiCorrelated, 77, 8);
-  Dataset live_p(3);
-  Dataset live_t(3);
-  for (size_t i = 0; i < w.competitors->size(); ++i) {
-    const PointId row = static_cast<PointId>(i);
-    if (i % 3 == 0) {
-      ASSERT_TRUE(w.rp->Erase(row));
-    } else {
-      live_p.Add(w.competitors->data(row));
-    }
-  }
-  std::vector<bool> erased_t(w.products->size(), false);
-  for (size_t i = 0; i < w.products->size(); ++i) {
-    const PointId row = static_cast<PointId>(i);
-    if (i % 4 == 0) {
-      ASSERT_TRUE(w.rt->Erase(row));
-      erased_t[i] = true;
-    } else {
-      live_t.Add(w.products->data(row));
-    }
-  }
-
-  Result<std::vector<UpgradeResult>> oracle =
-      TopKBruteForce(live_p, live_t, *w.cost_fn, 12);
-  ASSERT_TRUE(oracle.ok());
-  Result<std::vector<UpgradeResult>> join =
-      TopKJoin(*w.rp, *w.rt, *w.cost_fn, 12);
-  ASSERT_TRUE(join.ok()) << join.status().ToString();
-  ASSERT_EQ(join->size(), oracle->size());
-  for (size_t i = 0; i < oracle->size(); ++i) {
-    EXPECT_FALSE(erased_t[static_cast<size_t>((*join)[i].product_id)])
-        << "rank " << i;
-    EXPECT_NEAR((*join)[i].cost, (*oracle)[i].cost, 1e-9) << "rank " << i;
-  }
-}
-
 TEST(JoinTest, CompetitiveProductsComeFirstAtZeroCost) {
   // Products straddling the competitor cube: some undominated.
   Workload w = MakeWorkload(200, 1, 2, Distribution::kIndependent, 55);

@@ -1,6 +1,6 @@
 // STR bulk loading and range queries of the R-tree index
-// (rtree/flat_rtree.h), checked against brute force, with and without
-// tombstone deletes.
+// (rtree/flat_rtree.h), checked against brute force, including over the
+// survivors of an erase re-packed by a fresh bulk load.
 
 #include <gtest/gtest.h>
 
@@ -26,13 +26,10 @@ Dataset RandomDataset(size_t n, size_t dims, uint64_t seed) {
   return ds;
 }
 
-// Ids of the rows inside `box`, skipping rows whose `alive` byte is 0
-// (all rows when `alive` is empty).
-std::vector<PointId> BruteForceRange(const Dataset& ds, const Mbr& box,
-                                     const std::vector<uint8_t>& alive = {}) {
+// Ids of the rows inside `box`.
+std::vector<PointId> BruteForceRange(const Dataset& ds, const Mbr& box) {
   std::vector<PointId> out;
   for (size_t i = 0; i < ds.size(); ++i) {
-    if (!alive.empty() && alive[i] == 0) continue;
     if (box.Contains(ds.data(static_cast<PointId>(i)))) {
       out.push_back(static_cast<PointId>(i));
     }
@@ -77,7 +74,6 @@ TEST(RTreeTest, EmptyTree) {
   Dataset ds(2);
   const FlatRTree tree = Load(ds);
   EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.live_size(), 0u);
   EXPECT_TRUE(tree.Validate().ok());
   const std::vector<double> lo = {0, 0}, hi = {1, 1};
   EXPECT_TRUE(Range(tree, Mbr::FromCorners(lo.data(), hi.data(), 2)).empty());
@@ -131,32 +127,28 @@ class RangeQueryTest : public ::testing::TestWithParam<
                            std::tuple<size_t, size_t, bool>> {};
 
 // Parameters: row count, dims, and whether the bulk-loaded index stays
-// intact. When it does not, a third of the rows are tombstoned first:
-// RangeQuery must skip dead slots and dead subtrees and still match brute
-// force over the survivors.
+// intact. When it does not, a third of the rows are erased first, the way
+// the serve tier erases: the survivors are re-packed by a fresh bulk load,
+// and RangeQuery must match brute force over them.
 TEST_P(RangeQueryTest, MatchesBruteForce) {
   const size_t n = std::get<0>(GetParam());
   const size_t dims = std::get<1>(GetParam());
   const bool erase = !std::get<2>(GetParam());
-  Dataset ds = RandomDataset(n, dims, 1000 + n + dims);
-  FlatRTree tree = Load(ds, 16);
-  std::vector<uint8_t> alive(n, 1);
-  if (erase) {
-    // Erase a contiguous run (kills whole leaves) plus a strided sample.
-    for (size_t i = 0; i < n; ++i) {
-      if (i < n / 6 || i % 5 == 0) {
-        ASSERT_TRUE(tree.Erase(static_cast<PointId>(i)));
-        alive[i] = 0;
-      }
-    }
+  const Dataset all = RandomDataset(n, dims, 1000 + n + dims);
+  Dataset ds(dims);
+  for (size_t i = 0; i < n; ++i) {
+    // Erase a contiguous run (whole leaves) plus a strided sample.
+    if (erase && (i < n / 6 || i % 5 == 0)) continue;
+    ds.Add(all.data(static_cast<PointId>(i)));
   }
+  const FlatRTree tree = Load(ds, 16);
   Status s = tree.Validate();
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   Rng rng(55);
   for (int q = 0; q < 25; ++q) {
     const Mbr box = RandomBox(&rng, dims);
-    EXPECT_EQ(Range(tree, box), BruteForceRange(ds, box, alive));
+    EXPECT_EQ(Range(tree, box), BruteForceRange(ds, box));
   }
 }
 
@@ -192,68 +184,6 @@ TEST(RTreeTest, DuplicatePointsAreAllIndexed) {
   const std::vector<double> lo = {0.5, 0.5};
   EXPECT_EQ(Range(tree, Mbr::FromCorners(lo.data(), lo.data(), 2)).size(),
             100u);
-}
-
-TEST(RTreeDeleteTest, DeleteSinglePoint) {
-  Dataset ds(2);
-  ds.Add({0.5, 0.5});
-  FlatRTree tree = Load(ds);
-  EXPECT_TRUE(tree.Erase(0));
-  EXPECT_EQ(tree.live_size(), 0u);
-  EXPECT_TRUE(tree.Validate().ok());
-  EXPECT_FALSE(tree.Erase(0));  // already gone
-}
-
-TEST(RTreeDeleteTest, DeleteMissingIdReturnsFalse) {
-  Dataset ds(2);
-  ds.Add({0.1, 0.1});
-  FlatRTree tree = Load(ds);
-  ds.Add({0.9, 0.9});
-  EXPECT_FALSE(tree.Erase(1));   // valid row, appended after the load
-  EXPECT_FALSE(tree.Erase(99));  // invalid row
-  EXPECT_EQ(tree.live_size(), 1u);
-}
-
-TEST(RTreeDeleteTest, DeleteHalfThenQueriesStayExact) {
-  Dataset ds = RandomDataset(1500, 2, 71);
-  FlatRTree tree = Load(ds, 8);
-
-  // Delete every odd id; MBRs must re-tighten.
-  std::vector<uint8_t> alive(ds.size(), 1);
-  for (size_t i = 1; i < ds.size(); i += 2) {
-    ASSERT_TRUE(tree.Erase(static_cast<PointId>(i))) << i;
-    alive[i] = 0;
-  }
-  EXPECT_EQ(tree.live_size(), 750u);
-  Status s = tree.Validate();
-  ASSERT_TRUE(s.ok()) << s.ToString();
-
-  Rng rng(72);
-  for (int q = 0; q < 20; ++q) {
-    const Mbr box = RandomBox(&rng, 2);
-    ASSERT_EQ(Range(tree, box), BruteForceRange(ds, box, alive));
-  }
-}
-
-TEST(RTreeDeleteTest, DeleteEverythingShrinksToEmptyRoot) {
-  Dataset ds = RandomDataset(300, 3, 73);
-  FlatRTree tree = Load(ds, 6);
-  for (size_t i = 0; i < ds.size(); ++i) {
-    ASSERT_TRUE(tree.Erase(static_cast<PointId>(i))) << i;
-    ASSERT_TRUE(tree.Validate().ok()) << "after deleting " << i;
-  }
-  EXPECT_EQ(tree.live_size(), 0u);
-  EXPECT_TRUE(tree.root_mbr().IsEmpty());
-}
-
-TEST(RTreeDeleteTest, DeleteFromBulkLoadedTree) {
-  Dataset ds = RandomDataset(800, 3, 76);
-  FlatRTree tree = Load(ds);
-  for (PointId id : {0, 100, 200, 300, 400}) {
-    ASSERT_TRUE(tree.Erase(id));
-  }
-  EXPECT_EQ(tree.live_size(), 795u);
-  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(StrSlabCountTest, FormulaCases) {

@@ -293,8 +293,46 @@ TEST(RebuildProtocolTest, FreezeMergePublishAbsorbsBacklog) {
   EXPECT_EQ((*again)->competitor_ids(), (std::vector<uint64_t>{1, 4, 5, 6}));
 }
 
+// A merge over erases of indexed rows plus inserts indexes exactly the
+// live rows: the index holds every one of them, ids ascend, and the root
+// MBR is their exact bounding box — what the serve prune relies on at the
+// start of every epoch.
+TEST(RebuildProtocolTest, MergeIndexesExactlyTheLiveRows) {
+  DeltaLog log(EmptySnapshot(2));
+  const double first[4][2] = {
+      {0.05, 0.9}, {0.3, 0.3}, {0.9, 0.02}, {0.5, 0.6}};
+  for (uint64_t i = 0; i < 4; ++i) {
+    log.AppendInsert(DeltaTarget::kCompetitor, i + 1, first[i]);
+  }
+  Result<std::shared_ptr<const Snapshot>> base =
+      MergeSnapshot(*log.base(), log.prefix(), /*next_epoch=*/2, kFanout);
+  ASSERT_TRUE(base.ok());
+  ASSERT_EQ((*base)->index().size(), 4u);
+
+  // Erase the rows that attain three of the four faces, then insert two.
+  DeltaLog next(*base);
+  AppendErase(&next, DeltaTarget::kCompetitor, 1);
+  AppendErase(&next, DeltaTarget::kCompetitor, 3);
+  const double late[2][2] = {{0.4, 0.2}, {0.7, 0.45}};
+  next.AppendInsert(DeltaTarget::kCompetitor, 5, late[0]);
+  next.AppendInsert(DeltaTarget::kCompetitor, 6, late[1]);
+  Result<std::shared_ptr<const Snapshot>> merged =
+      MergeSnapshot(**base, next.prefix(), /*next_epoch=*/3, kFanout);
+  ASSERT_TRUE(merged.ok());
+  const Snapshot& snap = **merged;
+
+  EXPECT_EQ(snap.index().size(), 4u);  // 2, 4, 5, 6
+  EXPECT_EQ(snap.competitor_ids(), (std::vector<uint64_t>{2, 4, 5, 6}));
+  EXPECT_TRUE(snap.index().Validate().ok());
+  const Mbr root = snap.index().root_mbr();
+  EXPECT_EQ(root.min(0), 0.3);
+  EXPECT_EQ(root.min(1), 0.2);
+  EXPECT_EQ(root.max(0), 0.7);
+  EXPECT_EQ(root.max(1), 0.6);
+}
+
 // The deterministic serving mode's publish step: nothing below the
-// threshold, then a major compaction or a patch per the policy.
+// threshold, then one STR merge per shard.
 TEST(RebuildProtocolTest, InlinePublishHonorsThreshold) {
   ShardedTableOptions options;
   options.dims = 2;
@@ -312,31 +350,33 @@ TEST(RebuildProtocolTest, InlinePublishHonorsThreshold) {
 
   ASSERT_TRUE(t.InsertCompetitor({0.2, 0.2}).ok());
   ASSERT_TRUE(t.InsertCompetitor({0.3, 0.3}).ok());
-  // The base snapshot has no indexed rows yet, so the first publish is
-  // always a major compaction.
   Result<size_t> at = t.MaybePublishInline(policy);
   ASSERT_TRUE(at.ok());
   EXPECT_EQ(*at, 1u);
   EXPECT_EQ(t.rebuilds_published(), 1u);
-  EXPECT_EQ(t.patches_published(), 0u);
   EXPECT_EQ(t.epoch(), 2u);
   EXPECT_EQ(t.delta_backlog(), 0u);
 
-  // A small backlog against an indexed base (1 tail row on 3 indexed is
-  // under the 50% tail threshold) patches instead of rebuilding.
   ASSERT_TRUE(t.InsertCompetitor({0.4, 0.4}).ok());
   ASSERT_TRUE(t.InsertProduct({0.6, 0.6}).ok());
   ASSERT_TRUE(t.InsertProduct({0.7, 0.7}).ok());
-  Result<size_t> patched = t.MaybePublishInline(policy);
-  ASSERT_TRUE(patched.ok());
-  EXPECT_EQ(*patched, 1u);
-  EXPECT_EQ(t.rebuilds_published(), 1u);
-  EXPECT_EQ(t.patches_published(), 1u);
+  Result<size_t> again = t.MaybePublishInline(policy);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, 1u);
+  EXPECT_EQ(t.rebuilds_published(), 2u);
   EXPECT_EQ(t.epoch(), 3u);
   EXPECT_EQ(t.delta_backlog(), 0u);
-  const ShardedTable::Diagnostics diag = t.SampleDiagnostics();
+  ShardedTable::Diagnostics diag = t.SampleDiagnostics();
   EXPECT_EQ(diag.live_competitors, 4u);
   EXPECT_EQ(diag.live_products, 2u);
+  EXPECT_EQ(diag.tombstone_pct, 0.0);
+
+  // A pending erase of one of the four indexed rows: a quarter of the
+  // index is what queries must mask.
+  ASSERT_TRUE(t.EraseCompetitor(1).ok());
+  diag = t.SampleDiagnostics();
+  EXPECT_EQ(diag.live_competitors, 3u);
+  EXPECT_EQ(diag.tombstone_pct, 25.0);
 }
 
 }  // namespace

@@ -45,14 +45,12 @@ Result<std::vector<UpgradeResult>> TopK(const ShardedView& view,
   return std::move(out.front().results);
 }
 
-// Forces one full compaction so every pending delta lands in a freshly
-// bulk-loaded snapshot (a 0% tombstone threshold makes every shard's
-// publish a major one).
+// Forces one publish so every pending delta lands in a freshly
+// bulk-loaded snapshot.
 void RebuildNow(ShardedTable* table) {
-  RebuildPolicy compact;
-  compact.threshold_ops = 1;
-  compact.compact_tombstone_pct = 0;
-  ASSERT_TRUE(table->MaybePublishInline(compact).ok());
+  RebuildPolicy policy;
+  policy.threshold_ops = 1;
+  ASSERT_TRUE(table->MaybePublishInline(policy).ok());
 }
 
 // The oracle's view: everything compacted, no overlay, and no upgrade
@@ -211,7 +209,8 @@ TEST(TopKOverlayTest, MaskAwareProbeServesSkylineMemberDeathWithoutRescan) {
 
 TEST(TopKOverlayTest, SoundPrunePreservesExactTopKAcrossPatchedEpochs) {
   // A workload big enough for the prune to actually fire: many dominated
-  // products, small k, erases and inserts folded through patch publishes.
+  // products, small k, erases and inserts folded in by a publish every
+  // round, each epoch re-packed from the previous one.
   Result<std::unique_ptr<ShardedTable>> table = MakeTable(2);
   ASSERT_TRUE(table.ok());
   ShardedTable& t = **table;
@@ -232,7 +231,7 @@ TEST(TopKOverlayTest, SoundPrunePreservesExactTopKAcrossPatchedEpochs) {
 
   RebuildPolicy policy;
   policy.threshold_ops = 2;
-  const uint64_t patches_before = t.patches_published();
+  const uint64_t publishes_before = t.rebuilds_published();
   for (int round = 0; round < 12; ++round) {
     const size_t at =
         static_cast<size_t>(rng.NextUint64(competitor_ids.size()));
@@ -254,9 +253,9 @@ TEST(TopKOverlayTest, SoundPrunePreservesExactTopKAcrossPatchedEpochs) {
     ExpectExactlyEqual(*pruned, *oracle,
                        "round=" + std::to_string(round));
   }
-  // Every round's 2-op backlog crossed the threshold against a well-fed
-  // indexed base, so the publishes above really were patches.
-  EXPECT_GT(t.patches_published(), patches_before);
+  // Every round's 2-op backlog crossed the threshold, so each round was
+  // checked against a freshly published epoch.
+  EXPECT_EQ(t.rebuilds_published(), publishes_before + 12);
 }
 
 TEST(TopKOverlayTest, CancelledControlUnwinds) {

@@ -256,28 +256,23 @@ TEST(ServerTest, InlineRebuildTriggersOnThreshold) {
   ASSERT_TRUE(server.ok());
   Seed(server->get());  // 4 accepted updates: threshold reached
 
-  // The first publish folds an empty-index base: always a major rebuild.
   EXPECT_EQ((*server)->table().epoch(), 2u);
   EXPECT_EQ((*server)->table().delta_backlog(), 0u);
   EXPECT_EQ((*server)->stats().rebuilds_published, 1u);
-  EXPECT_EQ((*server)->stats().patches_published, 0u);
 
-  // A follow-up batch of product inserts leaves the competitor index
-  // untouched — published incrementally as a patch, not a rebuild.
+  // Every publish is an STR merge, even one that only adds products.
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE((*server)->InsertProduct({0.5 + 0.01 * i, 0.5}).ok());
   }
   EXPECT_EQ((*server)->table().epoch(), 3u);
   EXPECT_EQ((*server)->table().delta_backlog(), 0u);
-  EXPECT_EQ((*server)->stats().rebuilds_published, 1u);
-  EXPECT_EQ((*server)->stats().patches_published, 1u);
+  EXPECT_EQ((*server)->stats().rebuilds_published, 2u);
+  EXPECT_EQ((*server)->stats().patches_published, 0u);
 }
 
 TEST(ServerTest, StatsEchoThePublishPolicy) {
   ServerOptions options = SmallOptions();
   options.rebuild_threshold_ops = 16;
-  options.compact_tombstone_pct = 20;
-  options.compact_tail_pct = 40;
   Result<std::unique_ptr<Server>> server = MakeServer(options);
   ASSERT_TRUE(server.ok());
   MetricsRegistry registry;
@@ -287,10 +282,7 @@ TEST(ServerTest, StatsEchoThePublishPolicy) {
   const std::string text = prom.str();
   EXPECT_NE(text.find("\nskyup_serve_rebuild_threshold_ops 16\n"),
             std::string::npos);
-  EXPECT_NE(text.find("\nskyup_serve_compact_tombstone_pct 20\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("\nskyup_serve_compact_tail_pct 40\n"),
-            std::string::npos);
+  EXPECT_EQ(text.find("skyup_serve_compact_"), std::string::npos);
 }
 
 TEST(ServerTest, RejectedUpdatesAreCountedNotApplied) {

@@ -35,7 +35,9 @@ TEST(SnapshotTest, CreateBindsIndexAndIds) {
   EXPECT_EQ(s.competitor_id(0), 1u);
   EXPECT_EQ(s.competitor_id(1), 2u);
   EXPECT_EQ(s.product_id(0), 1u);
+  EXPECT_EQ(s.CompetitorRow(1), 0);
   EXPECT_EQ(s.CompetitorRow(2), 1);
+  EXPECT_EQ(s.CompetitorRow(0), kInvalidPointId);
   EXPECT_EQ(s.CompetitorRow(99), kInvalidPointId);
   EXPECT_EQ(s.ProductRow(1), 0);
   EXPECT_EQ(s.ProductRow(99), kInvalidPointId);

@@ -207,8 +207,7 @@ TEST(ShardedTableTest, InlinePublishFiresOnTotalBacklog) {
   EXPECT_EQ(*published, 3u);
   EXPECT_EQ((*table)->delta_backlog(), 0u);
   EXPECT_EQ((*table)->publish_cycles(), 1u);
-  EXPECT_EQ((*table)->rebuilds_published() + (*table)->patches_published(),
-            3u);
+  EXPECT_EQ((*table)->rebuilds_published(), 3u);
 }
 
 TEST(ShardedTableTest, EpochAdvancesInLockStepAcrossShards) {

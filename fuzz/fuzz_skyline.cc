@@ -10,7 +10,9 @@
 // byte mask the serve tier passes for pending erases), then checks the
 // masked whole-space probe (BBS) and SFS against BNL over the surviving
 // rows, and every masked `DominatingSkylineInto` and
-// `DominatingSkylineTileInto` probe against a brute-force oracle.
+// `DominatingSkylineTileInto` probe against a brute-force oracle. A third
+// phase seeds `DominatingSkylineFrom` from a random cut of the tree plus
+// explicit rows and checks it against the rows those seeds cover.
 
 #include <algorithm>
 #include <limits>
@@ -177,6 +179,74 @@ void RunOne(uint64_t seed) {
                             tiled.data());
   for (size_t i = 0; i < probes; ++i) {
     check_probe(queries[i], tiled[i], "masked tile probe");
+  }
+
+  // ---- Seeded phase ----
+  // The join's form: a random cut of the tree (each visited node is kept
+  // as a seed, dropped with its subtree, or descended into) plus random
+  // explicit rows, against a brute-force dominator skyline over exactly
+  // the rows those seeds cover, compared as value sets.
+  std::vector<uint32_t> roots;
+  std::vector<uint8_t> covered(data.size(), 0);
+  std::vector<uint32_t> cut = {FlatRTree::kRoot};
+  std::vector<uint32_t> below;
+  while (!cut.empty()) {
+    const uint32_t node = cut.back();
+    cut.pop_back();
+    const uint64_t pick = rng.NextUint64(3);
+    if (pick == 0) continue;
+    if (pick == 1 || tree.is_leaf(node)) {
+      roots.push_back(node);
+      below.assign(1, node);
+      while (!below.empty()) {
+        const uint32_t n = below.back();
+        below.pop_back();
+        if (tree.is_leaf(n)) {
+          for (uint32_t slot = tree.point_begin(n); slot < tree.point_end(n);
+               ++slot) {
+            covered[tree.point_ids()[slot]] = 1;
+          }
+        } else {
+          for (uint32_t c = tree.child_begin(n); c < tree.child_end(n); ++c) {
+            below.push_back(c);
+          }
+        }
+      }
+    } else {
+      for (uint32_t c = tree.child_begin(node); c < tree.child_end(node);
+           ++c) {
+        cut.push_back(c);
+      }
+    }
+  }
+  std::vector<PointId> explicit_rows(rng.NextUint64(6));
+  for (PointId& id : explicit_rows) {
+    id = static_cast<PointId>(rng.NextUint64(data.size()));
+    covered[id] = 1;
+  }
+  const std::vector<double> q = GenQueryPoint(&rng, data);
+  std::vector<PointId> covered_dominators;
+  for (size_t r = 0; r < data.size(); ++r) {
+    if (covered[r] &&
+        Dominates(data.data(static_cast<PointId>(r)), q.data(), dims)) {
+      covered_dominators.push_back(static_cast<PointId>(r));
+    }
+  }
+  const std::vector<PointId> seeded =
+      DominatingSkylineFrom(tree, roots, explicit_rows, q.data());
+  const std::set<std::vector<double>> seeded_values = CoordSet(data, seeded);
+  SKYUP_CHECK(seeded_values ==
+              CoordSet(data, SkylineBnl(data, &covered_dominators)))
+      << "seeded probe disagrees with the brute-force skyline over "
+      << roots.size() << " seed nodes and " << explicit_rows.size()
+      << " explicit rows for q=" << PointToString(q)
+      << ", shape=" << ShapeName(shape) << " seed=" << seed;
+  SKYUP_CHECK(seeded_values.size() == seeded.size())
+      << "seeded probe returned duplicate coordinate vectors, seed=" << seed;
+  for (PointId id : seeded) {
+    SKYUP_CHECK(covered[id] && Dominates(data.data(id), q.data(), dims))
+        << "seeded probe returned uncovered/non-dominating row " << id
+        << ", seed=" << seed;
   }
 }
 

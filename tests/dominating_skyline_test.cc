@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -99,6 +100,16 @@ TEST_P(DominatingSkylineSweep, MatchesReferenceOnRandomProbes) {
     EXPECT_EQ(Coords(*p, sky), ReferenceDominatorSkyline(*p, t));
     for (PointId id : sky) {
       EXPECT_TRUE(Dominates(p->data(id), t.data(), param.dims));
+    }
+    // Best-first accept order: members come out by non-decreasing
+    // coordinate sum (the heap key), which the memo and SkylineBbs's
+    // "same ids in the same order" rely on.
+    double last_sum = -std::numeric_limits<double>::infinity();
+    for (PointId id : sky) {
+      double sum = 0.0;
+      for (size_t d = 0; d < param.dims; ++d) sum += p->data(id)[d];
+      EXPECT_LE(last_sum, sum) << "probe " << probe << " id " << id;
+      last_sum = sum;
     }
   }
 }
@@ -212,6 +223,81 @@ TEST(DominatingSkylineTest, PrunesFarNodes) {
   std::vector<PointId> sky = DominatingSkyline(tree.value(), t.data(), &stats);
   ASSERT_EQ(sky.size(), 1u);
   EXPECT_LT(stats.nodes_visited, tree->node_count() / 4);
+}
+
+// Exact ids, accept order and counters on one small fixed dataset (d = 3,
+// fanout 4, three duplicated rows). The value-set tests cannot see a change
+// in accept order, in which row of a duplicate group is returned, or in how
+// much work a probe does; these literals pin all three for every entry
+// point of the traversal.
+Result<Dataset> PinnedRows() {
+  return Dataset::FromRows({
+      {0.2, 0.6, 0.5},    {0.6, 0.2, 0.5},    {0.5, 0.5, 0.1},
+      {0.3, 0.3, 0.3},    {0.3, 0.3, 0.3},    {0.1, 0.7, 0.7},
+      {0.7, 0.1, 0.7},    {0.7, 0.7, 0.1},    {0.4, 0.2, 0.4},
+      {0.4, 0.2, 0.4},    {0.9, 0.9, 0.9},    {0.8, 0.5, 0.2},
+      {0.2, 0.8, 0.4},    {0.5, 0.4, 0.3},    {0.6, 0.6, 0.6},
+      {0.15, 0.45, 0.65}, {0.45, 0.15, 0.35}, {0.85, 0.05, 0.95},
+      {0.05, 0.95, 0.85}, {0.25, 0.55, 0.25}, {0.25, 0.55, 0.25},
+      {0.35, 0.35, 0.2},  {0.95, 0.95, 0.05}, {0.5, 0.1, 0.6},
+  });
+}
+
+struct PinnedProbe {
+  std::vector<PointId> ids;
+  size_t heap_pops;
+  size_t nodes_visited;
+  size_t points_scanned;
+  size_t block_kernel_calls;
+};
+
+void ExpectPinned(const PinnedProbe& want, const std::vector<PointId>& ids,
+                  const ProbeStats& stats) {
+  EXPECT_EQ(ids, want.ids);
+  EXPECT_EQ(stats.heap_pops, want.heap_pops);
+  EXPECT_EQ(stats.nodes_visited, want.nodes_visited);
+  EXPECT_EQ(stats.points_scanned, want.points_scanned);
+  EXPECT_EQ(stats.block_kernel_calls, want.block_kernel_calls);
+}
+
+TEST(DominatingSkylinePinnedTest, ExactOrderAndCounters) {
+  Result<Dataset> ds = PinnedRows();
+  ASSERT_TRUE(ds.ok());
+  Result<FlatRTree> tree = FlatRTree::BulkLoad(*ds, 4);
+  ASSERT_TRUE(tree.ok());
+  const FlatRTree& flat = tree.value();
+  ASSERT_FALSE(flat.is_leaf(FlatRTree::kRoot));
+  const std::vector<double> t = {0.8, 0.8, 0.8};
+
+  std::vector<PointId> ids;
+  ProbeStats plain;
+  DominatingSkylineInto(flat, t.data(), /*dead_rows=*/nullptr, &ids, &plain);
+  ExpectPinned({{21, 3, 16, 8, 19, 2, 23, 15, 0, 12, 5}, 29, 11, 21, 67}, ids,
+               plain);
+
+  // Masking row 3 of the (0.3, 0.3, 0.3) pair surfaces its twin, row 4.
+  std::vector<uint8_t> dead(ds->size(), 0);
+  dead[3] = 1;
+  dead[21] = 1;
+  ProbeStats masked;
+  DominatingSkylineInto(flat, t.data(), dead.data(), &ids, &masked);
+  ExpectPinned({{4, 16, 8, 19, 2, 23, 15, 0, 12, 5}, 27, 11, 21, 63}, ids,
+               masked);
+
+  std::vector<uint32_t> roots;
+  for (uint32_t c = flat.child_begin(FlatRTree::kRoot);
+       c < flat.child_end(FlatRTree::kRoot); ++c) {
+    roots.push_back(c);
+  }
+  // An explicit seed ties with row 3 on key and is pushed first, so the
+  // duplicate's representative flips to row 4.
+  ProbeStats seeded;
+  ids = DominatingSkylineFrom(flat, roots, {4, 16}, t.data(), &seeded);
+  ExpectPinned({{4, 21, 16, 8, 19, 2, 23, 15, 0, 12, 5}, 29, 10, 23, 64}, ids,
+               seeded);
+
+  EXPECT_EQ(SkylineBbs(flat), (std::vector<PointId>{21, 3, 16, 8, 19, 2, 23, 15,
+                                                   0, 12, 5, 18, 17, 22}));
 }
 
 // The shared tile traversal vs the per-query probe, compared as *value

@@ -114,52 +114,36 @@ void BM_DominatingSkylineProbeFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_DominatingSkylineProbeFlat)->Arg(100000);
 
-// The raw batch kernels against their scalar oracles: a tile of probe
-// points (the leaf-filter / child-cull shape) against one 1024-lane SoA
-// block. range(0) is the tile width — 1 runs the single-query sweep, wider
-// tiles the register-blocked one — and range(1) selects dispatched (1) or
-// forced-scalar (0). Items are (lane, member) pair tests.
-void BM_TileDominanceMasks(benchmark::State& state) {
-  const size_t width = static_cast<size_t>(state.range(0));
+// The raw batch kernels against a register-pressure-free scalar sweep:
+// lane filtering (the leaf/window shape) over one SoA block. range(0) is
+// the lane count, range(1) selects dispatched (1) or forced-scalar (0).
+void BM_FilterDominatedKernel(benchmark::State& state) {
+  const size_t count = static_cast<size_t>(state.range(0));
   const bool dispatched = state.range(1) != 0;
   const size_t dims = 3;
-  const size_t count = 1024;
   Dataset ds = MakeData(count, dims, Distribution::kAntiCorrelated);
   SoaBlock block(dims);
   for (size_t i = 0; i < ds.size(); ++i) {
     block.Append(ds.data(static_cast<PointId>(i)));
   }
-  std::vector<std::vector<double>> members(width);
-  std::vector<const double*> tile(width);
-  for (size_t j = 0; j < width; ++j) {
-    const double c = 0.45 + 0.1 * static_cast<double>(j) /
-                                static_cast<double>(width);
-    members[j].assign(dims, c);
-    tile[j] = members[j].data();
-  }
-  std::vector<uint64_t> masks(count);
+  const std::vector<double> q(dims, 0.51);
+  std::vector<uint32_t> out;
   for (auto _ : state) {
-    if (dispatched) {
-      TileDominanceMasks(block.view(), tile.data(), width, /*strict=*/true,
-                         masks.data());
-    } else {
-      TileDominanceMasksScalar(block.view(), tile.data(), width,
-                               /*strict=*/true, masks.data());
-    }
-    benchmark::DoNotOptimize(masks.data());
-    benchmark::ClobberMemory();
+    out.clear();
+    const size_t kept =
+        dispatched ? FilterDominated(block.view(), q.data(), &out)
+                   : FilterDominatedScalar(block.view(), q.data(), &out);
+    benchmark::DoNotOptimize(kept);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(count * width));
+                          static_cast<int64_t>(count));
   state.SetLabel(dispatched ? BatchKernelName() : "scalar");
 }
-BENCHMARK(BM_TileDominanceMasks)
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({4, 0})
-    ->Args({4, 1})
+BENCHMARK(BM_FilterDominatedKernel)
     ->Args({64, 0})
-    ->Args({64, 1});
+    ->Args({64, 1})
+    ->Args({4096, 0})
+    ->Args({4096, 1});
 
 void BM_DominatesAnyKernel(benchmark::State& state) {
   const size_t count = static_cast<size_t>(state.range(0));

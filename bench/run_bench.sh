@@ -339,7 +339,7 @@ if [ "$smoke" = 1 ]; then
 fi
 
 "$bench_bin" \
-  --benchmark_filter='BM_DominatingSkylineProbeFlat|BM_TopKImprovedProbingFlat|BM_TileDominanceMasks|BM_DominatesAnyKernel' \
+  --benchmark_filter='BM_DominatingSkylineProbeFlat|BM_TopKImprovedProbingFlat|BM_FilterDominatedKernel|BM_DominatesAnyKernel' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json \

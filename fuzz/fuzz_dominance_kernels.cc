@@ -42,41 +42,26 @@ void RunOne(uint64_t seed) {
         << "DominatesAny divergence: dispatched=" << any
         << " scalar=" << any_scalar << " pairwise=" << any_pairwise
         << " shape=" << ShapeName(shape) << " seed=" << seed;
-  }
 
-  // TileDominanceMasks: dispatched vs scalar vs the pairwise predicate on
-  // every (lane, member) pair, both strictness modes. A quarter of the
-  // draws are width 1 so the single-query sweep is always exercised; the
-  // rest span the register-blocked sweep's chunks and tails.
-  const size_t width = rng.NextUint64(4) == 0
-                           ? 1
-                           : 1 + static_cast<size_t>(
-                                     rng.NextUint64(kMaxDominanceTile));
-  std::vector<std::vector<double>> members(width);
-  std::vector<const double*> tile(width);
-  for (size_t j = 0; j < width; ++j) {
-    members[j] = GenQueryPoint(&rng, block_points);
-    tile[j] = members[j].data();
-  }
-  std::vector<uint64_t> got(view.count);
-  std::vector<uint64_t> oracle(view.count);
-  for (const bool strict : {true, false}) {
-    TileDominanceMasks(view, tile.data(), width, strict, got.data());
-    TileDominanceMasksScalar(view, tile.data(), width, strict, oracle.data());
-    for (size_t i = 0; i < view.count; ++i) {
-      SKYUP_CHECK(got[i] == oracle[i])
-          << "TileDominanceMasks(strict=" << strict << ", width=" << width
-          << ") divergence at lane " << i << ": dispatched " << got[i]
-          << " vs scalar " << oracle[i] << " shape=" << ShapeName(shape)
+    // FilterDominated, both strictness modes.
+    for (const bool strict : {true, false}) {
+      std::vector<uint32_t> got, oracle;
+      const size_t got_n = FilterDominated(view, q.data(), &got, strict);
+      const size_t oracle_n =
+          FilterDominatedScalar(view, q.data(), &oracle, strict);
+      SKYUP_CHECK(got_n == oracle_n && got == oracle)
+          << "FilterDominated(strict=" << strict
+          << ") divergence: dispatched " << got.size() << " lanes vs scalar "
+          << oracle.size() << " shape=" << ShapeName(shape)
           << " seed=" << seed;
-      const double* s = block_points.data(static_cast<PointId>(i));
-      for (size_t j = 0; j < width; ++j) {
-        const bool expect = strict ? Dominates(s, tile[j], dims)
-                                   : DominatesOrEqual(s, tile[j], dims);
-        SKYUP_CHECK(((got[i] >> j) & 1u) == (expect ? 1u : 0u))
-            << "TileDominanceMasks(strict=" << strict << ", width=" << width
-            << ") lane " << i << " member " << j
-            << " disagrees with the pairwise predicate, seed=" << seed;
+      for (const uint32_t lane : got) {
+        const double* s = block_points.data(static_cast<PointId>(lane));
+        const bool expect = strict ? Dominates(s, q.data(), dims)
+                                   : DominatesOrEqual(s, q.data(), dims);
+        SKYUP_CHECK(expect)
+            << "FilterDominated kept lane " << lane
+            << " that the pairwise predicate rejects, strict=" << strict
+            << " seed=" << seed;
       }
     }
   }

@@ -38,6 +38,25 @@ bool DominatesAnyScalar(const SoaView& block, const double* q) {
   return false;
 }
 
+size_t FilterDominatedScalar(const SoaView& block, const double* q,
+                             std::vector<uint32_t>* out, bool strict) {
+  size_t appended = 0;
+  for (size_t i = 0; i < block.count; ++i) {
+    bool le = true;
+    bool lt = false;
+    for (size_t d = 0; d < block.dims && le; ++d) {
+      const double v = block.dim(d)[i];
+      le = v <= q[d];
+      lt = lt || v < q[d];
+    }
+    if (le && (lt || !strict)) {
+      out->push_back(static_cast<uint32_t>(i));
+      ++appended;
+    }
+  }
+  return appended;
+}
+
 void TileDominanceMasksScalar(const SoaView& block, const double* const* tile,
                               size_t tile_count, bool strict,
                               uint64_t* masks) {
@@ -90,16 +109,12 @@ __attribute__((target("avx2"))) bool DominatesAnyAvx2(const SoaView& block,
   return false;
 }
 
-// Width-1 sweep: four block lanes against one query, leaving a lane group
-// at the first dimension where no lane is still `<=` — the early exit the
-// register-blocked sweep cannot take while other tile members may be live.
-// Covers lanes [0, end); `end` is a multiple of four.
-__attribute__((target("avx2"))) void SingleQueryMasksAvx2(const SoaView& block,
-                                                          const double* q,
-                                                          bool strict,
-                                                          size_t end,
-                                                          uint64_t* masks) {
-  for (size_t i = 0; i < end; i += 4) {
+__attribute__((target("avx2"))) size_t
+FilterDominatedAvx2(const SoaView& block, const double* q,
+                    std::vector<uint32_t>* out, bool strict) {
+  size_t appended = 0;
+  size_t i = 0;
+  for (; i + 4 <= block.count; i += 4) {
     __m256d le = AllOnes();
     __m256d lt = _mm256_setzero_pd();
     for (size_t d = 0; d < block.dims; ++d) {
@@ -109,25 +124,42 @@ __attribute__((target("avx2"))) void SingleQueryMasksAvx2(const SoaView& block,
       lt = _mm256_or_pd(lt, _mm256_cmp_pd(v, qd, _CMP_LT_OQ));
       if (_mm256_movemask_pd(le) == 0) break;
     }
-    int bits = _mm256_movemask_pd(le);
-    if (strict) bits &= _mm256_movemask_pd(lt);
-    for (size_t lane = 0; lane < 4; ++lane) {
-      masks[i + lane] = static_cast<uint64_t>(bits >> lane) & 1;
+    int mask = _mm256_movemask_pd(le);
+    if (strict) mask &= _mm256_movemask_pd(lt);
+    while (mask != 0) {
+      const int bit = __builtin_ctz(static_cast<unsigned>(mask));
+      out->push_back(static_cast<uint32_t>(i + static_cast<size_t>(bit)));
+      ++appended;
+      mask &= mask - 1;
     }
   }
+  for (; i < block.count; ++i) {
+    bool le = true;
+    bool lt = false;
+    for (size_t d = 0; d < block.dims && le; ++d) {
+      const double v = block.dim(d)[i];
+      le = v <= q[d];
+      lt = lt || v < q[d];
+    }
+    if (le && (lt || !strict)) {
+      out->push_back(static_cast<uint32_t>(i));
+      ++appended;
+    }
+  }
+  return appended;
 }
 
 // Register-blocked multi-query sweep: four block lanes wide (one __m256d),
 // four tile members deep (eight live accumulators + the shared coordinate
 // load fit comfortably in the sixteen ymm registers). Each coordinate
 // vector of the block is loaded once per tile chunk and compared against
-// every member of the chunk, amortizing the memory traffic a per-query
-// sweep would pay `tile_count` times. Covers lanes [0, end) like the
-// width-1 sweep.
-__attribute__((target("avx2"))) void BlockedMasksAvx2(
+// every member of the chunk, amortizing the memory traffic the per-query
+// kernels pay `tile_count` times.
+__attribute__((target("avx2"))) void TileDominanceMasksAvx2(
     const SoaView& block, const double* const* tile, size_t tile_count,
-    bool strict, size_t end, uint64_t* masks) {
-  for (size_t i = 0; i < end; i += 4) {
+    bool strict, uint64_t* masks) {
+  size_t i = 0;
+  for (; i + 4 <= block.count; i += 4) {
     uint64_t m[4] = {0, 0, 0, 0};
     for (size_t jc = 0; jc < tile_count; jc += 4) {
       const size_t width = tile_count - jc < 4 ? tile_count - jc : 4;
@@ -157,24 +189,11 @@ __attribute__((target("avx2"))) void BlockedMasksAvx2(
     }
     for (size_t lane = 0; lane < 4; ++lane) masks[i + lane] = m[lane];
   }
-}
-
-// Picks the inner sweep from the tile width; the sub-four-lane tail runs
-// the scalar loop.
-__attribute__((target("avx2"))) void TileDominanceMasksAvx2(
-    const SoaView& block, const double* const* tile, size_t tile_count,
-    bool strict, uint64_t* masks) {
-  const size_t end = block.count & ~size_t{3};
-  if (tile_count == 1) {
-    SingleQueryMasksAvx2(block, tile[0], strict, end, masks);
-  } else {
-    BlockedMasksAvx2(block, tile, tile_count, strict, end, masks);
-  }
-  if (end < block.count) {
+  if (i < block.count) {
     SoaView tail = block;
-    tail.data += end;
-    tail.count -= end;
-    TileDominanceMasksScalar(tail, tile, tile_count, strict, masks + end);
+    tail.data += i;
+    tail.count -= i;
+    TileDominanceMasksScalar(tail, tile, tile_count, strict, masks + i);
   }
 }
 
@@ -200,6 +219,14 @@ bool DominatesAny(const SoaView& block, const double* q) {
   if (UseAvx2()) return DominatesAnyAvx2(block, q);
 #endif
   return DominatesAnyScalar(block, q);
+}
+
+size_t FilterDominated(const SoaView& block, const double* q,
+                       std::vector<uint32_t>* out, bool strict) {
+#if SKYUP_HAVE_AVX2_PATH
+  if (UseAvx2()) return FilterDominatedAvx2(block, q, out, strict);
+#endif
+  return FilterDominatedScalar(block, q, out, strict);
 }
 
 void TileDominanceMasks(const SoaView& block, const double* const* tile,

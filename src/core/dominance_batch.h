@@ -1,17 +1,12 @@
 #ifndef SKYUP_CORE_DOMINANCE_BATCH_H_
 #define SKYUP_CORE_DOMINANCE_BATCH_H_
 
-// Batched dominance kernels over blocks of points laid out
-// structure-of-arrays (SoA). The skyline survey (Kalyvas & Tzouramanis 2017)
-// identifies dominance-test volume as the dominant cost of BBS-style
-// algorithms; these kernels turn the inner point-pair loops of the probe hot
-// path into sequential per-dimension sweeps that vectorize:
-//
-//   DominatesAny        one query vs a block, any lane <= it (window prune)
-//   TileDominanceMasks  up to kMaxDominanceTile queries vs a block, one
-//                       outcome mask per lane (leaf filter, child cull,
-//                       delta-chunk scan); a tile of one is the single-query
-//                       filter
+// Batched dominance kernels: one query point against a *block* of points
+// laid out structure-of-arrays (SoA). The skyline survey (Kalyvas &
+// Tzouramanis 2017) identifies dominance-test volume as the dominant cost
+// of BBS-style algorithms; these kernels turn the inner point-pair loops of
+// the probe hot path (window pruning, leaf filtering, child culling) into
+// sequential per-dimension sweeps that vectorize.
 //
 // Every kernel has a plain scalar implementation (the `*Scalar` entry
 // points, always compiled — they are the test oracle) and, when the library
@@ -82,27 +77,36 @@ class SoaBlock {
 /// dominators, `q` the candidate point or MBR min corner).
 bool DominatesAny(const SoaView& block, const double* q);
 
+/// Appends to `out` the (ascending) indices of the lanes that *strictly
+/// dominate* `q`: `lane[d] <= q[d]` everywhere and `<` somewhere. With
+/// `strict == false` the equality lanes are kept too (dominate-or-equal) —
+/// that variant is the ADR overlap filter for MBR min corners. Returns the
+/// number of indices appended.
+size_t FilterDominated(const SoaView& block, const double* q,
+                       std::vector<uint32_t>* out, bool strict = true);
+
 /// Maximum tile width the multi-query kernels accept: outcome masks are one
 /// `uint64_t` per block lane, bit `j` = tile member `j`.
 inline constexpr size_t kMaxDominanceTile = 64;
 
-/// Tests every lane of `block` against a *tile* of query points in one
-/// sweep. On return, `masks[i]` has bit `j` set iff lane `i` dominates
-/// `tile[j]` — strictly when `strict` (<= everywhere, < somewhere),
-/// dominates-or-equal otherwise (the ADR-overlap orientation for MBR min
-/// corners). `masks` must hold `block.count` entries; they are overwritten,
-/// not accumulated. `tile_count` must be in [1, kMaxDominanceTile]; every
-/// `tile[j]` has `block.dims` coordinates. The sweep follows the width: a
-/// tile of one leaves a lane group at the first dimension that fails it
-/// everywhere, wider tiles load each coordinate once for four members at a
-/// time. Bit `j` is the same whatever the width or sweep: each (lane,
-/// `tile[j]`) pair runs the same IEEE tests.
+/// Multi-query generalization of `FilterDominated`: tests every lane of
+/// `block` against a *tile* of query points in one sweep. On return,
+/// `masks[i]` has bit `j` set iff lane `i` dominates `tile[j]` — strictly
+/// when `strict` (<= everywhere, < somewhere), dominates-or-equal otherwise
+/// (the ADR-overlap orientation for MBR min corners). `masks` must hold
+/// `block.count` entries; they are overwritten, not accumulated.
+/// `tile_count` must be in [1, kMaxDominanceTile]; every `tile[j]` has
+/// `block.dims` coordinates. Per (lane, tile[j]) pair the comparisons are
+/// the exact IEEE tests `FilterDominated` evaluates, so for any fixed `j`,
+/// `masks[i] >> j & 1` reproduces the single-query filter bit for bit.
 void TileDominanceMasks(const SoaView& block, const double* const* tile,
                         size_t tile_count, bool strict, uint64_t* masks);
 
 /// Scalar reference implementations — always built, never dispatched away;
 /// the oracle the SIMD paths are tested against.
 bool DominatesAnyScalar(const SoaView& block, const double* q);
+size_t FilterDominatedScalar(const SoaView& block, const double* q,
+                             std::vector<uint32_t>* out, bool strict = true);
 void TileDominanceMasksScalar(const SoaView& block, const double* const* tile,
                               size_t tile_count, bool strict,
                               uint64_t* masks);

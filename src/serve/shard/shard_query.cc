@@ -244,7 +244,7 @@ void TopKShardedBatch(const ShardedView& sharded,
 
           // Scratch reused across candidates (worker-local).
           std::vector<PointId> sky_rows;
-          std::vector<uint64_t> scan_masks;
+          std::vector<uint32_t> scan_hits;
           std::vector<const double*> dominators;
           UpgradeCache* const cache = sharded.cache.get();
           UpgradeCache::Hit hit;
@@ -361,12 +361,10 @@ void TopKShardedBatch(const ShardedView& sharded,
                   c.masks.inserted_mask(DeltaTarget::kCompetitor);
               for (size_t chunk = 0; chunk < log.competitor_chunks();
                    ++chunk) {
-                const SoaView lanes = log.competitor_lanes(chunk);
-                scan_masks.resize(lanes.count);
-                TileDominanceMasks(lanes, &t, 1, /*strict=*/true,
-                                   scan_masks.data());
-                for (size_t j = 0; j < lanes.count; ++j) {
-                  if (scan_masks[j] == 0) continue;
+                scan_hits.clear();
+                FilterDominated(log.competitor_lanes(chunk), t, &scan_hits,
+                                /*strict=*/true);
+                for (uint32_t j : scan_hits) {
                   const size_t row = chunk * kDeltaChunkRows + j;
                   if (dead[row] != 0) continue;
                   PatchSkylineInsert(

@@ -140,20 +140,20 @@ TEST(DominanceBatchTest, DispatchedMatchesScalarAndFirstPrinciples) {
           EXPECT_EQ(DominatesAny(view, q), expect_any);
           EXPECT_EQ(DominatesAnyScalar(view, q), expect_any);
 
-          // TileDominanceMasks at width 1 (the single-query sweep), strict
-          // and non-strict: bit 0 of every lane, nothing above it.
+          // FilterDominated, strict and non-strict: exact ascending index
+          // lists.
           for (bool strict : {true, false}) {
-            std::vector<uint64_t> expect(count, 0);
+            std::vector<uint32_t> expect;
             for (size_t i = 0; i < count; ++i) {
               for (size_t d = 0; d < dims; ++d) lane[d] = c.block.at(i, d);
               const bool keep = strict ? Dominates(lane.data(), q, dims)
                                        : DominatesOrEqual(lane.data(), q, dims);
-              expect[i] = keep ? 1u : 0u;
+              if (keep) expect.push_back(static_cast<uint32_t>(i));
             }
-            std::vector<uint64_t> got(count, ~uint64_t{0});
-            std::vector<uint64_t> got_scalar(count, ~uint64_t{0});
-            TileDominanceMasks(view, &q, 1, strict, got.data());
-            TileDominanceMasksScalar(view, &q, 1, strict, got_scalar.data());
+            std::vector<uint32_t> got, got_scalar;
+            EXPECT_EQ(FilterDominated(view, q, &got, strict), expect.size());
+            EXPECT_EQ(FilterDominatedScalar(view, q, &got_scalar, strict),
+                      expect.size());
             EXPECT_EQ(got, expect) << "strict=" << strict;
             EXPECT_EQ(got_scalar, expect) << "strict=" << strict;
           }
@@ -161,6 +161,22 @@ TEST(DominanceBatchTest, DispatchedMatchesScalarAndFirstPrinciples) {
       }
     }
   }
+}
+
+// FilterDominated must *append* (callers reuse one scratch vector per
+// traversal) and report only the newly appended count.
+TEST(DominanceBatchTest, FilterDominatedAppendsToExistingOutput) {
+  SoaBlock block(2);
+  const double lo[] = {0.1, 0.1};
+  const double hi[] = {0.9, 0.9};
+  block.Append(lo);
+  block.Append(hi);
+  const double q[] = {0.5, 0.5};
+  std::vector<uint32_t> out = {77};
+  EXPECT_EQ(FilterDominated(block.view(), q, &out), 1u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], 77u);
+  EXPECT_EQ(out[1], 0u);
 }
 
 // A strided view (capacity > count, as FlatRTree node ranges produce) must
@@ -175,12 +191,10 @@ TEST(DominanceBatchTest, StridedViewReadsCorrectLanes) {
   }
   const SoaView view{data.data(), 8, 3, 2};
   const double q[] = {0.5, 0.5};
-  const double* tile[] = {q};
-  uint64_t masks[3] = {7, 7, 7};
-  TileDominanceMasks(view, tile, 1, /*strict=*/true, masks);
-  EXPECT_EQ(masks[0], 1u);
-  EXPECT_EQ(masks[1], 0u);
-  EXPECT_EQ(masks[2], 0u);
+  std::vector<uint32_t> out;
+  EXPECT_EQ(FilterDominated(view, q, &out), 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], 0u);
   EXPECT_TRUE(DominatesAny(view, q));
 }
 
@@ -237,10 +251,9 @@ TEST(DominanceBatchTest, TileMasksMatchScalarAndFirstPrinciples) {
   }
 }
 
-// For any fixed tile member, the bit column of a wide tile (the
-// register-blocked sweep) must reproduce a width-1 call (the single-query
-// sweep with its early exit) exactly — the contract the tile traversal's
-// per-member pruning relies on.
+// For any fixed tile member, the tile kernel's bit column must reproduce
+// the single-query FilterDominated decisions exactly (the contract the
+// tile traversal's per-member pruning relies on).
 TEST(DominanceBatchTest, TileMaskColumnsMatchSingleQueryFilter) {
   std::mt19937_64 rng(977);
   for (int rep = 0; rep < 20; ++rep) {
@@ -256,13 +269,16 @@ TEST(DominanceBatchTest, TileMaskColumnsMatchSingleQueryFilter) {
     std::vector<uint64_t> masks(view.count, 0);
     TileDominanceMasks(view, tile.data(), tile.size(), /*strict=*/true,
                        masks.data());
-    std::vector<uint64_t> solo(view.count, 0);
     for (size_t j = 0; j < tile.size(); ++j) {
-      TileDominanceMasks(view, &tile[j], 1, /*strict=*/true, solo.data());
+      std::vector<uint32_t> solo;
+      FilterDominated(view, tile[j], &solo, /*strict=*/true);
+      std::vector<uint32_t> from_tile;
       for (size_t i = 0; i < view.count; ++i) {
-        EXPECT_EQ((masks[i] >> j) & 1u, solo[i])
-            << "tile member " << j << " lane " << i;
+        if ((masks[i] >> j) & 1u) {
+          from_tile.push_back(static_cast<uint32_t>(i));
+        }
       }
+      EXPECT_EQ(from_tile, solo) << "tile member " << j;
     }
   }
 }
